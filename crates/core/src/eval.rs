@@ -7,65 +7,28 @@
 //! across worker threads, and a content-addressed cache (keyed by
 //! [`dt_machine::Object::content_hash`]) lets variants that produce
 //! identical binaries share a single trace/metric computation. Both
-//! paths produce bit-identical `ProgramEvaluation`s: workers write
-//! results into per-pass slots, so ordering and values never depend on
-//! scheduling.
+//! paths produce bit-identical `ProgramEvaluation`s: the ordered
+//! parallel map returns results in pass order, so ordering and values
+//! never depend on scheduling.
 //!
 //! Compilation itself is staged: all variant builds of one
 //! program/personality/level go through a single checkpointed
 //! [`dt_passes::CompileSession`], so a variant disabling pass *p*
 //! resumes from the snapshot before *p*'s first occurrence instead of
 //! recompiling from source (bit-identical by construction — see
-//! `dt_passes::session`). Cross-config products (parsed analysis, the
-//! `O0` object, the single ground-truth baseline trace) live in the
-//! shared [`ArtifactStore`].
+//! `dt_passes::session`). Every derived fact (analysis, `O0` object,
+//! ground-truth baseline, sessions, evaluations, variant traces) lives
+//! in one content-keyed [`ArtifactStore`].
 
-use crate::artifacts::ArtifactStore;
-use crate::telemetry::Telemetry;
+use crate::artifacts::{program_key, source_key, ArtifactStore, ScopeKey, SourceArtifacts};
 use dt_checker::DefectSummary;
+use dt_debugger::DebugTrace;
 use dt_metrics::Metrics;
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Shared map from object content hash to variant metrics plus the
-/// correctness-oracle summary, scoped by a program/personality/level
-/// key so entries are only reused where the baseline trace and input
-/// set are the same.
-pub(crate) type TraceCache = Mutex<HashMap<(String, u64), (Metrics, DefectSummary)>>;
-
-/// Execution context for one evaluation: worker count plus optional
-/// shared telemetry and trace cache (both owned by [`crate::DebugTuner`]
-/// when driven through the tuner).
-pub(crate) struct EvalCtx<'a> {
-    pub threads: usize,
-    pub telemetry: Option<&'a Telemetry>,
-    pub trace_cache: Option<&'a TraceCache>,
-    /// Shared program-artifact + compile-session store. `None` makes
-    /// the evaluation build a transient store (no cross-call sharing).
-    pub artifacts: Option<&'a ArtifactStore>,
-}
-
-impl EvalCtx<'_> {
-    fn serial() -> EvalCtx<'static> {
-        EvalCtx {
-            threads: 1,
-            telemetry: None,
-            trace_cache: None,
-            artifacts: None,
-        }
-    }
-
-    fn with_telemetry<F: FnOnce(&Telemetry)>(&self, f: F) {
-        if let Some(t) = self.telemetry {
-            f(t);
-        }
-    }
-}
 
 /// A program plus the inputs driving its debug sessions.
 #[derive(Debug, Clone)]
@@ -180,6 +143,25 @@ fn metrics_for(
     (m, trace, stats)
 }
 
+/// The program's source artifacts and its ground-truth baseline trace.
+fn program_artifacts(
+    store: &ArtifactStore,
+    program: &ProgramInput,
+    max_steps: u64,
+) -> (Arc<SourceArtifacts>, Arc<DebugTrace>) {
+    let art = store.source(&program.source).expect("program is valid");
+    let base = store
+        .baseline(
+            &art,
+            &program.harness,
+            &program.inputs,
+            &program.entry_args,
+            max_steps,
+        )
+        .expect("baseline session");
+    (art, base)
+}
+
 /// Runs the four-stage evaluation workflow for one program, serially.
 pub fn evaluate_program(
     program: &ProgramInput,
@@ -187,12 +169,13 @@ pub fn evaluate_program(
     level: OptLevel,
     max_steps: u64,
 ) -> ProgramEvaluation {
-    evaluate_program_ctx(program, personality, level, max_steps, &EvalCtx::serial())
+    evaluate_program_parallel(program, personality, level, max_steps, 1)
 }
 
 /// Runs the four-stage evaluation workflow with the per-pass variant
-/// stage fanned out across `threads` workers. Bit-identical to
-/// [`evaluate_program`] for any thread count.
+/// stage fanned out across `threads` workers, through a transient
+/// [`ArtifactStore`]. Bit-identical to [`evaluate_program`] for any
+/// thread count.
 pub fn evaluate_program_parallel(
     program: &ProgramInput,
     personality: Personality,
@@ -200,52 +183,70 @@ pub fn evaluate_program_parallel(
     max_steps: u64,
     threads: usize,
 ) -> ProgramEvaluation {
-    let ctx = EvalCtx {
+    evaluate_in(
+        &ArtifactStore::new(),
+        program,
+        personality,
+        level,
+        max_steps,
         threads,
-        telemetry: None,
-        trace_cache: None,
-        artifacts: None,
-    };
-    evaluate_program_ctx(program, personality, level, max_steps, &ctx)
+    )
 }
 
-/// The shared implementation behind the serial and parallel entry
-/// points and [`crate::DebugTuner::evaluate`].
-pub(crate) fn evaluate_program_ctx(
+/// The memoized evaluation behind the free functions and
+/// [`crate::DebugTuner::evaluate`]. The memo is keyed by the program's
+/// content; the returned evaluation carries the caller's name.
+pub(crate) fn evaluate_in(
+    store: &ArtifactStore,
     program: &ProgramInput,
     personality: Personality,
     level: OptLevel,
     max_steps: u64,
-    ctx: &EvalCtx<'_>,
+    threads: usize,
 ) -> ProgramEvaluation {
+    let key = program_key(
+        source_key(&program.source),
+        &program.harness,
+        &program.inputs,
+        &program.entry_args,
+        max_steps,
+    );
+    let scope = (key, personality, level);
+    let eval = store.evaluation(scope, || {
+        evaluate_uncached(store, scope, program, max_steps, threads)
+    });
+    ProgramEvaluation {
+        program: program.name.clone(),
+        ..eval
+    }
+}
+
+fn evaluate_uncached(
+    store: &ArtifactStore,
+    scope: ScopeKey,
+    program: &ProgramInput,
+    max_steps: u64,
+    threads: usize,
+) -> ProgramEvaluation {
+    let (_, personality, level) = scope;
+    let telemetry = store.telemetry();
     let wall_start = Instant::now();
-    ctx.with_telemetry(|t| t.record_program());
-    let transient_store;
-    let store = match ctx.artifacts {
-        Some(s) => s,
-        None => {
-            transient_store = ArtifactStore::new();
-            &transient_store
-        }
-    };
+    telemetry.record_program();
 
     // Stage 1: shared artifacts (parsed analysis, O0 object, the
-    // single ground-truth baseline trace — reused across
-    // personalities, levels, and configs) plus this level's
-    // checkpointed compile session, from which the reference build
-    // reuses the fully optimized module. The ground-truth baseline
-    // records shadow values from the VM so the correctness oracle can
-    // diff variant traces against source semantics; variable
-    // *visibility* stays loclist-based, so the availability metrics
-    // are untouched.
-    let art = store.program_artifacts(program, max_steps, ctx.telemetry);
-    let analysis = &art.analysis;
-    let o0 = &art.o0;
-    let base_trace = &art.base_trace;
-    let session = store.session_for(&program.name, &art, personality, level, ctx.telemetry);
+    // ground-truth baseline trace — reused across personalities,
+    // levels, and configs) plus this level's checkpointed compile
+    // session, from which the reference build reuses the fully
+    // optimized module. The ground-truth baseline records shadow
+    // values from the VM so the correctness oracle can diff variant
+    // traces against source semantics; variable *visibility* stays
+    // loclist-based, so the availability metrics are untouched.
+    let (art, base) = program_artifacts(store, program, max_steps);
+    let (analysis, base_trace) = (&art.analysis, &*base);
+    let session = store.session(&art, personality, level, None);
     let build_start = Instant::now();
     let reference_obj = session.reference_object();
-    ctx.with_telemetry(|t| t.record_build(build_start.elapsed()));
+    telemetry.record_build(build_start.elapsed());
 
     // Stage 2+3: reference trace and metrics (source-refined by the
     // hybrid metric itself).
@@ -259,29 +260,24 @@ pub(crate) fn evaluate_program_ctx(
         analysis,
         max_steps,
     );
-    ctx.with_telemetry(|t| {
-        t.record_trace(trace_start.elapsed());
-        t.record_fast_trace(&ref_stats);
-    });
+    telemetry.record_trace(trace_start.elapsed());
+    telemetry.record_fast_trace(&ref_stats);
     let methods = dt_metrics::all_methods(&reference_obj.debug, &ref_trace, base_trace, analysis);
     let reference_defects = dt_checker::check(&ref_trace, base_trace, analysis).summary;
 
     // Stage 4: one variant per gateable pass, with `.text` pruning and
-    // content-addressed sharing of trace/metric work. Each pass gets a
-    // dedicated result slot, so the output order (and every value in
-    // it) is independent of worker scheduling.
+    // content-addressed sharing of trace/metric work. The ordered
+    // parallel map keeps the output order (and every value in it)
+    // independent of worker scheduling.
     let passes = pipeline_pass_names(personality, level);
-    let cache_scope = format!("{}|{personality}|{level}", program.name);
-    let variant_effect = |pass: &str| -> PassEffect {
+    let variant_effect = |&pass: &&str| -> PassEffect {
         let build_start = Instant::now();
         let built = session.build_variant(&PassGate::disabling([pass]));
-        ctx.with_telemetry(|t| {
-            t.record_build(build_start.elapsed());
-            t.record_variant_resume(built.prefix_skipped as u64);
-        });
+        telemetry.record_build(build_start.elapsed());
+        telemetry.record_variant_resume(built.prefix_skipped as u64);
         let variant = built.object;
         if variant.text_eq(&reference_obj) {
-            ctx.with_telemetry(|t| t.record_pruned_variant());
+            telemetry.record_pruned_variant();
             return PassEffect {
                 pass: pass.to_string(),
                 metrics: None,
@@ -290,17 +286,7 @@ pub(crate) fn evaluate_program_ctx(
                 defect_delta: 0.0,
             };
         }
-        let cache_key = ctx
-            .trace_cache
-            .map(|_| (cache_scope.clone(), variant.content_hash()));
-        let cached = cache_key.as_ref().and_then(|k| {
-            let hit = ctx.trace_cache.unwrap().lock().get(k).copied();
-            if hit.is_some() {
-                ctx.with_telemetry(|t| t.record_trace_cache_hit());
-            }
-            hit
-        });
-        let (m, defects) = cached.unwrap_or_else(|| {
+        let (m, defects) = store.variant_trace(scope, variant.content_hash(), || {
             let trace_start = Instant::now();
             let (m, variant_trace, variant_stats) = metrics_for(
                 &variant,
@@ -312,13 +298,8 @@ pub(crate) fn evaluate_program_ctx(
                 max_steps,
             );
             let defects = dt_checker::check(&variant_trace, base_trace, analysis).summary;
-            ctx.with_telemetry(|t| {
-                t.record_trace(trace_start.elapsed());
-                t.record_fast_trace(&variant_stats);
-            });
-            if let Some(k) = cache_key {
-                ctx.trace_cache.unwrap().lock().insert(k, (m, defects));
-            }
+            telemetry.record_trace(trace_start.elapsed());
+            telemetry.record_fast_trace(&variant_stats);
             (m, defects)
         });
         let rel = if reference.product > 0.0 {
@@ -336,39 +317,15 @@ pub(crate) fn evaluate_program_ctx(
             defect_delta: defects.rate() - reference_defects.rate(),
         }
     };
+    let effects = crate::par_map(&passes, threads, variant_effect);
 
-    let workers = ctx.threads.max(1).min(passes.len().max(1));
-    let effects: Vec<PassEffect> = if workers <= 1 {
-        passes.iter().map(|pass| variant_effect(pass)).collect()
-    } else {
-        let slots: Vec<Mutex<Option<PassEffect>>> =
-            passes.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= passes.len() {
-                        break;
-                    }
-                    let effect = variant_effect(passes[i]);
-                    *slots[i].lock() = Some(effect);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("all variants evaluated"))
-            .collect()
-    };
-
-    ctx.with_telemetry(|t| t.record_wall(wall_start.elapsed()));
+    telemetry.record_wall(wall_start.elapsed());
     ProgramEvaluation {
         program: program.name.clone(),
         reference,
         methods,
         effects,
-        steppable_lines_o0: o0.debug.steppable_lines().len(),
+        steppable_lines_o0: art.o0.debug.steppable_lines().len(),
         stepped_lines_o0: base_trace.stepped_lines().len(),
         reference_defects,
     }
@@ -388,45 +345,47 @@ pub fn evaluate_config(
     gate: &PassGate,
     max_steps: u64,
 ) -> Metrics {
-    let store = ArtifactStore::new();
-    evaluate_config_with(&store, program, personality, level, gate, max_steps, None)
+    evaluate_config_in(
+        &ArtifactStore::new(),
+        program,
+        personality,
+        level,
+        gate,
+        max_steps,
+    )
 }
 
 /// [`evaluate_config`] against an explicit shared store: the program's
-/// artifacts (analysis + `O0` + the single ground-truth baseline
-/// trace) and the personality/level compile session are reused across
-/// calls, and the gated build resumes from a mid-pipeline checkpoint.
-pub(crate) fn evaluate_config_with(
+/// artifacts (analysis + `O0` + the ground-truth baseline trace) and
+/// the personality/level compile session are reused across calls, and
+/// the gated build resumes from a mid-pipeline checkpoint.
+pub(crate) fn evaluate_config_in(
     store: &ArtifactStore,
     program: &ProgramInput,
     personality: Personality,
     level: OptLevel,
     gate: &PassGate,
     max_steps: u64,
-    telemetry: Option<&Telemetry>,
 ) -> Metrics {
-    let art = store.program_artifacts(program, max_steps, telemetry);
-    let session = store.session_for(&program.name, &art, personality, level, telemetry);
+    let telemetry = store.telemetry();
+    let (art, base) = program_artifacts(store, program, max_steps);
+    let session = store.session(&art, personality, level, None);
     let build_start = Instant::now();
     let built = session.build_variant(gate);
-    if let Some(t) = telemetry {
-        t.record_build(build_start.elapsed());
-        t.record_variant_resume(built.prefix_skipped as u64);
-    }
+    telemetry.record_build(build_start.elapsed());
+    telemetry.record_variant_resume(built.prefix_skipped as u64);
     let trace_start = Instant::now();
     let (m, _, stats) = metrics_for(
         &built.object,
         &program.harness,
         &program.inputs,
         &program.entry_args,
-        &art.base_trace,
+        &base,
         &art.analysis,
         max_steps,
     );
-    if let Some(t) = telemetry {
-        t.record_trace(trace_start.elapsed());
-        t.record_fast_trace(&stats);
-    }
+    telemetry.record_trace(trace_start.elapsed());
+    telemetry.record_fast_trace(&stats);
     m
 }
 

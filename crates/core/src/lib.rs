@@ -32,6 +32,7 @@
 //! ```
 
 pub mod artifacts;
+pub mod check;
 pub mod config;
 pub mod eval;
 pub mod pareto;
@@ -40,6 +41,7 @@ pub mod rank;
 pub mod telemetry;
 
 pub use artifacts::ArtifactStore;
+pub use check::{check_compiled, hunt, hunt_variants, HuntConfig, HuntResult};
 pub use config::{dy_config, dy_family, DyConfig};
 pub use eval::{
     evaluate_program, evaluate_program_parallel, PassEffect, ProgramEvaluation, ProgramInput,
@@ -50,8 +52,7 @@ pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::{EvalStats, Telemetry};
 
 use dt_passes::{OptLevel, PassGate, Personality};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Global tuner settings.
 #[derive(Debug, Clone)]
@@ -73,19 +74,13 @@ impl Default for TunerConfig {
     }
 }
 
-/// The DebugTuner framework instance: caches evaluations so that the
-/// experiment binaries can share work across tables, shares one
-/// content-addressed trace cache across all variant builds, and keeps
-/// live telemetry of the work performed vs avoided.
+/// The DebugTuner framework instance: the owner of one
+/// [`ArtifactStore`], so evaluations, baselines, compile sessions, and
+/// variant traces are shared across every table that uses the tuner,
+/// and its telemetry counts the work performed vs avoided.
 pub struct DebugTuner {
     pub config: TunerConfig,
-    cache: Mutex<HashMap<String, ProgramEvaluation>>,
-    trace_cache: eval::TraceCache,
-    /// Shared per-program artifacts (analysis, `O0`, the ground-truth
-    /// baseline trace) and checkpointed compile sessions, reused across
-    /// every evaluation and configuration measurement of this tuner.
-    artifacts: ArtifactStore,
-    telemetry: Telemetry,
+    store: ArtifactStore,
 }
 
 impl DebugTuner {
@@ -93,22 +88,19 @@ impl DebugTuner {
     pub fn new(config: TunerConfig) -> Self {
         DebugTuner {
             config,
-            cache: Mutex::new(HashMap::new()),
-            trace_cache: Mutex::new(HashMap::new()),
-            artifacts: ArtifactStore::new(),
-            telemetry: Telemetry::default(),
+            store: ArtifactStore::new(),
         }
     }
 
     /// A serializable snapshot of the work performed so far (builds,
     /// traces, cache hits, per-stage wall-clock).
     pub fn stats(&self) -> EvalStats {
-        self.telemetry.snapshot(self.config.threads)
+        self.store.telemetry().snapshot(self.config.threads)
     }
 
     /// Resets the telemetry counters (the evaluation caches survive).
     pub fn reset_stats(&self) {
-        self.telemetry.reset();
+        self.store.telemetry().reset();
     }
 
     /// Evaluates one program at one personality/level (cached), fanning
@@ -130,34 +122,22 @@ impl DebugTuner {
         level: OptLevel,
         threads: usize,
     ) -> ProgramEvaluation {
-        let key = format!("{}|{personality}|{level}", program.name);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            self.telemetry.record_eval_cache_hit();
-            return hit.clone();
-        }
-        let ctx = eval::EvalCtx {
-            threads,
-            telemetry: Some(&self.telemetry),
-            trace_cache: Some(&self.trace_cache),
-            artifacts: Some(&self.artifacts),
-        };
-        let eval = eval::evaluate_program_ctx(
+        eval::evaluate_in(
+            &self.store,
             program,
             personality,
             level,
             self.config.max_steps_per_input,
-            &ctx,
-        );
-        self.cache.lock().insert(key, eval.clone());
-        eval
+            threads,
+        )
     }
 
     /// Evaluates one explicit configuration (level + gate) of a program
-    /// through the tuner's shared artifact store: the baseline trace,
-    /// `O0` object, and checkpointed compile session are reused across
-    /// calls (and with [`DebugTuner::evaluate`] runs of the same
-    /// program), and the gated build resumes from a mid-pipeline
-    /// snapshot instead of recompiling from source.
+    /// through the tuner's store: the baseline trace, `O0` object, and
+    /// checkpointed compile session are reused across calls (and with
+    /// [`DebugTuner::evaluate`] runs of the same program), and the
+    /// gated build resumes from a mid-pipeline snapshot instead of
+    /// recompiling from source.
     pub fn evaluate_config(
         &self,
         program: &ProgramInput,
@@ -165,14 +145,13 @@ impl DebugTuner {
         level: OptLevel,
         gate: &PassGate,
     ) -> dt_metrics::Metrics {
-        eval::evaluate_config_with(
-            &self.artifacts,
+        eval::evaluate_config_in(
+            &self.store,
             program,
             personality,
             level,
             gate,
             self.config.max_steps_per_input,
-            Some(&self.telemetry),
         )
     }
 
@@ -187,7 +166,7 @@ impl DebugTuner {
         let evals = self.evaluate_all(programs, personality, level);
         let rank_start = std::time::Instant::now();
         let ranking = rank_passes_across(&evals);
-        self.telemetry.record_rank(rank_start.elapsed());
+        self.store.telemetry().record_rank(rank_start.elapsed());
         ranking
     }
 
@@ -201,26 +180,9 @@ impl DebugTuner {
         personality: Personality,
         level: OptLevel,
     ) -> Vec<ProgramEvaluation> {
-        let threads = self.config.threads.max(1);
-        let results: Mutex<Vec<Option<ProgramEvaluation>>> = Mutex::new(vec![None; programs.len()]);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(programs.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= programs.len() {
-                        break;
-                    }
-                    let eval = self.evaluate_with_threads(&programs[i], personality, level, 1);
-                    results.lock()[i] = Some(eval);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("all evaluated"))
-            .collect()
+        par_map(programs, self.config.threads, |p| {
+            self.evaluate_with_threads(p, personality, level, 1)
+        })
     }
 }
 
@@ -228,6 +190,43 @@ impl Default for DebugTuner {
     fn default() -> Self {
         Self::new(TunerConfig::default())
     }
+}
+
+/// Maps `f` over `items` on up to `threads` scoped workers and returns
+/// the results in input order, independent of scheduling. A worker's
+/// panic resumes on the caller with its original payload.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The 13-program suite as tuner inputs, with fuzzing-derived,

@@ -81,7 +81,7 @@ impl Telemetry {
         }
     }
 
-    /// A program's artifacts (analysis, O0 object, baseline trace)
+    /// A source's artifacts (analysis, lowered module, O0 object)
     /// were served from the shared artifact store.
     pub fn record_artifact_hit(&self) {
         self.artifact_hits.fetch_add(1, Ordering::Relaxed);
@@ -200,8 +200,8 @@ pub struct EvalStats {
     /// Total mid-pipeline pass instances skipped by checkpoint resume.
     #[serde(default)]
     pub prefix_passes_skipped: u64,
-    /// Program-artifact store hits (parsed analysis + O0 object +
-    /// ground-truth baseline trace reused instead of rebuilt).
+    /// Source-artifact store hits (parsed analysis + lowered module +
+    /// O0 object reused instead of rebuilt).
     #[serde(default)]
     pub artifact_hits: u64,
     /// Instructions executed inside `Vm::run_until_break` across all

@@ -260,10 +260,12 @@ pub fn build_campaign() -> Campaign {
     );
 
     // ---- Correctness -----------------------------------------------
-    c.output("table16_correctness", &["suite_inputs"], 0, |ctx| {
-        let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-        Ok(table16_correctness(&programs))
-    });
+    c.output(
+        "table16_correctness",
+        &["tuner", "suite_inputs"],
+        0,
+        on_suite(table16_correctness),
+    );
 
     c
 }
@@ -317,7 +319,7 @@ mod tests {
         );
         assert_eq!(
             c.deps("table16_correctness").unwrap(),
-            ["suite_inputs".to_string()]
+            ["tuner".to_string(), "suite_inputs".to_string()]
         );
     }
 }

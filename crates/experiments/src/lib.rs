@@ -1,8 +1,10 @@
 //! Experiment drivers: one function per paper table/figure.
 //!
 //! Each `tableNN_*` / `figNN_*` function computes its artifact and
-//! returns the formatted text; the binaries in `src/bin/` print it and
-//! save it under `results/`. Scale knobs (environment):
+//! returns the formatted text; [`campaign`] declares them as one job
+//! DAG, which the `all_experiments` binary runs (`--only <id>` for a
+//! single artifact) and saves under `results/`. Scale knobs
+//! (environment):
 //!
 //! * `DT_SYNTH_N` — synthetic population size (default 120; the paper
 //!   uses 5000);
@@ -54,17 +56,6 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("DT_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Prints and persists one experiment's output. The write is atomic
-/// (temp file + rename, via the campaign store's writer), so a run
-/// killed mid-emit never leaves a truncated `results/*.txt`; I/O
-/// failures propagate to the caller instead of being swallowed.
-pub fn emit(id: &str, body: &str) -> std::io::Result<PathBuf> {
-    println!("{body}");
-    let path = results_dir().join(format!("{id}.txt"));
-    dt_campaign::write_atomic(&path, body)?;
-    Ok(path)
 }
 
 fn gcc_levels() -> &'static [OptLevel] {
@@ -832,8 +823,9 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 
 /// Table XVI: debug-info *correctness* defects against O0 ground
 /// truth, per personality and level, classified by the checker's
-/// taxonomy (wrong / stale / phantom / misplaced).
-pub fn table16_correctness(programs: &[ProgramInput]) -> String {
+/// taxonomy (wrong / stale / phantom / misplaced). Pure formatting of
+/// the tuner's reference-build defect summaries.
+pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -858,37 +850,21 @@ pub fn table16_correctness(programs: &[ProgramInput]) -> String {
     // headline "more optimization, more lies" series).
     let mut per_level: Vec<(OptLevel, u32)> = Vec::new();
     for personality in [Personality::Gcc, Personality::Clang] {
-        // One oracle per program shares the parsed analysis, the O0
-        // ground-truth build, and the memoized baseline trace across
-        // every level of this personality; sums are accumulated per
-        // level and emitted in the table's level order below.
         let levels = OptLevel::levels_for(personality);
-        let mut sums: Vec<dt_checker::DefectSummary> =
-            vec![dt_checker::DefectSummary::default(); levels.len()];
-        for p in programs {
-            let mut oracle = dt_checker::Oracle::new(&p.source, personality)
-                .unwrap_or_else(|e| panic!("oracle build failed on {}: {e}", p.name));
-            for (i, &level) in levels.iter().enumerate() {
-                let r = oracle
-                    .check_gate(
-                        &p.harness,
-                        &p.inputs,
-                        &p.entry_args,
-                        level,
-                        &PassGate::allow_all(),
-                        3_000_000,
-                    )
-                    .unwrap_or_else(|e| panic!("checker failed on {}: {e}", p.name));
-                let s = r.summary;
-                sums[i].wrong += s.wrong;
-                sums[i].stale += s.stale;
-                sums[i].phantom += s.phantom;
-                sums[i].misplaced += s.misplaced;
-                sums[i].lines_checked += s.lines_checked;
-                sums[i].values_checked += s.values_checked;
+        let sums = levels.iter().map(|&level| {
+            let mut sum = dt_checker::DefectSummary::default();
+            for p in programs {
+                let s = tuner.evaluate(p, personality, level).reference_defects;
+                sum.wrong += s.wrong;
+                sum.stale += s.stale;
+                sum.phantom += s.phantom;
+                sum.misplaced += s.misplaced;
+                sum.lines_checked += s.lines_checked;
+                sum.values_checked += s.values_checked;
             }
-        }
-        for (&level, sum) in levels.iter().zip(&sums) {
+            sum
+        });
+        for (&level, sum) in levels.iter().zip(sums) {
             let _ = writeln!(
                 out,
                 "{:<9} {:<5} | {:>6} {:>6} {:>8} {:>10} {:>6} | {:>8} {:>8} {:>8.4}",

@@ -33,7 +33,7 @@ pub mod regalloc;
 pub use emit::emit_module;
 pub use lower::lower_module;
 pub use mir::{MBlock, MDbgLoc, MFunction, MInst, MModule, MOpKind, MTerm, VR};
-pub use object::{FDbgLoc, FInst, FOp, FuncInfo, Object};
+pub use object::{FDbgLoc, FInst, FOp, Fnv1a, FuncInfo, Object};
 pub use preg::PReg;
 
 use dt_ir::Module;

@@ -390,16 +390,6 @@ impl Object {
         })
     }
 
-    /// FNV-1a hash of the `.text` bytes, for cheap equality pre-checks.
-    pub fn text_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in self.text.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
     /// Whether two objects have identical machine code (the pruning
     /// check of Section III-A of the paper).
     pub fn text_eq(&self, other: &Object) -> bool {
@@ -416,31 +406,61 @@ impl Object {
     /// compilation variants. Sections are length-prefixed to keep the
     /// hash unambiguous under concatenation.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut feed = |bytes: &[u8]| {
-            for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        feed(&self.text);
-        feed(&self.debug.encode());
+        let mut h = Fnv1a::new();
+        h.field(&self.text).field(&self.debug.encode());
         for &(base, size, init) in &self.globals {
-            feed(&base.to_le_bytes());
-            feed(&size.to_le_bytes());
-            feed(&init.to_le_bytes());
+            h.field(&base.to_le_bytes())
+                .field(&size.to_le_bytes())
+                .field(&init.to_le_bytes());
         }
-        feed(&self.globals_size.to_le_bytes());
+        h.field(&self.globals_size.to_le_bytes());
         for f in &self.funcs {
-            feed(f.name.as_bytes());
-            feed(&f.low_pc.to_le_bytes());
-            feed(&f.high_pc.to_le_bytes());
-            feed(&f.frame_size.to_le_bytes());
-            feed(&f.nparams.to_le_bytes());
-            feed(&[f.shrink_wrapped as u8]);
-            feed(&f.decl_line.to_le_bytes());
+            h.field(f.name.as_bytes())
+                .field(&f.low_pc.to_le_bytes())
+                .field(&f.high_pc.to_le_bytes())
+                .field(&f.frame_size.to_le_bytes())
+                .field(&f.nparams.to_le_bytes())
+                .field(&[f.shrink_wrapped as u8])
+                .field(&f.decl_line.to_le_bytes());
         }
-        h
+        h.finish()
+    }
+}
+
+/// 64-bit FNV-1a, the one content hash below the campaign layer:
+/// [`Object::content_hash`], the compile session's stage fingerprints,
+/// and the evaluation layer's content-keyed caches all fold through it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv1a {
+    pub fn new() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+
+    /// Folds raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        self
+    }
+
+    /// Folds a length-prefixed field, so concatenated fields stay
+    /// unambiguous.
+    pub fn field(&mut self, bytes: &[u8]) -> &mut Self {
+        self.bytes(&(bytes.len() as u64).to_le_bytes()).bytes(bytes)
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -128,12 +128,7 @@ pub struct CompileSession {
 /// localize nondeterminism, not for correctness decisions.
 pub fn module_fingerprint(module: &Module) -> u64 {
     let text = dt_ir::printer::print_module(module);
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    dt_machine::Fnv1a::new().bytes(text.as_bytes()).finish()
 }
 
 impl CompileSession {

@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release --example checker_smoke`
 
-use dt_checker::check_compiled;
+use debugtuner::check_compiled;
 use dt_passes::{CompileOptions, OptLevel, Personality};
 
 fn main() {

@@ -43,4 +43,7 @@ grep -q " ran=0 " <<<"$warm_summary"
 grep -q " failed=0 " <<<"$warm_summary"
 unset DT_SYNTH_N DT_FUZZ_ITERS
 
+echo "== benchmark determinism (tuner counters vs crate-by-crate re-drive) =="
+cargo test --release --manifest-path dtbench/Cargo.toml
+
 echo "CI green."

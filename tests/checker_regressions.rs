@@ -7,7 +7,8 @@
 //! stale/wrong-value defects and assert the classification is
 //! deterministic across independent checker runs.
 
-use dt_checker::{check_compiled, DefectClass};
+use debugtuner::check_compiled;
+use dt_checker::DefectClass;
 use dt_passes::{CompileOptions, OptLevel, Personality};
 
 /// Synth seed 52 at gcc O2: CSE-driven binding drops leave both stale

@@ -64,9 +64,12 @@ fn artifact_store_baseline_matches_slow_step() {
         entry_args: vec![],
     };
     let store = debugtuner::ArtifactStore::new();
-    let art = store.program_artifacts(&program, 2_000_000, None);
+    let art = store.source(&program.source).unwrap();
+    let base = store
+        .baseline(&art, &program.harness, &program.inputs, &[], 2_000_000)
+        .unwrap();
     let slow = trace(&art.o0, &program.harness, &program.inputs, &session(true)).unwrap();
-    assert_eq!(slow, art.base_trace);
+    assert_eq!(slow, *base);
     let replay = trace_with_plan(
         &art.o0,
         &program.harness,
