@@ -1,10 +1,9 @@
 //! FNV-1a fingerprinting for job cache keys.
 //!
-//! The same 64-bit FNV-1a construction as the staged-compilation
-//! session's stage fingerprints (`dt_passes::module_fingerprint`),
-//! packaged as an incremental hasher so campaign declarations can fold
-//! scale knobs, program-set content, and dependency fingerprints into
-//! one key. Stability across runs (not across format changes) is the
+//! The same 64-bit FNV-1a construction as `dt_machine::Fnv1a` (behind
+//! `Object::content_hash`), packaged as an incremental hasher so
+//! campaign declarations can fold scale knobs, program-set content, and
+//! dependency fingerprints into one key. Stability across runs (not across format changes) is the
 //! contract: bump the campaign's schema salt when the meaning of a
 //! fingerprint changes.
 

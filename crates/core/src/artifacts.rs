@@ -19,6 +19,9 @@
 //! * **compile sessions** ([`CompileSession`]) — one checkpointed
 //!   pipeline per source/personality/level/profile, shared by the
 //!   per-pass variant fan-out and every gated build made afterwards;
+//! * **reference halves** ([`ReferenceEvaluation`]) — the unmodified
+//!   level's object, metrics, methods, and defects per program and
+//!   personality/level, which a full evaluation builds on;
 //! * **evaluations** — one [`ProgramEvaluation`] per program and
 //!   personality/level;
 //! * **variant traces** — the metrics and defect summary of each
@@ -34,7 +37,7 @@
 //! bit-identical value, never divergent results. The store also owns
 //! the [`Telemetry`] its work is recorded in.
 
-use crate::eval::ProgramEvaluation;
+use crate::eval::{ProgramEvaluation, ReferenceEvaluation};
 use crate::telemetry::Telemetry;
 use dt_checker::DefectSummary;
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
@@ -80,6 +83,7 @@ pub struct ArtifactStore {
     sources: Mutex<HashMap<u64, Result<Arc<SourceArtifacts>, String>>>,
     baselines: Mutex<HashMap<u64, Result<Arc<DebugTrace>, String>>>,
     sessions: Mutex<HashMap<SessionKey, Arc<CompileSession>>>,
+    references: Mutex<HashMap<ScopeKey, Arc<ReferenceEvaluation>>>,
     evaluations: Mutex<HashMap<ScopeKey, ProgramEvaluation>>,
     variant_traces: Mutex<HashMap<(ScopeKey, u64), (Metrics, DefectSummary)>>,
 }
@@ -230,6 +234,15 @@ impl ArtifactStore {
             Arc::new(session)
         })
         .0
+    }
+
+    /// The memoized reference half for `key`, computed on first use.
+    pub(crate) fn reference(
+        &self,
+        key: ScopeKey,
+        compute: impl FnOnce() -> ReferenceEvaluation,
+    ) -> Arc<ReferenceEvaluation> {
+        memo(&self.references, key, || Arc::new(compute())).0
     }
 
     /// The memoized evaluation for `key`, computed on first use.

@@ -17,13 +17,17 @@
 //! resumes from the snapshot before *p*'s first occurrence instead of
 //! recompiling from source (bit-identical by construction — see
 //! `dt_passes::session`). Every derived fact (analysis, `O0` object,
-//! ground-truth baseline, sessions, evaluations, variant traces) lives
-//! in one content-keyed [`ArtifactStore`].
+//! ground-truth baseline, sessions, reference halves, evaluations,
+//! variant traces) lives in one content-keyed [`ArtifactStore`].
+//! Stages 1–3 form the memoized [`ReferenceEvaluation`], which tables
+//! that read only the unmodified level get without building any
+//! variant.
 
 use crate::artifacts::{program_key, source_key, ArtifactStore, ScopeKey, SourceArtifacts};
 use dt_checker::DefectSummary;
 use dt_debugger::DebugTrace;
-use dt_metrics::Metrics;
+use dt_machine::Object;
+use dt_metrics::{MethodComparison, Metrics};
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
 use serde::{Deserialize, Serialize};
@@ -41,31 +45,50 @@ pub struct ProgramInput {
     pub entry_args: Vec<i64>,
 }
 
-impl ProgramInput {
-    /// Builds tuner input from a suite program by running the paper's
-    /// input pipeline: fuzz → cmin → trace-min over the O0 binary.
-    pub fn from_suite(p: &dt_testsuite::TestProgram, fuzz_iterations: u32) -> Self {
-        let harness = p.harnesses[0].to_string();
-        let module = dt_frontend::lower_source(p.source).expect("suite program lowers");
-        let obj = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
-        let seeds: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
-        let fuzz_cfg = dt_corpus::FuzzConfig {
-            iterations: fuzz_iterations,
-            max_len: 48,
-            seed: 0xD7 ^ p.name.len() as u64,
-            max_steps: 300_000,
-            entry_args: Vec::new(),
-        };
-        let report = dt_corpus::fuzz(&obj, &harness, &seeds, &fuzz_cfg);
-        let cmin = dt_corpus::cmin(&obj, &harness, &[], &report.queue, 300_000);
-        let inputs = dt_corpus::trace_min(&obj, &harness, &[], &cmin, 2_000_000);
-        ProgramInput {
+/// A suite program's fuzz-derived corpus (Section IV's pipeline).
+pub struct SuiteCorpus {
+    /// The tuner input: the program plus its minimized input set.
+    pub program: ProgramInput,
+    /// The `O0` object the corpus was fuzzed and minimized on.
+    pub o0: Object,
+    /// Fuzzing queue length before minimization.
+    pub queue_len: usize,
+}
+
+/// Runs the paper's input pipeline over a suite program's `O0` binary:
+/// fuzz → cmin → trace-min.
+pub fn suite_corpus(p: &dt_testsuite::TestProgram, fuzz_iterations: u32) -> SuiteCorpus {
+    let harness = p.harnesses[0].to_string();
+    let module = dt_frontend::lower_source(p.source).expect("suite program lowers");
+    let o0 = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
+    let seeds: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
+    let fuzz_cfg = dt_corpus::FuzzConfig {
+        iterations: fuzz_iterations,
+        max_len: 48,
+        seed: 0xD7 ^ p.name.len() as u64,
+        max_steps: 300_000,
+        entry_args: Vec::new(),
+    };
+    let report = dt_corpus::fuzz(&o0, &harness, &seeds, &fuzz_cfg);
+    let cmin = dt_corpus::cmin(&o0, &harness, &[], &report.queue, 300_000);
+    let inputs = dt_corpus::trace_min(&o0, &harness, &[], &cmin, 2_000_000);
+    SuiteCorpus {
+        program: ProgramInput {
             name: p.name.to_string(),
             source: p.source.to_string(),
             harness,
             inputs,
             entry_args: Vec::new(),
-        }
+        },
+        o0,
+        queue_len: report.queue.len(),
+    }
+}
+
+impl ProgramInput {
+    /// Builds tuner input from a suite program ([`suite_corpus`]).
+    pub fn from_suite(p: &dt_testsuite::TestProgram, fuzz_iterations: u32) -> Self {
+        suite_corpus(p, fuzz_iterations).program
     }
 }
 
@@ -117,28 +140,45 @@ pub struct ProgramEvaluation {
     pub reference_defects: DefectSummary,
 }
 
+/// The reference half of an evaluation (stages 1–3): the unmodified
+/// level's build, its trace against the ground truth, and everything
+/// measured on it. [`ProgramEvaluation`] copies these fields; stage 4
+/// prunes variants against [`Self::object`].
+pub struct ReferenceEvaluation {
+    pub reference: Metrics,
+    pub methods: MethodComparison,
+    pub reference_defects: DefectSummary,
+    pub steppable_lines_o0: usize,
+    pub stepped_lines_o0: usize,
+    /// The unmodified level's object.
+    pub object: Object,
+    /// The store's source artifacts and baseline it was measured
+    /// against, so stage 4 reuses them without another lookup.
+    art: Arc<SourceArtifacts>,
+    base: Arc<DebugTrace>,
+}
+
 /// Computes the hybrid metrics of an object against a baseline trace.
 /// Sessions take the fast path (in-VM breakpoint bitmap on a
 /// per-object [`dt_debugger::BreakPlan`], early-exit inputs) — bit-
 /// identical to the slow-step reference engine by construction, so
 /// metrics and rankings are unchanged.
 fn metrics_for(
-    obj: &dt_machine::Object,
-    harness: &str,
-    inputs: &[Vec<u8>],
-    entry_args: &[i64],
-    base: &dt_debugger::DebugTrace,
+    obj: &Object,
+    program: &ProgramInput,
+    base: &DebugTrace,
     analysis: &SourceAnalysis,
     max_steps: u64,
-) -> (Metrics, dt_debugger::DebugTrace, dt_debugger::TraceStats) {
+) -> (Metrics, DebugTrace, dt_debugger::TraceStats) {
     let session = dt_debugger::SessionConfig {
         max_steps_per_input: max_steps,
-        entry_args: entry_args.to_vec(),
+        entry_args: program.entry_args.clone(),
         ground_truth: false,
     };
     let plan = dt_debugger::BreakPlan::new(obj);
-    let (trace, stats) = dt_debugger::trace_with_plan_stats(obj, harness, inputs, &session, &plan)
-        .expect("debug session runs");
+    let (trace, stats) =
+        dt_debugger::trace_with_plan_stats(obj, &program.harness, &program.inputs, &session, &plan)
+            .expect("debug session runs");
     let m = dt_metrics::hybrid(&trace, base, analysis);
     (m, trace, stats)
 }
@@ -193,6 +233,23 @@ pub fn evaluate_program_parallel(
     )
 }
 
+/// The memo key of a program's evaluation at one personality/level.
+pub(crate) fn scope_of(
+    program: &ProgramInput,
+    personality: Personality,
+    level: OptLevel,
+    max_steps: u64,
+) -> ScopeKey {
+    let key = program_key(
+        source_key(&program.source),
+        &program.harness,
+        &program.inputs,
+        &program.entry_args,
+        max_steps,
+    );
+    (key, personality, level)
+}
+
 /// The memoized evaluation behind the free functions and
 /// [`crate::DebugTuner::evaluate`]. The memo is keyed by the program's
 /// content; the returned evaluation carries the caller's name.
@@ -204,14 +261,7 @@ pub(crate) fn evaluate_in(
     max_steps: u64,
     threads: usize,
 ) -> ProgramEvaluation {
-    let key = program_key(
-        source_key(&program.source),
-        &program.harness,
-        &program.inputs,
-        &program.entry_args,
-        max_steps,
-    );
-    let scope = (key, personality, level);
+    let scope = scope_of(program, personality, level, max_steps);
     let eval = store.evaluation(scope, || {
         evaluate_uncached(store, scope, program, max_steps, threads)
     });
@@ -219,6 +269,52 @@ pub(crate) fn evaluate_in(
         program: program.name.clone(),
         ..eval
     }
+}
+
+/// The memoized reference half (stages 1–3) of the evaluation in
+/// `scope`.
+pub(crate) fn reference_in(
+    store: &ArtifactStore,
+    scope: ScopeKey,
+    program: &ProgramInput,
+    max_steps: u64,
+) -> Arc<ReferenceEvaluation> {
+    store.reference(scope, || {
+        let (_, personality, level) = scope;
+        let telemetry = store.telemetry();
+
+        // Stage 1: shared artifacts (parsed analysis, O0 object, the
+        // ground-truth baseline trace — reused across personalities,
+        // levels, and configs) plus this level's checkpointed compile
+        // session, from which the reference build reuses the fully
+        // optimized module. The ground-truth baseline records shadow
+        // values from the VM so the correctness oracle can diff variant
+        // traces against source semantics; variable *visibility* stays
+        // loclist-based, so the availability metrics are untouched.
+        let (art, base) = program_artifacts(store, program, max_steps);
+        let session = store.session(&art, personality, level, None);
+        let build_start = Instant::now();
+        let object = session.reference_object();
+        telemetry.record_build(build_start.elapsed());
+
+        // Stage 2+3: reference trace and metrics (source-refined by the
+        // hybrid metric itself).
+        let trace_start = Instant::now();
+        let (reference, ref_trace, ref_stats) =
+            metrics_for(&object, program, &base, &art.analysis, max_steps);
+        telemetry.record_trace(trace_start.elapsed());
+        telemetry.record_fast_trace(&ref_stats);
+        ReferenceEvaluation {
+            reference,
+            methods: dt_metrics::all_methods(&object.debug, &ref_trace, &base, &art.analysis),
+            reference_defects: dt_checker::check(&ref_trace, &base, &art.analysis).summary,
+            steppable_lines_o0: art.o0.debug.steppable_lines().len(),
+            stepped_lines_o0: base.stepped_lines().len(),
+            object,
+            art,
+            base,
+        }
+    })
 }
 
 fn evaluate_uncached(
@@ -232,38 +328,9 @@ fn evaluate_uncached(
     let telemetry = store.telemetry();
     let wall_start = Instant::now();
     telemetry.record_program();
-
-    // Stage 1: shared artifacts (parsed analysis, O0 object, the
-    // ground-truth baseline trace — reused across personalities,
-    // levels, and configs) plus this level's checkpointed compile
-    // session, from which the reference build reuses the fully
-    // optimized module. The ground-truth baseline records shadow
-    // values from the VM so the correctness oracle can diff variant
-    // traces against source semantics; variable *visibility* stays
-    // loclist-based, so the availability metrics are untouched.
-    let (art, base) = program_artifacts(store, program, max_steps);
-    let (analysis, base_trace) = (&art.analysis, &*base);
-    let session = store.session(&art, personality, level, None);
-    let build_start = Instant::now();
-    let reference_obj = session.reference_object();
-    telemetry.record_build(build_start.elapsed());
-
-    // Stage 2+3: reference trace and metrics (source-refined by the
-    // hybrid metric itself).
-    let trace_start = Instant::now();
-    let (reference, ref_trace, ref_stats) = metrics_for(
-        &reference_obj,
-        &program.harness,
-        &program.inputs,
-        &program.entry_args,
-        base_trace,
-        analysis,
-        max_steps,
-    );
-    telemetry.record_trace(trace_start.elapsed());
-    telemetry.record_fast_trace(&ref_stats);
-    let methods = dt_metrics::all_methods(&reference_obj.debug, &ref_trace, base_trace, analysis);
-    let reference_defects = dt_checker::check(&ref_trace, base_trace, analysis).summary;
+    let r = reference_in(store, scope, program, max_steps);
+    let (analysis, base_trace) = (&r.art.analysis, &*r.base);
+    let session = store.session(&r.art, personality, level, None);
 
     // Stage 4: one variant per gateable pass, with `.text` pruning and
     // content-addressed sharing of trace/metric work. The ordered
@@ -276,7 +343,7 @@ fn evaluate_uncached(
         telemetry.record_build(build_start.elapsed());
         telemetry.record_variant_resume(built.prefix_skipped as u64);
         let variant = built.object;
-        if variant.text_eq(&reference_obj) {
+        if variant.text_eq(&r.object) {
             telemetry.record_pruned_variant();
             return PassEffect {
                 pass: pass.to_string(),
@@ -288,22 +355,15 @@ fn evaluate_uncached(
         }
         let (m, defects) = store.variant_trace(scope, variant.content_hash(), || {
             let trace_start = Instant::now();
-            let (m, variant_trace, variant_stats) = metrics_for(
-                &variant,
-                &program.harness,
-                &program.inputs,
-                &program.entry_args,
-                base_trace,
-                analysis,
-                max_steps,
-            );
+            let (m, variant_trace, variant_stats) =
+                metrics_for(&variant, program, base_trace, analysis, max_steps);
             let defects = dt_checker::check(&variant_trace, base_trace, analysis).summary;
             telemetry.record_trace(trace_start.elapsed());
             telemetry.record_fast_trace(&variant_stats);
             (m, defects)
         });
-        let rel = if reference.product > 0.0 {
-            (m.product - reference.product) / reference.product
+        let rel = if r.reference.product > 0.0 {
+            (m.product - r.reference.product) / r.reference.product
         } else if m.product > 0.0 {
             1.0
         } else {
@@ -314,7 +374,7 @@ fn evaluate_uncached(
             metrics: Some(m),
             relative_increment: rel,
             defects: Some(defects),
-            defect_delta: defects.rate() - reference_defects.rate(),
+            defect_delta: defects.rate() - r.reference_defects.rate(),
         }
     };
     let effects = crate::par_map(&passes, threads, variant_effect);
@@ -322,12 +382,12 @@ fn evaluate_uncached(
     telemetry.record_wall(wall_start.elapsed());
     ProgramEvaluation {
         program: program.name.clone(),
-        reference,
-        methods,
+        reference: r.reference,
+        methods: r.methods,
         effects,
-        steppable_lines_o0: art.o0.debug.steppable_lines().len(),
-        stepped_lines_o0: base_trace.stepped_lines().len(),
-        reference_defects,
+        steppable_lines_o0: r.steppable_lines_o0,
+        stepped_lines_o0: r.stepped_lines_o0,
+        reference_defects: r.reference_defects,
     }
 }
 
@@ -375,15 +435,7 @@ pub(crate) fn evaluate_config_in(
     telemetry.record_build(build_start.elapsed());
     telemetry.record_variant_resume(built.prefix_skipped as u64);
     let trace_start = Instant::now();
-    let (m, _, stats) = metrics_for(
-        &built.object,
-        &program.harness,
-        &program.inputs,
-        &program.entry_args,
-        &base,
-        &art.analysis,
-        max_steps,
-    );
+    let (m, _, stats) = metrics_for(&built.object, program, &base, &art.analysis, max_steps);
     telemetry.record_trace(trace_start.elapsed());
     telemetry.record_fast_trace(&stats);
     m

@@ -44,7 +44,8 @@ pub use artifacts::ArtifactStore;
 pub use check::{check_compiled, hunt, hunt_variants, HuntConfig, HuntResult};
 pub use config::{dy_config, dy_family, DyConfig};
 pub use eval::{
-    evaluate_program, evaluate_program_parallel, PassEffect, ProgramEvaluation, ProgramInput,
+    evaluate_program, evaluate_program_parallel, suite_corpus, PassEffect, ProgramEvaluation,
+    ProgramInput, ReferenceEvaluation, SuiteCorpus,
 };
 pub use pareto::{pareto_front, TradeoffPoint};
 pub use perf::{measure_speedup, PerfReport};
@@ -53,6 +54,7 @@ pub use telemetry::{EvalStats, Telemetry};
 
 use dt_passes::{OptLevel, PassGate, Personality};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Global tuner settings.
 #[derive(Debug, Clone)]
@@ -130,6 +132,21 @@ impl DebugTuner {
             self.config.max_steps_per_input,
             threads,
         )
+    }
+
+    /// The reference half of [`DebugTuner::evaluate`] (cached): the
+    /// unmodified level's metrics, methods, and defects, with no
+    /// per-pass variant built. A later `evaluate` of the same program
+    /// and level reuses it instead of rebuilding the reference.
+    pub fn reference(
+        &self,
+        program: &ProgramInput,
+        personality: Personality,
+        level: OptLevel,
+    ) -> Arc<ReferenceEvaluation> {
+        let max_steps = self.config.max_steps_per_input;
+        let scope = eval::scope_of(program, personality, level, max_steps);
+        eval::reference_in(&self.store, scope, program, max_steps)
     }
 
     /// Evaluates one explicit configuration (level + gate) of a program
@@ -303,6 +320,56 @@ int fuzz_main() {
         // so an empty gate reproduces the reference metrics exactly.
         let m = tuner.evaluate_config(&p, Personality::Gcc, OptLevel::O2, &PassGate::allow_all());
         assert_eq!(m.product, eval.reference.product);
+    }
+
+    /// `reference` is the reference side of `evaluate` at every level,
+    /// builds no variant, and a later `evaluate` reuses it instead of
+    /// rebuilding or retracing the reference.
+    #[test]
+    fn reference_is_the_evaluations_reference_half() {
+        let p = tiny_program();
+        let config = TunerConfig {
+            max_steps_per_input: 1_000_000,
+            threads: 1,
+        };
+        let levels: Vec<(Personality, OptLevel)> = [Personality::Gcc, Personality::Clang]
+            .into_iter()
+            .flat_map(|p| OptLevel::levels_for(p).iter().map(move |&l| (p, l)))
+            .collect();
+        let staged = DebugTuner::new(config.clone());
+        for &(personality, level) in &levels {
+            staged.reference(&p, personality, level);
+        }
+        let s = staged.stats();
+        assert_eq!((s.resumed_variants, s.pruned_variants), (0, 0), "{s:?}");
+        // One `O0` build and baseline trace, then one session, one
+        // reference build and one reference trace per level.
+        let n = levels.len() as u64;
+        assert_eq!(
+            (s.builds, s.traces, s.sessions),
+            (1 + 2 * n, 1 + n, n),
+            "{s:?}"
+        );
+
+        let alone = DebugTuner::new(config);
+        let json = |e: &ProgramEvaluation| serde_json::to_string(e).unwrap();
+        for &(personality, level) in &levels {
+            let full = alone.evaluate(&p, personality, level);
+            let e = staged.evaluate(&p, personality, level);
+            assert_eq!(json(&e), json(&full), "{personality} {level}");
+            let r = staged.reference(&p, personality, level);
+            assert_eq!(r.reference, e.reference);
+            assert_eq!(r.methods, e.methods);
+            assert_eq!(r.reference_defects, e.reference_defects);
+            assert_eq!(r.steppable_lines_o0, e.steppable_lines_o0);
+            assert_eq!(r.stepped_lines_o0, e.stepped_lines_o0);
+        }
+        let (a, b) = (alone.stats(), staged.stats());
+        assert_eq!(
+            (b.builds, b.traces, b.sessions),
+            (a.builds, a.traces, a.sessions),
+            "reference then evaluate must equal evaluate alone"
+        );
     }
 
     #[test]

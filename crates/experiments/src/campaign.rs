@@ -36,9 +36,9 @@ use dt_testsuite::spec::Workload;
 const CAMPAIGN_SCHEMA_VERSION: u64 = 1;
 
 /// Fingerprint of the optimization-pass library: every personality and
-/// level's middle-end and backend pass sequence. Reuses the session
-/// layer's FNV-1a construction; a pass added, removed, or reordered
-/// changes the key and invalidates every cached experiment.
+/// level's middle-end and backend pass sequence. A pass added,
+/// removed, or reordered changes the key and invalidates every cached
+/// experiment.
 pub fn library_fingerprint() -> u64 {
     let mut h = Fnv::new();
     h.write_u64(CAMPAIGN_SCHEMA_VERSION);
@@ -148,14 +148,6 @@ pub fn build_campaign() -> Campaign {
         },
     );
 
-    // ---- Standalone tables -----------------------------------------
-    c.output("table01_methods", &[], synth_key, |_| Ok(table01_methods()));
-    c.output("table02_libpng", &[], corpus_key, |_| Ok(table02_libpng()));
-    c.output("table03_testsuite", &[], corpus_key, |_| {
-        Ok(table03_testsuite())
-    });
-
-    // ---- Tuner-backed tables ---------------------------------------
     let on_suite = |f: fn(&DebugTuner, &[ProgramInput]) -> String| {
         move |ctx: &dt_campaign::Ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
@@ -163,6 +155,20 @@ pub fn build_campaign() -> Campaign {
             Ok(f(&tuner, &programs))
         }
     };
+
+    // ---- Reference-build and corpus tables -------------------------
+    c.output("table01_methods", &[], synth_key, |_| Ok(table01_methods()));
+    c.output(
+        "table02_libpng",
+        &["tuner", "suite_inputs"],
+        0,
+        on_suite(table02_libpng),
+    );
+    c.output("table03_testsuite", &[], corpus_key, |_| {
+        Ok(table03_testsuite())
+    });
+
+    // ---- Tuner-backed tables ---------------------------------------
     c.output(
         "table04_quality",
         &["tuner", "suite_inputs"],
@@ -317,9 +323,12 @@ mod tests {
             c.deps("table08_tradeoff").unwrap(),
             ["tradeoff_gcc".to_string(), "tradeoff_clang".to_string()]
         );
-        assert_eq!(
-            c.deps("table16_correctness").unwrap(),
-            ["tuner".to_string(), "suite_inputs".to_string()]
-        );
+        for id in ["table02_libpng", "table16_correctness"] {
+            assert_eq!(
+                c.deps(id).unwrap(),
+                ["tuner".to_string(), "suite_inputs".to_string()],
+                "{id}"
+            );
+        }
     }
 }

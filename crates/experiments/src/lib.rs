@@ -13,8 +13,8 @@
 //!   `test`; use `ref` for the measurement runs).
 
 use debugtuner::{
-    dy_config, dy_family, evaluate_program, measure_speedup, pareto_front, DebugTuner, PassRanking,
-    ProgramInput, TradeoffPoint, TunerConfig,
+    dy_config, dy_family, measure_speedup, pareto_front, suite_corpus, DebugTuner, PassRanking,
+    PerfReport, ProgramInput, TradeoffPoint, TunerConfig,
 };
 use dt_metrics::stats;
 use dt_passes::{OptLevel, PassGate, Personality};
@@ -23,8 +23,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 pub mod campaign;
-
-type PerfReportLocal = debugtuner::PerfReport;
 
 /// Reads the synthetic-population knob.
 pub fn synth_n() -> usize {
@@ -89,7 +87,8 @@ pub fn suite_inputs() -> Vec<ProgramInput> {
 
 // ---------------------------------------------------------------- T1
 
-/// Table I: the four measurement methods on the synthetic population.
+/// Table I: the four measurement methods on the synthetic population,
+/// measured on each level's reference build alone.
 pub fn table01_methods() -> String {
     let programs = synthetic_inputs(synth_n());
     let mut out = String::new();
@@ -109,10 +108,15 @@ pub fn table01_methods() -> String {
     );
     for personality in [Personality::Gcc, Personality::Clang] {
         for &level in OptLevel::levels_for(personality) {
-            let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 12];
+            let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 11];
             for p in &programs {
-                let e = evaluate_program(p, personality, level, 2_000_000);
-                let m = &e.methods;
+                // A transient tuner per build: at most one compile
+                // session is alive at a time.
+                let tuner = DebugTuner::new(TunerConfig {
+                    max_steps_per_input: 2_000_000,
+                    threads: 1,
+                });
+                let m = tuner.reference(p, personality, level).methods;
                 for (i, v) in [
                     m.static_m.availability,
                     m.static_dbg.availability,
@@ -125,7 +129,6 @@ pub fn table01_methods() -> String {
                     m.static_dbg.product,
                     m.dynamic.product,
                     m.hybrid.product,
-                    m.hybrid.line_coverage,
                 ]
                 .into_iter()
                 .enumerate()
@@ -149,9 +152,13 @@ pub fn table01_methods() -> String {
 
 // ---------------------------------------------------------------- T2
 
-/// Table II: hybrid metrics for libpng across levels.
-pub fn table02_libpng() -> String {
-    let p = ProgramInput::from_suite(&dt_testsuite::program("libpng").unwrap(), fuzz_iters());
+/// Table II: hybrid metrics for libpng across levels (the reference
+/// builds of the tuner's libpng input).
+pub fn table02_libpng(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
+    let p = programs
+        .iter()
+        .find(|p| p.name == "libpng")
+        .expect("libpng is a suite program");
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -164,15 +171,15 @@ pub fn table02_libpng() -> String {
     );
     for personality in [Personality::Gcc, Personality::Clang] {
         for &level in OptLevel::levels_for(personality) {
-            let e = evaluate_program(&p, personality, level, 3_000_000);
+            let m = tuner.reference(p, personality, level).reference;
             let _ = writeln!(
                 out,
                 "{:<9} {:<5} {:>14.4} {:>14.4} {:>10.4}",
                 personality.name(),
                 level.name(),
-                e.reference.availability,
-                e.reference.line_coverage,
-                e.reference.product
+                m.availability,
+                m.line_coverage,
+                m.product
             );
         }
     }
@@ -196,29 +203,13 @@ pub fn table03_testsuite() -> String {
     let mut steppeds = Vec::new();
     let mut coverages = Vec::new();
     for p in dt_testsuite::real_world_suite() {
-        let harness = p.harnesses[0];
-        let module = dt_frontend::lower_source(p.source).unwrap();
-        let obj = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
-        let seeds: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
-        let report = dt_corpus::fuzz(
-            &obj,
-            harness,
-            &seeds,
-            &dt_corpus::FuzzConfig {
-                iterations: fuzz_iters(),
-                max_len: 48,
-                seed: 0xD7 ^ p.name.len() as u64,
-                max_steps: 300_000,
-                entry_args: vec![],
-            },
-        );
-        let cmin = dt_corpus::cmin(&obj, harness, &[], &report.queue, 300_000);
-        let min = dt_corpus::trace_min(&obj, harness, &[], &cmin, 2_000_000);
-        let queue_len = report.queue.len().max(1);
+        let corpus = suite_corpus(&p, fuzz_iters());
+        let (obj, harness, min) = (&corpus.o0, p.harnesses[0], &corpus.program.inputs);
+        let queue_len = corpus.queue_len.max(1);
         let reduction = 100.0 * (1.0 - min.len() as f64 / queue_len as f64);
         let steppable = obj.debug.steppable_lines().len();
         let session = dt_debugger::SessionConfig::default();
-        let stepped = dt_debugger::trace(&obj, harness, &min, &session)
+        let stepped = dt_debugger::trace(obj, harness, min, &session)
             .unwrap()
             .stepped_lines()
             .len();
@@ -270,12 +261,17 @@ pub fn table04_quality(tuner: &DebugTuner, programs: &[ProgramInput]) -> String 
     for p in programs {
         let mut row = Vec::new();
         for &level in gcc_levels() {
-            row.push(tuner.evaluate(p, Personality::Gcc, level).reference.product);
+            row.push(
+                tuner
+                    .reference(p, Personality::Gcc, level)
+                    .reference
+                    .product,
+            );
         }
         for &level in clang_levels() {
             row.push(
                 tuner
-                    .evaluate(p, Personality::Clang, level)
+                    .reference(p, Personality::Clang, level)
                     .reference
                     .product,
             );
@@ -399,10 +395,10 @@ pub fn table07_breakdown(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 /// Everything the trade-off tables need for one personality.
 pub struct TradeoffData {
     pub personality: Personality,
-    /// Per level: (reference product, reference speedup).
-    pub reference: Vec<(OptLevel, f64, f64)>,
+    /// Per level: (reference product, reference speedups).
+    pub reference: Vec<(OptLevel, f64, PerfReport)>,
     /// Per level, per y: config name, per-program products, avg
-    /// product, speedup.
+    /// product, speedups.
     pub configs: Vec<DyPoint>,
     /// Per-program names, aligned with the product vectors.
     pub program_names: Vec<String>,
@@ -417,7 +413,7 @@ pub struct DyPoint {
     pub y: usize,
     pub products: Vec<f64>,
     pub avg_product: f64,
-    pub speedup: f64,
+    pub perf: PerfReport,
     pub gate: PassGate,
 }
 
@@ -436,7 +432,7 @@ pub fn tradeoff_data(
         let evals = tuner.evaluate_all(programs, personality, level);
         let products: Vec<f64> = evals.iter().map(|e| e.reference.product).collect();
         let perf = measure_speedup(personality, level, &PassGate::allow_all(), workload);
-        reference.push((level, stats::mean(&products), perf.speedup));
+        reference.push((level, stats::mean(&products), perf));
         reference_products.push((level, products));
         let ranking = tuner.rank_passes(programs, personality, level);
         for cfg in dy_family(personality, level, &ranking) {
@@ -448,14 +444,13 @@ pub fn tradeoff_data(
                         .product
                 })
                 .collect();
-            let perf = measure_speedup(personality, level, &cfg.gate, workload);
             configs.push(DyPoint {
                 name: cfg.name.clone(),
                 level,
                 y: cfg.disabled.len(),
                 avg_product: stats::mean(&products),
                 products,
-                speedup: perf.speedup,
+                perf: measure_speedup(personality, level, &cfg.gate, workload),
                 gate: cfg.gate,
             });
         }
@@ -502,12 +497,16 @@ pub fn table08_tradeoff(gcc: &TradeoffData, clang: &TradeoffData) -> String {
         let _ = writeln!(out, "[{label}] Δ speedup (%)");
         for y in [3, 5, 7, 9] {
             let mut row = format!("  Ox-d{y}:");
-            for &(level, _, ref_speed) in &data.reference {
-                let point = data.configs.iter().find(|c| c.level == level && c.y == y);
+            for (level, _, ref_perf) in &data.reference {
+                let ref_speed = ref_perf.speedup;
+                let point = data.configs.iter().find(|c| c.level == *level && c.y == y);
                 match point {
                     Some(p) if ref_speed > 0.0 => {
-                        let _ =
-                            write!(row, " {:>7.2}", 100.0 * (p.speedup - ref_speed) / ref_speed);
+                        let _ = write!(
+                            row,
+                            " {:>7.2}",
+                            100.0 * (p.perf.speedup - ref_speed) / ref_speed
+                        );
                     }
                     _ => {
                         let _ = write!(row, " {:>7}", "-");
@@ -569,8 +568,8 @@ pub fn table_per_program_dy(data: &TradeoffData) -> String {
 }
 
 /// Tables XI/XII: SPEC speedups per benchmark for every configuration.
+/// Pure formatting of the speedups [`tradeoff_data`] measured.
 pub fn table_spec_speedups(gcc: &TradeoffData, clang: &TradeoffData, relative: bool) -> String {
-    let workload = workload();
     let mut out = String::new();
     if relative {
         let _ = writeln!(
@@ -585,26 +584,22 @@ pub fn table_spec_speedups(gcc: &TradeoffData, clang: &TradeoffData, relative: b
     }
     for data in [gcc, clang] {
         let _ = writeln!(out, "[{}]", data.personality.name());
-        for &(level, _, _) in &data.reference {
-            let std_perf =
-                measure_speedup(data.personality, level, &PassGate::allow_all(), workload);
+        for (level, _, std_perf) in &data.reference {
             let _ = writeln!(out, "  level {}:", level.name());
             let mut header = format!("    {:<16} {:>9}", "benchmark", "standard");
             for y in [3, 5, 7, 9] {
                 let _ = write!(header, " {:>9}", format!("d{y}"));
             }
             let _ = writeln!(out, "{header}");
-            // One suite measurement per dy configuration, reused for
-            // every benchmark row.
-            let dy_perfs: Vec<PerfReportLocal> = [3usize, 5, 7, 9]
+            let dy_perfs: Vec<&PerfReport> = [3usize, 5, 7, 9]
                 .into_iter()
                 .map(|y| {
                     let cfg = data
                         .configs
                         .iter()
-                        .find(|c| c.level == level && c.y == y)
+                        .find(|c| c.level == *level && c.y == y)
                         .expect("config");
-                    measure_speedup(data.personality, level, &cfg.gate, workload)
+                    &cfg.perf
                 })
                 .collect();
             for (bi, (bname, std_speed)) in std_perf.per_benchmark.iter().enumerate() {
@@ -634,11 +629,15 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
         String::from("Figure 2 — debuggability vs speedup scatter (x=product, y=speedup)\n");
     for data in [gcc, clang] {
         let mut points: Vec<TradeoffPoint> = Vec::new();
-        for &(level, prod, speed) in &data.reference {
-            points.push(TradeoffPoint::new(level.name(), prod, speed));
+        for (level, prod, perf) in &data.reference {
+            points.push(TradeoffPoint::new(level.name(), *prod, perf.speedup));
         }
         for c in &data.configs {
-            points.push(TradeoffPoint::new(c.name.clone(), c.avg_product, c.speedup));
+            points.push(TradeoffPoint::new(
+                c.name.clone(),
+                c.avg_product,
+                c.perf.speedup,
+            ));
         }
         let front = pareto_front(&mut points);
         let _ = writeln!(t13, "[{}]", data.personality.name());
@@ -651,7 +650,7 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
                 .reference
                 .iter()
                 .find(|(l, _, _)| p.name.starts_with(l.name()))
-                .map(|&(_, prod, speed)| (prod, speed));
+                .map(|(_, prod, perf)| (*prod, perf.speedup));
             let (dq, ds) = base.map_or((0.0, 0.0), |(bp, bs)| {
                 (
                     if bp > 0.0 {
@@ -824,7 +823,7 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 /// Table XVI: debug-info *correctness* defects against O0 ground
 /// truth, per personality and level, classified by the checker's
 /// taxonomy (wrong / stale / phantom / misplaced). Pure formatting of
-/// the tuner's reference-build defect summaries.
+/// the tuner's reference-build defect summaries; no variant is built.
 pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -854,7 +853,7 @@ pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> Str
         let sums = levels.iter().map(|&level| {
             let mut sum = dt_checker::DefectSummary::default();
             for p in programs {
-                let s = tuner.evaluate(p, personality, level).reference_defects;
+                let s = tuner.reference(p, personality, level).reference_defects;
                 sum.wrong += s.wrong;
                 sum.stale += s.stale;
                 sum.phantom += s.phantom;

@@ -206,7 +206,7 @@ pub fn lines_covered(loclist: &LocList, table: &LineTable) -> BTreeSet<u32> {
 }
 
 /// All four methods computed at once, for the Table I comparison.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MethodComparison {
     pub static_m: Metrics,
     pub static_dbg: Metrics,

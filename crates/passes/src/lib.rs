@@ -33,9 +33,7 @@ pub mod session;
 
 pub use manager::{PassConfig, PassGate, PassInstance};
 pub use pipeline::{backend_pass_names, pipeline_pass_names, Personality, Pipeline};
-pub use session::{
-    module_fingerprint, CompileSession, SessionStats, SnapshotRetention, VariantBuild,
-};
+pub use session::{CompileSession, SessionStats, VariantBuild};
 
 use dt_ir::{Module, Profile};
 use dt_machine::Object;

@@ -8,10 +8,9 @@
 //! same module, the same [`PassConfig`], and the same (deterministic)
 //! pass implementations. A [`CompileSession`] exploits this by running
 //! the ungated pipeline exactly once as an explicit sequence of
-//! stages, recording module snapshots keyed by pipeline position plus
-//! a content fingerprint per stage, and then building each variant by
-//! *resuming* from the snapshot immediately before the first gated
-//! instance. Gates that only touch the backend (or nothing at all)
+//! stages, recording module snapshots keyed by pipeline position, and
+//! then building each variant by *resuming* from the snapshot
+//! immediately before the first gated instance. Gates that only touch the backend (or nothing at all)
 //! reuse the fully optimized module outright and pay only for code
 //! generation.
 //!
@@ -29,46 +28,18 @@
 //!    skipped prefix is exactly the prefix the from-scratch build
 //!    would have executed identically.
 //!
-//! Snapshot retention is the memory/speed trade-off knob
-//! ([`SnapshotRetention`]): `Checkpoints` (default) keeps one module
-//! clone per *distinct first-gated position* — the minimal set that
-//! can serve every possible gate, because the first instance disabled
-//! by a multi-name gate is always the first-gated position of one of
-//! its names; `Minimal` keeps no mid-pipeline snapshots, so variants
-//! re-run the middle end from the lowered module (still skipping the
-//! re-lex/re-parse/re-lower work of a from-scratch build).
+//! A session keeps one module clone per *distinct first-gated
+//! position* — the minimal set that can serve every possible gate,
+//! because the first instance disabled by a multi-name gate is always
+//! the first-gated position of one of its names.
 
 use crate::manager::{run_stage, PassConfig, PassGate};
 use crate::pipeline::{self, Pipeline};
 use crate::{OptLevel, Personality};
 use dt_ir::{Module, Profile};
 use dt_machine::Object;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// How many mid-pipeline module snapshots a session retains — the
-/// memory/speed trade-off knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotRetention {
-    /// Keep a snapshot before the first position each gateable name
-    /// disables (the minimal complete set: any gate's first disabled
-    /// instance is one of these positions). Memory cost: one module
-    /// clone per distinct position; variant cost: suffix passes only.
-    #[default]
-    Checkpoints,
-    /// Keep no mid-pipeline snapshots. Variants that disable a
-    /// middle-end pass re-run the whole middle end from the lowered
-    /// module; backend-only gates still reuse the optimized module.
-    Minimal,
-}
-
-/// A retained module state: the module *before* mid instance `index`
-/// runs, plus a structural fingerprint of that state.
-struct Snapshot {
-    index: usize,
-    fingerprint: u64,
-    module: Module,
-}
 
 /// Counters of the work a session performed and avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,8 +62,7 @@ pub struct SessionStats {
 pub struct VariantBuild {
     pub object: Object,
     /// Mid-pipeline instances not re-executed thanks to checkpoint
-    /// resume (0 when the gate disables the very first instance, or
-    /// under [`SnapshotRetention::Minimal`]).
+    /// resume (0 when the gate disables the very first instance).
     pub prefix_skipped: usize,
     /// Whether the fully optimized module was reused outright (the
     /// gate touched no middle-end instance).
@@ -103,49 +73,60 @@ pub struct VariantBuild {
 /// program/personality/level, shareable across threads (variant
 /// builders take `&self`).
 pub struct CompileSession {
-    personality: Personality,
-    level: OptLevel,
     config: PassConfig,
     pipeline: Pipeline,
-    /// The lowered module, before any middle-end stage.
-    base: Module,
     /// The module after the full ungated middle end.
     optimized: Module,
-    /// Snapshots sorted by pipeline position.
-    snapshots: Vec<Snapshot>,
-    /// Structural fingerprint after each mid stage of the ungated run
-    /// (diagnostic: lets determinism checks localize a divergent
-    /// stage; resume correctness never depends on these).
-    stage_fingerprints: Vec<u64>,
+    /// The module before each first-gated mid instance, by position.
+    snapshots: HashMap<usize, Module>,
     variants: AtomicU64,
     resumed: AtomicU64,
     full_reuse: AtomicU64,
     skipped: AtomicU64,
 }
 
-/// Structural fingerprint of a module (FNV-1a over the printed IR).
-/// Stable across identical pipelines; used to key snapshots and to
-/// localize nondeterminism, not for correctness decisions.
-pub fn module_fingerprint(module: &Module) -> u64 {
-    let text = dt_ir::printer::print_module(module);
-    dt_machine::Fnv1a::new().bytes(text.as_bytes()).finish()
-}
-
 impl CompileSession {
-    /// Builds a session with the default snapshot retention.
+    /// Builds a session, running the full ungated pipeline once and
+    /// snapshotting the module before every first-gated position.
     pub fn new(
         module: Module,
         personality: Personality,
         level: OptLevel,
         profile: Option<Profile>,
     ) -> Self {
-        Self::with_retention(
-            module,
-            personality,
-            level,
+        let pipeline = pipeline::build(personality, level);
+        let config = PassConfig {
+            salvage: personality == Personality::Clang,
             profile,
-            SnapshotRetention::default(),
-        )
+            level,
+        };
+
+        // Snapshot positions: the first instance each gateable name
+        // disables. The first instance disabled by an arbitrary gate
+        // is the smallest first-gated position among its names, so
+        // this set serves every gate.
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut snapshots = HashMap::new();
+        let mut m = module;
+        for (i, inst) in pipeline.mid.iter().enumerate() {
+            let names = std::iter::once(inst.name).chain(inst.also_gated_by.iter().copied());
+            // `|`, not `||`: every name of the instance is marked seen.
+            if inst.gateable && names.fold(false, |first, name| seen.insert(name) | first) {
+                snapshots.insert(i, m.clone());
+            }
+            run_stage(&mut m, inst, &config);
+        }
+
+        CompileSession {
+            config,
+            pipeline,
+            optimized: m,
+            snapshots,
+            variants: AtomicU64::new(0),
+            resumed: AtomicU64::new(0),
+            full_reuse: AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
+        }
     }
 
     /// Parses, validates, and lowers MiniC source into a session.
@@ -163,100 +144,9 @@ impl CompileSession {
         ))
     }
 
-    /// Builds a session, running the full ungated pipeline once and
-    /// retaining snapshots per `retention`.
-    pub fn with_retention(
-        module: Module,
-        personality: Personality,
-        level: OptLevel,
-        profile: Option<Profile>,
-        retention: SnapshotRetention,
-    ) -> Self {
-        let pipeline = pipeline::build(personality, level);
-        let config = PassConfig {
-            salvage: personality == Personality::Clang,
-            profile,
-            level,
-        };
-
-        // Snapshot positions: the first instance each gateable name
-        // disables. The first instance disabled by an arbitrary gate
-        // is the smallest first-gated position among its names, so
-        // this set serves every gate.
-        let mut seen: HashSet<&str> = HashSet::new();
-        let mut wanted: BTreeSet<usize> = BTreeSet::new();
-        for (i, inst) in pipeline.mid.iter().enumerate() {
-            if !inst.gateable {
-                continue;
-            }
-            for name in std::iter::once(inst.name).chain(inst.also_gated_by.iter().copied()) {
-                if seen.insert(name) {
-                    wanted.insert(i);
-                }
-            }
-        }
-
-        let base = module;
-        let mut m = base.clone();
-        let mut snapshots = Vec::new();
-        let mut stage_fingerprints = Vec::with_capacity(pipeline.mid.len());
-        for (i, inst) in pipeline.mid.iter().enumerate() {
-            if retention == SnapshotRetention::Checkpoints && wanted.contains(&i) {
-                snapshots.push(Snapshot {
-                    index: i,
-                    fingerprint: module_fingerprint(&m),
-                    module: m.clone(),
-                });
-            }
-            run_stage(&mut m, inst, &config);
-            stage_fingerprints.push(module_fingerprint(&m));
-        }
-
-        CompileSession {
-            personality,
-            level,
-            config,
-            pipeline,
-            base,
-            optimized: m,
-            snapshots,
-            stage_fingerprints,
-            variants: AtomicU64::new(0),
-            resumed: AtomicU64::new(0),
-            full_reuse: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-        }
-    }
-
-    pub fn personality(&self) -> Personality {
-        self.personality
-    }
-
-    pub fn level(&self) -> OptLevel {
-        self.level
-    }
-
     /// Mid-pipeline stage count.
     pub fn stage_count(&self) -> usize {
         self.pipeline.mid.len()
-    }
-
-    /// Fingerprint after each mid stage of the ungated run.
-    pub fn stage_fingerprints(&self) -> &[u64] {
-        &self.stage_fingerprints
-    }
-
-    /// `(pipeline position, fingerprint)` of each retained snapshot.
-    pub fn snapshot_keys(&self) -> Vec<(usize, u64)> {
-        self.snapshots
-            .iter()
-            .map(|s| (s.index, s.fingerprint))
-            .collect()
-    }
-
-    /// The gateable pass-name universe of this session's pipeline.
-    pub fn gateable_names(&self) -> Vec<&'static str> {
-        self.pipeline.gateable_names()
     }
 
     /// The reference object: full ungated pipeline + backend.
@@ -284,19 +174,16 @@ impl CompileSession {
                 (object, self.pipeline.mid.len(), true)
             }
             Some(k) => {
-                let (mut m, resume_at) = match self.snapshots.iter().find(|s| s.index == k) {
-                    Some(snap) => (snap.module.clone(), k),
-                    // Minimal retention: restart the middle end from
-                    // the lowered module.
-                    None => (self.base.clone(), 0),
-                };
-                for inst in &self.pipeline.mid[resume_at..] {
+                // `k` is the first-gated position of one of the gate's
+                // names, so a snapshot was taken right before it.
+                let mut m = self.snapshots.get(&k).expect("snapshot at k").clone();
+                for inst in &self.pipeline.mid[k..] {
                     if gate.allows(inst) {
                         run_stage(&mut m, inst, &self.config);
                     }
                 }
                 let object = dt_machine::run_backend(&m, &backend);
-                (object, resume_at, false)
+                (object, k, false)
             }
         };
         if prefix_skipped > 0 {
@@ -434,31 +321,6 @@ int f(int n) {
     }
 
     #[test]
-    fn minimal_retention_is_equivalent_but_snapshotless() {
-        let module = dt_frontend::lower_source(PROGRAM).unwrap();
-        let session = CompileSession::with_retention(
-            module,
-            Personality::Clang,
-            OptLevel::O3,
-            None,
-            SnapshotRetention::Minimal,
-        );
-        assert_eq!(session.stats().snapshots, 0);
-        for pass in pipeline_pass_names(Personality::Clang, OptLevel::O3) {
-            let mut opts = CompileOptions::new(Personality::Clang, OptLevel::O3);
-            opts.gate = PassGate::disabling([pass]);
-            assert_eq!(
-                session.compile_variant(&opts.gate).content_hash(),
-                compile_source(PROGRAM, &opts).unwrap().content_hash(),
-                "minimal retention -{pass}"
-            );
-        }
-        // Backend-only gates still reuse the optimized module.
-        let vb = session.build_variant(&PassGate::disabling(["Machine scheduling"]));
-        assert!(vb.reused_optimized);
-    }
-
-    #[test]
     fn o0_sessions_have_an_empty_pipeline() {
         let session =
             CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O0, None).unwrap();
@@ -474,14 +336,5 @@ int f(int n) {
             .unwrap()
             .content_hash()
         );
-    }
-
-    #[test]
-    fn stage_fingerprints_are_deterministic() {
-        let a = CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O3, None).unwrap();
-        let b = CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O3, None).unwrap();
-        assert_eq!(a.stage_fingerprints(), b.stage_fingerprints());
-        assert_eq!(a.snapshot_keys(), b.snapshot_keys());
-        assert_eq!(a.stage_count(), a.stage_fingerprints().len());
     }
 }

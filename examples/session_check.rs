@@ -1,17 +1,15 @@
 //! Staged-session equivalence check: every variant built by resuming a
 //! checkpointed [`CompileSession`] from a mid-pipeline snapshot must be
 //! bit-identical to compiling the same gated configuration from
-//! scratch, across the whole suite, both personalities, every level,
-//! and every single-pass gate — plus a handful of multi-pass gates and
-//! both snapshot-retention modes. Also verifies sessions are
-//! deterministic: two sessions over the same module agree on every
-//! stage fingerprint.
+//! scratch ([`dt_machine::Object::content_hash`]), across the whole
+//! suite, both personalities, every level, and every single-pass gate —
+//! plus a handful of multi-pass gates.
 //!
 //! Usage: `cargo run --release --example session_check`
 
 use dt_passes::{
     compile_source, pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate,
-    Personality, SnapshotRetention,
+    Personality,
 };
 
 fn main() {
@@ -38,19 +36,7 @@ fn main() {
     for (name, src) in &srcs {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
-                let module = dt_frontend::lower_source(src).unwrap();
-                let session = CompileSession::new(module.clone(), personality, level, None);
-                let minimal = CompileSession::with_retention(
-                    module,
-                    personality,
-                    level,
-                    None,
-                    SnapshotRetention::Minimal,
-                );
-                if session.stage_fingerprints() != minimal.stage_fingerprints() {
-                    failures += 1;
-                    println!("{name} {personality:?} {level:?}: NONDETERMINISTIC session stages");
-                }
+                let session = CompileSession::from_source(src, personality, level, None).unwrap();
 
                 let names = pipeline_pass_names(personality, level);
                 let mut gates: Vec<(String, PassGate)> =
@@ -75,15 +61,12 @@ fn main() {
                     opts.gate = gate.clone();
                     let scratch = compile_source(src, &opts).unwrap().content_hash();
                     variants += 1;
-                    for (mode, s) in [("checkpoints", &session), ("minimal", &minimal)] {
-                        let resumed = s.compile_variant(&gate).content_hash();
-                        if resumed != scratch {
-                            failures += 1;
-                            println!(
-                                "{name} {personality:?} {level:?} gate {gname} ({mode}): \
-                                 session DIVERGES from scratch build"
-                            );
-                        }
+                    if session.compile_variant(&gate).content_hash() != scratch {
+                        failures += 1;
+                        println!(
+                            "{name} {personality:?} {level:?} gate {gname}: \
+                             session DIVERGES from scratch build"
+                        );
                     }
                 }
                 skipped += session.stats().prefix_passes_skipped;
@@ -92,7 +75,7 @@ fn main() {
         eprintln!("{name}: checked");
     }
     println!(
-        "session check complete: {variants} gate(s) x 2 retention modes, \
+        "session check complete: {variants} gate(s), \
          {skipped} prefix pass(es) skipped, {failures} divergent builds"
     );
     if failures > 0 {
