@@ -41,7 +41,7 @@ use dt_ir::Module;
 /// Backend configuration: which backend transformations run and with
 /// what options. The pass-pipeline layer (`dt-passes`) fills this from
 /// the optimization level and the pass gate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BackendConfig {
     /// Instruction scheduling within blocks (`schedule-insns2`).
     pub schedule: bool,

@@ -243,6 +243,39 @@ mod tests {
         assert!(PassGate::disabling(["ssa-build"]).allows(&inst));
     }
 
+    /// A pass that reports no change must leave the module untouched,
+    /// checked on every instance of every reference pipeline over the
+    /// real-world suite.
+    #[test]
+    fn false_change_reports_leave_the_module_unchanged() {
+        use crate::{pipeline, OptLevel, Personality};
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let pipeline = pipeline::build(personality, level);
+                let config = PassConfig {
+                    salvage: personality == Personality::Clang,
+                    profile: None,
+                    level,
+                };
+                for program in dt_testsuite::real_world_suite() {
+                    let mut m = dt_frontend::lower_source(program.source).unwrap();
+                    for inst in &pipeline.mid {
+                        let before = m.clone();
+                        if !inst.pass.run(&mut m, &config) {
+                            assert!(
+                                before == m,
+                                "{} {personality} {level}: {} returned false but changed the module",
+                                program.name,
+                                inst.name
+                            );
+                        }
+                        cleanup(&mut m);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn cleanup_removes_unreachable_blocks() {
         let src = "int f() { return 1; }";

@@ -52,6 +52,7 @@ fn combine_function(f: &mut Function) -> bool {
                     if let Some(k) = known.get(r) {
                         if !is_dbg || matches!(k, Value::Const(_)) {
                             *v = *k;
+                            changed = true;
                         }
                     }
                 }

@@ -1,4 +1,4 @@
-//! Staged, checkpointed compilation sessions.
+//! Staged, checkpointed compilation sessions with exact early cutoff.
 //!
 //! The paper's Section III-A workflow builds one binary per gateable
 //! pass per program per personality/level — by far the dominant cost
@@ -8,11 +8,16 @@
 //! same module, the same [`PassConfig`], and the same (deterministic)
 //! pass implementations. A [`CompileSession`] exploits this by running
 //! the ungated pipeline exactly once as an explicit sequence of
-//! stages, recording module snapshots keyed by pipeline position, and
-//! then building each variant by *resuming* from the snapshot
-//! immediately before the first gated instance. Gates that only touch the backend (or nothing at all)
-//! reuse the fully optimized module outright and pay only for code
-//! generation.
+//! stages, recording for every stage whether it changed the module
+//! (`changed[i]`, decided by the exact, derived `Module: PartialEq`,
+//! so there is no hash collision to confirm) and keeping module
+//! snapshots keyed by pipeline position. Each variant is built by
+//! *resuming* from the snapshot before the first instance the gate
+//! disables *and* that changed the reference module. When there is no
+//! such instance the variant's module is the optimized module: the
+//! session pays only for code generation, or for nothing at all when
+//! the gate leaves the backend configuration as the reference has it,
+//! in which case the reference object is handed back.
 //!
 //! Correctness invariant (enforced by `tests/proptest_pipeline.rs` and
 //! `examples/session_check.rs`): for every gate,
@@ -20,26 +25,30 @@
 //! ([`Object::content_hash`]) to [`crate::compile_source`] from
 //! scratch with the same options. This holds because
 //!
-//! 1. passes are deterministic functions of `(module, PassConfig)`
-//!    (PR 1 removed the last iteration-order nondeterminism),
+//! 1. passes are deterministic functions of `(module, PassConfig)`,
 //! 2. the gate only decides *whether* an instance runs, never *how*,
-//!    and
-//! 3. the resume point is the first instance the gate disables, so the
-//!    skipped prefix is exactly the prefix the from-scratch build
-//!    would have executed identically.
+//! 3. the resume point is the first instance the gate disables among
+//!    those that changed the reference module, so the skipped prefix
+//!    is exactly what the from-scratch build would have executed, and
+//! 4. skipping an instance that left the reference module unchanged
+//!    leaves every later stage's input unchanged, so a disabled no-op
+//!    instance inside the skipped prefix does not make it differ.
 //!
-//! A session keeps one module clone per *distinct first-gated
-//! position* — the minimal set that can serve every possible gate,
-//! because the first instance disabled by a multi-name gate is always
-//! the first-gated position of one of its names.
+//! A session keeps one module clone per gateable name's *first
+//! changing instance* — the minimal set that can serve every gate:
+//! the resume point of a gate is a changing instance one of its names
+//! disables, and no earlier changing instance carries that name (it
+//! would be disabled too), so it is that name's first changing
+//! instance.
 
 use crate::manager::{run_stage, PassConfig, PassGate};
 use crate::pipeline::{self, Pipeline};
 use crate::{OptLevel, Personality};
 use dt_ir::{Module, Profile};
-use dt_machine::Object;
+use dt_machine::{BackendConfig, Object};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Counters of the work a session performed and avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,8 +59,8 @@ pub struct SessionStats {
     pub variants: u64,
     /// Variants resumed past at least one pipeline stage.
     pub resumed_variants: u64,
-    /// Variants that reused the fully optimized module outright
-    /// (backend-only or empty gates).
+    /// Variants that reused the fully optimized module outright (the
+    /// gate disables no instance that changed the reference module).
     pub full_reuse_variants: u64,
     /// Total mid-pipeline instances skipped by resuming.
     pub prefix_passes_skipped: u64,
@@ -62,11 +71,16 @@ pub struct SessionStats {
 pub struct VariantBuild {
     pub object: Object,
     /// Mid-pipeline instances not re-executed thanks to checkpoint
-    /// resume (0 when the gate disables the very first instance).
+    /// resume (0 when the gate disables the very first instance and
+    /// that instance changed the reference module).
     pub prefix_skipped: usize,
     /// Whether the fully optimized module was reused outright (the
-    /// gate touched no middle-end instance).
+    /// gate disables no instance that changed the reference module).
     pub reused_optimized: bool,
+    /// Whether the reference object itself was handed back: the
+    /// optimized module was reused and the gate leaves the backend
+    /// configuration unchanged, so no code generation ran.
+    pub reused_reference: bool,
 }
 
 /// A staged, checkpointed compilation pipeline for one
@@ -77,8 +91,17 @@ pub struct CompileSession {
     pipeline: Pipeline,
     /// The module after the full ungated middle end.
     optimized: Module,
-    /// The module before each first-gated mid instance, by position.
+    /// Whether each mid instance changed the reference module
+    /// (always `false` for non-gateable instances, which no gate
+    /// disables).
+    changed: Vec<bool>,
+    /// The module before each gateable name's first changing
+    /// instance, by position.
     snapshots: HashMap<usize, Module>,
+    /// The backend configuration of the ungated build.
+    reference_backend: BackendConfig,
+    /// The reference object, built on first use.
+    reference: OnceLock<Object>,
     variants: AtomicU64,
     resumed: AtomicU64,
     full_reuse: AtomicU64,
@@ -86,8 +109,9 @@ pub struct CompileSession {
 }
 
 impl CompileSession {
-    /// Builds a session, running the full ungated pipeline once and
-    /// snapshotting the module before every first-gated position.
+    /// Builds a session, running the full ungated pipeline once,
+    /// recording which stages changed the module, and snapshotting the
+    /// module before every gateable name's first changing instance.
     pub fn new(
         module: Module,
         personality: Personality,
@@ -101,27 +125,35 @@ impl CompileSession {
             level,
         };
 
-        // Snapshot positions: the first instance each gateable name
-        // disables. The first instance disabled by an arbitrary gate
-        // is the smallest first-gated position among its names, so
-        // this set serves every gate.
         let mut seen: HashSet<&str> = HashSet::new();
         let mut snapshots = HashMap::new();
+        let mut changed = Vec::with_capacity(pipeline.mid.len());
         let mut m = module;
         for (i, inst) in pipeline.mid.iter().enumerate() {
+            if !inst.gateable {
+                run_stage(&mut m, inst, &config);
+                changed.push(false);
+                continue;
+            }
+            let before = m.clone();
+            run_stage(&mut m, inst, &config);
+            let did_change = before != m;
+            changed.push(did_change);
             let names = std::iter::once(inst.name).chain(inst.also_gated_by.iter().copied());
             // `|`, not `||`: every name of the instance is marked seen.
-            if inst.gateable && names.fold(false, |first, name| seen.insert(name) | first) {
-                snapshots.insert(i, m.clone());
+            if did_change && names.fold(false, |first, name| seen.insert(name) | first) {
+                snapshots.insert(i, before);
             }
-            run_stage(&mut m, inst, &config);
         }
 
         CompileSession {
             config,
+            reference_backend: pipeline.backend_config(&PassGate::allow_all()),
             pipeline,
             optimized: m,
+            changed,
             snapshots,
+            reference: OnceLock::new(),
             variants: AtomicU64::new(0),
             resumed: AtomicU64::new(0),
             full_reuse: AtomicU64::new(0),
@@ -149,12 +181,13 @@ impl CompileSession {
         self.pipeline.mid.len()
     }
 
-    /// The reference object: full ungated pipeline + backend.
-    /// Bit-identical to [`crate::compile`] with an all-allowing gate
-    /// (does not count toward variant statistics).
+    /// The reference object: full ungated pipeline + backend, built
+    /// once per session. Bit-identical to [`crate::compile`] with an
+    /// all-allowing gate (does not count toward variant statistics).
     pub fn reference_object(&self) -> Object {
-        let backend = self.pipeline.backend_config(&PassGate::allow_all());
-        dt_machine::run_backend(&self.optimized, &backend)
+        self.reference
+            .get_or_init(|| dt_machine::run_backend(&self.optimized, &self.reference_backend))
+            .clone()
     }
 
     /// Builds one variant under `gate`, resuming from the latest
@@ -164,18 +197,30 @@ impl CompileSession {
     pub fn build_variant(&self, gate: &PassGate) -> VariantBuild {
         self.variants.fetch_add(1, Ordering::Relaxed);
         let backend = self.pipeline.backend_config(gate);
-        let first_gated = self.pipeline.mid.iter().position(|inst| !gate.allows(inst));
-        let (object, prefix_skipped, reused_optimized) = match first_gated {
-            // The gate touches no middle-end instance: reuse the
-            // optimized module, pay only for the (gated) backend.
+        let resume_at = self
+            .pipeline
+            .mid
+            .iter()
+            .zip(&self.changed)
+            .position(|(inst, &changed)| changed && !gate.allows(inst));
+        let (object, prefix_skipped, reused_optimized, reused_reference) = match resume_at {
+            // Every disabled instance left the reference module
+            // unchanged: the variant's module is the optimized module,
+            // and with the reference backend its object is the
+            // reference object.
             None => {
                 self.full_reuse.fetch_add(1, Ordering::Relaxed);
-                let object = dt_machine::run_backend(&self.optimized, &backend);
-                (object, self.pipeline.mid.len(), true)
+                let reused_reference = backend == self.reference_backend;
+                let object = if reused_reference {
+                    self.reference_object()
+                } else {
+                    dt_machine::run_backend(&self.optimized, &backend)
+                };
+                (object, self.pipeline.mid.len(), true, reused_reference)
             }
             Some(k) => {
-                // `k` is the first-gated position of one of the gate's
-                // names, so a snapshot was taken right before it.
+                // `k` is the first changing instance of one of the
+                // gate's names, so a snapshot was taken right before it.
                 let mut m = self.snapshots.get(&k).expect("snapshot at k").clone();
                 for inst in &self.pipeline.mid[k..] {
                     if gate.allows(inst) {
@@ -183,7 +228,7 @@ impl CompileSession {
                     }
                 }
                 let object = dt_machine::run_backend(&m, &backend);
-                (object, k, false)
+                (object, k, false, false)
             }
         };
         if prefix_skipped > 0 {
@@ -195,6 +240,7 @@ impl CompileSession {
             object,
             prefix_skipped,
             reused_optimized,
+            reused_reference,
         }
     }
 
@@ -318,6 +364,52 @@ int f(int n) {
         assert_eq!(stats.resumed_variants, 1);
         assert_eq!(stats.prefix_passes_skipped, vb.prefix_skipped as u64);
         assert!(stats.snapshots > 0);
+    }
+
+    #[test]
+    fn gates_disabling_only_no_ops_get_the_reference_object() {
+        // Loop-free: the loop header copier has nothing to rotate.
+        const LOOP_FREE: &str = "\
+int g(int x) { if (x > 2) { return x * 5; } return x + 1; }
+int f(int a, int b) { int s = g(a) + g(b); return s * 2; }";
+        let session =
+            CompileSession::from_source(LOOP_FREE, Personality::Gcc, OptLevel::O2, None).unwrap();
+        let gate = PassGate::disabling(["tree-ch"]);
+        let vb = session.build_variant(&gate);
+        assert!(vb.reused_optimized && vb.reused_reference);
+        assert_eq!(vb.prefix_skipped, session.stage_count());
+        let mut opts = CompileOptions::new(Personality::Gcc, OptLevel::O2);
+        opts.gate = gate;
+        let hash = vb.object.content_hash();
+        assert_eq!(hash, session.reference_object().content_hash());
+        assert_eq!(
+            hash,
+            compile_source(LOOP_FREE, &opts).unwrap().content_hash()
+        );
+    }
+
+    #[test]
+    fn snapshots_never_exceed_first_gated_positions() {
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let session =
+                    CompileSession::from_source(PROGRAM, personality, level, None).unwrap();
+                let pipeline = pipeline::build(personality, level);
+                let first_gated: HashSet<usize> = pipeline_pass_names(personality, level)
+                    .into_iter()
+                    .filter_map(|name| {
+                        let gate = PassGate::disabling([name]);
+                        pipeline.mid.iter().position(|inst| !gate.allows(inst))
+                    })
+                    .collect();
+                assert!(
+                    session.stats().snapshots <= first_gated.len() as u64,
+                    "{personality} {level}: {} snapshots, {} first-gated positions",
+                    session.stats().snapshots,
+                    first_gated.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,15 @@
-//! Staged-session equivalence check: every variant built by resuming a
-//! checkpointed [`CompileSession`] from a mid-pipeline snapshot must be
+//! Staged-session equivalence check: every variant a checkpointed
+//! [`CompileSession`] builds — resumed from a mid-pipeline snapshot,
+//! built from the reused optimized module, or handed back as the
+//! reference object by the session's early cutoff — must be
 //! bit-identical to compiling the same gated configuration from
-//! scratch ([`dt_machine::Object::content_hash`]), across the whole
-//! suite, both personalities, every level, and every single-pass gate —
-//! plus a handful of multi-pass gates.
+//! scratch ([`dt_machine::Object::content_hash`]). It covers the whole
+//! suite plus three synthetic programs, both personalities, every
+//! level, every single-pass gate, a few multi-pass gates, and the
+//! nested `Ox-dy`-shaped gates `dy_family` ships: the first y ∈ {1, 3,
+//! 5, 7, 9, 11} names of a shuffle fixed per level. The summary line
+//! counts the gates served by each session path, so a log shows the
+//! cutoff's coverage.
 //!
 //! Usage: `cargo run --release --example session_check`
 
@@ -11,6 +17,33 @@ use dt_passes::{
     compile_source, pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate,
     Personality,
 };
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// The `y` of the nested `Ox-dy` gates.
+const DY_SIZES: [usize; 6] = [1, 3, 5, 7, 9, 11];
+
+/// The nested `Ox-dy`-shaped gates of one level: the first `y` names
+/// of a shuffle fixed per personality/level, for each `y` in
+/// [`DY_SIZES`] the level has names for.
+fn dy_gates(personality: Personality, level: OptLevel) -> Vec<(String, PassGate)> {
+    let mut names = pipeline_pass_names(personality, level);
+    let seed = level as u64 * 2 + u64::from(personality == Personality::Clang);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for i in (1..names.len()).rev() {
+        names.swap(i, rng.gen_range(0..=i));
+    }
+    DY_SIZES
+        .iter()
+        .filter(|&&y| y <= names.len())
+        .map(|&y| {
+            (
+                format!("<d{y}>"),
+                PassGate::disabling(names[..y].iter().copied()),
+            )
+        })
+        .collect()
+}
 
 fn main() {
     let mut srcs: Vec<(String, String)> = dt_testsuite::real_world_suite()
@@ -33,6 +66,8 @@ fn main() {
     let mut failures = 0usize;
     let mut variants = 0usize;
     let mut skipped = 0u64;
+    // Gates served by each session path.
+    let (mut reference, mut backend_only, mut resumed) = (0usize, 0usize, 0usize);
     for (name, src) in &srcs {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
@@ -56,12 +91,19 @@ fn main() {
                         PassGate::disabling(names[..k].iter().copied()),
                     ));
                 }
+                gates.extend(dy_gates(personality, level));
                 for (gname, gate) in gates {
                     let mut opts = CompileOptions::new(personality, level);
                     opts.gate = gate.clone();
                     let scratch = compile_source(src, &opts).unwrap().content_hash();
                     variants += 1;
-                    if session.compile_variant(&gate).content_hash() != scratch {
+                    let built = session.build_variant(&gate);
+                    match (built.reused_reference, built.reused_optimized) {
+                        (true, _) => reference += 1,
+                        (false, true) => backend_only += 1,
+                        (false, false) => resumed += 1,
+                    }
+                    if built.object.content_hash() != scratch {
                         failures += 1;
                         println!(
                             "{name} {personality:?} {level:?} gate {gname}: \
@@ -75,7 +117,8 @@ fn main() {
         eprintln!("{name}: checked");
     }
     println!(
-        "session check complete: {variants} gate(s), \
+        "session check complete: {variants} gate(s) \
+         ({reference} reference reuse, {backend_only} backend only, {resumed} resumed), \
          {skipped} prefix pass(es) skipped, {failures} divergent builds"
     );
     if failures > 0 {

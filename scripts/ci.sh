@@ -16,6 +16,9 @@ cargo build --release
 echo "== tier-1 verify: tests =="
 cargo test -q
 
+echo "== workspace unit and integration tests (every crate) =="
+cargo test --workspace --release -q
+
 echo "== checker smoke (correctness oracle) =="
 cargo run --release --example checker_smoke
 

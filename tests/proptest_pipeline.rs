@@ -136,6 +136,45 @@ proptest! {
         );
     }
 
+    /// The same invariant for sparse gates of 1–3 names, the shape
+    /// that mostly disables passes which left the reference module
+    /// unchanged and so reaches the session's early cutoff (optimized
+    /// module and reference object reuse), which the half-density
+    /// masks above rarely do.
+    #[test]
+    fn sparse_session_gates_match_from_scratch(
+        seed in 0u64..300,
+        combo in 0usize..7,
+        picks in proptest::collection::vec(0usize..64, 1..=3),
+    ) {
+        let cfg = dt_testsuite::synth::SynthConfig::default();
+        let src = dt_testsuite::synth::generate(seed, &cfg);
+        let combos = [
+            (Personality::Gcc, OptLevel::Og),
+            (Personality::Gcc, OptLevel::O1),
+            (Personality::Gcc, OptLevel::O2),
+            (Personality::Gcc, OptLevel::O3),
+            (Personality::Clang, OptLevel::O1),
+            (Personality::Clang, OptLevel::O2),
+            (Personality::Clang, OptLevel::O3),
+        ];
+        let (personality, level) = combos[combo];
+        let names = pipeline_pass_names(personality, level);
+        let disabled: Vec<&str> = picks.iter().map(|&i| names[i % names.len()]).collect();
+        let gate = PassGate::disabling(disabled.iter().copied());
+        let mut opts = CompileOptions::new(personality, level);
+        opts.gate = gate.clone();
+
+        let session = CompileSession::from_source(&src, personality, level, None).unwrap();
+        let scratch = compile_source(&src, &opts).unwrap();
+        prop_assert_eq!(
+            session.compile_variant(&gate).content_hash(),
+            scratch.content_hash(),
+            "seed {} {:?} {:?} gate {:?}",
+            seed, personality, level, disabled
+        );
+    }
+
     /// The paper's ordering invariant (Section II-C): on the product
     /// metric the hybrid method lies between the dynamic method (which
     /// overestimates by crediting baseline artifacts) and the
