@@ -67,9 +67,10 @@ pub struct AutoFdoResult {
 }
 
 impl AutoFdoResult {
-    /// Speedup of the AutoFDO build over the plain build.
+    /// Speedup of the AutoFDO build over the plain build: above 1 when
+    /// the AutoFDO build needs fewer cycles.
     pub fn speedup(&self) -> f64 {
-        self.autofdo_cycles as f64 / 1.0_f64.max(self.plain_cycles as f64)
+        self.plain_cycles as f64 / 1.0_f64.max(self.autofdo_cycles as f64)
     }
 }
 
@@ -160,6 +161,22 @@ mod tests {
 
     fn module_of(src: &str) -> dt_ir::Module {
         dt_frontend::lower_source(src).unwrap()
+    }
+
+    #[test]
+    fn speedup_is_plain_over_autofdo_cycles() {
+        let r = AutoFdoResult {
+            plain_cycles: 300,
+            autofdo_cycles: 200,
+            mapped_fraction: 1.0,
+            profiling_steppable_lines: 0,
+        };
+        assert_eq!(r.speedup(), 1.5);
+        let free = AutoFdoResult {
+            autofdo_cycles: 0,
+            ..r
+        };
+        assert_eq!(free.speedup(), 300.0, "a zero-cycle build divides by 1");
     }
 
     #[test]

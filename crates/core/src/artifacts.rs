@@ -26,7 +26,12 @@
 //!   personality/level;
 //! * **variant traces** — the metrics and defect summary of each
 //!   distinct variant binary ([`Object::content_hash`]), scoped per
-//!   program and personality/level.
+//!   program and personality/level;
+//! * **runs** ([`RunOutcome`]) — the outcome of running one binary
+//!   ([`Object::content_hash`]) to completion with the cycle model on,
+//!   per entry, arguments, input, and step budget. Speed and AutoFDO
+//!   measurements run each distinct binary once through it. A run that
+//!   fails or does not finish is memoized as an error.
 //!
 //! Every key is a content digest ([`dt_machine::Fnv1a`]) of what
 //! determines the value: the source text, plus the harness, input set,
@@ -45,6 +50,7 @@ use dt_machine::{Fnv1a, Object};
 use dt_metrics::Metrics;
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{CompileSession, OptLevel, Personality};
+use dt_vm::{Halt, Vm, VmConfig};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -75,6 +81,23 @@ pub(crate) type ScopeKey = (u64, Personality, OptLevel);
 /// A source's content, personality, level, and profile content.
 type SessionKey = (u64, Personality, OptLevel, Option<u64>);
 
+/// A memoized run: the outcome, or why the run did not finish.
+type RunResult = Result<Arc<RunOutcome>, String>;
+
+/// What a completed run of a binary shows: everything the speed and
+/// AutoFDO measurements read, and everything two builds of one program
+/// must agree on. Only runs that halt [`Halt::Finished`] have an
+/// outcome; any other halt is the run's error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunOutcome {
+    /// The entry function's return value.
+    pub ret: i64,
+    /// Content digest of the values the program wrote with `out`.
+    pub output_digest: u64,
+    /// Cycles under the VM's cost model.
+    pub cycles: u64,
+}
+
 /// The shared artifact store. Owned by [`crate::DebugTuner`];
 /// free-function entry points create a transient store per call.
 #[derive(Default)]
@@ -86,6 +109,8 @@ pub struct ArtifactStore {
     references: Mutex<HashMap<ScopeKey, Arc<ReferenceEvaluation>>>,
     evaluations: Mutex<HashMap<ScopeKey, ProgramEvaluation>>,
     variant_traces: Mutex<HashMap<(ScopeKey, u64), (Metrics, DefectSummary)>>,
+    /// Keyed by the binary's content hash and the call's digest.
+    runs: Mutex<HashMap<(u64, u64), RunResult>>,
 }
 
 /// Looks `key` up in `map`, computing the value on a miss outside the
@@ -132,6 +157,26 @@ pub(crate) fn program_key(
         h.bytes(&arg.to_le_bytes());
     }
     h.bytes(&max_steps.to_le_bytes()).finish()
+}
+
+/// Content digest of one call of a binary: entry, arguments, input,
+/// and step budget.
+fn call_key(entry: &str, args: &[i64], input: &[u8], max_steps: u64) -> u64 {
+    let mut h = Fnv1a::new();
+    h.field(entry.as_bytes())
+        .bytes(&(args.len() as u64).to_le_bytes());
+    for arg in args {
+        h.bytes(&arg.to_le_bytes());
+    }
+    h.field(input).bytes(&max_steps.to_le_bytes()).finish()
+}
+
+fn output_digest(output: &[i64]) -> u64 {
+    let mut h = Fnv1a::new();
+    for v in output {
+        h.bytes(&v.to_le_bytes());
+    }
+    h.bytes(&(output.len() as u64).to_le_bytes()).finish()
 }
 
 fn profile_key(profile: &dt_ir::Profile) -> u64 {
@@ -234,6 +279,67 @@ impl ArtifactStore {
             Arc::new(session)
         })
         .0
+    }
+
+    /// A compile session built for one use and not retained, recorded
+    /// like [`Self::session`]. Callers that need a source's session for
+    /// a handful of builds use it so that memory does not grow with
+    /// every source they measure.
+    pub(crate) fn transient_session(
+        &self,
+        src: &SourceArtifacts,
+        personality: Personality,
+        level: OptLevel,
+    ) -> CompileSession {
+        let build_start = Instant::now();
+        let session = CompileSession::new(src.module.clone(), personality, level, None);
+        self.telemetry.record_build(build_start.elapsed());
+        self.telemetry.record_session(session.stats().snapshots);
+        session
+    }
+
+    /// The outcome of running `obj`'s `entry(args)` on `input` to
+    /// completion with the cycle model on (the configuration every
+    /// speed and AutoFDO measurement uses), run on first use. The key
+    /// is the object's [`Object::content_hash`] plus a digest of
+    /// entry, arguments, input, and budget, so identical binaries
+    /// built along different paths share one run. A run that cannot
+    /// start, traps, or exhausts `max_steps` is memoized as an error
+    /// naming its halt.
+    pub fn run(
+        &self,
+        obj: &Object,
+        entry: &str,
+        args: &[i64],
+        input: &[u8],
+        max_steps: u64,
+    ) -> Result<Arc<RunOutcome>, String> {
+        let key = (obj.content_hash(), call_key(entry, args, input, max_steps));
+        let (outcome, hit) = memo(&self.runs, key, || {
+            let run_start = Instant::now();
+            let config = VmConfig {
+                max_steps,
+                ..VmConfig::default()
+            };
+            let result = Vm::run_to_completion(obj, entry, args, input, config);
+            self.telemetry.record_run(run_start.elapsed());
+            let r = result?;
+            if r.halt != Halt::Finished {
+                return Err(format!(
+                    "`{entry}` halted with {:?} after {} steps",
+                    r.halt, r.steps
+                ));
+            }
+            Ok(Arc::new(RunOutcome {
+                ret: r.ret,
+                output_digest: output_digest(&r.output),
+                cycles: r.cycles,
+            }))
+        });
+        if hit {
+            self.telemetry.record_run_hit();
+        }
+        outcome
     }
 
     /// The memoized reference half for `key`, computed on first use.
@@ -346,5 +452,42 @@ int fuzz_main() {
         let profiled = store.session(&art, Personality::Gcc, OptLevel::O2, Some(&profile));
         assert!(!Arc::ptr_eq(&plain, &profiled));
         assert_eq!(store.telemetry().snapshot(1).sessions, 2);
+    }
+
+    const LOOP: &str = "\
+int f(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) { s += i; out(s); }
+    return s;
+}";
+
+    /// One run per distinct (binary, call): a repeat is a memo hit with
+    /// the same outcome, another argument or budget is another run, and
+    /// a `StepLimit` or a missing entry is an error that is memoized
+    /// too.
+    #[test]
+    fn runs_are_memoized_by_binary_and_call() {
+        let store = ArtifactStore::new();
+        let art = store.source(LOOP).unwrap();
+        let a = store.run(&art.o0, "f", &[10], &[], 1_000_000).unwrap();
+        let b = store.run(&art.o0, "f", &[10], &[], 1_000_000).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.ret, 45);
+        assert!(a.cycles > 0, "the cycle model is on");
+        let c = store.run(&art.o0, "f", &[11], &[], 1_000_000).unwrap();
+        assert_ne!((c.ret, c.output_digest), (a.ret, a.output_digest));
+        let o2 =
+            compile_source(LOOP, &CompileOptions::new(Personality::Gcc, OptLevel::O2)).unwrap();
+        let fast = store.run(&o2, "f", &[10], &[], 1_000_000).unwrap();
+        assert_eq!((fast.ret, fast.output_digest), (a.ret, a.output_digest));
+        assert!(fast.cycles < a.cycles);
+
+        let starved = store.run(&art.o0, "f", &[10], &[], 20);
+        let err = starved.unwrap_err();
+        assert!(err.contains("StepLimit"), "{err}");
+        assert_eq!(store.run(&art.o0, "f", &[10], &[], 20).unwrap_err(), err);
+        assert!(store.run(&art.o0, "g", &[10], &[], 1_000_000).is_err());
+        let snap = store.telemetry().snapshot(1);
+        assert_eq!((snap.runs, snap.run_hits), (5, 2));
     }
 }

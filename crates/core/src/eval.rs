@@ -49,8 +49,6 @@ pub struct ProgramInput {
 pub struct SuiteCorpus {
     /// The tuner input: the program plus its minimized input set.
     pub program: ProgramInput,
-    /// The `O0` object the corpus was fuzzed and minimized on.
-    pub o0: Object,
     /// Fuzzing queue length before minimization.
     pub queue_len: usize,
 }
@@ -80,7 +78,6 @@ pub fn suite_corpus(p: &dt_testsuite::TestProgram, fuzz_iterations: u32) -> Suit
             inputs,
             entry_args: Vec::new(),
         },
-        o0,
         queue_len: report.queue.len(),
     }
 }
@@ -184,7 +181,7 @@ fn metrics_for(
 }
 
 /// The program's source artifacts and its ground-truth baseline trace.
-fn program_artifacts(
+pub(crate) fn program_artifacts(
     store: &ArtifactStore,
     program: &ProgramInput,
     max_steps: u64,

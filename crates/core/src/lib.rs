@@ -40,7 +40,7 @@ pub mod perf;
 pub mod rank;
 pub mod telemetry;
 
-pub use artifacts::ArtifactStore;
+pub use artifacts::{ArtifactStore, RunOutcome};
 pub use check::{check_compiled, hunt, hunt_variants, HuntConfig, HuntResult};
 pub use config::{dy_config, dy_family, DyConfig};
 pub use eval::{
@@ -48,11 +48,13 @@ pub use eval::{
     ProgramInput, ReferenceEvaluation, SuiteCorpus,
 };
 pub use pareto::{pareto_front, TradeoffPoint};
-pub use perf::{measure_speedup, PerfReport};
+pub use perf::{measure_speedup, PerfReport, RunCall};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::{EvalStats, Telemetry};
 
+use dt_autofdo::AutoFdoResult;
 use dt_passes::{OptLevel, PassGate, Personality};
+use dt_testsuite::spec::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -169,6 +171,71 @@ impl DebugTuner {
             level,
             gate,
             self.config.max_steps_per_input,
+        )
+    }
+
+    /// Steppable lines of the program's `O0` binary and the lines its
+    /// inputs step (Table III's coverage columns), read from the
+    /// ground-truth baseline every evaluation of the program shares.
+    pub fn o0_coverage(&self, program: &ProgramInput) -> (usize, usize) {
+        let max_steps = self.config.max_steps_per_input;
+        let (art, base) = eval::program_artifacts(&self.store, program, max_steps);
+        (
+            art.o0.debug.steppable_lines().len(),
+            base.stepped_lines().len(),
+        )
+    }
+
+    /// The speedup over `O0` of each gate at one personality/level on
+    /// the SPEC kernels: one [`PerfReport`] per gate, bit-identical to
+    /// [`measure_speedup`] of that gate. Kernels are measured on
+    /// `config.threads` workers; each builds all gates from one
+    /// transient compile session, and every distinct binary runs once
+    /// in the tuner's run memo (so one `O0` run per kernel serves every
+    /// call). Fails, naming the kernel, personality, level, and gate,
+    /// when a binary does not finish with `O0`'s return value and
+    /// output.
+    pub fn speedups(
+        &self,
+        personality: Personality,
+        level: OptLevel,
+        gates: &[PassGate],
+        workload: Workload,
+    ) -> Result<Vec<PerfReport>, String> {
+        perf::speedups_in(
+            &self.store,
+            self.config.threads,
+            personality,
+            level,
+            gates,
+            workload,
+        )
+    }
+
+    /// The AutoFDO experiment of `source` on `call` for each profiling
+    /// gate, profiling and final builds both at `personality`/`level`:
+    /// field for field equal to one [`dt_autofdo::run_autofdo`] per
+    /// gate. The plain binary and every profiling binary come from one
+    /// transient compile session, each distinct profile gets one
+    /// AutoFDO build, and plain and AutoFDO runs go through the run
+    /// memo. Fails when a run does not finish or a plain or AutoFDO
+    /// binary does not behave like `O0`.
+    pub fn autofdo(
+        &self,
+        source: &str,
+        call: &RunCall,
+        personality: Personality,
+        level: OptLevel,
+        profiling_gates: &[PassGate],
+    ) -> Result<Vec<AutoFdoResult>, String> {
+        perf::autofdo_in(
+            &self.store,
+            self.config.threads,
+            source,
+            call,
+            personality,
+            level,
+            profiling_gates,
         )
     }
 
@@ -370,6 +437,34 @@ int fuzz_main() {
             (a.builds, a.traces, a.sessions),
             "reference then evaluate must equal evaluate alone"
         );
+    }
+
+    /// Table III's coverage columns from the shared baseline equal a
+    /// plain debug session over the program's `O0` binary.
+    #[test]
+    fn o0_coverage_matches_a_plain_o0_session() {
+        let p = tiny_program();
+        let o0 = dt_passes::compile_source(
+            &p.source,
+            &dt_passes::CompileOptions::new(Personality::Gcc, OptLevel::O0),
+        )
+        .unwrap();
+        let trace = dt_debugger::trace(
+            &o0,
+            &p.harness,
+            &p.inputs,
+            &dt_debugger::SessionConfig::default(),
+        )
+        .unwrap();
+        let coverage = DebugTuner::default().o0_coverage(&p);
+        assert_eq!(
+            coverage,
+            (
+                o0.debug.steppable_lines().len(),
+                trace.stepped_lines().len()
+            )
+        );
+        assert!(coverage.1 > 0);
     }
 
     #[test]

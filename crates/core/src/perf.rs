@@ -1,9 +1,29 @@
-//! Performance measurement of configurations on the SPEC-like suite.
+//! Performance measurement of configurations on the SPEC-like suite
+//! and of AutoFDO builds.
+//!
+//! [`measure_speedup`] and [`dt_autofdo::run_autofdo`] build and run
+//! everything from source on every call; they stay that way as the
+//! oracles of the tuner's memoized entry points here
+//! ([`crate::DebugTuner::speedups`], [`crate::DebugTuner::autofdo`]).
+//! Those build through one transient [`dt_passes::CompileSession`] per
+//! program, run each distinct binary once through the store's run memo
+//! ([`ArtifactStore::run`]), and check every measured binary against
+//! `O0`'s run of the same call: it must finish with the same return
+//! value and the same output, or the measurement fails instead of
+//! reporting a speedup.
 
+use crate::artifacts::{ArtifactStore, RunOutcome};
+use dt_autofdo::{collect_profile, AutoFdoResult};
+use dt_machine::Object;
 use dt_passes::{compile_source, CompileOptions, OptLevel, PassGate, Personality};
 use dt_testsuite::spec::{spec_suite, Benchmark, Workload};
 use dt_vm::{Vm, VmConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Step budget of every speed run.
+const SPEC_MAX_STEPS: u64 = 2_000_000_000;
 
 /// Per-benchmark and aggregate speedups of one configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -16,7 +36,7 @@ pub struct PerfReport {
 
 fn run_cycles(obj: &dt_machine::Object, b: &Benchmark, workload: Workload) -> u64 {
     let cfg = VmConfig {
-        max_steps: 2_000_000_000,
+        max_steps: SPEC_MAX_STEPS,
         ..VmConfig::default()
     };
     let iters = b.iterations(workload);
@@ -54,9 +74,199 @@ pub fn measure_speedup(
     }
 }
 
+/// One call of a program's binaries: entry, arguments, input bytes,
+/// and step budget.
+#[derive(Debug, Clone, Copy)]
+pub struct RunCall<'a> {
+    pub entry: &'a str,
+    pub args: &'a [i64],
+    pub input: &'a [u8],
+    pub max_steps: u64,
+}
+
+impl RunCall<'_> {
+    fn run(&self, store: &ArtifactStore, obj: &Object) -> Result<Arc<RunOutcome>, String> {
+        store.run(obj, self.entry, self.args, self.input, self.max_steps)
+    }
+
+    /// Runs `obj` and checks that it behaves like `o0`, the outcome of
+    /// the program's `O0` binary on this call. `what` names the binary
+    /// in the error.
+    fn run_like(
+        &self,
+        store: &ArtifactStore,
+        o0: &RunOutcome,
+        obj: &Object,
+        what: impl Fn() -> String,
+    ) -> Result<Arc<RunOutcome>, String> {
+        let out = self
+            .run(store, obj)
+            .map_err(|e| format!("{}: {e}", what()))?;
+        if (out.ret, out.output_digest) != (o0.ret, o0.output_digest) {
+            return Err(format!(
+                "{} diverges from O0: returned {} (O0 {}), output digest {:016x} (O0 {:016x})",
+                what(),
+                out.ret,
+                o0.ret,
+                out.output_digest,
+                o0.output_digest
+            ));
+        }
+        Ok(out)
+    }
+}
+
+fn gate_label(gate: &PassGate) -> String {
+    format!("gate [{}]", gate.disabled_names().join(", "))
+}
+
+/// [`measure_speedup`] of every gate at one personality/level, through
+/// `store`: the kernels are measured on up to `threads` workers, each
+/// kernel's gates are built from one transient compile session, and
+/// every run goes through the run memo and is checked against `O0`.
+/// Bit-identical to one [`measure_speedup`] per gate.
+pub(crate) fn speedups_in(
+    store: &ArtifactStore,
+    threads: usize,
+    personality: Personality,
+    level: OptLevel,
+    gates: &[PassGate],
+    workload: Workload,
+) -> Result<Vec<PerfReport>, String> {
+    let kernels = spec_suite();
+    let per_kernel = crate::par_map(&kernels, threads, |b| -> Result<Vec<f64>, String> {
+        let src = store.source(b.source)?;
+        let args = [b.iterations(workload)];
+        let call = RunCall {
+            entry: b.entry,
+            args: &args,
+            input: &[],
+            max_steps: SPEC_MAX_STEPS,
+        };
+        let o0 = call
+            .run(store, &src.o0)
+            .map_err(|e| format!("{} at O0: {e}", b.name))?;
+        let session = store.transient_session(&src, personality, level);
+        gates
+            .iter()
+            .map(|gate| {
+                let build_start = Instant::now();
+                // The all-allowing gate gets the session's reference
+                // object.
+                let obj = session.compile_variant(gate);
+                store.telemetry().record_build(build_start.elapsed());
+                let run = call.run_like(store, &o0, &obj, || {
+                    format!("{} at {personality} {level} {}", b.name, gate_label(gate))
+                })?;
+                Ok(o0.cycles as f64 / (run.cycles as f64).max(1.0))
+            })
+            .collect()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, String>>()?;
+    // The geomean folds the kernels in `measure_speedup`'s order.
+    Ok((0..gates.len())
+        .map(|g| {
+            let mut per_benchmark = Vec::new();
+            let mut log_sum = 0.0;
+            for (b, speedups) in kernels.iter().zip(&per_kernel) {
+                log_sum += speedups[g].ln();
+                per_benchmark.push((b.name.to_string(), speedups[g]));
+            }
+            PerfReport {
+                speedup: (log_sum / per_benchmark.len() as f64).exp(),
+                per_benchmark,
+            }
+        })
+        .collect())
+}
+
+/// [`dt_autofdo::run_autofdo`] of one program for every profiling
+/// gate, with the profiling and final builds at the same
+/// personality/level, through `store`. One transient compile session
+/// yields the plain binary (its reference object) and every profiling
+/// binary; profiles are collected on up to `threads` workers; each
+/// distinct profile gets one AutoFDO build. The plain and AutoFDO runs
+/// go through the run memo and are checked against `O0`. Field for
+/// field equal to one `run_autofdo` per gate.
+pub(crate) fn autofdo_in(
+    store: &ArtifactStore,
+    threads: usize,
+    source: &str,
+    call: &RunCall,
+    personality: Personality,
+    level: OptLevel,
+    profiling_gates: &[PassGate],
+) -> Result<Vec<AutoFdoResult>, String> {
+    let what = |binary: String| format!("`{}` at {personality} {level}, {binary}", call.entry);
+    let src = store.source(source)?;
+    let o0 = call
+        .run(store, &src.o0)
+        .map_err(|e| format!("{}: {e}", what("O0 build".into())))?;
+    let session = store.transient_session(&src, personality, level);
+    let plain = call.run_like(store, &o0, &session.reference_object(), || {
+        what("plain build".into())
+    })?;
+    let profiles = crate::par_map(profiling_gates, threads, |gate| {
+        let build_start = Instant::now();
+        let obj = session.compile_variant(gate);
+        store.telemetry().record_build(build_start.elapsed());
+        let profile = collect_profile(&obj, call.entry, call.args, call.input, call.max_steps)
+            .map_err(|e| format!("{}: {e}", what(format!("profiling {}", gate_label(gate)))))?;
+        Ok((obj.debug.steppable_lines().len(), profile))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, String>>()?;
+    drop(session);
+
+    // Equal profiles give equal AutoFDO builds: build each once.
+    let mut distinct: Vec<(&PassGate, &dt_ir::Profile)> = Vec::new();
+    let profile_index: Vec<usize> = profiles
+        .iter()
+        .zip(profiling_gates)
+        .map(|((_, profile), gate)| {
+            distinct
+                .iter()
+                .position(|(_, p)| *p == profile)
+                .unwrap_or_else(|| {
+                    distinct.push((gate, profile));
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    let fdo = crate::par_map(&distinct, threads, |&(gate, profile)| {
+        let opts = CompileOptions {
+            personality,
+            level,
+            gate: PassGate::allow_all(),
+            profile: Some(profile.clone()),
+        };
+        let build_start = Instant::now();
+        let obj = dt_passes::compile(&src.module, &opts);
+        store.telemetry().record_build(build_start.elapsed());
+        call.run_like(store, &o0, &obj, || {
+            what(format!("AutoFDO build from {} profile", gate_label(gate)))
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, String>>()?;
+
+    Ok(profiles
+        .iter()
+        .zip(profile_index)
+        .map(|((steppable, profile), i)| AutoFdoResult {
+            plain_cycles: plain.cycles,
+            autofdo_cycles: fdo[i].cycles,
+            mapped_fraction: profile.mapped_fraction(),
+            profiling_steppable_lines: *steppable,
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_testsuite::spec;
 
     #[test]
     fn o2_beats_o0_on_every_benchmark() {
@@ -93,5 +303,79 @@ mod tests {
             gutted.speedup,
             full.speedup
         );
+    }
+
+    fn kernel_call<'a>(b: &Benchmark, args: &'a [i64]) -> RunCall<'a> {
+        RunCall {
+            entry: b.entry,
+            args,
+            input: &[],
+            max_steps: SPEC_MAX_STEPS,
+        }
+    }
+
+    /// Fault injection: another kernel's binary run on this kernel's
+    /// call must be reported as a divergence from `O0`, naming the
+    /// binary, and never measured.
+    #[test]
+    fn another_kernels_binary_diverges_from_o0() {
+        let store = ArtifactStore::new();
+        let (a, b) = (&spec_suite()[0], &spec_suite()[1]);
+        assert_eq!(a.entry, b.entry, "both kernels share an entry point");
+        let args = [a.iterations(Workload::Test)];
+        let call = kernel_call(a, &args);
+        let o0 = call
+            .run(&store, &store.source(a.source).unwrap().o0)
+            .unwrap();
+        let own = compile_source(
+            a.source,
+            &CompileOptions::new(Personality::Gcc, OptLevel::O2),
+        )
+        .unwrap();
+        assert!(call.run_like(&store, &o0, &own, || "own".into()).is_ok());
+        let other = compile_source(
+            b.source,
+            &CompileOptions::new(Personality::Gcc, OptLevel::O2),
+        )
+        .unwrap();
+        let err = call
+            .run_like(&store, &o0, &other, || format!("{} swapped in", b.name))
+            .unwrap_err();
+        assert!(err.contains("swapped in diverges from O0"), "{err}");
+    }
+
+    /// Fault injection: a budget too small for the program is an
+    /// explicit `StepLimit` error, memoized like any other run.
+    #[test]
+    fn starved_budget_is_a_memoized_step_limit_error() {
+        let store = ArtifactStore::new();
+        let b = spec::benchmark("505.mcf").unwrap();
+        let args = [b.iterations(Workload::Test)];
+        let call = RunCall {
+            max_steps: 1_000,
+            ..kernel_call(&b, &args)
+        };
+        let gates = [PassGate::allow_all()];
+        let run = || {
+            autofdo_in(
+                &store,
+                1,
+                b.source,
+                &call,
+                Personality::Clang,
+                OptLevel::O2,
+                &gates,
+            )
+        };
+        let err = run().unwrap_err();
+        assert!(
+            err.contains("O0 build") && err.contains("StepLimit"),
+            "{err}"
+        );
+        let before = store.telemetry().snapshot(1);
+        assert_eq!(run().unwrap_err(), err);
+        let after = store.telemetry().snapshot(1);
+        assert_eq!(after.runs, before.runs, "the failed run is not rerun");
+        assert_eq!(after.run_hits, before.run_hits + 1);
     }
 }

@@ -28,6 +28,9 @@ pub struct Telemetry {
     fast_steps: AtomicU64,
     break_stops: AtomicU64,
     inputs_abandoned: AtomicU64,
+    runs: AtomicU64,
+    run_hits: AtomicU64,
+    run_nanos: AtomicU64,
     build_nanos: AtomicU64,
     trace_nanos: AtomicU64,
     rank_nanos: AtomicU64,
@@ -100,6 +103,18 @@ impl Telemetry {
             .fetch_add(stats.inputs_abandoned, Ordering::Relaxed);
     }
 
+    /// A program run to completion through the store's run memo.
+    pub fn record_run(&self, elapsed: Duration) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        self.run_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// A run served from the store's run memo.
+    pub fn record_run_hit(&self) {
+        self.run_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub fn record_rank(&self, elapsed: Duration) {
         self.rank_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
@@ -131,6 +146,9 @@ impl Telemetry {
             fast_steps: self.fast_steps.load(Ordering::Relaxed),
             break_stops: self.break_stops.load(Ordering::Relaxed),
             inputs_abandoned: self.inputs_abandoned.load(Ordering::Relaxed),
+            runs: self.runs.load(Ordering::Relaxed),
+            run_hits: self.run_hits.load(Ordering::Relaxed),
+            run_ms: ms(&self.run_nanos),
             build_ms: ms(&self.build_nanos),
             trace_ms: ms(&self.trace_nanos),
             rank_ms: ms(&self.rank_nanos),
@@ -154,6 +172,9 @@ impl Telemetry {
             &self.fast_steps,
             &self.break_stops,
             &self.inputs_abandoned,
+            &self.runs,
+            &self.run_hits,
+            &self.run_nanos,
             &self.build_nanos,
             &self.trace_nanos,
             &self.rank_nanos,
@@ -215,6 +236,16 @@ pub struct EvalStats {
     /// already consumed (early-exit sessions).
     #[serde(default)]
     pub inputs_abandoned: u64,
+    /// Programs run to completion through the store's run memo (speed
+    /// and AutoFDO measurements).
+    #[serde(default)]
+    pub runs: u64,
+    /// Runs served from the run memo instead of executed.
+    #[serde(default)]
+    pub run_hits: u64,
+    /// Wall-clock spent in memoized runs, summed across workers.
+    #[serde(default)]
+    pub run_ms: f64,
     /// Wall-clock spent compiling, summed across workers.
     pub build_ms: f64,
     /// Wall-clock spent in debug-trace sessions + metric computation,
@@ -234,7 +265,8 @@ impl EvalStats {
              {} trace-cache hit(s), {} eval-cache hit(s), {} pruned variant(s), \
              {} session(s) ({} snapshot(s)), {} resumed variant(s) skipping {} prefix pass(es), \
              {} artifact-store hit(s), {} fast step(s) / {} break stop(s) / \
-             {} abandoned input(s), {:.0} ms wall on {} thread(s)",
+             {} abandoned input(s), {} run(s) ({:.0} ms), {} run-memo hit(s), \
+             {:.0} ms wall on {} thread(s)",
             self.programs,
             self.builds,
             self.build_ms,
@@ -251,6 +283,9 @@ impl EvalStats {
             self.fast_steps,
             self.break_stops,
             self.inputs_abandoned,
+            self.runs,
+            self.run_ms,
+            self.run_hits,
             self.wall_ms,
             self.threads
         )
@@ -345,6 +380,22 @@ mod tests {
         assert_eq!(s.fast_steps, 0);
         assert_eq!(s.break_stops, 0);
         assert_eq!(s.inputs_abandoned, 0);
+        assert_eq!((s.runs, s.run_hits, s.run_ms), (0, 0, 0.0));
+    }
+
+    #[test]
+    fn run_counters_accumulate() {
+        let t = Telemetry::default();
+        t.record_run(Duration::from_millis(4));
+        t.record_run(Duration::from_millis(1));
+        t.record_run_hit();
+        let s = t.snapshot(1);
+        assert_eq!((s.runs, s.run_hits), (2, 1));
+        assert!(s.run_ms >= 5.0 - 1e-9);
+        assert!(s.summary().contains("2 run(s)"));
+        assert!(s.summary().contains("1 run-memo hit(s)"));
+        t.reset();
+        assert_eq!(t.snapshot(1).runs, 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::{
     autofdo_spec, fig04_selfcompile, fuzz_iters, make_tuner, pareto_tables, suite_inputs, synth_n,
     table01_methods, table02_libpng, table03_testsuite, table04_quality, table07_breakdown,
     table08_tradeoff, table16_correctness, table_per_program_dy, table_spec_speedups,
-    table_top_passes, tradeoff_data, workload, TradeoffData,
+    table_top_passes, tradeoff_data, workload, SuiteInputs, TradeoffData,
 };
 use debugtuner::{DebugTuner, ProgramInput};
 use dt_campaign::{Campaign, Fnv};
@@ -118,8 +118,8 @@ pub fn build_campaign() -> Campaign {
         workload_key,
         |ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
-            let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-            Ok::<_, String>(tradeoff_data(&tuner, &programs, Personality::Gcc))
+            let suite = ctx.value::<SuiteInputs>("suite_inputs");
+            tradeoff_data(&tuner, &suite.programs, Personality::Gcc)
         },
     );
     c.artifact(
@@ -128,8 +128,8 @@ pub fn build_campaign() -> Campaign {
         workload_key,
         |ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
-            let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-            Ok::<_, String>(tradeoff_data(&tuner, &programs, Personality::Clang))
+            let suite = ctx.value::<SuiteInputs>("suite_inputs");
+            tradeoff_data(&tuner, &suite.programs, Personality::Clang)
         },
     );
     c.artifact("pareto", &["tradeoff_gcc", "tradeoff_clang"], 0, |ctx| {
@@ -143,16 +143,16 @@ pub fn build_campaign() -> Campaign {
         workload_key,
         |ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
-            let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-            Ok::<_, String>(autofdo_spec(&tuner, &programs))
+            let suite = ctx.value::<SuiteInputs>("suite_inputs");
+            autofdo_spec(&tuner, &suite.programs)
         },
     );
 
     let on_suite = |f: fn(&DebugTuner, &[ProgramInput]) -> String| {
         move |ctx: &dt_campaign::Ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
-            let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-            Ok(f(&tuner, &programs))
+            let suite = ctx.value::<SuiteInputs>("suite_inputs");
+            Ok(f(&tuner, &suite.programs))
         }
     };
 
@@ -164,8 +164,12 @@ pub fn build_campaign() -> Campaign {
         0,
         on_suite(table02_libpng),
     );
-    c.output("table03_testsuite", &[], corpus_key, |_| {
-        Ok(table03_testsuite())
+    c.output("table03_testsuite", &["tuner", "suite_inputs"], 0, |ctx| {
+        let tuner = ctx.value::<DebugTuner>("tuner");
+        Ok(table03_testsuite(
+            &tuner,
+            &ctx.value::<SuiteInputs>("suite_inputs"),
+        ))
     });
 
     // ---- Tuner-backed tables ---------------------------------------
@@ -177,8 +181,8 @@ pub fn build_campaign() -> Campaign {
     );
     c.output("table05_gcc_passes", &["tuner", "suite_inputs"], 0, |ctx| {
         let tuner = ctx.value::<DebugTuner>("tuner");
-        let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-        Ok(table_top_passes(&tuner, &programs, Personality::Gcc).0)
+        let suite = ctx.value::<SuiteInputs>("suite_inputs");
+        Ok(table_top_passes(&tuner, &suite.programs, Personality::Gcc).0)
     });
     c.output(
         "table06_clang_passes",
@@ -186,8 +190,8 @@ pub fn build_campaign() -> Campaign {
         0,
         |ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
-            let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-            Ok(table_top_passes(&tuner, &programs, Personality::Clang).0)
+            let suite = ctx.value::<SuiteInputs>("suite_inputs");
+            Ok(table_top_passes(&tuner, &suite.programs, Personality::Clang).0)
         },
     );
     c.output(
@@ -262,7 +266,11 @@ pub fn build_campaign() -> Campaign {
         "fig04_selfcompile",
         &["tuner", "suite_inputs"],
         workload_key,
-        on_suite(fig04_selfcompile),
+        |ctx| {
+            let tuner = ctx.value::<DebugTuner>("tuner");
+            let suite = ctx.value::<SuiteInputs>("suite_inputs");
+            fig04_selfcompile(&tuner, &suite.programs)
+        },
     );
 
     // ---- Correctness -----------------------------------------------
@@ -323,7 +331,7 @@ mod tests {
             c.deps("table08_tradeoff").unwrap(),
             ["tradeoff_gcc".to_string(), "tradeoff_clang".to_string()]
         );
-        for id in ["table02_libpng", "table16_correctness"] {
+        for id in ["table02_libpng", "table03_testsuite", "table16_correctness"] {
             assert_eq!(
                 c.deps(id).unwrap(),
                 ["tuner".to_string(), "suite_inputs".to_string()],

@@ -13,8 +13,8 @@
 //!   `test`; use `ref` for the measurement runs).
 
 use debugtuner::{
-    dy_config, dy_family, measure_speedup, pareto_front, suite_corpus, DebugTuner, PassRanking,
-    PerfReport, ProgramInput, TradeoffPoint, TunerConfig,
+    dy_family, pareto_front, suite_corpus, DebugTuner, DyConfig, PassRanking, PerfReport,
+    ProgramInput, RunCall, TradeoffPoint, TunerConfig,
 };
 use dt_metrics::stats;
 use dt_passes::{OptLevel, PassGate, Personality};
@@ -79,10 +79,29 @@ pub fn synthetic_inputs(n: usize) -> Vec<ProgramInput> {
         .collect()
 }
 
+/// The real-world suite's tuner inputs, with the size of each corpus
+/// before minimization (Table III's reduction column).
+pub struct SuiteInputs {
+    pub programs: Vec<ProgramInput>,
+    /// Fuzzing queue length per program, aligned with `programs`.
+    pub queue_lens: Vec<usize>,
+}
+
 /// The real-world suite with fuzz-derived inputs (deterministic per
-/// `DT_FUZZ_ITERS`, so repeated runs rebuild identical corpora).
-pub fn suite_inputs() -> Vec<ProgramInput> {
-    debugtuner::suite_programs(fuzz_iters())
+/// `DT_FUZZ_ITERS`, so repeated runs rebuild identical corpora): the
+/// one input pipeline a campaign runs.
+pub fn suite_inputs() -> SuiteInputs {
+    let (programs, queue_lens) = dt_testsuite::real_world_suite()
+        .iter()
+        .map(|p| {
+            let corpus = suite_corpus(p, fuzz_iters());
+            (corpus.program, corpus.queue_len)
+        })
+        .unzip();
+    SuiteInputs {
+        programs,
+        queue_lens,
+    }
 }
 
 // ---------------------------------------------------------------- T1
@@ -188,8 +207,9 @@ pub fn table02_libpng(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
 
 // ---------------------------------------------------------------- T3
 
-/// Table III: test-suite composition and input statistics.
-pub fn table03_testsuite() -> String {
+/// Table III: test-suite composition and input statistics, from the
+/// campaign's suite inputs and the tuner's `O0` baselines.
+pub fn table03_testsuite(tuner: &DebugTuner, suite: &SuiteInputs) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table III — test-suite corpus and coverage statistics");
     let _ = writeln!(
@@ -202,17 +222,10 @@ pub fn table03_testsuite() -> String {
     let mut steppables = Vec::new();
     let mut steppeds = Vec::new();
     let mut coverages = Vec::new();
-    for p in dt_testsuite::real_world_suite() {
-        let corpus = suite_corpus(&p, fuzz_iters());
-        let (obj, harness, min) = (&corpus.o0, p.harnesses[0], &corpus.program.inputs);
-        let queue_len = corpus.queue_len.max(1);
-        let reduction = 100.0 * (1.0 - min.len() as f64 / queue_len as f64);
-        let steppable = obj.debug.steppable_lines().len();
-        let session = dt_debugger::SessionConfig::default();
-        let stepped = dt_debugger::trace(obj, harness, min, &session)
-            .unwrap()
-            .stepped_lines()
-            .len();
+    for (p, &queue_len) in suite.programs.iter().zip(&suite.queue_lens) {
+        let min = &p.inputs;
+        let reduction = 100.0 * (1.0 - min.len() as f64 / queue_len.max(1) as f64);
+        let (steppable, stepped) = tuner.o0_coverage(p);
         let cov = 100.0 * stepped as f64 / steppable.max(1) as f64;
         let _ = writeln!(
             out,
@@ -417,25 +430,41 @@ pub struct DyPoint {
     pub gate: PassGate,
 }
 
-/// Computes the full `Ox`/`Ox-dy` matrix for one personality.
+/// The gates measured per level: the level itself, then its `Ox-dy`
+/// family.
+fn level_and_family_gates(family: &[DyConfig]) -> Vec<PassGate> {
+    std::iter::once(PassGate::allow_all())
+        .chain(family.iter().map(|cfg| cfg.gate.clone()))
+        .collect()
+}
+
+/// Computes the full `Ox`/`Ox-dy` matrix for one personality: per
+/// level, the ranking, then the speedups of the level and its `Ox-dy`
+/// family in one [`DebugTuner::speedups`] call. Fails when a measured
+/// binary does not behave like `O0`.
 pub fn tradeoff_data(
     tuner: &DebugTuner,
     programs: &[ProgramInput],
     personality: Personality,
-) -> TradeoffData {
+) -> Result<TradeoffData, String> {
     let workload = workload();
     let mut reference = Vec::new();
     let mut reference_products = Vec::new();
     let mut configs = Vec::new();
     let mut rankings = Vec::new();
     for &level in OptLevel::levels_for(personality) {
+        let ranking = tuner.rank_passes(programs, personality, level);
         let evals = tuner.evaluate_all(programs, personality, level);
         let products: Vec<f64> = evals.iter().map(|e| e.reference.product).collect();
-        let perf = measure_speedup(personality, level, &PassGate::allow_all(), workload);
+        let family = dy_family(personality, level, &ranking);
+        let gates = level_and_family_gates(&family);
+        let mut perfs = tuner
+            .speedups(personality, level, &gates, workload)?
+            .into_iter();
+        let perf = perfs.next().expect("one report per gate");
         reference.push((level, stats::mean(&products), perf));
         reference_products.push((level, products));
-        let ranking = tuner.rank_passes(programs, personality, level);
-        for cfg in dy_family(personality, level, &ranking) {
+        for (cfg, perf) in family.into_iter().zip(perfs) {
             let products: Vec<f64> = programs
                 .iter()
                 .map(|p| {
@@ -450,20 +479,20 @@ pub fn tradeoff_data(
                 y: cfg.disabled.len(),
                 avg_product: stats::mean(&products),
                 products,
-                perf: measure_speedup(personality, level, &cfg.gate, workload),
+                perf,
                 gate: cfg.gate,
             });
         }
         rankings.push((level, ranking));
     }
-    TradeoffData {
+    Ok(TradeoffData {
         personality,
         reference,
         configs,
         program_names: programs.iter().map(|p| p.name.clone()).collect(),
         reference_products,
         rankings,
-    }
+    })
 }
 
 /// Table VIII: Δ debuggability and Δ speedup of `Ox-dy` vs `Ox`.
@@ -690,11 +719,14 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
 // ----------------------------------------------- T15, Fig 3, Fig 4
 
 /// Table XV + Figure 3: AutoFDO on the benchmark suite.
-pub fn autofdo_spec(tuner: &DebugTuner, programs: &[ProgramInput]) -> (String, String) {
-    use dt_autofdo::{run_autofdo, AutoFdoConfig};
+pub fn autofdo_spec(
+    tuner: &DebugTuner,
+    programs: &[ProgramInput],
+) -> Result<(String, String), String> {
     let personality = Personality::Clang;
     let level = OptLevel::O2;
     let ranking = tuner.rank_passes(programs, personality, level);
+    let gates = level_and_family_gates(&dy_family(personality, level, &ranking));
     let workload = workload();
 
     let mut t15 = String::from(
@@ -710,27 +742,22 @@ pub fn autofdo_spec(tuner: &DebugTuner, programs: &[ProgramInput]) -> (String, S
     );
 
     for b in spec_suite() {
-        let module = dt_frontend::lower_source(b.source).unwrap();
-        let iters = b.iterations(workload);
-        let base_cfg = AutoFdoConfig {
-            personality,
-            profiling_level: level,
-            profiling_gate: PassGate::allow_all(),
-            final_level: level,
+        let args = [b.iterations(workload)];
+        let call = RunCall {
+            entry: b.entry,
+            args: &args,
+            input: &[],
             max_steps: 2_000_000_000,
         };
-        let base = run_autofdo(&module, b.entry, &[iters], &[], &base_cfg).unwrap();
-        let base_speedup = base.plain_cycles as f64 / base.autofdo_cycles as f64;
+        let results = tuner
+            .autofdo(b.source, &call, personality, level, &gates)
+            .map_err(|e| format!("{}: {e}", b.name))?;
+        let (base, dys) = results.split_first().expect("one result per gate");
+        let base_speedup = base.speedup();
         let mut row = format!("{:<16} {:>8.4} |", b.name, base_speedup);
         let mut best_dy = base_speedup;
-        for y in [3usize, 5, 7, 9] {
-            let cfg = dy_config(personality, level, &ranking, y);
-            let dy_cfg = AutoFdoConfig {
-                profiling_gate: cfg.gate.clone(),
-                ..base_cfg.clone()
-            };
-            let r = run_autofdo(&module, b.entry, &[iters], &[], &dy_cfg).unwrap();
-            let speedup = r.plain_cycles as f64 / r.autofdo_cycles as f64;
+        for r in dys {
+            let speedup = r.speedup();
             best_dy = best_dy.max(speedup);
             let extra_lines = 100.0
                 * (r.profiling_steppable_lines as f64 - base.profiling_steppable_lines as f64)
@@ -752,17 +779,15 @@ pub fn autofdo_spec(tuner: &DebugTuner, programs: &[ProgramInput]) -> (String, S
             100.0 * (best_rel - 1.0)
         );
     }
-    (t15, fig3)
+    Ok((t15, fig3))
 }
 
 /// Figure 4: AutoFDO on the self-compilation workload, O3 profiles.
-pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
-    use dt_autofdo::{run_autofdo, AutoFdoConfig};
+pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Result<String, String> {
     let personality = Personality::Clang;
     let level = OptLevel::O3;
     let ranking = tuner.rank_passes(programs, personality, level);
     let cc = dt_testsuite::self_compile_program();
-    let module = dt_frontend::lower_source(cc.source).unwrap();
 
     // The "100 compilation steps": concatenated toy sources as input.
     let steps = if workload() == Workload::Ref { 100 } else { 12 };
@@ -783,29 +808,24 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 
     let mut out =
         String::from("Figure 4 — O3-dy AutoFDO vs O3-AutoFDO on the self-compilation workload\n");
-    let base_cfg = AutoFdoConfig {
-        personality,
-        profiling_level: level,
-        profiling_gate: PassGate::allow_all(),
-        final_level: level,
+    let call = RunCall {
+        entry: "compile_unit",
+        args: &[],
+        input: &input,
         max_steps: 2_000_000_000,
     };
-    let base = run_autofdo(&module, "compile_unit", &[], &input, &base_cfg).unwrap();
-    let base_speedup = base.plain_cycles as f64 / base.autofdo_cycles as f64;
+    let gates = level_and_family_gates(&dy_family(personality, level, &ranking));
+    let results = tuner.autofdo(cc.source, &call, personality, level, &gates)?;
+    let (base, dys) = results.split_first().expect("one result per gate");
+    let base_speedup = base.speedup();
     let _ = writeln!(
         out,
         "  O3-AutoFDO vs plain O3: {:+.2}% (mapped samples {:.1}%)",
         100.0 * (base_speedup - 1.0),
         100.0 * base.mapped_fraction
     );
-    for y in [3usize, 5, 7, 9] {
-        let cfg = dy_config(personality, level, &ranking, y);
-        let dy_cfg = AutoFdoConfig {
-            profiling_gate: cfg.gate.clone(),
-            ..base_cfg.clone()
-        };
-        let r = run_autofdo(&module, "compile_unit", &[], &input, &dy_cfg).unwrap();
-        let speedup = r.plain_cycles as f64 / r.autofdo_cycles as f64;
+    for (y, r) in [3, 5, 7, 9].into_iter().zip(dys) {
+        let speedup = r.speedup();
         let _ = writeln!(
             out,
             "  O3-d{y}-AutoFDO vs O3-AutoFDO: {:+.2}% (mapped {:.1}%, steppable {:+.2}%)",
@@ -815,7 +835,7 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
                 / base.profiling_steppable_lines.max(1) as f64
         );
     }
-    out
+    Ok(out)
 }
 
 // --------------------------------------------------------------- T16

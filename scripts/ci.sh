@@ -31,9 +31,10 @@ cargo run --release --example session_check
 echo "== trace-engine equivalence (fast path vs slow step) =="
 cargo run --release --example trace_equiv_check
 
-echo "== campaign smoke (cold + warm, tiny knobs) =="
+echo "== campaign smoke (cold + warm + second cold, tiny knobs) =="
 CAMPAIGN_DIR="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_DIR"' EXIT
+SECOND_DIR="$(mktemp -d)"
+trap 'rm -rf "$CAMPAIGN_DIR" "$SECOND_DIR"' EXIT
 export DT_SYNTH_N=4 DT_FUZZ_ITERS=8
 cold_summary="$(cargo run --release -p experiments --bin all_experiments -- \
   --results "$CAMPAIGN_DIR" --quiet | tail -n 1)"
@@ -44,6 +45,14 @@ warm_summary="$(cargo run --release -p experiments --bin all_experiments -- \
 echo "warm: $warm_summary"
 grep -q " ran=0 " <<<"$warm_summary"
 grep -q " failed=0 " <<<"$warm_summary"
+# A second cold campaign must reproduce every results/*.txt byte for
+# byte: the run memo and the parallel kernel map may not make results
+# depend on scheduling.
+second_summary="$(cargo run --release -p experiments --bin all_experiments -- \
+  --results "$SECOND_DIR" --quiet | tail -n 1)"
+echo "second cold: $second_summary"
+grep -q " failed=0 " <<<"$second_summary"
+diff -r -x .cache "$CAMPAIGN_DIR" "$SECOND_DIR"
 unset DT_SYNTH_N DT_FUZZ_ITERS
 
 echo "== benchmark determinism (tuner counters vs crate-by-crate re-drive) =="
