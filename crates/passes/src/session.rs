@@ -19,8 +19,9 @@
 //! the gate leaves the backend configuration as the reference has it,
 //! in which case the reference object is handed back.
 //!
-//! Correctness invariant (enforced by `tests/proptest_pipeline.rs` and
-//! `examples/session_check.rs`): for every gate,
+//! Correctness invariant (enforced by `tests/proptest_pipeline.rs`,
+//! whose `#[ignore]`d sweep covers every gate shape the tuner ships):
+//! for every gate,
 //! `session.compile_variant(&gate)` is bit-identical
 //! ([`Object::content_hash`]) to [`crate::compile_source`] from
 //! scratch with the same options. This holds because

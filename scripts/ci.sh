@@ -16,20 +16,10 @@ cargo build --release
 echo "== tier-1 verify: tests =="
 cargo test -q
 
-echo "== workspace unit and integration tests (every crate) =="
-cargo test --workspace --release -q
-
-echo "== checker smoke (correctness oracle) =="
-cargo run --release --example checker_smoke
-
-echo "== build determinism =="
-cargo run --release --example det_check
-
-echo "== staged-session equivalence =="
-cargo run --release --example session_check
-
-echo "== trace-engine equivalence (fast path vs slow step) =="
-cargo run --release --example trace_equiv_check
+# --include-ignored adds the heavy pinned sweeps (build determinism and
+# staged-session equivalence over every shipped gate shape).
+echo "== workspace unit and integration tests (every crate, ignored sweeps included) =="
+cargo test --workspace --release -q -- --include-ignored
 
 echo "== campaign smoke (cold + warm + second cold, tiny knobs) =="
 CAMPAIGN_DIR="$(mktemp -d)"

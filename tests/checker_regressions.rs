@@ -5,7 +5,9 @@
 //! gcc builds report values that diverge from O0 ground truth. These
 //! tests pin a seed where that policy manifests as classified
 //! stale/wrong-value defects and assert the classification is
-//! deterministic across independent checker runs.
+//! deterministic across independent checker runs. The oracle's other
+//! side is pinned too: `O0` checked against itself reports no value
+//! lies on any suite program.
 
 use debugtuner::check_compiled;
 use dt_checker::DefectClass;
@@ -61,4 +63,26 @@ fn checker_classification_is_deterministic_across_runs() {
     let b = checked_report();
     assert_eq!(a.summary, b.summary);
     assert_eq!(a.defects, b.defects);
+}
+
+/// `O0` against itself shows no value lies for any suite program.
+/// Phantom variables are allowed: `O0` loclists cover the whole
+/// function, so a variable is visible before its declaration line
+/// holding an uninitialized slot. That is scope over-reporting, not a
+/// value divergence.
+#[test]
+fn o0_against_itself_reports_no_value_lies() {
+    let options = CompileOptions::new(Personality::Gcc, OptLevel::O0);
+    for p in dt_testsuite::real_world_suite() {
+        let inputs: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
+        let s = check_compiled(p.source, p.harnesses[0], &inputs, &[], &options, 2_000_000)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name))
+            .summary;
+        assert_eq!(
+            s.wrong + s.stale + s.misplaced,
+            0,
+            "{}: O0-vs-O0 reports value lies: {s:?}",
+            p.name
+        );
+    }
 }

@@ -1,12 +1,16 @@
 //! Property-based integration tests: random programs and inputs must
 //! behave identically across optimization levels, and the debug
-//! metrics must stay within their invariant bounds.
+//! metrics must stay within their invariant bounds. One pinned,
+//! `#[ignore]`d sweep checks build determinism and session
+//! equivalence over every gate shape the tuner ships.
 
 use dt_passes::{
     compile_source, pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate,
     Personality,
 };
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn run(obj: &dt_machine::Object, input: &[u8]) -> (i64, Vec<i64>) {
     let r = dt_vm::Vm::run_to_completion(
@@ -82,6 +86,40 @@ proptest! {
         // Line coverage is identical between hybrid and dynamic by
         // construction.
         prop_assert!((e.methods.hybrid.line_coverage - e.methods.dynamic.line_coverage).abs() < 1e-12);
+    }
+
+    /// The paper's ordering invariant (Section II-C): on the product
+    /// metric the hybrid method lies between the dynamic method (which
+    /// overestimates by crediting baseline artifacts) and the
+    /// static-dbg method (which underestimates by ignoring liveness).
+    /// Per-program the sandwich is approximate — scope-pruning can
+    /// push hybrid slightly past either bound (measured worst case
+    /// 0.021 across 200 seeds for both personalities) — so the bound
+    /// carries a small tolerance.
+    #[test]
+    fn hybrid_product_between_dynamic_and_static_dbg(seed in 0u64..200) {
+        let cfg = dt_testsuite::synth::SynthConfig::default();
+        let src = dt_testsuite::synth::generate(seed, &cfg);
+        let p = debugtuner::ProgramInput {
+            name: format!("sandwich{seed}"),
+            source: src,
+            harness: "fuzz_main".into(),
+            inputs: vec![vec![seed as u8, 9]],
+            entry_args: vec![],
+        };
+        for personality in [Personality::Gcc, Personality::Clang] {
+            let e = debugtuner::evaluate_program(&p, personality, OptLevel::O2, 2_000_000);
+            let hybrid = e.methods.hybrid.product;
+            let dynamic = e.methods.dynamic.product;
+            let static_dbg = e.methods.static_dbg.product;
+            let lo = dynamic.min(static_dbg);
+            let hi = dynamic.max(static_dbg);
+            prop_assert!(
+                hybrid >= lo - 0.05 && hybrid <= hi + 0.05,
+                "{:?}: hybrid {} outside [{}, {}] (dynamic {}, static-dbg {})",
+                personality, hybrid, lo, hi, dynamic, static_dbg
+            );
+        }
     }
 
     /// The staged-session correctness invariant: for random programs,
@@ -174,38 +212,146 @@ proptest! {
             seed, personality, level, disabled
         );
     }
+}
 
-    /// The paper's ordering invariant (Section II-C): on the product
-    /// metric the hybrid method lies between the dynamic method (which
-    /// overestimates by crediting baseline artifacts) and the
-    /// static-dbg method (which underestimates by ignoring liveness).
-    /// Per-program the sandwich is approximate — scope-pruning can
-    /// push hybrid slightly past either bound (measured worst case
-    /// 0.021 across 200 seeds for both personalities) — so the bound
-    /// carries a small tolerance.
-    #[test]
-    fn hybrid_product_between_dynamic_and_static_dbg(seed in 0u64..200) {
-        let cfg = dt_testsuite::synth::SynthConfig::default();
-        let src = dt_testsuite::synth::generate(seed, &cfg);
-        let p = debugtuner::ProgramInput {
-            name: format!("sandwich{seed}"),
-            source: src,
-            harness: "fuzz_main".into(),
-            inputs: vec![vec![seed as u8, 9]],
-            entry_args: vec![],
-        };
-        for personality in [Personality::Gcc, Personality::Clang] {
-            let e = debugtuner::evaluate_program(&p, personality, OptLevel::O2, 2_000_000);
-            let hybrid = e.methods.hybrid.product;
-            let dynamic = e.methods.dynamic.product;
-            let static_dbg = e.methods.static_dbg.product;
-            let lo = dynamic.min(static_dbg);
-            let hi = dynamic.max(static_dbg);
-            prop_assert!(
-                hybrid >= lo - 0.05 && hybrid <= hi + 0.05,
-                "{:?}: hybrid {} outside [{}, {}] (dynamic {}, static-dbg {})",
-                personality, hybrid, lo, hi, dynamic, static_dbg
-            );
+/// The `y` of the nested `Ox-dy`-shaped gates in
+/// [`session_and_scratch_builds_are_deterministic_and_agree`].
+const DY_SIZES: [usize; 6] = [1, 3, 5, 7, 9, 11];
+
+/// The nested `Ox-dy`-shaped gates of one level: the first `y` names
+/// of a shuffle fixed per personality/level, for each `y` in
+/// [`DY_SIZES`] the level has names for.
+fn dy_gates(personality: Personality, level: OptLevel) -> Vec<(String, PassGate)> {
+    let mut names = pipeline_pass_names(personality, level);
+    let seed = level as u64 * 2 + u64::from(personality == Personality::Clang);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for i in (1..names.len()).rev() {
+        names.swap(i, rng.gen_range(0..=i));
+    }
+    DY_SIZES
+        .iter()
+        .filter(|&&y| y <= names.len())
+        .map(|&y| {
+            (
+                format!("<d{y}>"),
+                PassGate::disabling(names[..y].iter().copied()),
+            )
+        })
+        .collect()
+}
+
+/// The sweep of [`session_and_scratch_builds_are_deterministic_and_agree`]
+/// over one source. Returns how many gates each session path served:
+/// reference reuse, backend only, resumed.
+fn sweep_source(name: &str, src: &str) -> [usize; 3] {
+    let mut served = [0usize; 3];
+    for personality in [Personality::Gcc, Personality::Clang] {
+        for &level in OptLevel::levels_for(personality) {
+            let session = CompileSession::from_source(src, personality, level, None).unwrap();
+            let names = pipeline_pass_names(personality, level);
+            let mut gates: Vec<(String, PassGate)> = vec![("<all>".into(), PassGate::allow_all())];
+            for &pass in &names {
+                gates.push((pass.to_string(), PassGate::disabling([pass])));
+            }
+            if names.len() >= 2 {
+                gates.push((
+                    "<first+last>".into(),
+                    PassGate::disabling([names[0], names[names.len() - 1]]),
+                ));
+                let k = names.len().min(4);
+                gates.push((
+                    format!("<first {k}>"),
+                    PassGate::disabling(names[..k].iter().copied()),
+                ));
+            }
+            gates.extend(dy_gates(personality, level));
+            for (gname, gate) in gates {
+                let mut opts = CompileOptions::new(personality, level);
+                opts.gate = gate.clone();
+                let scratch = compile_source(src, &opts).unwrap().content_hash();
+                for _ in 0..3 {
+                    assert_eq!(
+                        compile_source(src, &opts).unwrap().content_hash(),
+                        scratch,
+                        "{name} {personality:?} {level:?} gate {gname}: nondeterministic build"
+                    );
+                }
+                let built = session.build_variant(&gate);
+                assert_eq!(
+                    built.object.content_hash(),
+                    scratch,
+                    "{name} {personality:?} {level:?} gate {gname}: session diverges from scratch"
+                );
+                let path = match (built.reused_reference, built.reused_optimized) {
+                    (true, _) => 0,
+                    (false, true) => 1,
+                    (false, false) => 2,
+                };
+                served[path] += 1;
+            }
         }
     }
+    served
+}
+
+/// Exhaustive pinned sweep of build determinism and session
+/// equivalence, over the whole suite plus seven synthetic programs,
+/// both personalities, every level, and these gates: all passes
+/// allowed, each single pass, first+last, the first `k`, and the
+/// nested `Ox-dy` gates of [`dy_gates`]. Per gate, four from-scratch
+/// builds must share one [`dt_machine::Object::content_hash`] (the
+/// content-keyed caches and `.text` pruning rest on it), and the
+/// session's build must equal it. Every session path (reference
+/// reuse, backend only, resume) must serve at least one gate, so a
+/// change that silently disables the early cutoff fails here.
+///
+/// Sources are split round-robin over the machine's cores. About a
+/// minute in release on two cores, so it is `#[ignore]`d;
+/// `scripts/ci.sh` runs it with `--include-ignored`.
+#[test]
+#[ignore]
+fn session_and_scratch_builds_are_deterministic_and_agree() {
+    let mut srcs: Vec<(String, String)> = dt_testsuite::real_world_suite()
+        .iter()
+        .map(|p| (p.name.to_string(), p.source.to_string()))
+        .collect();
+    let shape = dt_testsuite::synth::SynthConfig {
+        functions: 6,
+        vars_per_function: 14,
+        stmts_per_function: 24,
+        max_expr_depth: 6,
+    };
+    for seed in [7u64, 77, 204, 15, 118, 126, 321] {
+        srcs.push((
+            format!("synth{seed}"),
+            dt_testsuite::synth::generate(seed, &shape),
+        ));
+    }
+
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let srcs = &srcs;
+    let served: Vec<[usize; 3]> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    srcs.iter()
+                        .skip(w)
+                        .step_by(workers)
+                        .map(|(name, src)| sweep_source(name, src))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let total = |path: usize| served.iter().map(|s| s[path]).sum::<usize>();
+    let (reference, backend_only, resumed) = (total(0), total(1), total(2));
+    assert!(
+        reference > 0 && backend_only > 0 && resumed > 0,
+        "a session path served no gate: {reference} reference reuse, \
+         {backend_only} backend only, {resumed} resumed"
+    );
 }

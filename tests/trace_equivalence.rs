@@ -5,8 +5,9 @@
 //! lines, values, hits, hit_order, inputs_run — on every binary,
 //! including ground-truth (`track_dbg_bindings`) sessions.
 //!
-//! Pinned coverage walks the whole real-world suite across both
-//! personalities and every optimization level; the proptest drives
+//! Pinned coverage walks the whole real-world suite and five fixed
+//! synthetic programs across both personalities and every
+//! optimization level; the proptest drives
 //! randomly generated programs with random inputs through random
 //! personality/level combinations.
 
@@ -22,26 +23,44 @@ fn session(ground_truth: bool) -> SessionConfig {
     }
 }
 
-/// Every suite program, both personalities, every level, plain and
-/// ground-truth sessions: the fast path must match the slow path
-/// field-for-field.
+/// Every suite program plus five synthetic ones, both personalities,
+/// every level, plain and ground-truth sessions: the fast path must
+/// match the slow path field-for-field.
 #[test]
 fn suite_fast_path_matches_slow_step_everywhere() {
-    for p in dt_testsuite::real_world_suite() {
-        let inputs: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
+    // (name, source, harness, inputs)
+    let mut cases: Vec<(String, String, String, Vec<Vec<u8>>)> = dt_testsuite::real_world_suite()
+        .iter()
+        .map(|p| {
+            (
+                p.name.to_string(),
+                p.source.to_string(),
+                p.harnesses[0].to_string(),
+                p.seeds.iter().map(|s| s.to_vec()).collect(),
+            )
+        })
+        .collect();
+    let shape = dt_testsuite::synth::SynthConfig::default();
+    for seed in [3u64, 41, 118, 126, 204] {
+        cases.push((
+            format!("synth{seed}"),
+            dt_testsuite::synth::generate(seed, &shape),
+            "fuzz_main".into(),
+            vec![vec![seed as u8, 9], vec![], vec![seed as u8 ^ 0x5a; 6]],
+        ));
+    }
+    for (name, source, harness, inputs) in &cases {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
-                let obj =
-                    compile_source(p.source, &CompileOptions::new(personality, level)).unwrap();
+                let obj = compile_source(source, &CompileOptions::new(personality, level)).unwrap();
                 let plan = BreakPlan::new(&obj);
                 for ground_truth in [false, true] {
                     let cfg = session(ground_truth);
-                    let slow = trace(&obj, p.harnesses[0], &inputs, &cfg).unwrap();
-                    let fast = trace_with_plan(&obj, p.harnesses[0], &inputs, &cfg, &plan).unwrap();
+                    let slow = trace(&obj, harness, inputs, &cfg).unwrap();
+                    let fast = trace_with_plan(&obj, harness, inputs, &cfg, &plan).unwrap();
                     assert_eq!(
                         slow, fast,
-                        "{} {personality:?} {level:?} ground_truth={ground_truth}",
-                        p.name
+                        "{name} {personality:?} {level:?} ground_truth={ground_truth}"
                     );
                 }
             }
