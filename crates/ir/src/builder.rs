@@ -196,9 +196,6 @@ mod tests {
         b.ret(None, 5);
         let f = b.finish(6);
         assert_eq!(f.blocks.len(), 4);
-        assert_eq!(
-            f.block(BlockId(0)).term.successors(),
-            vec![then_bb, else_bb]
-        );
+        assert!(f.block(BlockId(0)).term.successors().eq([then_bb, else_bb]));
     }
 }

@@ -3,15 +3,6 @@
 use crate::module::{BlockId, Function};
 use std::collections::HashSet;
 
-/// Successors of each block (indexed by block id; dead blocks get empty
-/// vectors).
-pub fn successors(f: &Function) -> Vec<Vec<BlockId>> {
-    f.blocks
-        .iter()
-        .map(|b| if b.dead { vec![] } else { b.term.successors() })
-        .collect()
-}
-
 /// Predecessors of each block (indexed by block id).
 pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
     let mut preds = vec![Vec::new(); f.blocks.len()];
@@ -41,6 +32,34 @@ pub fn reachable_blocks(f: &Function) -> HashSet<BlockId> {
     seen
 }
 
+/// Reachability from the entry as a mask indexed by block id; dead
+/// blocks are never reachable. The dense counterpart of
+/// [`reachable_blocks`].
+pub fn reachable_mask(f: &Function) -> Vec<bool> {
+    let mut reach = vec![false; f.blocks.len()];
+    let mut stack = vec![f.entry];
+    while let Some(b) = stack.pop() {
+        let blk = f.block(b);
+        if reach[b.index()] || blk.dead {
+            continue;
+        }
+        reach[b.index()] = true;
+        stack.extend(blk.term.successors().filter(|s| !reach[s.index()]));
+    }
+    reach
+}
+
+/// Removes every live block that the entry cannot reach.
+pub fn remove_unreachable(f: &mut Function) {
+    let reach = reachable_mask(f);
+    for (b, reachable) in reach.into_iter().enumerate() {
+        let id = BlockId(b as u32);
+        if !reachable && !f.blocks[b].dead && id != f.entry {
+            f.remove_block(id);
+        }
+    }
+}
+
 /// Postorder over reachable blocks.
 pub fn postorder(f: &Function) -> Vec<BlockId> {
     let mut order = Vec::new();
@@ -49,9 +68,7 @@ pub fn postorder(f: &Function) -> Vec<BlockId> {
     let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
     state[f.entry.index()] = 1;
     while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-        let succs = f.block(b).term.successors();
-        if *next < succs.len() {
-            let s = succs[*next];
+        if let Some(s) = f.block(b).term.successors().nth(*next) {
             *next += 1;
             if state[s.index()] == 0 && !f.block(s).dead {
                 state[s.index()] = 1;
@@ -110,8 +127,11 @@ mod tests {
     #[test]
     fn preds_and_succs() {
         let f = diamond();
-        let succs = successors(&f);
-        assert_eq!(succs[0], vec![BlockId(1), BlockId(2)]);
+        assert!(f
+            .block(BlockId(0))
+            .term
+            .successors()
+            .eq([BlockId(1), BlockId(2)]));
         let preds = predecessors(&f);
         assert_eq!(preds[3], vec![BlockId(1), BlockId(2)]);
         assert!(preds[0].is_empty());
@@ -134,6 +154,9 @@ mod tests {
         let reach = reachable_blocks(&f);
         assert_eq!(reach.len(), 4);
         assert!(!reach.contains(&BlockId(4)));
+        assert_eq!(reachable_mask(&f), [true, true, true, true, false]);
+        remove_unreachable(&mut f);
+        assert!(f.blocks[4].dead && !f.blocks[3].dead);
         assert_eq!(postorder(&f).len(), 4);
     }
 

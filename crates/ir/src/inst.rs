@@ -390,15 +390,17 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<crate::module::BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    /// Successor block ids, in order (then before else), without
+    /// allocating.
+    pub fn successors(&self) -> impl Iterator<Item = crate::module::BlockId> + Clone {
+        let (first, second) = match *self {
+            Terminator::Jump(b) => (Some(b), None),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) => vec![],
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            Terminator::Ret(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Invokes `f` with mutable access to each successor id.
@@ -527,15 +529,15 @@ mod tests {
             else_bb: BlockId(2),
             prob_then: None,
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
+        assert!(t.successors().eq([BlockId(1), BlockId(2)]));
+        assert_eq!(Terminator::Ret(None).successors().count(), 0);
     }
 
     #[test]
     fn terminator_successor_rewrite() {
         let mut t = Terminator::Jump(BlockId(3));
         t.for_each_successor_mut(|b| *b = BlockId(7));
-        assert_eq!(t.successors(), vec![BlockId(7)]);
+        assert!(t.successors().eq([BlockId(7)]));
     }
 
     #[test]

@@ -33,7 +33,10 @@ pub mod profile;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
-pub use cfg::{postorder, predecessors, reachable_blocks, reverse_postorder, successors};
+pub use cfg::{
+    postorder, predecessors, reachable_blocks, reachable_mask, remove_unreachable,
+    reverse_postorder,
+};
 pub use dom::DomTree;
 pub use inst::{BinOp, DbgLoc, Inst, MemEffect, Op, Terminator, UnOp, Value};
 pub use liveness::Liveness;

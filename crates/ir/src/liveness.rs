@@ -4,8 +4,13 @@
 //! default; that is precisely how optimized code loses variable values
 //! (the register dies, the `dbg.value` dangles, the location list gets
 //! a hole). Passes that want debug-aware liveness can opt in.
+//!
+//! [`UseDef`] holds the one backward-liveness fixpoint of the compiler:
+//! IR [`Liveness`] and the backend's machine-IR liveness both fill its
+//! per-block use/def sets and call [`UseDef::solve`], which works a
+//! 64-register word at a time.
 
-use crate::cfg::{postorder, successors};
+use crate::cfg::postorder;
 use crate::module::{BlockId, Function, VReg};
 
 /// A dense bitset over virtual registers.
@@ -39,6 +44,11 @@ impl RegSet {
         self.words.get(w).is_some_and(|x| x & (1 << b) != 0)
     }
 
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Unions `other` into `self`, returning whether anything changed.
     pub fn union_with(&mut self, other: &RegSet) -> bool {
         let mut changed = false;
@@ -50,12 +60,17 @@ impl RegSet {
         changed
     }
 
-    /// Iterates over the registers in the set.
+    /// Iterates over the registers in the set, in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| VReg((wi * 64 + b) as u32))
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    VReg((wi * 64 + b) as u32)
+                })
+            })
         })
     }
 
@@ -65,6 +80,98 @@ impl RegSet {
 
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// The liveness transfer `dst = uses ∪ (out \ defs)`, word by word
+/// over equally long rows, reusing `dst`'s buffer; returns whether `dst`
+/// changed.
+fn assign_transfer(dst: &mut [u64], uses: &[u64], out: &[u64], defs: &[u64]) -> bool {
+    let mut changed = false;
+    for (((a, &u), &o), &d) in dst.iter_mut().zip(uses).zip(out).zip(defs) {
+        let new = u | (o & !d);
+        changed |= new != *a;
+        *a = new;
+    }
+    changed
+}
+
+/// Per-block upward-exposed uses and definitions: the input of the
+/// backward-liveness fixpoint. Stored as two flat word matrices, one
+/// row per block.
+#[derive(Debug, Clone)]
+pub struct UseDef {
+    nblocks: usize,
+    nregs: u32,
+    words: usize,
+    uses: Vec<u64>,
+    defs: Vec<u64>,
+}
+
+impl UseDef {
+    /// Empty sets for `nblocks` blocks over `nregs` registers.
+    pub fn new(nblocks: usize, nregs: u32) -> Self {
+        let words = (nregs as usize).div_ceil(64);
+        UseDef {
+            nblocks,
+            nregs,
+            words,
+            uses: vec![0; nblocks * words],
+            defs: vec![0; nblocks * words],
+        }
+    }
+
+    fn bit(&self, b: usize, r: VReg) -> (usize, u64) {
+        (b * self.words + r.index() / 64, 1 << (r.index() % 64))
+    }
+
+    /// Records a read of `r` in block `b` (upward-exposed unless `b`
+    /// already defined it). Call in instruction order.
+    pub fn read(&mut self, b: usize, r: VReg) {
+        let (w, bit) = self.bit(b, r);
+        if self.defs[w] & bit == 0 {
+            self.uses[w] |= bit;
+        }
+    }
+
+    /// Records a definition of `r` in block `b`.
+    pub fn write(&mut self, b: usize, r: VReg) {
+        let (w, bit) = self.bit(b, r);
+        self.defs[w] |= bit;
+    }
+
+    /// Solves `live_out[b] = ∪ live_in[s]` over `succs(b)` and
+    /// `live_in[b] = use[b] ∪ (live_out[b] \ def[b])`, sweeping `order`
+    /// until no live-in set changes. The least fixpoint does not depend
+    /// on the order, only the number of sweeps does (postorder is best
+    /// for a backward problem). Blocks outside `order` keep empty sets.
+    /// Returns `(live_in, live_out)`.
+    pub fn solve<I: IntoIterator<Item = usize>>(
+        &self,
+        order: &[usize],
+        succs: impl Fn(usize) -> I,
+    ) -> (Vec<RegSet>, Vec<RegSet>) {
+        let mut live_in = vec![RegSet::new(self.nregs); self.nblocks];
+        let mut live_out = live_in.clone();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in order {
+                let out = &mut live_out[b];
+                out.clear();
+                for s in succs(b) {
+                    out.union_with(&live_in[s]);
+                }
+                let r = b * self.words..(b + 1) * self.words;
+                changed |= assign_transfer(
+                    &mut live_in[b].words,
+                    &self.uses[r.clone()],
+                    &out.words,
+                    &self.defs[r],
+                );
+            }
+        }
+        (live_in, live_out)
     }
 }
 
@@ -90,65 +197,32 @@ impl Liveness {
     }
 
     fn compute_inner(f: &Function, debug_aware: bool) -> Self {
-        let n = f.blocks.len();
-        let succs = successors(f);
-        // use[b]: used before any def in b; def[b]: defined in b.
-        let mut use_sets = vec![RegSet::new(f.vreg_count); n];
-        let mut def_sets = vec![RegSet::new(f.vreg_count); n];
+        let mut sets = UseDef::new(f.blocks.len(), f.vreg_count);
         for b in f.block_ids() {
-            let blk = f.block(b);
-            let (use_b, def_b) = (&mut use_sets[b.index()], &mut def_sets[b.index()]);
+            let (blk, bi) = (f.block(b), b.index());
             for inst in &blk.insts {
                 if inst.op.is_dbg() && !debug_aware {
                     continue;
                 }
                 inst.op.for_each_use(|v| {
                     if let Some(r) = v.as_reg() {
-                        if !def_b.contains(r) {
-                            use_b.insert(r);
-                        }
+                        sets.read(bi, r);
                     }
                 });
                 if let Some(d) = inst.op.def() {
-                    def_b.insert(d);
+                    sets.write(bi, d);
                 }
             }
             blk.term.for_each_use(|v| {
                 if let Some(r) = v.as_reg() {
-                    if !def_b.contains(r) {
-                        use_b.insert(r);
-                    }
+                    sets.read(bi, r);
                 }
             });
         }
-
-        let mut live_in = vec![RegSet::new(f.vreg_count); n];
-        let mut live_out = vec![RegSet::new(f.vreg_count); n];
-        // Iterate to fixpoint in postorder (backward problem).
-        let order = postorder(f);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &order {
-                let mut out = RegSet::new(f.vreg_count);
-                for &s in &succs[b.index()] {
-                    out.union_with(&live_in[s.index()]);
-                }
-                // in = use ∪ (out \ def)
-                let mut inp = use_sets[b.index()].clone();
-                for r in out.iter() {
-                    if !def_sets[b.index()].contains(r) {
-                        inp.insert(r);
-                    }
-                }
-                if inp != live_in[b.index()] {
-                    live_in[b.index()] = inp;
-                    changed = true;
-                }
-                live_out[b.index()] = out;
-            }
-        }
-
+        // Postorder holds live blocks only.
+        let order: Vec<usize> = postorder(f).iter().map(|b| b.index()).collect();
+        let (live_in, live_out) =
+            sets.solve(&order, |b| f.blocks[b].term.successors().map(|s| s.index()));
         Liveness {
             live_in,
             live_out,
@@ -255,6 +329,57 @@ mod tests {
         assert!(!s.contains(VReg(0)));
         let collected: Vec<_> = s.iter().collect();
         assert_eq!(collected, vec![VReg(129)]);
+    }
+
+    #[test]
+    fn regset_iter_yields_members_ascending_across_words() {
+        let members = [0u32, 1, 62, 63, 64, 65, 127, 128, 191, 199];
+        let mut s = RegSet::new(200);
+        // Insert out of order: iteration order must not depend on it.
+        for &r in members.iter().rev() {
+            s.insert(VReg(r));
+        }
+        let got: Vec<u32> = s.iter().map(|r| r.0).collect();
+        assert_eq!(got, members);
+        let per_bit: Vec<u32> = (0..200).filter(|&r| s.contains(VReg(r))).collect();
+        assert_eq!(got, per_bit);
+        assert_eq!(s.len(), members.len());
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.iter().count(), 0);
+        let full = {
+            let mut f = RegSet::new(128);
+            (0..128).for_each(|r| {
+                f.insert(VReg(r));
+            });
+            f
+        };
+        assert!(full.iter().map(|r| r.0).eq(0..128), "all-ones words");
+    }
+
+    #[test]
+    fn assign_transfer_reports_change_only_when_the_set_changed() {
+        let set = |regs: &[u32]| {
+            let mut s = RegSet::new(130);
+            for &r in regs {
+                s.insert(VReg(r));
+            }
+            s
+        };
+        let (uses, out, defs) = (set(&[1, 70]), set(&[2, 3, 70, 129]), set(&[3, 129]));
+        let mut live_in = RegSet::new(130);
+        let transfer = |live_in: &mut RegSet, out: &RegSet| {
+            assign_transfer(&mut live_in.words, &uses.words, &out.words, &defs.words)
+        };
+        assert!(transfer(&mut live_in, &out));
+        assert_eq!(live_in, set(&[1, 2, 70]));
+        assert!(
+            !transfer(&mut live_in, &out),
+            "same inputs, same set: no change"
+        );
+        // A shrinking result is a change too.
+        assert!(transfer(&mut live_in, &set(&[])));
+        assert_eq!(live_in, set(&[1, 70]));
     }
 
     #[test]

@@ -70,13 +70,7 @@ impl LoopForest {
             let exiting = blocks
                 .iter()
                 .copied()
-                .filter(|&b| {
-                    f.block(b)
-                        .term
-                        .successors()
-                        .iter()
-                        .any(|s| !blocks.contains(s))
-                })
+                .filter(|&b| f.block(b).term.successors().any(|s| !blocks.contains(&s)))
                 .collect();
             loops.push(Loop {
                 header,

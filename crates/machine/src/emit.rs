@@ -103,7 +103,7 @@ pub fn emit_module(mmod: &MModule<VR>, config: &BackendConfig) -> Object {
     }
 
     let funcs: Vec<FuncInfo> = func_infos.into_iter().map(Option::unwrap).collect();
-    let debug = build_debug_info(mmod, &code, &addrs, &funcs, &func_ranges, total, config);
+    let debug = build_debug_info(mmod, &code, &addrs, &funcs, &func_ranges, config);
 
     Object {
         code,
@@ -122,7 +122,6 @@ fn build_debug_info(
     addrs: &[u32],
     funcs: &[FuncInfo],
     func_ranges: &[(u32, usize, usize)],
-    total: u32,
     config: &BackendConfig,
 ) -> DebugInfo {
     // Subprograms, indexed by module function id.
@@ -258,7 +257,6 @@ fn build_debug_info(
         }
     }
 
-    let _ = total;
     DebugInfo {
         subprograms,
         vars,

@@ -65,6 +65,12 @@ pub struct BackendConfig {
 
 /// Runs the full backend over an IR module.
 pub fn run_backend(module: &Module, config: &BackendConfig) -> Object {
+    emit_module(&lower_and_optimize(module, config), config)
+}
+
+/// Lowers an IR module to machine IR and runs the enabled backend
+/// passes: everything [`run_backend`] does before register allocation.
+pub fn lower_and_optimize(module: &Module, config: &BackendConfig) -> MModule<VR> {
     let mut mmod = lower_module(module);
     for func in &mut mmod.funcs {
         if config.shrink_wrap {
@@ -87,5 +93,5 @@ pub fn run_backend(module: &Module, config: &BackendConfig) -> Object {
     if config.toplevel_reorder {
         opt::reorder_functions(&mut mmod);
     }
-    emit_module(&mmod, config)
+    mmod
 }

@@ -266,15 +266,17 @@ pub enum MTerm<R> {
 }
 
 impl<R: Copy> MTerm<R> {
-    /// Successor block indices.
-    pub fn successors(&self) -> Vec<u32> {
-        match self {
-            MTerm::Jmp(t) => vec![*t],
+    /// Successor block indices, in order (then before else), without
+    /// allocating.
+    pub fn successors(&self) -> impl Iterator<Item = u32> + Clone {
+        let (first, second) = match *self {
+            MTerm::Jmp(t) => (Some(t), None),
             MTerm::JCond {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            MTerm::Ret(_) => vec![],
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            MTerm::Ret(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Invokes `f` on the register the terminator reads, if any.

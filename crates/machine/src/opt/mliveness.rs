@@ -1,8 +1,8 @@
 //! Block-level register liveness for machine IR, shared by the backend
-//! passes (sinking, cross-jumping, shrink-wrapping).
+//! passes (sinking, cross-jumping) and the register allocator.
 
 use crate::mir::{MFunction, VR};
-use dt_ir::liveness::RegSet;
+use dt_ir::liveness::{RegSet, UseDef};
 use dt_ir::VReg;
 
 /// Per-block live-in and live-out sets over machine virtual registers.
@@ -11,55 +11,29 @@ pub struct MLiveness {
     pub live_out: Vec<RegSet>,
 }
 
-/// Computes machine-IR liveness. Debug pseudo operands are ignored
-/// (they never extend live ranges).
+/// Computes machine-IR liveness over the live blocks with the shared
+/// fixpoint ([`UseDef::solve`]). Debug pseudo operands are ignored
+/// (they never extend live ranges); dead blocks keep empty sets.
 pub fn compute(f: &MFunction<VR>) -> MLiveness {
-    let n = f.blocks.len();
-    let mut use_sets = vec![RegSet::new(f.nvregs); n];
-    let mut def_sets = vec![RegSet::new(f.nvregs); n];
+    let mut sets = UseDef::new(f.blocks.len(), f.nvregs);
+    let mut order: Vec<usize> = Vec::new();
     for b in f.live_blocks() {
-        let blk = &f.blocks[b as usize];
-        let (u, d) = (&mut use_sets[b as usize], &mut def_sets[b as usize]);
+        let (blk, bi) = (&f.blocks[b as usize], b as usize);
         for inst in &blk.insts {
-            inst.op.for_each_use(|r| {
-                if !d.contains(VReg(r)) {
-                    u.insert(VReg(r));
-                }
-            });
+            inst.op.for_each_use(|r| sets.read(bi, VReg(r)));
             if let Some(def) = inst.op.def() {
-                d.insert(VReg(def));
+                sets.write(bi, VReg(def));
             }
         }
-        blk.term.for_each_use(|r| {
-            if !d.contains(VReg(r)) {
-                u.insert(VReg(r));
-            }
-        });
+        blk.term.for_each_use(|r| sets.read(bi, VReg(r)));
+        order.push(bi);
     }
-    let mut live_in = vec![RegSet::new(f.nvregs); n];
-    let mut live_out = vec![RegSet::new(f.nvregs); n];
-    let blocks: Vec<u32> = f.live_blocks().collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in blocks.iter().rev() {
-            let mut out = RegSet::new(f.nvregs);
-            for s in f.blocks[b as usize].term.successors() {
-                out.union_with(&live_in[s as usize]);
-            }
-            let mut inp = use_sets[b as usize].clone();
-            for r in out.iter() {
-                if !def_sets[b as usize].contains(r) {
-                    inp.insert(r);
-                }
-            }
-            if inp != live_in[b as usize] {
-                live_in[b as usize] = inp;
-                changed = true;
-            }
-            live_out[b as usize] = out;
-        }
-    }
+    // Reverse creation order: most edges point forward, so this is
+    // close to postorder.
+    order.reverse();
+    let (live_in, live_out) = sets.solve(&order, |b| {
+        f.blocks[b].term.successors().map(|s| s as usize)
+    });
     MLiveness { live_in, live_out }
 }
 

@@ -12,157 +12,198 @@
 //! paper measures for `schedule-insns2`.
 
 use crate::mir::{MFunction, MInst, VR};
-use std::collections::HashMap;
 
 /// Schedules every block of `f`.
 pub fn run(f: &mut MFunction<VR>) {
     let block_ids: Vec<u32> = f.live_blocks().collect();
+    let mut scratch = Scratch::new(f.nvregs);
     for b in block_ids {
         let insts = std::mem::take(&mut f.blocks[b as usize].insts);
-        f.blocks[b as usize].insts = schedule_block(insts);
+        f.blocks[b as usize].insts = schedule_block(insts, &mut scratch);
+    }
+}
+
+/// Buffers reused across the blocks of one function: dependence state
+/// indexed by vreg (only the touched entries are reset after a block)
+/// and the dependence graph indexed by unit.
+struct Scratch {
+    last_def: Vec<Option<usize>>,
+    last_uses: Vec<Vec<usize>>,
+    touched: Vec<VR>,
+    succs: Vec<Vec<usize>>,
+    indeg: Vec<usize>,
+    /// `seen[j] == i + 1`: the edge `j -> i` is already recorded.
+    seen: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(nvregs: u32) -> Self {
+        Scratch {
+            last_def: vec![None; nvregs as usize],
+            last_uses: vec![Vec::new(); nvregs as usize],
+            touched: Vec::new(),
+            succs: Vec::new(),
+            indeg: Vec::new(),
+            seen: Vec::new(),
+        }
+    }
+
+    /// Empties the graph buffers for a block of `n` units.
+    fn start_block(&mut self, n: usize) {
+        if self.succs.len() < n {
+            self.succs.resize_with(n, Vec::new);
+        }
+        self.succs[..n].iter_mut().for_each(Vec::clear);
+        self.indeg.clear();
+        self.indeg.resize(n, 0);
+        self.seen.clear();
+        self.seen.resize(n, 0);
+    }
+
+    /// Records the edge `from -> to` once.
+    fn edge(&mut self, from: usize, to: usize) {
+        if self.seen[from] != to + 1 {
+            self.seen[from] = to + 1;
+            self.succs[from].push(to);
+            self.indeg[to] += 1;
+        }
+    }
+
+    fn reset_regs(&mut self) {
+        for r in self.touched.drain(..) {
+            self.last_def[r as usize] = None;
+            self.last_uses[r as usize].clear();
+        }
     }
 }
 
 /// A schedulable unit: one instruction plus the debug pseudos attached
-/// directly after it (they describe its result and must travel with it).
+/// directly after it (they describe its result and must travel with
+/// it), as the range `start..end` of the block's instructions. Its
+/// index is its original position (the stable tie-break).
 struct Unit {
-    insts: Vec<MInst<VR>>,
-    /// Original position (stable tie-break).
-    orig: usize,
+    start: usize,
+    end: usize,
     is_load: bool,
     is_barrier: bool,
 }
 
-impl Unit {
-    fn main(&self) -> &MInst<VR> {
-        &self.insts[0]
-    }
-}
-
-fn schedule_block(insts: Vec<MInst<VR>>) -> Vec<MInst<VR>> {
+fn schedule_block(insts: Vec<MInst<VR>>, sc: &mut Scratch) -> Vec<MInst<VR>> {
     // Group instructions into units (inst + trailing Dbg pseudos).
     let mut units: Vec<Unit> = Vec::new();
-    for inst in insts {
-        if inst.op.is_dbg() && !units.is_empty() && !units.last().unwrap().is_barrier {
-            units.last_mut().unwrap().insts.push(inst);
-            continue;
+    for (k, inst) in insts.iter().enumerate() {
+        if let Some(last) = units.last_mut() {
+            if inst.op.is_dbg() && !last.is_barrier {
+                last.end = k + 1;
+                continue;
+            }
         }
-        let is_barrier = inst.op.has_side_effect() || inst.op.is_dbg();
-        let is_load = inst.op.is_load();
         units.push(Unit {
-            orig: units.len(),
-            is_load,
-            is_barrier,
-            insts: vec![inst],
+            start: k,
+            end: k + 1,
+            is_load: inst.op.is_load(),
+            is_barrier: inst.op.has_side_effect() || inst.op.is_dbg(),
         });
     }
     if units.len() < 3 {
-        return units.into_iter().flat_map(|u| u.insts).collect();
+        return insts;
     }
+    let main = |u: usize| &insts[units[u].start];
 
     // Dependences: def-use over registers, plus barriers keep total
     // order among themselves and fence everything that follows them.
+    // A barrier gets edges from the previous barrier and every unit
+    // after it only: everything earlier already precedes that barrier,
+    // so readiness (and thus the schedule) is the same as with an edge
+    // from every earlier unit.
     let n = units.len();
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n]; // deps[i] = predecessors
-    let mut last_def: HashMap<VR, usize> = HashMap::new();
-    let mut last_uses: HashMap<VR, Vec<usize>> = HashMap::new();
+    sc.start_block(n);
     let mut last_barrier: Option<usize> = None;
     for (i, u) in units.iter().enumerate() {
-        let add = |deps: &mut Vec<Vec<usize>>, from: usize| {
-            if !deps[i].contains(&from) {
-                deps[i].push(from);
-            }
-        };
+        let op = &insts[u.start].op;
         // True and anti dependences on registers (main inst only; the
         // attached pseudos reference the same def).
-        u.main().op.for_each_use(|r| {
-            if let Some(&d) = last_def.get(&r) {
-                add(&mut deps, d);
+        op.for_each_use(|r| {
+            if let Some(d) = sc.last_def[r as usize] {
+                sc.edge(d, i);
             }
         });
-        if let Some(d) = u.main().op.def() {
-            if let Some(&prev) = last_def.get(&d) {
-                add(&mut deps, prev); // output dependence
+        if let Some(d) = op.def() {
+            if let Some(prev) = sc.last_def[d as usize] {
+                sc.edge(prev, i); // output dependence
             }
-            if let Some(uses) = last_uses.get(&d) {
-                for &use_i in uses {
-                    if use_i != i {
-                        add(&mut deps, use_i); // anti dependence
-                    }
+            for k in 0..sc.last_uses[d as usize].len() {
+                let use_i = sc.last_uses[d as usize][k];
+                if use_i != i {
+                    sc.edge(use_i, i); // anti dependence
                 }
             }
         }
         if let Some(b) = last_barrier {
-            add(&mut deps, b);
+            sc.edge(b, i);
         }
         if u.is_barrier {
-            // Barriers depend on everything before them.
-            for j in 0..i {
-                add(&mut deps, j);
+            for j in last_barrier.unwrap_or(0)..i {
+                sc.edge(j, i);
             }
             last_barrier = Some(i);
         }
-        u.main()
-            .op
-            .for_each_use(|r| last_uses.entry(r).or_default().push(i));
-        if let Some(d) = u.main().op.def() {
-            last_def.insert(d, i);
-            last_uses.remove(&d);
+        op.for_each_use(|r| {
+            sc.last_uses[r as usize].push(i);
+            sc.touched.push(r);
+        });
+        if let Some(d) = op.def() {
+            sc.last_def[d as usize] = Some(i);
+            sc.last_uses[d as usize].clear();
+            sc.touched.push(d);
         }
     }
+    sc.reset_regs();
 
     // Greedy list scheduling: prefer loads (issue them early), then
     // original order. Avoid scheduling a unit that consumes the result
     // of the unit just placed if that unit was a load and an
-    // alternative exists.
-    let mut indeg: Vec<usize> = deps.iter().map(|d| d.len()).collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ds) in deps.iter().enumerate() {
-        for &d in ds {
-            succs[d].push(i);
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    // alternative exists. `ready` stays sorted by that preference.
+    let key = |i: usize| (!units[i].is_load, i);
+    let mut ready: Vec<usize> = (0..n).filter(|&i| sc.indeg[i] == 0).collect();
+    ready.sort_by_key(|&i| key(i));
     let mut out_units: Vec<usize> = Vec::with_capacity(n);
     let mut last_placed: Option<usize> = None;
     while !ready.is_empty() {
-        ready.sort_by_key(|&i| (!units[i].is_load as u8, units[i].orig));
         // Hazard avoidance: skip units consuming the just-placed load.
-        let pick_pos = (0..ready.len())
-            .find(|&p| {
-                let i = ready[p];
-                match last_placed {
-                    Some(lp) if units[lp].is_load => {
-                        let ld = units[lp].main().op.def();
-                        let mut consumes = false;
-                        units[i].main().op.for_each_use(|r| {
-                            if Some(r) == ld {
-                                consumes = true;
-                            }
-                        });
-                        !consumes || ready.len() == 1
-                    }
-                    _ => true,
-                }
-            })
-            .unwrap_or(0);
+        let loaded = last_placed
+            .filter(|&lp| units[lp].is_load)
+            .map(|lp| main(lp).op.def());
+        let pick_pos = match loaded {
+            Some(ld) if ready.len() > 1 => ready
+                .iter()
+                .position(|&i| {
+                    let mut consumes = false;
+                    main(i).op.for_each_use(|r| consumes |= Some(r) == ld);
+                    !consumes
+                })
+                .unwrap_or(0),
+            _ => 0,
+        };
         let i = ready.remove(pick_pos);
         out_units.push(i);
         last_placed = Some(i);
-        for &s in &succs[i] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                ready.push(s);
+        for &s in &sc.succs[i] {
+            sc.indeg[s] -= 1;
+            if sc.indeg[s] == 0 {
+                let pos = ready.partition_point(|&j| key(j) < key(s));
+                ready.insert(pos, s);
             }
         }
     }
     debug_assert_eq!(out_units.len(), n);
 
     // Re-attribute lines: anything stepping backwards becomes line 0.
-    let mut result: Vec<MInst<VR>> = Vec::new();
+    let mut result: Vec<MInst<VR>> = Vec::with_capacity(insts.len());
     let mut max_line = 0u32;
     for &ui in &out_units {
-        for (k, inst) in units[ui].insts.iter().enumerate() {
+        let Unit { start, end, .. } = units[ui];
+        for (k, inst) in insts[start..end].iter().enumerate() {
             let mut inst = inst.clone();
             if k == 0 && inst.line != 0 {
                 if inst.line < max_line {
@@ -187,6 +228,10 @@ mod tests {
 
     fn machine(src: &str) -> crate::mir::MModule<VR> {
         lower_module(&dt_frontend::lower_source(src).unwrap())
+    }
+
+    fn schedule(insts: Vec<MInst<VR>>) -> Vec<MInst<VR>> {
+        schedule_block(insts, &mut Scratch::new(4))
     }
 
     /// Hand-built block: load a; use a; load b; use b — scheduling
@@ -215,7 +260,7 @@ mod tests {
                 5,
             ),
         ];
-        let scheduled = schedule_block(insts);
+        let scheduled = schedule(insts);
         let kinds: Vec<bool> = scheduled.iter().map(|i| i.op.is_load()).collect();
         // Both loads first is the stall-free schedule.
         assert_eq!(kinds, vec![true, true, false, false]);
@@ -245,7 +290,7 @@ mod tests {
                 5,
             ),
         ];
-        let scheduled = schedule_block(insts);
+        let scheduled = schedule(insts);
         // The hoisted second load (line 4) now precedes line 3's use;
         // the use at line 3 steps backwards and must lose its line.
         let zeroed = scheduled.iter().filter(|i| i.line == 0).count();
@@ -333,7 +378,7 @@ mod tests {
             },
             MInst::new(MOpKind::LdSlot { rd: 2, slot: 1 }, 4),
         ];
-        let scheduled = schedule_block(insts);
+        let scheduled = schedule(insts);
         // The Dbg must still directly follow the Add that defines %1.
         let add_pos = scheduled
             .iter()

@@ -11,7 +11,6 @@
 
 use crate::mir::{MDbgLoc, MFunction, MInst, MOpKind, MTerm, VR};
 use crate::opt::mliveness;
-use std::collections::HashMap;
 
 /// Runs sinking until fixpoint (one pass over blocks is performed;
 /// newly created opportunities are left for the next pipeline run, as
@@ -20,24 +19,20 @@ pub fn run(f: &mut MFunction<VR>) {
     let preds = f.preds();
     let live = mliveness::compute(f);
 
-    // Map: register -> blocks that use it (excluding debug uses).
-    let mut use_blocks: HashMap<VR, Vec<u32>> = HashMap::new();
+    // Blocks that use each register (excluding debug uses), by vreg.
+    let mut use_blocks: Vec<Vec<u32>> = vec![Vec::new(); f.nvregs as usize];
+    let mut note_use = |r: VR, b: u32| {
+        let e = &mut use_blocks[r as usize];
+        if e.last() != Some(&b) {
+            e.push(b);
+        }
+    };
     for b in f.live_blocks() {
         let blk = &f.blocks[b as usize];
         for inst in &blk.insts {
-            inst.op.for_each_use(|r| {
-                let e = use_blocks.entry(r).or_default();
-                if e.last() != Some(&b) {
-                    e.push(b);
-                }
-            });
+            inst.op.for_each_use(|r| note_use(r, b));
         }
-        blk.term.for_each_use(|r| {
-            let e = use_blocks.entry(r).or_default();
-            if e.last() != Some(&b) {
-                e.push(b);
-            }
-        });
+        blk.term.for_each_use(|r| note_use(r, b));
     }
 
     let block_ids: Vec<u32> = f.live_blocks().collect();
@@ -88,12 +83,12 @@ pub fn run(f: &mut MFunction<VR>) {
                 continue;
             }
             // Which successor uses it?
-            let ub = use_blocks.get(&d).cloned().unwrap_or_default();
-            let target = if ub == [then_bb]
+            let ub = &use_blocks[d as usize];
+            let target = if *ub == [then_bb]
                 && !live.live_in[else_bb as usize].contains(dt_ir::VReg(d))
             {
                 then_bb
-            } else if ub == [else_bb] && !live.live_in[then_bb as usize].contains(dt_ir::VReg(d)) {
+            } else if *ub == [else_bb] && !live.live_in[then_bb as usize].contains(dt_ir::VReg(d)) {
                 else_bb
             } else {
                 continue;

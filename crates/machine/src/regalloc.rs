@@ -17,9 +17,8 @@
 
 use crate::mir::{MDbgLoc, MFunction, MInst, MOpKind, MTerm, VR};
 use crate::object::{FDbgLoc, FInst, FOp};
+use crate::opt::mliveness;
 use crate::preg::PReg;
-use dt_ir::liveness::RegSet;
-use std::collections::HashMap;
 
 /// Result of allocating one function.
 pub struct AllocResult {
@@ -47,12 +46,18 @@ pub fn allocate(f: &MFunction<VR>, share_spill_slots: bool) -> AllocResult {
     let (intervals, call_positions) = build_intervals(f);
     let user_words: u32 = f.slot_sizes.iter().sum();
     let slot_offsets = slot_offsets(&f.slot_sizes);
-    let assignment = run_linear_scan(&intervals, &call_positions, user_words, share_spill_slots);
+    let assignment = run_linear_scan(
+        &intervals,
+        &call_positions,
+        f.nvregs,
+        user_words,
+        share_spill_slots,
+    );
 
     let max_spill = assignment
-        .values()
+        .iter()
         .filter_map(|a| match a {
-            Assignment::Spill(off) => Some(off + 1),
+            Some(Assignment::Spill(off)) => Some(off + 1),
             _ => None,
         })
         .max()
@@ -74,115 +79,71 @@ fn slot_offsets(sizes: &[u32]) -> Vec<u32> {
     offs
 }
 
-/// Live intervals in linear-position space, plus call positions.
+/// Live intervals `(vreg, start, end)` in linear-position space,
+/// sorted by start then vreg, plus the call positions (ascending).
 fn build_intervals(f: &MFunction<VR>) -> (Vec<(VR, u32, u32)>, Vec<u32>) {
-    // Block-level liveness (fixpoint over the block graph).
-    let nblocks = f.blocks.len();
-    let mut use_sets = vec![RegSet::new(f.nvregs); nblocks];
-    let mut def_sets = vec![RegSet::new(f.nvregs); nblocks];
-    for &b in &f.layout {
-        let blk = &f.blocks[b as usize];
-        let (u, d) = (&mut use_sets[b as usize], &mut def_sets[b as usize]);
-        for inst in &blk.insts {
-            inst.op.for_each_use(|r| {
-                let r = dt_ir::VReg(r);
-                if !d.contains(r) {
-                    u.insert(r);
-                }
-            });
-            if let Some(def) = inst.op.def() {
-                d.insert(dt_ir::VReg(def));
-            }
-        }
-        blk.term.for_each_use(|r| {
-            let r = dt_ir::VReg(r);
-            if !d.contains(r) {
-                u.insert(r);
-            }
-        });
-    }
-    let mut live_in = vec![RegSet::new(f.nvregs); nblocks];
-    let mut live_out = vec![RegSet::new(f.nvregs); nblocks];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in f.layout.iter().rev() {
-            let mut out = RegSet::new(f.nvregs);
-            for s in f.blocks[b as usize].term.successors() {
-                out.union_with(&live_in[s as usize]);
-            }
-            let mut inp = use_sets[b as usize].clone();
-            for r in out.iter() {
-                if !def_sets[b as usize].contains(r) {
-                    inp.insert(r);
-                }
-            }
-            if inp != live_in[b as usize] {
-                live_in[b as usize] = inp;
-                changed = true;
-            }
-            live_out[b as usize] = out;
-        }
-    }
-
-    // Linear positions along the layout.
-    let mut starts: HashMap<VR, u32> = HashMap::new();
-    let mut ends: HashMap<VR, u32> = HashMap::new();
-    let extend = |r: VR, pos: u32, starts: &mut HashMap<VR, u32>, ends: &mut HashMap<VR, u32>| {
-        starts
-            .entry(r)
-            .and_modify(|s| *s = (*s).min(pos))
-            .or_insert(pos);
-        ends.entry(r)
-            .and_modify(|e| *e = (*e).max(pos))
-            .or_insert(pos);
+    let live = mliveness::compute(f);
+    // (start, end) per vreg; a start of `u32::MAX` means no interval.
+    let mut range: Vec<(u32, u32)> = vec![(u32::MAX, 0); f.nvregs as usize];
+    let mut extend = |r: VR, pos: u32| {
+        let (s, e) = &mut range[r as usize];
+        *s = (*s).min(pos);
+        *e = (*e).max(pos);
     };
     let mut calls = Vec::new();
     let mut pos = 0u32;
     for &b in &f.layout {
         let blk = &f.blocks[b as usize];
-        let block_start = pos;
-        for r in live_in[b as usize].iter() {
-            extend(r.0, block_start, &mut starts, &mut ends);
+        for r in live.live_in[b as usize].iter() {
+            extend(r.0, pos);
         }
         for inst in &blk.insts {
             if inst.op.is_dbg() {
                 continue; // pseudos occupy no position
             }
-            inst.op
-                .for_each_use(|r| extend(r, pos, &mut starts, &mut ends));
+            inst.op.for_each_use(|r| extend(r, pos));
             if let Some(d) = inst.op.def() {
-                extend(d, pos, &mut starts, &mut ends);
+                extend(d, pos);
             }
             if matches!(inst.op, MOpKind::CallF { .. }) {
                 calls.push(pos);
             }
             pos += 1;
         }
-        blk.term
-            .for_each_use(|r| extend(r, pos, &mut starts, &mut ends));
+        blk.term.for_each_use(|r| extend(r, pos));
         pos += 1; // terminator position
-        let block_end = pos;
-        for r in live_out[b as usize].iter() {
-            extend(r.0, block_end, &mut starts, &mut ends);
+        for r in live.live_out[b as usize].iter() {
+            extend(r.0, pos);
         }
     }
 
-    let mut intervals: Vec<(VR, u32, u32)> =
-        starts.iter().map(|(&r, &s)| (r, s, ends[&r])).collect();
-    intervals.sort_by_key(|&(r, s, _)| (s, r));
+    let mut intervals: Vec<(VR, u32, u32)> = range
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, (s, _))| s != u32::MAX)
+        .map(|(r, (s, e))| (r as VR, s, e))
+        .collect();
+    intervals.sort_unstable_by_key(|&(r, s, _)| (s, r));
     (intervals, calls)
 }
 
+/// Whether a call position lies strictly inside `(start, end)`; a call
+/// exactly at either bound does not cross. `calls` is ascending.
+fn crosses_call(calls: &[u32], start: u32, end: u32) -> bool {
+    let first_after_start = calls.partition_point(|&c| c <= start);
+    calls.get(first_after_start).is_some_and(|&c| c < end)
+}
+
+/// Assigns every interval a register or a spill slot; the result is
+/// indexed by vreg (`None` for vregs without an interval).
 fn run_linear_scan(
     intervals: &[(VR, u32, u32)],
     calls: &[u32],
+    nvregs: u32,
     spill_base: u32,
     share_spill_slots: bool,
-) -> HashMap<VR, Assignment> {
-    let crosses_call = |s: u32, e: u32| calls.iter().any(|&c| s < c && c < e);
-
-    let mut assignment: HashMap<VR, Assignment> = HashMap::new();
+) -> Vec<Option<Assignment>> {
+    let mut assignment: Vec<Option<Assignment>> = vec![None; nvregs as usize];
     // (end, vreg, reg, start) for intervals currently holding a register.
     let mut active: Vec<(u32, VR, u8, u32)> = Vec::new();
     let mut free: Vec<u8> = (0..PReg::ALLOCATABLE as u8).rev().collect();
@@ -221,15 +182,15 @@ fn run_linear_scan(
             }
         });
 
-        if crosses_call(s, e) {
+        if crosses_call(calls, s, e) {
             let off = alloc_slot(s, e, &mut slot_pool, &mut next_slot);
-            assignment.insert(v, Assignment::Spill(off));
+            assignment[v as usize] = Some(Assignment::Spill(off));
             continue;
         }
 
         if let Some(reg) = free.pop() {
             active.push((e, v, reg, s));
-            assignment.insert(v, Assignment::Reg(reg));
+            assignment[v as usize] = Some(Assignment::Reg(reg));
             continue;
         }
 
@@ -243,13 +204,13 @@ fn run_linear_scan(
             // The victim's slot must cover its *whole* interval, which
             // began before the current position.
             let off = alloc_slot(vstart, vend, &mut slot_pool, &mut next_slot);
-            assignment.insert(victim, Assignment::Spill(off));
+            assignment[victim as usize] = Some(Assignment::Spill(off));
             active.remove(vi);
             active.push((e, v, vreg_phys, s));
-            assignment.insert(v, Assignment::Reg(vreg_phys));
+            assignment[v as usize] = Some(Assignment::Reg(vreg_phys));
         } else {
             let off = alloc_slot(s, e, &mut slot_pool, &mut next_slot);
-            assignment.insert(v, Assignment::Spill(off));
+            assignment[v as usize] = Some(Assignment::Spill(off));
         }
     }
     assignment
@@ -258,22 +219,27 @@ fn run_linear_scan(
 /// Rewrites the function onto physical registers and linearizes it.
 fn rewrite(
     f: &MFunction<VR>,
-    assignment: &HashMap<VR, Assignment>,
+    assignment: &[Option<Assignment>],
     slot_offsets: &[u32],
 ) -> Vec<FInst> {
     let mut out: Vec<FInst> = Vec::new();
-    let mut block_start: HashMap<u32, u32> = HashMap::new();
+    // Output index of each laid-out block's first instruction.
+    let mut block_start: Vec<u32> = vec![u32::MAX; f.blocks.len()];
     // (out index, target block) pairs needing target resolution.
     let mut fixups: Vec<(usize, u32)> = Vec::new();
 
+    // A vreg without an interval (only a debug pseudo references it)
+    // reads as scratch0.
     let assigned = |v: VR| -> Assignment {
-        *assignment
-            .get(&v)
-            .unwrap_or(&Assignment::Reg(PReg::SCRATCH0.0))
+        assignment
+            .get(v as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(Assignment::Reg(PReg::SCRATCH0.0))
     };
 
     for (li, &b) in f.layout.iter().enumerate() {
-        block_start.insert(b, out.len() as u32);
+        block_start[b as usize] = out.len() as u32;
         let blk = &f.blocks[b as usize];
         let next_block = f.layout.get(li + 1).copied();
 
@@ -358,7 +324,8 @@ fn rewrite(
     }
 
     for (idx, target_block) in fixups {
-        let t = block_start[&target_block];
+        let t = block_start[target_block as usize];
+        assert_ne!(t, u32::MAX, "jump to a block outside the layout");
         match &mut out[idx].op {
             FOp::Jmp { target } | FOp::JCond { target, .. } => *target = t,
             _ => unreachable!(),
@@ -419,14 +386,16 @@ fn rewrite_inst(
     let mut scratch_i = 0;
     // Collect the (up to 3) register uses in operand order, reloading
     // spilled ones into successive scratch registers.
-    let mut mapped: Vec<u8> = Vec::with_capacity(3);
+    let mut mapped = [0u8; 3];
+    let mut nmapped = 0;
     inst.op.for_each_use(|v| {
         let s = scratches[scratch_i.min(2)];
         let r = use_reg(v, assigned, s, line, out);
         if r == s {
             scratch_i += 1;
         }
-        mapped.push(r);
+        mapped[nmapped] = r;
+        nmapped += 1;
     });
     let mut next_use = {
         let mut i = 0usize;
@@ -730,6 +699,71 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn calls_at_an_interval_bound_do_not_cross_it() {
+        let calls = [3, 7, 12];
+        assert!(!crosses_call(&calls, 3, 7), "calls exactly at both bounds");
+        assert!(!crosses_call(&calls, 0, 3), "call exactly at the end");
+        assert!(!crosses_call(&calls, 12, 20), "call exactly at the start");
+        assert!(!crosses_call(&calls, 4, 6), "no call in between");
+        assert!(!crosses_call(&calls, 7, 8), "adjacent positions");
+        assert!(crosses_call(&calls, 2, 4));
+        assert!(crosses_call(&calls, 6, 8));
+        assert!(crosses_call(&calls, 0, 20));
+        assert!(crosses_call(&calls, 11, 13));
+        assert!(!crosses_call(&[], 0, 20));
+        // Point intervals never cross.
+        assert!(!crosses_call(&calls, 7, 7));
+    }
+
+    #[test]
+    fn dbg_only_vreg_reads_as_scratch0() {
+        use crate::mir::{MBlock, MVarInfo};
+        // %1 is referenced by a debug pseudo only, so it has no
+        // interval and no assignment.
+        let mut f = MFunction {
+            name: "t".into(),
+            blocks: vec![MBlock {
+                insts: vec![
+                    MInst::new(MOpKind::Imm { rd: 0, value: 7 }, 1),
+                    MInst::new(
+                        MOpKind::Dbg {
+                            var: 0,
+                            loc: MDbgLoc::Reg(1),
+                        },
+                        1,
+                    ),
+                ],
+                term: MTerm::Ret(Some(0)),
+                term_line: 2,
+                dead: false,
+            }],
+            entry: 0,
+            layout: vec![],
+            nvregs: 2,
+            slot_sizes: vec![],
+            vars: vec![MVarInfo {
+                name: "x".into(),
+                is_param: false,
+                decl_line: 1,
+            }],
+            decl_line: 1,
+            end_line: 2,
+            nparams: 0,
+            shrink_wrapped: false,
+        };
+        f.default_layout();
+        let r = allocate(&f, false);
+        assert!(r.insts.iter().any(|i| matches!(
+            i.op,
+            FOp::Dbg {
+                var: 0,
+                loc: FDbgLoc::Reg(p),
+            } if p == PReg::SCRATCH0.0
+        )));
+        assert_eq!(r.frame_size, 0);
     }
 
     #[test]

@@ -31,6 +31,9 @@ pub mod opt;
 pub mod pipeline;
 pub mod session;
 
+#[cfg(test)]
+mod kernel_oracles;
+
 pub use manager::{PassConfig, PassGate, PassInstance};
 pub use pipeline::{backend_pass_names, pipeline_pass_names, Personality, Pipeline};
 pub use session::{CompileSession, SessionStats, VariantBuild};

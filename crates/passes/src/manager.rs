@@ -202,13 +202,7 @@ pub(crate) fn run_stage(module: &mut Module, inst: &PassInstance, config: &PassC
 /// real pass managers run implicitly).
 pub fn cleanup(module: &mut Module) {
     for f in &mut module.funcs {
-        let reachable = dt_ir::reachable_blocks(f);
-        for b in 0..f.blocks.len() {
-            let id = dt_ir::BlockId(b as u32);
-            if !reachable.contains(&id) && !f.blocks[b].dead && id != f.entry {
-                f.remove_block(id);
-            }
-        }
+        dt_ir::remove_unreachable(f);
     }
 }
 

@@ -3,28 +3,29 @@
 //! Removes pure instructions (and loads, and calls to `pure_const`
 //! functions) whose results are never used. This is the pass where the
 //! leftovers of CSE/combining/coalescing actually disappear — and with
-//! them their source lines and, under the gcc policy, the variable
-//! bindings that referenced them. The clang personality salvages
-//! bindings through removed copies ([`util::DbgPolicy::Salvage`]).
+//! them their source lines and the variable bindings that referenced
+//! them. Under both personalities a binding of a removed copy follows
+//! the copied value (gcc's var-tracking propagates through copies just
+//! like LLVM's salvaging), while a binding of a removed computed value
+//! becomes undef ([`fixup_dbg_after_removal`]).
 
 use crate::manager::PassConfig;
-use crate::opt::util::{fixup_dbg_after_removal, DbgPolicy};
+use crate::opt::util::fixup_dbg_after_removal;
 use dt_ir::{Function, Liveness, Module, Op};
 
 /// Runs DCE over every function until nothing more dies.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let policy = DbgPolicy::from_salvage(config.salvage);
+pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
     let pure_funcs: Vec<bool> = module.funcs.iter().map(|f| f.attrs.pure_const).collect();
     let mut changed = false;
     for f in &mut module.funcs {
-        while dce_function(f, policy, &pure_funcs) {
+        while dce_function(f, &pure_funcs) {
             changed = true;
         }
     }
     changed
 }
 
-fn dce_function(f: &mut Function, policy: DbgPolicy, pure_funcs: &[bool]) -> bool {
+fn dce_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
     let liveness = Liveness::compute(f);
     let mut changed = false;
 
@@ -61,7 +62,7 @@ fn dce_function(f: &mut Function, policy: DbgPolicy, pure_funcs: &[bool]) -> boo
             if removable && def.is_some_and(|d| !live.contains(d)) {
                 let d = def.unwrap();
                 let removed = f.blocks[bi].insts.remove(i);
-                fixup_dbg_after_removal(&mut f.blocks[bi].insts, i, d, &removed.op, policy);
+                fixup_dbg_after_removal(&mut f.blocks[bi].insts, i, d, &removed.op);
                 changed = true;
                 continue;
             }
@@ -122,40 +123,47 @@ mod tests {
     }
 
     #[test]
-    fn gcc_policy_drops_bindings() {
-        let m = pipeline(
-            "int f(int a) { int unused = a * 100; return a + 1; }",
-            false,
-        );
-        let undef_dbg = m.funcs[0].blocks.iter().flat_map(|b| &b.insts).any(|i| {
-            matches!(
-                i.op,
-                Op::DbgValue {
-                    loc: DbgLoc::Undef,
-                    ..
-                }
-            )
-        });
-        assert!(
-            undef_dbg,
-            "`unused` must become unavailable under gcc policy"
-        );
+    fn removed_computations_drop_bindings_under_both_personalities() {
+        for salvage in [false, true] {
+            let m = pipeline(
+                "int f(int a) { int unused = a * 100; return a + 1; }",
+                salvage,
+            );
+            let undef_dbg = m.funcs[0].blocks.iter().flat_map(|b| &b.insts).any(|i| {
+                matches!(
+                    i.op,
+                    Op::DbgValue {
+                        loc: DbgLoc::Undef,
+                        ..
+                    }
+                )
+            });
+            assert!(
+                undef_dbg,
+                "`unused` must become unavailable (salvage: {salvage})"
+            );
+        }
     }
 
     #[test]
-    fn clang_policy_salvages_constants() {
-        let m = pipeline("int f() { int x = 6 * 7; return 0; }", true);
-        // x's computation is dead, but its binding survives as a const.
-        let const_dbg = m.funcs[0].blocks.iter().flat_map(|b| &b.insts).any(|i| {
-            matches!(
-                i.op,
-                Op::DbgValue {
-                    loc: DbgLoc::Value(Value::Const(42)),
-                    ..
-                }
-            )
-        });
-        assert!(const_dbg, "clang salvages the constant binding");
+    fn removed_copies_keep_constant_bindings_under_both_personalities() {
+        for salvage in [false, true] {
+            let m = pipeline("int f() { int x = 6 * 7; return 0; }", salvage);
+            // x's copy is dead, but its binding follows the constant.
+            let const_dbg = m.funcs[0].blocks.iter().flat_map(|b| &b.insts).any(|i| {
+                matches!(
+                    i.op,
+                    Op::DbgValue {
+                        loc: DbgLoc::Value(Value::Const(42)),
+                        ..
+                    }
+                )
+            });
+            assert!(
+                const_dbg,
+                "the constant binding survives (salvage: {salvage})"
+            );
+        }
     }
 
     #[test]

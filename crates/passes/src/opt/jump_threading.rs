@@ -47,8 +47,14 @@ fn thread_function(f: &mut Function) -> bool {
         })
         .collect();
 
+    // Predecessors as of the current candidate. Only `thread_edge`
+    // changes the CFG, and it always appends a block, so they need
+    // recomputing only when the block count moved.
+    let mut preds = dt_ir::predecessors(f);
     for b in candidates {
-        let preds = dt_ir::predecessors(f);
+        if preds.len() != f.blocks.len() {
+            preds = dt_ir::predecessors(f);
+        }
         let Terminator::Branch {
             cond: Value::Reg(c),
             then_bb,

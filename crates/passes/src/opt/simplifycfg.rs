@@ -57,7 +57,7 @@ fn simplify(f: &mut Function, selects: bool, salvage: bool) -> bool {
         }
         changed |= local;
     }
-    remove_unreachable(f);
+    dt_ir::remove_unreachable(f);
     changed
 }
 
@@ -151,36 +151,49 @@ fn thread_empty_blocks(f: &mut Function, salvage: bool) -> bool {
     changed
 }
 
+/// Merges every block into its jump target when it is that target's
+/// only predecessor, in block order.
+///
+/// One forward sweep finds the same merges, in the same order, as
+/// restarting from the first block after each merge: merging `s` into
+/// `b` only changes `b`'s terminator and swaps `s` for `b` in the
+/// predecessor lists of `s`'s successors, so no block before `b` can
+/// become mergeable, while `b` itself may (it is retried). The
+/// predecessor lists are kept up to date instead of recomputed.
 fn merge_chains(f: &mut Function) -> bool {
     let mut changed = false;
-    loop {
-        let preds = dt_ir::predecessors(f);
-        let mut merged = false;
-        for b in f.block_ids().collect::<Vec<_>>() {
+    let mut preds = dt_ir::predecessors(f);
+    for bi in 0..f.blocks.len() {
+        let b = BlockId(bi as u32);
+        loop {
+            if f.block(b).dead {
+                break;
+            }
             let Terminator::Jump(s) = f.block(b).term else {
-                continue;
+                break;
             };
             if s == b || f.block(s).dead || s == f.entry || preds[s.index()] != [b] {
-                continue;
+                break;
             }
             let succ_insts = std::mem::take(&mut f.blocks[s.index()].insts);
             let succ_term = f.blocks[s.index()].term.clone();
             let succ_line = f.blocks[s.index()].term_line;
             f.remove_block(s);
+            for t in succ_term.successors() {
+                for p in preds[t.index()].iter_mut().filter(|p| **p == s) {
+                    *p = b;
+                }
+            }
             // remove_block rewrites the dying block's terminator, so
             // re-wire b afterwards.
             let blk = f.block_mut(b);
             blk.insts.extend(succ_insts);
             blk.term = succ_term;
             blk.term_line = succ_line;
-            merged = true;
             changed = true;
-            break;
-        }
-        if !merged {
-            return changed;
         }
     }
+    changed
 }
 
 /// Select formation over two-armed diamonds.
@@ -318,18 +331,8 @@ fn form_selects(f: &mut Function) -> bool {
         f.block_mut(b).term_line = 0;
         changed = true;
     }
-    remove_unreachable(f);
+    dt_ir::remove_unreachable(f);
     changed
-}
-
-fn remove_unreachable(f: &mut Function) {
-    let reachable = dt_ir::reachable_blocks(f);
-    for b in 0..f.blocks.len() {
-        let id = BlockId(b as u32);
-        if !reachable.contains(&id) && !f.blocks[b].dead && id != f.entry {
-            f.remove_block(id);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,46 +3,19 @@
 
 use dt_ir::{DbgLoc, Function, Inst, Op, VReg, Value};
 
-/// What a pass should do with `dbg.value`s that referenced a value it
-/// just deleted or rewrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DbgPolicy {
-    /// gcc: drop the binding (the variable becomes unavailable).
-    Drop,
-    /// clang: redirect the binding to an equivalent value when one
-    /// exists (constant or copy source), otherwise drop.
-    Salvage,
-}
-
-impl DbgPolicy {
-    pub fn from_salvage(salvage: bool) -> Self {
-        if salvage {
-            DbgPolicy::Salvage
-        } else {
-            DbgPolicy::Drop
-        }
-    }
-}
-
 /// Fixes up debug values after the instruction formerly at `pos` in
 /// `block_insts` (which defined `dead` via `removed_op`) has been
 /// deleted. Scans forward from `pos` until `dead` is redefined,
 /// rewriting `dbg.value`s that still reference it.
 ///
 /// A removed plain `Copy` lets the binding follow the copied value
-/// under **both** policies — gcc's var-tracking propagates debug stmts
-/// through copies just like LLVM's salvaging does. Removed *computed*
-/// values become undef; the [`DbgPolicy`] distinction matters for the
-/// passes (like strength reduction) where LLVM can express the rewrite
-/// as a `DIExpression` and gcc cannot.
-pub fn fixup_dbg_after_removal(
-    block_insts: &mut [Inst],
-    pos: usize,
-    dead: VReg,
-    removed_op: &Op,
-    policy: DbgPolicy,
-) {
-    let _ = policy;
+/// under **both** personalities — gcc's var-tracking propagates debug
+/// stmts through copies just like LLVM's salvaging does. Removed
+/// *computed* values become undef. The salvage/drop distinction
+/// (`PassConfig::salvage`) matters only for the passes (like strength
+/// reduction) where LLVM can express the rewrite as a `DIExpression`
+/// and gcc cannot.
+pub fn fixup_dbg_after_removal(block_insts: &mut [Inst], pos: usize, dead: VReg, removed_op: &Op) {
     let replacement: Option<Value> = match removed_op {
         Op::Copy { src, .. } => Some(*src),
         _ => None,
@@ -393,22 +366,20 @@ mod tests {
                 }),
             ]
         };
-        // Removed copies are tracked through under both policies.
+        // Removed copies are tracked through (under both personalities).
         let removed_copy = Op::Copy {
             dst: VReg(1),
             src: Value::Reg(VReg(0)),
         };
-        for policy in [DbgPolicy::Drop, DbgPolicy::Salvage] {
-            let mut insts = mk();
-            fixup_dbg_after_removal(&mut insts, 1, VReg(1), &removed_copy, policy);
-            assert!(matches!(
-                insts[1].op,
-                Op::DbgValue {
-                    loc: DbgLoc::Value(Value::Reg(VReg(0))),
-                    ..
-                }
-            ));
-        }
+        let mut insts = mk();
+        fixup_dbg_after_removal(&mut insts, 1, VReg(1), &removed_copy);
+        assert!(matches!(
+            insts[1].op,
+            Op::DbgValue {
+                loc: DbgLoc::Value(Value::Reg(VReg(0))),
+                ..
+            }
+        ));
         // Removed computations become undef.
         let removed_bin = Op::Bin {
             dst: VReg(1),
@@ -417,7 +388,7 @@ mod tests {
             rhs: Value::Const(1),
         };
         let mut insts = mk();
-        fixup_dbg_after_removal(&mut insts, 1, VReg(1), &removed_bin, DbgPolicy::Drop);
+        fixup_dbg_after_removal(&mut insts, 1, VReg(1), &removed_bin);
         assert!(matches!(
             insts[1].op,
             Op::DbgValue {
@@ -451,7 +422,7 @@ mod tests {
             dst: VReg(1),
             src: Value::Const(5),
         };
-        fixup_dbg_after_removal(&mut insts, 1, VReg(1), &removed, DbgPolicy::Salvage);
+        fixup_dbg_after_removal(&mut insts, 1, VReg(1), &removed);
         // First dbg salvaged to the constant, second untouched (new def).
         assert!(matches!(
             insts[1].op,
