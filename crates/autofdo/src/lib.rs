@@ -28,7 +28,9 @@ use dt_vm::{Vm, VmConfig};
 /// Sampling period in cycles (hardware-counter-like).
 pub const SAMPLE_INTERVAL: u64 = 199; // prime, to avoid loop aliasing
 
-/// Collects a sample profile by running `entry(args)` on `obj`.
+/// Collects a sample profile by running `entry(args)` on `obj`. A run
+/// that does not finish within `max_steps` (or traps) is an error
+/// naming its halt, never a truncated profile.
 pub fn collect_profile(
     obj: &Object,
     entry: &str,
@@ -41,7 +43,7 @@ pub fn collect_profile(
         sample_interval: Some(SAMPLE_INTERVAL),
         ..VmConfig::default()
     };
-    let result = Vm::run_to_completion(obj, entry, args, input, config)?;
+    let result = Vm::run_finished(obj, entry, args, input, config)?;
     let mut profile = Profile::new();
     for addr in result.samples {
         match obj.debug.line_table.line_at(addr) {
@@ -99,7 +101,10 @@ impl Default for AutoFdoConfig {
     }
 }
 
-/// Runs the full AutoFDO pipeline for one program/workload.
+/// Runs the full AutoFDO pipeline for one program/workload. Fails when
+/// the profiling, plain or AutoFDO run does not finish within
+/// `config.max_steps`, or when the AutoFDO build diverges from the
+/// plain one.
 pub fn run_autofdo(
     module: &dt_ir::Module,
     entry: &str,
@@ -128,7 +133,7 @@ pub fn run_autofdo(
         max_steps: config.max_steps,
         ..VmConfig::default()
     };
-    let plain = Vm::run_to_completion(&plain_obj, entry, args, input, vm_cfg.clone())?;
+    let plain = Vm::run_finished(&plain_obj, entry, args, input, vm_cfg.clone())?;
 
     // AutoFDO final build.
     let fdo_opts = CompileOptions {
@@ -138,7 +143,7 @@ pub fn run_autofdo(
         profile: Some(profile),
     };
     let fdo_obj = compile(module, &fdo_opts);
-    let fdo = Vm::run_to_completion(&fdo_obj, entry, args, input, vm_cfg)?;
+    let fdo = Vm::run_finished(&fdo_obj, entry, args, input, vm_cfg)?;
     if plain.ret != fdo.ret || plain.output != fdo.output {
         return Err(format!(
             "AutoFDO build diverges on `{entry}`: {} vs {}",
@@ -246,6 +251,27 @@ int f(int n) {
         assert!(r.plain_cycles > 0 && r.autofdo_cycles > 0);
         assert!(r.mapped_fraction > 0.0);
         assert!(r.profiling_steppable_lines > 10);
+    }
+
+    /// A budget too small for the kernel is an error naming the halt,
+    /// from the profile collector and from the whole pipeline.
+    #[test]
+    fn unfinished_runs_are_errors() {
+        let b = spec::benchmark("505.mcf").unwrap();
+        let module = module_of(b.source);
+        let iters = b.iterations(Workload::Test);
+        let obj = dt_passes::compile(
+            &module,
+            &CompileOptions::new(Personality::Clang, OptLevel::O2),
+        );
+        let err = collect_profile(&obj, b.entry, &[iters], &[], 1_000).unwrap_err();
+        assert!(err.contains("StepLimit"), "{err}");
+        let config = AutoFdoConfig {
+            max_steps: 1_000,
+            ..Default::default()
+        };
+        let err = run_autofdo(&module, b.entry, &[iters], &[], &config).unwrap_err();
+        assert!(err.contains("StepLimit"), "{err}");
     }
 
     #[test]

@@ -39,18 +39,18 @@
 //! name is a label only, so two inputs that share a name but not their
 //! content never alias a cached value. Lookups are safe under
 //! concurrent use; a lost race costs a redundant computation of a
-//! bit-identical value, never divergent results. The store also owns
-//! the [`Telemetry`] its work is recorded in.
+//! bit-identical value, never divergent results. The store also keeps
+//! the [`EvalStats`] its work is counted in.
 
 use crate::eval::{ProgramEvaluation, ReferenceEvaluation};
-use crate::telemetry::Telemetry;
+use crate::telemetry::EvalStats;
 use dt_checker::DefectSummary;
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::{Fnv1a, Object};
 use dt_metrics::Metrics;
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{CompileSession, OptLevel, Personality};
-use dt_vm::{Halt, Vm, VmConfig};
+use dt_vm::{ExecResult, Vm, VmConfig};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -86,7 +86,7 @@ type RunResult = Result<Arc<RunOutcome>, String>;
 
 /// What a completed run of a binary shows: everything the speed and
 /// AutoFDO measurements read, and everything two builds of one program
-/// must agree on. Only runs that halt [`Halt::Finished`] have an
+/// must agree on. Only runs that halt [`dt_vm::Halt::Finished`] have an
 /// outcome; any other halt is the run's error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
@@ -98,11 +98,34 @@ pub struct RunOutcome {
     pub cycles: u64,
 }
 
+impl RunOutcome {
+    /// The outcome of a finished run ([`Vm::run_finished`]).
+    pub(crate) fn of(r: &ExecResult) -> RunOutcome {
+        RunOutcome {
+            ret: r.ret,
+            output_digest: output_digest(&r.output),
+            cycles: r.cycles,
+        }
+    }
+
+    /// Checks that this run behaves like `o0`, the same call's run of
+    /// the program's `O0` binary: same return value and same output.
+    pub(crate) fn agrees_with(&self, o0: &RunOutcome) -> Result<(), String> {
+        if (self.ret, self.output_digest) != (o0.ret, o0.output_digest) {
+            return Err(format!(
+                "diverges from O0: returned {} (O0 {}), output digest {:016x} (O0 {:016x})",
+                self.ret, o0.ret, self.output_digest, o0.output_digest
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The shared artifact store. Owned by [`crate::DebugTuner`];
 /// free-function entry points create a transient store per call.
 #[derive(Default)]
 pub struct ArtifactStore {
-    telemetry: Telemetry,
+    stats: Mutex<EvalStats>,
     sources: Mutex<HashMap<u64, Result<Arc<SourceArtifacts>, String>>>,
     baselines: Mutex<HashMap<u64, Result<Arc<DebugTrace>, String>>>,
     sessions: Mutex<HashMap<SessionKey, Arc<CompileSession>>>,
@@ -113,6 +136,10 @@ pub struct ArtifactStore {
     runs: Mutex<HashMap<(u64, u64), RunResult>>,
 }
 
+// Values are computed outside the store's locks and nothing that
+// holds one can panic, so they are never poisoned.
+const POISONED: &str = "artifact store lock poisoned";
+
 /// Looks `key` up in `map`, computing the value on a miss outside the
 /// lock. Returns the value and whether it was a hit.
 fn memo<K: Hash + Eq, V: Clone>(
@@ -120,9 +147,6 @@ fn memo<K: Hash + Eq, V: Clone>(
     key: K,
     compute: impl FnOnce() -> V,
 ) -> (V, bool) {
-    // Values are computed outside the lock and nothing that holds it
-    // can panic, so it is never poisoned.
-    const POISONED: &str = "artifact store lock poisoned";
     if let Some(hit) = map.lock().expect(POISONED).get(&key) {
         return (hit.clone(), true);
     }
@@ -195,8 +219,27 @@ impl ArtifactStore {
     }
 
     /// The counters of all work done through this store.
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    pub(crate) fn stats(&self) -> EvalStats {
+        self.stats.lock().expect(POISONED).clone()
+    }
+
+    /// Updates the counters.
+    pub(crate) fn count(&self, count: impl FnOnce(&mut EvalStats)) {
+        count(&mut self.stats.lock().expect(POISONED));
+    }
+
+    /// Runs `work`, then updates the counters with `count`, which gets
+    /// the work's wall-clock milliseconds and its result.
+    pub(crate) fn timed<T>(
+        &self,
+        work: impl FnOnce() -> T,
+        count: impl FnOnce(&mut EvalStats, f64, &T),
+    ) -> T {
+        let start = Instant::now();
+        let out = work();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        self.count(|s| count(s, ms, &out));
+        out
     }
 
     /// The source's shared artifacts, built on first use. Fails when
@@ -207,9 +250,10 @@ impl ArtifactStore {
             let parsed = dt_minic::compile_check(source)?;
             let analysis = SourceAnalysis::of(&parsed);
             let module = dt_frontend::lower_source(source)?;
-            let build_start = Instant::now();
-            let o0 = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
-            self.telemetry.record_build(build_start.elapsed());
+            let o0 = self.timed(
+                || dt_machine::run_backend(&module, &dt_machine::BackendConfig::default()),
+                |s, ms, _| s.add_build(ms),
+            );
             let o0_plan = BreakPlan::new(&o0);
             Ok(Arc::new(SourceArtifacts {
                 key,
@@ -220,7 +264,7 @@ impl ArtifactStore {
             }))
         });
         if hit {
-            self.telemetry.record_artifact_hit();
+            self.count(|s| s.artifact_hits += 1);
         }
         art
     }
@@ -243,23 +287,29 @@ impl ArtifactStore {
                 entry_args: entry_args.to_vec(),
                 ground_truth: true,
             };
-            let trace_start = Instant::now();
-            let (trace, stats) = dt_debugger::trace_with_plan_stats(
-                &src.o0,
-                harness,
-                inputs,
-                &session,
-                &src.o0_plan,
+            let (trace, _) = self.timed(
+                || {
+                    dt_debugger::trace_with_plan_stats(
+                        &src.o0,
+                        harness,
+                        inputs,
+                        &session,
+                        &src.o0_plan,
+                    )
+                },
+                |s, ms, traced| {
+                    if let Ok((_, stats)) = traced {
+                        s.add_trace(ms, stats);
+                    }
+                },
             )?;
-            self.telemetry.record_trace(trace_start.elapsed());
-            self.telemetry.record_fast_trace(&stats);
             Ok(Arc::new(trace))
         })
         .0
     }
 
     /// The checkpointed compile session for one
-    /// source/personality/level/profile, constructing (and recording)
+    /// source/personality/level/profile, constructing (and counting)
     /// it on first use. Construction runs the full ungated pipeline
     /// once.
     pub(crate) fn session(
@@ -271,17 +321,12 @@ impl ArtifactStore {
     ) -> Arc<CompileSession> {
         let key = (src.key, personality, level, profile.map(profile_key));
         memo(&self.sessions, key, || {
-            let build_start = Instant::now();
-            let session =
-                CompileSession::new(src.module.clone(), personality, level, profile.cloned());
-            self.telemetry.record_build(build_start.elapsed());
-            self.telemetry.record_session(session.stats().snapshots);
-            Arc::new(session)
+            Arc::new(self.transient_session(src, personality, level, profile))
         })
         .0
     }
 
-    /// A compile session built for one use and not retained, recorded
+    /// A compile session built for one use and not retained, counted
     /// like [`Self::session`]. Callers that need a source's session for
     /// a handful of builds use it so that memory does not grow with
     /// every source they measure.
@@ -290,12 +335,16 @@ impl ArtifactStore {
         src: &SourceArtifacts,
         personality: Personality,
         level: OptLevel,
+        profile: Option<&dt_ir::Profile>,
     ) -> CompileSession {
-        let build_start = Instant::now();
-        let session = CompileSession::new(src.module.clone(), personality, level, None);
-        self.telemetry.record_build(build_start.elapsed());
-        self.telemetry.record_session(session.stats().snapshots);
-        session
+        self.timed(
+            || CompileSession::new(src.module.clone(), personality, level, profile.cloned()),
+            |s, ms, session| {
+                s.add_build(ms);
+                s.sessions += 1;
+                s.snapshots += session.snapshot_count() as u64;
+            },
+        )
     }
 
     /// The outcome of running `obj`'s `entry(args)` on `input` to
@@ -316,28 +365,21 @@ impl ArtifactStore {
     ) -> Result<Arc<RunOutcome>, String> {
         let key = (obj.content_hash(), call_key(entry, args, input, max_steps));
         let (outcome, hit) = memo(&self.runs, key, || {
-            let run_start = Instant::now();
             let config = VmConfig {
                 max_steps,
                 ..VmConfig::default()
             };
-            let result = Vm::run_to_completion(obj, entry, args, input, config);
-            self.telemetry.record_run(run_start.elapsed());
-            let r = result?;
-            if r.halt != Halt::Finished {
-                return Err(format!(
-                    "`{entry}` halted with {:?} after {} steps",
-                    r.halt, r.steps
-                ));
-            }
-            Ok(Arc::new(RunOutcome {
-                ret: r.ret,
-                output_digest: output_digest(&r.output),
-                cycles: r.cycles,
-            }))
+            let result = self.timed(
+                || Vm::run_finished(obj, entry, args, input, config),
+                |s, ms, _| {
+                    s.runs += 1;
+                    s.run_ms += ms;
+                },
+            );
+            Ok(Arc::new(RunOutcome::of(&result?)))
         });
         if hit {
-            self.telemetry.record_run_hit();
+            self.count(|s| s.run_hits += 1);
         }
         outcome
     }
@@ -359,7 +401,7 @@ impl ArtifactStore {
     ) -> ProgramEvaluation {
         let (eval, hit) = memo(&self.evaluations, key, compute);
         if hit {
-            self.telemetry.record_eval_cache_hit();
+            self.count(|s| s.eval_cache_hits += 1);
         }
         eval
     }
@@ -374,7 +416,7 @@ impl ArtifactStore {
     ) -> (Metrics, DefectSummary) {
         let (value, hit) = memo(&self.variant_traces, (scope, content_hash), compute);
         if hit {
-            self.telemetry.record_trace_cache_hit();
+            self.count(|s| s.trace_cache_hits += 1);
         }
         value
     }
@@ -424,7 +466,7 @@ int fuzz_main() {
         let s1 = store.session(&a, Personality::Gcc, OptLevel::O2, None);
         let s2 = store.session(&a, Personality::Gcc, OptLevel::O2, None);
         assert!(Arc::ptr_eq(&s1, &s2));
-        let snap = store.telemetry().snapshot(1);
+        let snap = store.stats();
         assert_eq!(snap.artifact_hits, 1);
         assert_eq!(snap.traces, 1);
         assert_eq!(snap.sessions, 1);
@@ -451,7 +493,34 @@ int fuzz_main() {
         let plain = store.session(&art, Personality::Gcc, OptLevel::O2, None);
         let profiled = store.session(&art, Personality::Gcc, OptLevel::O2, Some(&profile));
         assert!(!Arc::ptr_eq(&plain, &profiled));
-        assert_eq!(store.telemetry().snapshot(1).sessions, 2);
+        assert_eq!(store.stats().sessions, 2);
+    }
+
+    #[test]
+    fn outcomes_agree_only_on_equal_return_and_output() {
+        let o0 = RunOutcome {
+            ret: 45,
+            output_digest: 7,
+            cycles: 900,
+        };
+        let faster = RunOutcome {
+            cycles: 300,
+            ..o0.clone()
+        };
+        assert_eq!(faster.agrees_with(&o0), Ok(()));
+        for wrong in [
+            RunOutcome {
+                ret: 46,
+                ..faster.clone()
+            },
+            RunOutcome {
+                output_digest: 8,
+                ..faster
+            },
+        ] {
+            let err = wrong.agrees_with(&o0).unwrap_err();
+            assert!(err.starts_with("diverges from O0: returned"), "{err}");
+        }
     }
 
     const LOOP: &str = "\
@@ -487,7 +556,7 @@ int f(int n) {
         assert!(err.contains("StepLimit"), "{err}");
         assert_eq!(store.run(&art.o0, "f", &[10], &[], 20).unwrap_err(), err);
         assert!(store.run(&art.o0, "g", &[10], &[], 1_000_000).is_err());
-        let snap = store.telemetry().snapshot(1);
+        let snap = store.stats();
         assert_eq!((snap.runs, snap.run_hits), (5, 2));
     }
 }

@@ -228,13 +228,11 @@ int f() {
             let shared = check_in(&store, SRC, "f", &inputs, &[], &opts, 1_000_000).unwrap();
             assert_eq!(shared, one_shot, "gate {:?}", gate.disabled_names());
         }
-        // One session and one baseline trace served both gates.
-        let stats = store.telemetry().snapshot(1);
-        assert_eq!(stats.sessions, 1);
-        assert_eq!(stats.traces, 1);
-        let src = store.source(SRC).unwrap();
-        let session = store.session(&src, Personality::Gcc, OptLevel::O2, None);
-        assert!(session.stats().variants >= 2);
+        // One session and one baseline trace served both gates: the
+        // only builds are the `O0` object and that session's
+        // construction, so both gates' objects came from the session.
+        let stats = store.stats();
+        assert_eq!((stats.sessions, stats.traces, stats.builds), (1, 1, 2));
     }
 
     #[test]

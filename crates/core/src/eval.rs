@@ -29,10 +29,11 @@ use dt_debugger::DebugTrace;
 use dt_machine::Object;
 use dt_metrics::{MethodComparison, Metrics};
 use dt_minic::analysis::SourceAnalysis;
-use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
+use dt_passes::{
+    pipeline_pass_names, CompileSession, OptLevel, PassGate, Personality, VariantBuild,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A program plus the inputs driving its debug sessions.
 #[derive(Debug, Clone)]
@@ -155,29 +156,55 @@ pub struct ReferenceEvaluation {
     base: Arc<DebugTrace>,
 }
 
-/// Computes the hybrid metrics of an object against a baseline trace.
-/// Sessions take the fast path (in-VM breakpoint bitmap on a
-/// per-object [`dt_debugger::BreakPlan`], early-exit inputs) — bit-
-/// identical to the slow-step reference engine by construction, so
-/// metrics and rankings are unchanged.
+/// Computes the hybrid metrics of an object against a baseline trace,
+/// counting the session in `store`. Sessions take the fast path (in-VM
+/// breakpoint bitmap on a per-object [`dt_debugger::BreakPlan`],
+/// early-exit inputs) — bit-identical to the slow-step reference
+/// engine by construction, so metrics and rankings are unchanged.
 fn metrics_for(
+    store: &ArtifactStore,
     obj: &Object,
     program: &ProgramInput,
     base: &DebugTrace,
     analysis: &SourceAnalysis,
     max_steps: u64,
-) -> (Metrics, DebugTrace, dt_debugger::TraceStats) {
+) -> (Metrics, DebugTrace) {
     let session = dt_debugger::SessionConfig {
         max_steps_per_input: max_steps,
         entry_args: program.entry_args.clone(),
         ground_truth: false,
     };
-    let plan = dt_debugger::BreakPlan::new(obj);
-    let (trace, stats) =
-        dt_debugger::trace_with_plan_stats(obj, &program.harness, &program.inputs, &session, &plan)
+    let (m, trace, _) = store.timed(
+        || {
+            let plan = dt_debugger::BreakPlan::new(obj);
+            let (trace, stats) = dt_debugger::trace_with_plan_stats(
+                obj,
+                &program.harness,
+                &program.inputs,
+                &session,
+                &plan,
+            )
             .expect("debug session runs");
-    let m = dt_metrics::hybrid(&trace, base, analysis);
-    (m, trace, stats)
+            (dt_metrics::hybrid(&trace, base, analysis), trace, stats)
+        },
+        |s, ms, (_, _, stats)| s.add_trace(ms, stats),
+    );
+    (m, trace)
+}
+
+/// Builds `gate`'s variant from `session`, counting the build and how
+/// much of the pipeline it resumed past.
+fn build_variant(store: &ArtifactStore, session: &CompileSession, gate: &PassGate) -> VariantBuild {
+    store.timed(
+        || session.build_variant(gate),
+        |s, ms, built| {
+            s.add_build(ms);
+            if built.prefix_skipped > 0 {
+                s.resumed_variants += 1;
+                s.prefix_passes_skipped += built.prefix_skipped as u64;
+            }
+        },
+    )
 }
 
 /// The program's source artifacts and its ground-truth baseline trace.
@@ -260,7 +287,13 @@ pub(crate) fn evaluate_in(
 ) -> ProgramEvaluation {
     let scope = scope_of(program, personality, level, max_steps);
     let eval = store.evaluation(scope, || {
-        evaluate_uncached(store, scope, program, max_steps, threads)
+        store.timed(
+            || evaluate_uncached(store, scope, program, max_steps, threads),
+            |s, ms, _| {
+                s.programs += 1;
+                s.wall_ms += ms;
+            },
+        )
     });
     ProgramEvaluation {
         program: program.name.clone(),
@@ -278,7 +311,6 @@ pub(crate) fn reference_in(
 ) -> Arc<ReferenceEvaluation> {
     store.reference(scope, || {
         let (_, personality, level) = scope;
-        let telemetry = store.telemetry();
 
         // Stage 1: shared artifacts (parsed analysis, O0 object, the
         // ground-truth baseline trace — reused across personalities,
@@ -290,17 +322,12 @@ pub(crate) fn reference_in(
         // loclist-based, so the availability metrics are untouched.
         let (art, base) = program_artifacts(store, program, max_steps);
         let session = store.session(&art, personality, level, None);
-        let build_start = Instant::now();
-        let object = session.reference_object();
-        telemetry.record_build(build_start.elapsed());
+        let object = store.timed(|| session.reference_object(), |s, ms, _| s.add_build(ms));
 
         // Stage 2+3: reference trace and metrics (source-refined by the
         // hybrid metric itself).
-        let trace_start = Instant::now();
-        let (reference, ref_trace, ref_stats) =
-            metrics_for(&object, program, &base, &art.analysis, max_steps);
-        telemetry.record_trace(trace_start.elapsed());
-        telemetry.record_fast_trace(&ref_stats);
+        let (reference, ref_trace) =
+            metrics_for(store, &object, program, &base, &art.analysis, max_steps);
         ReferenceEvaluation {
             reference,
             methods: dt_metrics::all_methods(&object.debug, &ref_trace, &base, &art.analysis),
@@ -322,9 +349,6 @@ fn evaluate_uncached(
     threads: usize,
 ) -> ProgramEvaluation {
     let (_, personality, level) = scope;
-    let telemetry = store.telemetry();
-    let wall_start = Instant::now();
-    telemetry.record_program();
     let r = reference_in(store, scope, program, max_steps);
     let (analysis, base_trace) = (&r.art.analysis, &*r.base);
     let session = store.session(&r.art, personality, level, None);
@@ -335,13 +359,9 @@ fn evaluate_uncached(
     // independent of worker scheduling.
     let passes = pipeline_pass_names(personality, level);
     let variant_effect = |&pass: &&str| -> PassEffect {
-        let build_start = Instant::now();
-        let built = session.build_variant(&PassGate::disabling([pass]));
-        telemetry.record_build(build_start.elapsed());
-        telemetry.record_variant_resume(built.prefix_skipped as u64);
-        let variant = built.object;
+        let variant = build_variant(store, &session, &PassGate::disabling([pass])).object;
         if variant.text_eq(&r.object) {
-            telemetry.record_pruned_variant();
+            store.count(|s| s.pruned_variants += 1);
             return PassEffect {
                 pass: pass.to_string(),
                 metrics: None,
@@ -351,12 +371,9 @@ fn evaluate_uncached(
             };
         }
         let (m, defects) = store.variant_trace(scope, variant.content_hash(), || {
-            let trace_start = Instant::now();
-            let (m, variant_trace, variant_stats) =
-                metrics_for(&variant, program, base_trace, analysis, max_steps);
+            let (m, variant_trace) =
+                metrics_for(store, &variant, program, base_trace, analysis, max_steps);
             let defects = dt_checker::check(&variant_trace, base_trace, analysis).summary;
-            telemetry.record_trace(trace_start.elapsed());
-            telemetry.record_fast_trace(&variant_stats);
             (m, defects)
         });
         let rel = if r.reference.product > 0.0 {
@@ -376,7 +393,6 @@ fn evaluate_uncached(
     };
     let effects = crate::par_map(&passes, threads, variant_effect);
 
-    telemetry.record_wall(wall_start.elapsed());
     ProgramEvaluation {
         program: program.name.clone(),
         reference: r.reference,
@@ -424,17 +440,10 @@ pub(crate) fn evaluate_config_in(
     gate: &PassGate,
     max_steps: u64,
 ) -> Metrics {
-    let telemetry = store.telemetry();
     let (art, base) = program_artifacts(store, program, max_steps);
     let session = store.session(&art, personality, level, None);
-    let build_start = Instant::now();
-    let built = session.build_variant(gate);
-    telemetry.record_build(build_start.elapsed());
-    telemetry.record_variant_resume(built.prefix_skipped as u64);
-    let trace_start = Instant::now();
-    let (m, _, stats) = metrics_for(&built.object, program, &base, &art.analysis, max_steps);
-    telemetry.record_trace(trace_start.elapsed());
-    telemetry.record_fast_trace(&stats);
+    let obj = build_variant(store, &session, gate).object;
+    let (m, _) = metrics_for(store, &obj, program, &base, &art.analysis, max_steps);
     m
 }
 

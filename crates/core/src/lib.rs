@@ -50,7 +50,7 @@ pub use eval::{
 pub use pareto::{pareto_front, TradeoffPoint};
 pub use perf::{measure_speedup, PerfReport, RunCall};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
-pub use telemetry::{EvalStats, Telemetry};
+pub use telemetry::EvalStats;
 
 use dt_autofdo::AutoFdoResult;
 use dt_passes::{OptLevel, PassGate, Personality};
@@ -81,7 +81,7 @@ impl Default for TunerConfig {
 /// The DebugTuner framework instance: the owner of one
 /// [`ArtifactStore`], so evaluations, baselines, compile sessions, and
 /// variant traces are shared across every table that uses the tuner,
-/// and its telemetry counts the work performed vs avoided.
+/// and its [`EvalStats`] count the work performed vs avoided.
 pub struct DebugTuner {
     pub config: TunerConfig,
     store: ArtifactStore,
@@ -99,12 +99,10 @@ impl DebugTuner {
     /// A serializable snapshot of the work performed so far (builds,
     /// traces, cache hits, per-stage wall-clock).
     pub fn stats(&self) -> EvalStats {
-        self.store.telemetry().snapshot(self.config.threads)
-    }
-
-    /// Resets the telemetry counters (the evaluation caches survive).
-    pub fn reset_stats(&self) {
-        self.store.telemetry().reset();
+        EvalStats {
+            threads: self.config.threads,
+            ..self.store.stats()
+        }
     }
 
     /// Evaluates one program at one personality/level (cached), fanning
@@ -248,10 +246,8 @@ impl DebugTuner {
         level: OptLevel,
     ) -> PassRanking {
         let evals = self.evaluate_all(programs, personality, level);
-        let rank_start = std::time::Instant::now();
-        let ranking = rank_passes_across(&evals);
-        self.store.telemetry().record_rank(rank_start.elapsed());
-        ranking
+        self.store
+            .timed(|| rank_passes_across(&evals), |s, ms, _| s.rank_ms += ms)
     }
 
     /// Parallel evaluation of many programs. Parallelism is applied
@@ -433,10 +429,59 @@ int fuzz_main() {
         }
         let (a, b) = (alone.stats(), staged.stats());
         assert_eq!(
-            (b.builds, b.traces, b.sessions),
-            (a.builds, a.traces, a.sessions),
+            untimed(&b),
+            untimed(&a),
             "reference then evaluate must equal evaluate alone"
         );
+
+        // Every counter, pinned: only the wall-clock totals vary.
+        assert_eq!(
+            untimed(&s),
+            EvalStats {
+                threads: 1,
+                builds: 15,
+                traces: 8,
+                sessions: 7,
+                snapshots: 42,
+                artifact_hits: 6,
+                fast_steps: 146,
+                break_stops: 66,
+                inputs_abandoned: 8,
+                ..EvalStats::default()
+            }
+        );
+        assert_eq!(
+            untimed(&b),
+            EvalStats {
+                threads: 1,
+                programs: 7,
+                builds: 156,
+                traces: 36,
+                trace_cache_hits: 1,
+                pruned_variants: 112,
+                sessions: 7,
+                snapshots: 42,
+                resumed_variants: 138,
+                prefix_passes_skipped: 2671,
+                artifact_hits: 6,
+                fast_steps: 837,
+                break_stops: 284,
+                inputs_abandoned: 25,
+                ..EvalStats::default()
+            }
+        );
+    }
+
+    /// The counters of `s` with its wall-clock totals zeroed.
+    fn untimed(s: &EvalStats) -> EvalStats {
+        EvalStats {
+            run_ms: 0.0,
+            build_ms: 0.0,
+            trace_ms: 0.0,
+            rank_ms: 0.0,
+            wall_ms: 0.0,
+            ..s.clone()
+        }
     }
 
     /// Table III's coverage columns from the shared baseline equal a

@@ -20,7 +20,6 @@ use dt_testsuite::spec::{spec_suite, Benchmark, Workload};
 use dt_vm::{Vm, VmConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Step budget of every speed run.
 const SPEC_MAX_STEPS: u64 = 2_000_000_000;
@@ -34,20 +33,23 @@ pub struct PerfReport {
     pub speedup: f64,
 }
 
-fn run_cycles(obj: &dt_machine::Object, b: &Benchmark, workload: Workload) -> u64 {
+fn run_kernel(obj: &Object, b: &Benchmark, workload: Workload) -> Result<RunOutcome, String> {
     let cfg = VmConfig {
         max_steps: SPEC_MAX_STEPS,
         ..VmConfig::default()
     };
-    let iters = b.iterations(workload);
-    let r = Vm::run_to_completion(obj, b.entry, &[iters], &[], cfg)
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    assert_eq!(r.halt, dt_vm::Halt::Finished, "{} did not finish", b.name);
-    r.cycles
+    let r = Vm::run_finished(obj, b.entry, &[b.iterations(workload)], &[], cfg)?;
+    Ok(RunOutcome::of(&r))
 }
 
 /// Measures the speedup over `O0` of a (level, gate) configuration on
 /// the full benchmark suite.
+///
+/// # Panics
+///
+/// When a binary does not finish, or the configuration's binary does
+/// not return `O0`'s value and write `O0`'s output; the message names
+/// the kernel, personality, level and gate.
 pub fn measure_speedup(
     personality: Personality,
     level: OptLevel,
@@ -62,9 +64,13 @@ pub fn measure_speedup(
         let mut opts = CompileOptions::new(personality, level);
         opts.gate = gate.clone();
         let obj = compile_source(b.source, &opts).expect("config build");
-        let base = run_cycles(&o0, &b, workload) as f64;
-        let cycles = run_cycles(&obj, &b, workload) as f64;
-        let speedup = base / cycles.max(1.0);
+        let label = format!("{} at {personality} {level} {}", b.name, gate_label(gate));
+        let base = run_kernel(&o0, &b, workload)
+            .unwrap_or_else(|e| panic!("{} at {personality} O0: {e}", b.name));
+        let out = run_kernel(&obj, &b, workload).unwrap_or_else(|e| panic!("{label}: {e}"));
+        out.agrees_with(&base)
+            .unwrap_or_else(|e| panic!("{label} {e}"));
+        let speedup = base.cycles as f64 / (out.cycles as f64).max(1.0);
         log_sum += speedup.ln();
         per_benchmark.push((b.name.to_string(), speedup));
     }
@@ -102,16 +108,7 @@ impl RunCall<'_> {
         let out = self
             .run(store, obj)
             .map_err(|e| format!("{}: {e}", what()))?;
-        if (out.ret, out.output_digest) != (o0.ret, o0.output_digest) {
-            return Err(format!(
-                "{} diverges from O0: returned {} (O0 {}), output digest {:016x} (O0 {:016x})",
-                what(),
-                out.ret,
-                o0.ret,
-                out.output_digest,
-                o0.output_digest
-            ));
-        }
+        out.agrees_with(o0).map_err(|e| format!("{} {e}", what()))?;
         Ok(out)
     }
 }
@@ -146,15 +143,13 @@ pub(crate) fn speedups_in(
         let o0 = call
             .run(store, &src.o0)
             .map_err(|e| format!("{} at O0: {e}", b.name))?;
-        let session = store.transient_session(&src, personality, level);
+        let session = store.transient_session(&src, personality, level, None);
         gates
             .iter()
             .map(|gate| {
-                let build_start = Instant::now();
                 // The all-allowing gate gets the session's reference
                 // object.
-                let obj = session.compile_variant(gate);
-                store.telemetry().record_build(build_start.elapsed());
+                let obj = store.timed(|| session.compile_variant(gate), |s, ms, _| s.add_build(ms));
                 let run = call.run_like(store, &o0, &obj, || {
                     format!("{} at {personality} {level} {}", b.name, gate_label(gate))
                 })?;
@@ -203,14 +198,12 @@ pub(crate) fn autofdo_in(
     let o0 = call
         .run(store, &src.o0)
         .map_err(|e| format!("{}: {e}", what("O0 build".into())))?;
-    let session = store.transient_session(&src, personality, level);
+    let session = store.transient_session(&src, personality, level, None);
     let plain = call.run_like(store, &o0, &session.reference_object(), || {
         what("plain build".into())
     })?;
     let profiles = crate::par_map(profiling_gates, threads, |gate| {
-        let build_start = Instant::now();
-        let obj = session.compile_variant(gate);
-        store.telemetry().record_build(build_start.elapsed());
+        let obj = store.timed(|| session.compile_variant(gate), |s, ms, _| s.add_build(ms));
         let profile = collect_profile(&obj, call.entry, call.args, call.input, call.max_steps)
             .map_err(|e| format!("{}: {e}", what(format!("profiling {}", gate_label(gate)))))?;
         Ok((obj.debug.steppable_lines().len(), profile))
@@ -241,9 +234,10 @@ pub(crate) fn autofdo_in(
             gate: PassGate::allow_all(),
             profile: Some(profile.clone()),
         };
-        let build_start = Instant::now();
-        let obj = dt_passes::compile(&src.module, &opts);
-        store.telemetry().record_build(build_start.elapsed());
+        let obj = store.timed(
+            || dt_passes::compile(&src.module, &opts),
+            |s, ms, _| s.add_build(ms),
+        );
         call.run_like(store, &o0, &obj, || {
             what(format!("AutoFDO build from {} profile", gate_label(gate)))
         })
@@ -372,9 +366,9 @@ mod tests {
             err.contains("O0 build") && err.contains("StepLimit"),
             "{err}"
         );
-        let before = store.telemetry().snapshot(1);
+        let before = store.stats();
         assert_eq!(run().unwrap_err(), err);
-        let after = store.telemetry().snapshot(1);
+        let after = store.stats();
         assert_eq!(after.runs, before.runs, "the failed run is not rerun");
         assert_eq!(after.run_hits, before.run_hits + 1);
     }

@@ -124,20 +124,11 @@ pub struct TraceStats {
     pub inputs_abandoned: u64,
 }
 
-impl TraceStats {
-    /// Accumulates another session's counters into this one.
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.fast_steps += other.fast_steps;
-        self.break_stops += other.break_stops;
-        self.inputs_abandoned += other.inputs_abandoned;
-    }
-}
-
 /// A precomputed, reusable breakpoint plan for one [`Object`]: every
 /// `is_stmt` line-table address resolved once to an instruction index
 /// in a dense bitmap over `obj.code`, plus the side tables a temporary-
 /// breakpoint session needs (line per armed index, per-line index
-/// groups for clearing) and the per-subprogram value keys [`observe`]
+/// groups for clearing) and the per-subprogram value keys `observe`
 /// would otherwise rebuild on every hit.
 ///
 /// Construction mirrors the classic address-keyed breakpoint table

@@ -36,7 +36,7 @@ mod kernel_oracles;
 
 pub use manager::{PassConfig, PassGate, PassInstance};
 pub use pipeline::{backend_pass_names, pipeline_pass_names, Personality, Pipeline};
-pub use session::{CompileSession, SessionStats, VariantBuild};
+pub use session::{CompileSession, VariantBuild};
 
 use dt_ir::{Module, Profile};
 use dt_machine::Object;

@@ -217,6 +217,26 @@ impl<'a> Vm<'a> {
         Ok(vm.into_result())
     }
 
+    /// [`Vm::run_to_completion`] for callers that need a finished run:
+    /// a run that halts other than [`Halt::Finished`] is an error
+    /// naming the halt.
+    pub fn run_finished(
+        obj: &'a Object,
+        entry: &str,
+        args: &[i64],
+        input: &'a [u8],
+        config: VmConfig,
+    ) -> Result<ExecResult, String> {
+        let r = Self::run_to_completion(obj, entry, args, input, config)?;
+        if r.halt != Halt::Finished {
+            return Err(format!(
+                "`{entry}` halted with {:?} after {} steps",
+                r.halt, r.steps
+            ));
+        }
+        Ok(r)
+    }
+
     /// The current instruction's byte address.
     pub fn pc_addr(&self) -> u32 {
         self.obj.addrs.get(self.pc).copied().unwrap_or(u32::MAX)

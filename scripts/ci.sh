@@ -10,6 +10,10 @@ cargo fmt --all --check
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+# Broken intra-doc links (say, to a deleted item) fail the gate.
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1 verify: build =="
 cargo build --release
 
