@@ -97,31 +97,15 @@ pub struct CheckReport {
     pub summary: DefectSummary,
 }
 
-impl CheckReport {
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("report serializes")
-    }
-}
-
 /// First-hit position of every stepped line (the temporal order the
-/// staleness test needs). Falls back to ascending line order for
-/// PR-1-era traces without `hit_order`.
+/// staleness test needs).
 fn hit_positions(trace: &DebugTrace) -> HashMap<u32, usize> {
-    if trace.hit_order.is_empty() {
-        trace
-            .lines
-            .keys()
-            .enumerate()
-            .map(|(i, &l)| (l, i))
-            .collect()
-    } else {
-        trace
-            .hit_order
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i))
-            .collect()
-    }
+    trace
+        .hit_order
+        .iter()
+        .enumerate()
+        .map(|(i, &l)| (l, i))
+        .collect()
 }
 
 /// Diffs an optimized-binary trace against the O0 ground-truth trace

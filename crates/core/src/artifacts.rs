@@ -37,10 +37,15 @@
 //! determines the value: the source text, plus the harness, input set,
 //! entry arguments, and step budget for anything traced. A program's
 //! name is a label only, so two inputs that share a name but not their
-//! content never alias a cached value. Lookups are safe under
-//! concurrent use; a lost race costs a redundant computation of a
-//! bit-identical value, never divergent results. The store also keeps
-//! the [`EvalStats`] its work is counted in.
+//! content never alias a cached value. Lookups are single-flight: a
+//! second caller for a key that is being computed waits for that value
+//! instead of computing it again, so every fact is computed once and
+//! the counters do not depend on scheduling.
+//!
+//! The store also keeps the [`EvalStats`] its work is counted in, and
+//! it is the one place that work is done: every variant build
+//! (`build_variant`), debug trace (`trace`) and run
+//! ([`ArtifactStore::run`]) goes through a method that counts it.
 
 use crate::eval::{ProgramEvaluation, ReferenceEvaluation};
 use crate::telemetry::EvalStats;
@@ -49,11 +54,11 @@ use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::{Fnv1a, Object};
 use dt_metrics::Metrics;
 use dt_minic::analysis::SourceAnalysis;
-use dt_passes::{CompileSession, OptLevel, Personality};
+use dt_passes::{CompileSession, OptLevel, PassGate, Personality, VariantBuild};
 use dt_vm::{ExecResult, Vm, VmConfig};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Everything derivable from one source text alone.
@@ -121,38 +126,45 @@ impl RunOutcome {
     }
 }
 
-/// The shared artifact store. Owned by [`crate::DebugTuner`];
-/// free-function entry points create a transient store per call.
+/// One memo of the store: a slot per key, filled once.
+type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// The shared artifact store, owned by [`crate::DebugTuner`].
 #[derive(Default)]
 pub struct ArtifactStore {
     stats: Mutex<EvalStats>,
-    sources: Mutex<HashMap<u64, Result<Arc<SourceArtifacts>, String>>>,
-    baselines: Mutex<HashMap<u64, Result<Arc<DebugTrace>, String>>>,
-    sessions: Mutex<HashMap<SessionKey, Arc<CompileSession>>>,
-    references: Mutex<HashMap<ScopeKey, Arc<ReferenceEvaluation>>>,
-    evaluations: Mutex<HashMap<ScopeKey, ProgramEvaluation>>,
-    variant_traces: Mutex<HashMap<(ScopeKey, u64), (Metrics, DefectSummary)>>,
+    sources: Memo<u64, Result<Arc<SourceArtifacts>, String>>,
+    baselines: Memo<u64, Result<Arc<DebugTrace>, String>>,
+    sessions: Memo<SessionKey, Arc<CompileSession>>,
+    references: Memo<ScopeKey, Arc<ReferenceEvaluation>>,
+    evaluations: Memo<ScopeKey, ProgramEvaluation>,
+    variant_traces: Memo<(ScopeKey, u64), (Metrics, DefectSummary)>,
     /// Keyed by the binary's content hash and the call's digest.
-    runs: Mutex<HashMap<(u64, u64), RunResult>>,
+    runs: Memo<(u64, u64), RunResult>,
 }
 
 // Values are computed outside the store's locks and nothing that
 // holds one can panic, so they are never poisoned.
 const POISONED: &str = "artifact store lock poisoned";
 
-/// Looks `key` up in `map`, computing the value on a miss outside the
-/// lock. Returns the value and whether it was a hit.
+/// Looks `key` up in `map`, single-flight: the key's slot is taken
+/// under the map lock and filled outside it, so a second caller waits
+/// for the first caller's value instead of computing it again. Returns
+/// the value and whether it was a hit (this caller did not compute
+/// it). A compute that panics leaves the slot empty, and the next
+/// caller computes it.
 fn memo<K: Hash + Eq, V: Clone>(
-    map: &Mutex<HashMap<K, V>>,
+    map: &Memo<K, V>,
     key: K,
     compute: impl FnOnce() -> V,
 ) -> (V, bool) {
-    if let Some(hit) = map.lock().expect(POISONED).get(&key) {
-        return (hit.clone(), true);
-    }
-    let value = compute();
-    let mut map = map.lock().expect(POISONED);
-    (map.entry(key).or_insert(value).clone(), false)
+    let slot = Arc::clone(map.lock().expect(POISONED).entry(key).or_default());
+    let mut computed = false;
+    let value = slot.get_or_init(|| {
+        computed = true;
+        compute()
+    });
+    (value.clone(), !computed)
 }
 
 /// Content digest of a source text.
@@ -287,25 +299,32 @@ impl ArtifactStore {
                 entry_args: entry_args.to_vec(),
                 ground_truth: true,
             };
-            let (trace, _) = self.timed(
-                || {
-                    dt_debugger::trace_with_plan_stats(
-                        &src.o0,
-                        harness,
-                        inputs,
-                        &session,
-                        &src.o0_plan,
-                    )
-                },
-                |s, ms, traced| {
-                    if let Ok((_, stats)) = traced {
-                        s.add_trace(ms, stats);
-                    }
-                },
-            )?;
+            let trace = self.trace(&src.o0, &src.o0_plan, harness, inputs, &session)?;
             Ok(Arc::new(trace))
         })
         .0
+    }
+
+    /// A fast-path debug session of `obj` (with `plan`, built from
+    /// `obj`) over `inputs`, counted with its per-session VM counters
+    /// when it runs.
+    pub(crate) fn trace(
+        &self,
+        obj: &Object,
+        plan: &BreakPlan,
+        harness: &str,
+        inputs: &[Vec<u8>],
+        session: &SessionConfig,
+    ) -> Result<DebugTrace, String> {
+        let (trace, _) = self.timed(
+            || dt_debugger::trace_with_plan_stats(obj, harness, inputs, session, plan),
+            |s, ms, traced| {
+                if let Ok((_, stats)) = traced {
+                    s.add_trace(ms, stats);
+                }
+            },
+        )?;
+        Ok(trace)
     }
 
     /// The checkpointed compile session for one
@@ -343,6 +362,21 @@ impl ArtifactStore {
                 s.add_build(ms);
                 s.sessions += 1;
                 s.snapshots += session.snapshot_count() as u64;
+            },
+        )
+    }
+
+    /// Builds `gate`'s variant from `session`, counting the build and
+    /// how much of the pipeline it resumed past.
+    pub(crate) fn build_variant(&self, session: &CompileSession, gate: &PassGate) -> VariantBuild {
+        self.timed(
+            || session.build_variant(gate),
+            |s, ms, built| {
+                s.add_build(ms);
+                if built.prefix_skipped > 0 {
+                    s.resumed_variants += 1;
+                    s.prefix_passes_skipped += built.prefix_skipped as u64;
+                }
             },
         )
     }
@@ -494,6 +528,55 @@ int fuzz_main() {
         let profiled = store.session(&art, Personality::Gcc, OptLevel::O2, Some(&profile));
         assert!(!Arc::ptr_eq(&plain, &profiled));
         assert_eq!(store.stats().sessions, 2);
+    }
+
+    /// Single-flight, with the interleaving forced: the second caller
+    /// takes the key's slot while the first is still computing, waits,
+    /// and gets the first caller's value as a hit.
+    #[test]
+    fn a_caller_of_a_key_in_flight_waits_for_its_value() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let map: Memo<u32, u64> = Memo::default();
+        let computes = AtomicUsize::new(0);
+        let slot_holders = || Arc::strong_count(&map.lock().unwrap()[&7]);
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                memo(&map, 7, || {
+                    computes.fetch_add(1, SeqCst);
+                    // Finish only once the second caller holds the
+                    // slot too (the map, this caller, and it).
+                    while slot_holders() < 3 {
+                        std::thread::yield_now();
+                    }
+                    42
+                })
+            });
+            while computes.load(SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let second = scope.spawn(|| {
+                memo(&map, 7, || {
+                    computes.fetch_add(1, SeqCst);
+                    43
+                })
+            });
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!((first, second), ((42, false), (42, true)));
+        assert_eq!(computes.into_inner(), 1);
+    }
+
+    /// A compute that panics leaves its slot empty and the map lock
+    /// unpoisoned, so the next caller computes the value.
+    #[test]
+    fn a_panicking_compute_leaves_the_slot_empty() {
+        let map: Memo<u32, u64> = Memo::default();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo(&map, 7, || panic!("compute fails"))
+        }));
+        assert!(failed.is_err());
+        assert_eq!(memo(&map, 7, || 42), (42, false));
+        assert_eq!(memo(&map, 7, || 43), (42, true));
     }
 
     #[test]

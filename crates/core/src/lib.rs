@@ -41,22 +41,18 @@ pub mod rank;
 pub mod telemetry;
 
 pub use artifacts::{ArtifactStore, RunOutcome};
-pub use check::{check_compiled, hunt, hunt_variants, HuntConfig, HuntResult};
+pub use check::HuntResult;
 pub use config::{dy_config, dy_family, DyConfig};
 pub use eval::{
-    evaluate_program, evaluate_program_parallel, suite_corpus, PassEffect, ProgramEvaluation,
-    ProgramInput, ReferenceEvaluation, SuiteCorpus,
+    suite_corpus, PassEffect, ProgramEvaluation, ProgramInput, ReferenceEvaluation, SuiteCorpus,
 };
 pub use pareto::{pareto_front, TradeoffPoint};
 pub use perf::{measure_speedup, PerfReport, RunCall};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::EvalStats;
 
-use dt_autofdo::AutoFdoResult;
-use dt_passes::{OptLevel, PassGate, Personality};
-use dt_testsuite::spec::Workload;
+use dt_passes::{OptLevel, Personality};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Global tuner settings.
 #[derive(Debug, Clone)]
@@ -78,10 +74,12 @@ impl Default for TunerConfig {
     }
 }
 
-/// The DebugTuner framework instance: the owner of one
-/// [`ArtifactStore`], so evaluations, baselines, compile sessions, and
-/// variant traces are shared across every table that uses the tuner,
-/// and its [`EvalStats`] count the work performed vs avoided.
+/// The DebugTuner framework instance and the one entry point of every
+/// experiment: evaluation ([`eval`]), checking and hunting ([`check`]),
+/// and speed and AutoFDO measurement ([`perf`]) are its methods. It owns
+/// one [`ArtifactStore`], so evaluations, baselines, compile sessions,
+/// variant traces, and runs are shared across every table that uses the
+/// tuner, and its [`EvalStats`] count the work performed vs avoided.
 pub struct DebugTuner {
     pub config: TunerConfig,
     store: ArtifactStore,
@@ -103,138 +101,6 @@ impl DebugTuner {
             threads: self.config.threads,
             ..self.store.stats()
         }
-    }
-
-    /// Evaluates one program at one personality/level (cached), fanning
-    /// the per-pass variant builds and trace sessions out across
-    /// `config.threads` workers.
-    pub fn evaluate(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-    ) -> ProgramEvaluation {
-        self.evaluate_with_threads(program, personality, level, self.config.threads)
-    }
-
-    fn evaluate_with_threads(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-        threads: usize,
-    ) -> ProgramEvaluation {
-        eval::evaluate_in(
-            &self.store,
-            program,
-            personality,
-            level,
-            self.config.max_steps_per_input,
-            threads,
-        )
-    }
-
-    /// The reference half of [`DebugTuner::evaluate`] (cached): the
-    /// unmodified level's metrics, methods, and defects, with no
-    /// per-pass variant built. A later `evaluate` of the same program
-    /// and level reuses it instead of rebuilding the reference.
-    pub fn reference(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-    ) -> Arc<ReferenceEvaluation> {
-        let max_steps = self.config.max_steps_per_input;
-        let scope = eval::scope_of(program, personality, level, max_steps);
-        eval::reference_in(&self.store, scope, program, max_steps)
-    }
-
-    /// Evaluates one explicit configuration (level + gate) of a program
-    /// through the tuner's store: the baseline trace, `O0` object, and
-    /// checkpointed compile session are reused across calls (and with
-    /// [`DebugTuner::evaluate`] runs of the same program), and the
-    /// gated build resumes from a mid-pipeline snapshot instead of
-    /// recompiling from source.
-    pub fn evaluate_config(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-        gate: &PassGate,
-    ) -> dt_metrics::Metrics {
-        eval::evaluate_config_in(
-            &self.store,
-            program,
-            personality,
-            level,
-            gate,
-            self.config.max_steps_per_input,
-        )
-    }
-
-    /// Steppable lines of the program's `O0` binary and the lines its
-    /// inputs step (Table III's coverage columns), read from the
-    /// ground-truth baseline every evaluation of the program shares.
-    pub fn o0_coverage(&self, program: &ProgramInput) -> (usize, usize) {
-        let max_steps = self.config.max_steps_per_input;
-        let (art, base) = eval::program_artifacts(&self.store, program, max_steps);
-        (
-            art.o0.debug.steppable_lines().len(),
-            base.stepped_lines().len(),
-        )
-    }
-
-    /// The speedup over `O0` of each gate at one personality/level on
-    /// the SPEC kernels: one [`PerfReport`] per gate, bit-identical to
-    /// [`measure_speedup`] of that gate. Kernels are measured on
-    /// `config.threads` workers; each builds all gates from one
-    /// transient compile session, and every distinct binary runs once
-    /// in the tuner's run memo (so one `O0` run per kernel serves every
-    /// call). Fails, naming the kernel, personality, level, and gate,
-    /// when a binary does not finish with `O0`'s return value and
-    /// output.
-    pub fn speedups(
-        &self,
-        personality: Personality,
-        level: OptLevel,
-        gates: &[PassGate],
-        workload: Workload,
-    ) -> Result<Vec<PerfReport>, String> {
-        perf::speedups_in(
-            &self.store,
-            self.config.threads,
-            personality,
-            level,
-            gates,
-            workload,
-        )
-    }
-
-    /// The AutoFDO experiment of `source` on `call` for each profiling
-    /// gate, profiling and final builds both at `personality`/`level`:
-    /// field for field equal to one [`dt_autofdo::run_autofdo`] per
-    /// gate. The plain binary and every profiling binary come from one
-    /// transient compile session, each distinct profile gets one
-    /// AutoFDO build, and plain and AutoFDO runs go through the run
-    /// memo. Fails when a run does not finish or a plain or AutoFDO
-    /// binary does not behave like `O0`.
-    pub fn autofdo(
-        &self,
-        source: &str,
-        call: &RunCall,
-        personality: Personality,
-        level: OptLevel,
-        profiling_gates: &[PassGate],
-    ) -> Result<Vec<AutoFdoResult>, String> {
-        perf::autofdo_in(
-            &self.store,
-            self.config.threads,
-            source,
-            call,
-            personality,
-            level,
-            profiling_gates,
-        )
     }
 
     /// Evaluates the whole suite in parallel and aggregates the pass
@@ -322,6 +188,8 @@ pub fn suite_programs(fuzz_iterations: u32) -> Vec<ProgramInput> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_passes::PassGate;
+    use dt_testsuite::spec::Workload;
 
     fn tiny_program() -> ProgramInput {
         ProgramInput {
@@ -470,6 +338,55 @@ int fuzz_main() {
                 ..EvalStats::default()
             }
         );
+    }
+
+    /// Single-flight: `work` done by two threads at once gives the
+    /// results and the counters of doing it twice in a row, so the
+    /// counters do not depend on scheduling. The second caller of a key
+    /// in flight waits for the first caller's value and counts a hit.
+    fn assert_single_flight(work: impl Fn(&DebugTuner) -> String + Sync) {
+        let config = TunerConfig {
+            max_steps_per_input: 1_000_000,
+            threads: 2,
+        };
+        let sequential = DebugTuner::new(config.clone());
+        let expected = [work(&sequential), work(&sequential)];
+        for _ in 0..3 {
+            let concurrent = DebugTuner::new(config.clone());
+            let start = std::sync::Barrier::new(2);
+            let got: Vec<String> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            work(&concurrent)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(got, expected);
+            assert_eq!(untimed(&concurrent.stats()), untimed(&sequential.stats()));
+        }
+    }
+
+    #[test]
+    fn concurrent_evaluations_count_like_sequential_ones() {
+        let p = tiny_program();
+        assert_single_flight(|tuner| {
+            serde_json::to_string(&tuner.evaluate(&p, Personality::Gcc, OptLevel::O2)).unwrap()
+        });
+    }
+
+    #[test]
+    fn concurrent_speedups_count_like_sequential_ones() {
+        let gates = [PassGate::allow_all(), PassGate::disabling(["tree-fre"])];
+        assert_single_flight(|tuner| {
+            let reports = tuner
+                .speedups(Personality::Gcc, OptLevel::O2, &gates, Workload::Test)
+                .unwrap();
+            serde_json::to_string(&reports).unwrap()
+        });
     }
 
     /// The counters of `s` with its wall-clock totals zeroed.

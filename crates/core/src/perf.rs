@@ -13,6 +13,7 @@
 //! reporting a speedup.
 
 use crate::artifacts::{ArtifactStore, RunOutcome};
+use crate::DebugTuner;
 use dt_autofdo::{collect_profile, AutoFdoResult};
 use dt_machine::Object;
 use dt_passes::{compile_source, CompileOptions, OptLevel, PassGate, Personality};
@@ -117,144 +118,155 @@ fn gate_label(gate: &PassGate) -> String {
     format!("gate [{}]", gate.disabled_names().join(", "))
 }
 
-/// [`measure_speedup`] of every gate at one personality/level, through
-/// `store`: the kernels are measured on up to `threads` workers, each
-/// kernel's gates are built from one transient compile session, and
-/// every run goes through the run memo and is checked against `O0`.
-/// Bit-identical to one [`measure_speedup`] per gate.
-pub(crate) fn speedups_in(
-    store: &ArtifactStore,
-    threads: usize,
-    personality: Personality,
-    level: OptLevel,
-    gates: &[PassGate],
-    workload: Workload,
-) -> Result<Vec<PerfReport>, String> {
-    let kernels = spec_suite();
-    let per_kernel = crate::par_map(&kernels, threads, |b| -> Result<Vec<f64>, String> {
-        let src = store.source(b.source)?;
-        let args = [b.iterations(workload)];
-        let call = RunCall {
-            entry: b.entry,
-            args: &args,
-            input: &[],
-            max_steps: SPEC_MAX_STEPS,
-        };
+impl DebugTuner {
+    /// The speedup over `O0` of each gate at one personality/level on
+    /// the SPEC kernels: one [`PerfReport`] per gate, bit-identical to
+    /// [`measure_speedup`] of that gate. Kernels are measured on
+    /// `config.threads` workers; each builds all gates from one
+    /// transient compile session, and every distinct binary runs once
+    /// in the tuner's run memo (so one `O0` run per kernel serves every
+    /// call). Fails, naming the kernel, personality, level, and gate,
+    /// when a binary does not finish with `O0`'s return value and
+    /// output.
+    pub fn speedups(
+        &self,
+        personality: Personality,
+        level: OptLevel,
+        gates: &[PassGate],
+        workload: Workload,
+    ) -> Result<Vec<PerfReport>, String> {
+        let store = &self.store;
+        let kernels = spec_suite();
+        let per_kernel = crate::par_map(
+            &kernels,
+            self.config.threads,
+            |b| -> Result<Vec<f64>, String> {
+                let src = store.source(b.source)?;
+                let args = [b.iterations(workload)];
+                let call = RunCall {
+                    entry: b.entry,
+                    args: &args,
+                    input: &[],
+                    max_steps: SPEC_MAX_STEPS,
+                };
+                let o0 = call
+                    .run(store, &src.o0)
+                    .map_err(|e| format!("{} at O0: {e}", b.name))?;
+                let session = store.transient_session(&src, personality, level, None);
+                gates
+                    .iter()
+                    .map(|gate| {
+                        // The all-allowing gate gets the session's reference
+                        // object.
+                        let obj = store.build_variant(&session, gate).object;
+                        let run = call.run_like(store, &o0, &obj, || {
+                            format!("{} at {personality} {level} {}", b.name, gate_label(gate))
+                        })?;
+                        Ok(o0.cycles as f64 / (run.cycles as f64).max(1.0))
+                    })
+                    .collect()
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
+        // The geomean folds the kernels in `measure_speedup`'s order.
+        Ok((0..gates.len())
+            .map(|g| {
+                let mut per_benchmark = Vec::new();
+                let mut log_sum = 0.0;
+                for (b, speedups) in kernels.iter().zip(&per_kernel) {
+                    log_sum += speedups[g].ln();
+                    per_benchmark.push((b.name.to_string(), speedups[g]));
+                }
+                PerfReport {
+                    speedup: (log_sum / per_benchmark.len() as f64).exp(),
+                    per_benchmark,
+                }
+            })
+            .collect())
+    }
+
+    /// The AutoFDO experiment of `source` on `call` for each profiling
+    /// gate, profiling and final builds both at `personality`/`level`:
+    /// field for field equal to one [`dt_autofdo::run_autofdo`] per
+    /// gate. One transient compile session yields the plain binary (its
+    /// reference object) and every profiling binary; profiles are
+    /// collected on `config.threads` workers; each distinct profile gets
+    /// one AutoFDO build. The plain and AutoFDO runs go through the run
+    /// memo. Fails when a run does not finish or a plain or AutoFDO
+    /// binary does not behave like `O0`.
+    pub fn autofdo(
+        &self,
+        source: &str,
+        call: &RunCall,
+        personality: Personality,
+        level: OptLevel,
+        profiling_gates: &[PassGate],
+    ) -> Result<Vec<AutoFdoResult>, String> {
+        let (store, threads) = (&self.store, self.config.threads);
+        let what = |binary: String| format!("`{}` at {personality} {level}, {binary}", call.entry);
+        let src = store.source(source)?;
         let o0 = call
             .run(store, &src.o0)
-            .map_err(|e| format!("{} at O0: {e}", b.name))?;
+            .map_err(|e| format!("{}: {e}", what("O0 build".into())))?;
         let session = store.transient_session(&src, personality, level, None);
-        gates
+        let plain = call.run_like(store, &o0, &session.reference_object(), || {
+            what("plain build".into())
+        })?;
+        let profiles = crate::par_map(profiling_gates, threads, |gate| {
+            let obj = store.build_variant(&session, gate).object;
+            let profile = collect_profile(&obj, call.entry, call.args, call.input, call.max_steps)
+                .map_err(|e| format!("{}: {e}", what(format!("profiling {}", gate_label(gate)))))?;
+            Ok((obj.debug.steppable_lines().len(), profile))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
+        drop(session);
+
+        // Equal profiles give equal AutoFDO builds: build each once.
+        let mut distinct: Vec<(&PassGate, &dt_ir::Profile)> = Vec::new();
+        let profile_index: Vec<usize> = profiles
             .iter()
-            .map(|gate| {
-                // The all-allowing gate gets the session's reference
-                // object.
-                let obj = store.timed(|| session.compile_variant(gate), |s, ms, _| s.add_build(ms));
-                let run = call.run_like(store, &o0, &obj, || {
-                    format!("{} at {personality} {level} {}", b.name, gate_label(gate))
-                })?;
-                Ok(o0.cycles as f64 / (run.cycles as f64).max(1.0))
+            .zip(profiling_gates)
+            .map(|((_, profile), gate)| {
+                distinct
+                    .iter()
+                    .position(|(_, p)| *p == profile)
+                    .unwrap_or_else(|| {
+                        distinct.push((gate, profile));
+                        distinct.len() - 1
+                    })
             })
-            .collect()
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, String>>()?;
-    // The geomean folds the kernels in `measure_speedup`'s order.
-    Ok((0..gates.len())
-        .map(|g| {
-            let mut per_benchmark = Vec::new();
-            let mut log_sum = 0.0;
-            for (b, speedups) in kernels.iter().zip(&per_kernel) {
-                log_sum += speedups[g].ln();
-                per_benchmark.push((b.name.to_string(), speedups[g]));
-            }
-            PerfReport {
-                speedup: (log_sum / per_benchmark.len() as f64).exp(),
-                per_benchmark,
-            }
+            .collect();
+        let fdo = crate::par_map(&distinct, threads, |&(gate, profile)| {
+            let opts = CompileOptions {
+                personality,
+                level,
+                gate: PassGate::allow_all(),
+                profile: Some(profile.clone()),
+            };
+            let obj = store.timed(
+                || dt_passes::compile(&src.module, &opts),
+                |s, ms, _| s.add_build(ms),
+            );
+            call.run_like(store, &o0, &obj, || {
+                what(format!("AutoFDO build from {} profile", gate_label(gate)))
+            })
         })
-        .collect())
-}
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
 
-/// [`dt_autofdo::run_autofdo`] of one program for every profiling
-/// gate, with the profiling and final builds at the same
-/// personality/level, through `store`. One transient compile session
-/// yields the plain binary (its reference object) and every profiling
-/// binary; profiles are collected on up to `threads` workers; each
-/// distinct profile gets one AutoFDO build. The plain and AutoFDO runs
-/// go through the run memo and are checked against `O0`. Field for
-/// field equal to one `run_autofdo` per gate.
-pub(crate) fn autofdo_in(
-    store: &ArtifactStore,
-    threads: usize,
-    source: &str,
-    call: &RunCall,
-    personality: Personality,
-    level: OptLevel,
-    profiling_gates: &[PassGate],
-) -> Result<Vec<AutoFdoResult>, String> {
-    let what = |binary: String| format!("`{}` at {personality} {level}, {binary}", call.entry);
-    let src = store.source(source)?;
-    let o0 = call
-        .run(store, &src.o0)
-        .map_err(|e| format!("{}: {e}", what("O0 build".into())))?;
-    let session = store.transient_session(&src, personality, level, None);
-    let plain = call.run_like(store, &o0, &session.reference_object(), || {
-        what("plain build".into())
-    })?;
-    let profiles = crate::par_map(profiling_gates, threads, |gate| {
-        let obj = store.timed(|| session.compile_variant(gate), |s, ms, _| s.add_build(ms));
-        let profile = collect_profile(&obj, call.entry, call.args, call.input, call.max_steps)
-            .map_err(|e| format!("{}: {e}", what(format!("profiling {}", gate_label(gate)))))?;
-        Ok((obj.debug.steppable_lines().len(), profile))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, String>>()?;
-    drop(session);
-
-    // Equal profiles give equal AutoFDO builds: build each once.
-    let mut distinct: Vec<(&PassGate, &dt_ir::Profile)> = Vec::new();
-    let profile_index: Vec<usize> = profiles
-        .iter()
-        .zip(profiling_gates)
-        .map(|((_, profile), gate)| {
-            distinct
-                .iter()
-                .position(|(_, p)| *p == profile)
-                .unwrap_or_else(|| {
-                    distinct.push((gate, profile));
-                    distinct.len() - 1
-                })
-        })
-        .collect();
-    let fdo = crate::par_map(&distinct, threads, |&(gate, profile)| {
-        let opts = CompileOptions {
-            personality,
-            level,
-            gate: PassGate::allow_all(),
-            profile: Some(profile.clone()),
-        };
-        let obj = store.timed(
-            || dt_passes::compile(&src.module, &opts),
-            |s, ms, _| s.add_build(ms),
-        );
-        call.run_like(store, &o0, &obj, || {
-            what(format!("AutoFDO build from {} profile", gate_label(gate)))
-        })
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, String>>()?;
-
-    Ok(profiles
-        .iter()
-        .zip(profile_index)
-        .map(|((steppable, profile), i)| AutoFdoResult {
-            plain_cycles: plain.cycles,
-            autofdo_cycles: fdo[i].cycles,
-            mapped_fraction: profile.mapped_fraction(),
-            profiling_steppable_lines: *steppable,
-        })
-        .collect())
+        Ok(profiles
+            .iter()
+            .zip(profile_index)
+            .map(|((steppable, profile), i)| AutoFdoResult {
+                plain_cycles: plain.cycles,
+                autofdo_cycles: fdo[i].cycles,
+                mapped_fraction: profile.mapped_fraction(),
+                profiling_steppable_lines: *steppable,
+            })
+            .collect())
+    }
 }
 
 #[cfg(test)]
@@ -342,7 +354,10 @@ mod tests {
     /// explicit `StepLimit` error, memoized like any other run.
     #[test]
     fn starved_budget_is_a_memoized_step_limit_error() {
-        let store = ArtifactStore::new();
+        let tuner = DebugTuner::new(crate::TunerConfig {
+            threads: 1,
+            ..Default::default()
+        });
         let b = spec::benchmark("505.mcf").unwrap();
         let args = [b.iterations(Workload::Test)];
         let call = RunCall {
@@ -350,25 +365,15 @@ mod tests {
             ..kernel_call(&b, &args)
         };
         let gates = [PassGate::allow_all()];
-        let run = || {
-            autofdo_in(
-                &store,
-                1,
-                b.source,
-                &call,
-                Personality::Clang,
-                OptLevel::O2,
-                &gates,
-            )
-        };
+        let run = || tuner.autofdo(b.source, &call, Personality::Clang, OptLevel::O2, &gates);
         let err = run().unwrap_err();
         assert!(
             err.contains("O0 build") && err.contains("StepLimit"),
             "{err}"
         );
-        let before = store.stats();
+        let before = tuner.stats();
         assert_eq!(run().unwrap_err(), err);
-        let after = store.stats();
+        let after = tuner.stats();
         assert_eq!(after.runs, before.runs, "the failed run is not rerun");
         assert_eq!(after.run_hits, before.run_hits + 1);
     }

@@ -8,11 +8,11 @@
 //! exactly as Tables V and VI do.
 
 use crate::eval::ProgramEvaluation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// One row of the global ranking.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RankEntry {
     pub pass: String,
     /// Average per-program rank (lower = more debug-harmful).
@@ -27,16 +27,14 @@ pub struct RankEntry {
     /// defect-rate delta vs the reference (negative = disabling the
     /// pass makes the surviving debug info more truthful). Reported
     /// alongside availability; does not influence the ordering.
-    #[serde(default)]
     pub mean_defect_delta: f64,
     /// Programs in which disabling the pass strictly reduced the
     /// defect rate.
-    #[serde(default)]
     pub defect_reducing_programs: usize,
 }
 
 /// The aggregated ranking.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PassRanking {
     /// Entries sorted by ascending `avg_rank`.
     pub entries: Vec<RankEntry>,

@@ -64,8 +64,8 @@ pub struct EvalStats {
     pub run_ms: f64,
     /// Wall-clock spent compiling, summed across workers.
     pub build_ms: f64,
-    /// Wall-clock spent in debug-trace sessions + metric computation,
-    /// summed across workers.
+    /// Wall-clock spent in debug-trace sessions, summed across
+    /// workers.
     pub trace_ms: f64,
     /// Wall-clock spent aggregating rankings.
     pub rank_ms: f64,

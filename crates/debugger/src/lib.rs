@@ -9,14 +9,12 @@
 //! state. Temporary breakpoints make the session cheap: each line is
 //! stepped at most once across all inputs.
 //!
-//! Traces serialize to JSON (like the paper's artifacts) via serde.
-//!
 //! Two execution engines produce the same trace:
 //!
 //! * [`trace`] — the slow-step reference: drives the VM one [`Vm::step`]
 //!   at a time and probes a hash map per instruction. Kept as the
 //!   differential baseline the fast path is tested against.
-//! * [`trace_fast`] / [`trace_with_plan`] — the production fast path:
+//! * [`trace_with_plan`] — the production fast path:
 //!   breakpoint detection happens *inside* the VM
 //!   ([`Vm::run_until_break`]) against a dense bitmap over instruction
 //!   indices, precomputed once per object as a [`BreakPlan`]. Control
@@ -27,11 +25,10 @@
 
 use dt_machine::{FOp, Object};
 use dt_vm::{Vm, VmConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What the debugger observed at one stepped line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineObservation {
     /// The function whose code hit the breakpoint.
     pub func: String,
@@ -40,13 +37,12 @@ pub struct LineObservation {
     /// The value the debugger would print for each visible variable
     /// (resolved through the location list against live machine state),
     /// or — in a ground-truth session — the variable's true value per
-    /// O0 semantics. Absent in PR-1-era traces, hence defaulted.
-    #[serde(default)]
+    /// O0 semantics.
     pub values: BTreeMap<String, i64>,
 }
 
 /// A debug trace: one observation per stepped source line.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DebugTrace {
     /// Stepped line → observation (first hit wins, as with temporary
     /// breakpoints).
@@ -59,8 +55,6 @@ pub struct DebugTrace {
     pub inputs_run: usize,
     /// Stepped lines in first-hit order. Used by the checker to decide
     /// whether a wrong value is *stale* (held earlier in the run).
-    /// Absent in PR-1-era traces, hence defaulted.
-    #[serde(default)]
     pub hit_order: Vec<u32>,
 }
 
@@ -73,16 +67,6 @@ impl DebugTrace {
     /// The variables observed at `line`, if it was stepped.
     pub fn vars_at(&self, line: u32) -> Option<&BTreeSet<String>> {
         self.lines.get(&line).map(|o| &o.vars)
-    }
-
-    /// Serializes the trace to JSON (the paper's exchange format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serializes")
-    }
-
-    /// Parses a trace from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
     }
 }
 
@@ -360,7 +344,7 @@ fn vm_config_for(config: &SessionConfig) -> VmConfig {
 ///
 /// This is the **slow-step reference engine**: it drives the VM one
 /// [`Vm::step`] at a time and probes a per-instruction hash map.
-/// Production paths use [`trace_fast`]/[`trace_with_plan`], which are
+/// Production paths use [`trace_with_plan`], which is
 /// differentially tested to produce bit-identical traces.
 pub fn trace(
     obj: &Object,
@@ -421,18 +405,7 @@ pub fn trace(
 }
 
 /// Fast-path session: [`trace`] semantics with in-VM breakpoint
-/// detection on a [`BreakPlan`] built inline. Prefer
-/// [`trace_with_plan`] when tracing the same object repeatedly.
-pub fn trace_fast(
-    obj: &Object,
-    entry: &str,
-    inputs: &[Vec<u8>],
-    config: &SessionConfig,
-) -> Result<DebugTrace, String> {
-    trace_with_plan(obj, entry, inputs, config, &BreakPlan::new(obj))
-}
-
-/// Fast-path session against a precomputed plan (`plan` must have been
+/// detection, against a precomputed plan (`plan` must have been
 /// built from `obj`). Bit-identical to [`trace`] by construction.
 pub fn trace_with_plan(
     obj: &Object,
@@ -725,31 +698,6 @@ int main() {
     }
 
     #[test]
-    fn from_json_accepts_pr1_era_traces() {
-        // A trace serialized before values/hit_order existed.
-        let legacy = r#"{
-            "lines": {
-                "4": { "func": "main", "vars": ["x", "y"] }
-            },
-            "hits": 1,
-            "inputs_run": 1
-        }"#;
-        let t = DebugTrace::from_json(legacy).unwrap();
-        assert_eq!(t.hits, 1);
-        assert!(t.lines[&4].values.is_empty());
-        assert!(t.hit_order.is_empty());
-        assert!(t.lines[&4].vars.contains("x"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let obj = object(PROGRAM);
-        let t = trace(&obj, "main", &[vec![50]], &SessionConfig::default()).unwrap();
-        let t2 = DebugTrace::from_json(&t.to_json()).unwrap();
-        assert_eq!(t, t2);
-    }
-
-    #[test]
     fn empty_input_set_runs_once_with_empty_input() {
         let obj = object("int main() { int z = in_len(); out(z); return z; }");
         let t = trace(&obj, "main", &[], &SessionConfig::default()).unwrap();
@@ -778,7 +726,7 @@ int main() {
                 ..SessionConfig::default()
             };
             let slow = trace(&obj, "main", &inputs, &cfg).unwrap();
-            let fast = trace_fast(&obj, "main", &inputs, &cfg).unwrap();
+            let fast = trace_with_plan(&obj, "main", &inputs, &cfg, &BreakPlan::new(&obj)).unwrap();
             assert_eq!(slow, fast, "ground_truth={ground_truth}");
         }
     }
@@ -789,7 +737,7 @@ int main() {
         let plan = BreakPlan::new(&obj);
         let cfg = SessionConfig::default();
         for inputs in [vec![vec![50]], vec![vec![1], vec![60]], vec![]] {
-            let fast = trace_fast(&obj, "main", &inputs, &cfg).unwrap();
+            let fast = trace_with_plan(&obj, "main", &inputs, &cfg, &BreakPlan::new(&obj)).unwrap();
             let reused = trace_with_plan(&obj, "main", &inputs, &cfg, &plan).unwrap();
             assert_eq!(fast, reused);
         }

@@ -2,8 +2,11 @@
 //! defects it memoizes are the checker's verdict on the reference
 //! build (the invariant Table XVI is formatted from).
 
-use debugtuner::{check_compiled, evaluate_program, DebugTuner, ProgramInput, TunerConfig};
-use dt_passes::{CompileOptions, OptLevel, PassGate, Personality};
+use debugtuner::{DebugTuner, ProgramInput, TunerConfig};
+use dt_checker::DefectSummary;
+use dt_debugger::SessionConfig;
+use dt_minic::analysis::SourceAnalysis;
+use dt_passes::{compile_source, CompileOptions, OptLevel, PassGate, Personality};
 
 const SRC: &str = "\
 int helper(int v) {
@@ -51,7 +54,11 @@ fn same_name_different_content_never_aliases() {
     let json = |e: &debugtuner::ProgramEvaluation| serde_json::to_string(e).unwrap();
     let mut seen = Vec::new();
     for p in &programs {
-        let alone = evaluate_program(p, personality, level, 1_000_000);
+        let alone = DebugTuner::new(TunerConfig {
+            max_steps_per_input: 1_000_000,
+            threads: 1,
+        })
+        .evaluate(p, personality, level);
         let shared = tuner.evaluate(p, personality, level);
         assert_eq!(json(&shared), json(&alone), "evaluation aliased");
         // The explicit-config path reads the same baseline: an empty
@@ -73,10 +80,40 @@ fn same_name_different_content_never_aliases() {
     assert_eq!(stats.eval_cache_hits, 3, "{stats:?}");
 }
 
-/// Table XVI sums `ProgramEvaluation::reference_defects`; that must
-/// equal a standalone check of the unmodified level at every level.
+/// The checker's verdict on `options`' build of `program`, from
+/// scratch: plain `compile_source` builds, slow-step traces (ground
+/// truth at `O0`), and `dt_checker::check`. No store, session, or fast
+/// path is involved.
+fn from_scratch_check(
+    program: &ProgramInput,
+    options: &CompileOptions,
+    max_steps_per_input: u64,
+) -> DefectSummary {
+    let source = &program.source;
+    let analysis = SourceAnalysis::of(&dt_minic::compile_check(source).unwrap());
+    let o0 = compile_source(
+        source,
+        &CompileOptions::new(options.personality, OptLevel::O0),
+    )
+    .unwrap();
+    let obj = compile_source(source, options).unwrap();
+    let trace = |obj: &dt_machine::Object, ground_truth| {
+        let session = SessionConfig {
+            max_steps_per_input,
+            entry_args: program.entry_args.clone(),
+            ground_truth,
+        };
+        dt_debugger::trace(obj, &program.harness, &program.inputs, &session).unwrap()
+    };
+    let base = trace(&o0, true);
+    dt_checker::check(&trace(&obj, false), &base, &analysis).summary
+}
+
+/// Table XVI sums `ProgramEvaluation::reference_defects`; at every
+/// level that must equal a from-scratch check of the unmodified level,
+/// and so must the tuner's own `check`.
 #[test]
-fn reference_defects_equal_check_compiled_at_every_level() {
+fn reference_defects_equal_a_from_scratch_check_at_every_level() {
     let suite = dt_testsuite::real_world_suite();
     let p = suite.iter().find(|p| p.name == "libexif").unwrap();
     let program = ProgramInput {
@@ -96,20 +133,11 @@ fn reference_defects_equal_check_compiled_at_every_level() {
                 gate: PassGate::allow_all(),
                 ..CompileOptions::new(personality, level)
             };
-            let checked = check_compiled(
-                &program.source,
-                &program.harness,
-                &program.inputs,
-                &program.entry_args,
-                &options,
-                3_000_000,
-            )
-            .unwrap();
+            let oracle = from_scratch_check(&program, &options, 3_000_000);
             let eval = tuner.evaluate(&program, personality, level);
-            assert_eq!(
-                eval.reference_defects, checked.summary,
-                "{personality} {level}"
-            );
+            assert_eq!(eval.reference_defects, oracle, "{personality} {level}");
+            let checked = tuner.check(&program, &options).unwrap();
+            assert_eq!(checked.summary, oracle, "{personality} {level}");
         }
     }
 }

@@ -9,9 +9,27 @@
 //! side is pinned too: `O0` checked against itself reports no value
 //! lies on any suite program.
 
-use debugtuner::check_compiled;
+use debugtuner::{DebugTuner, ProgramInput, TunerConfig};
 use dt_checker::DefectClass;
 use dt_passes::{CompileOptions, OptLevel, Personality};
+
+/// A one-thread tuner with a 2M-step budget per input.
+fn tuner() -> DebugTuner {
+    DebugTuner::new(TunerConfig {
+        max_steps_per_input: 2_000_000,
+        threads: 1,
+    })
+}
+
+fn program(source: String, harness: &str, inputs: Vec<Vec<u8>>) -> ProgramInput {
+    ProgramInput {
+        name: harness.into(),
+        source,
+        harness: harness.into(),
+        inputs,
+        entry_args: vec![],
+    }
+}
 
 /// Synth seed 52 at gcc O2: CSE-driven binding drops leave both stale
 /// and plain-wrong values behind (verified by scanning seeds 0..60).
@@ -21,15 +39,12 @@ fn checked_report() -> dt_checker::CheckReport {
     let cfg = dt_testsuite::synth::SynthConfig::default();
     let src = dt_testsuite::synth::generate(SEED, &cfg);
     let options = CompileOptions::new(Personality::Gcc, OptLevel::O2);
-    check_compiled(
-        &src,
-        "fuzz_main",
-        &[vec![SEED as u8, 9]],
-        &[],
-        &options,
-        2_000_000,
-    )
-    .expect("pinned program compiles and runs at both O0 and O2")
+    tuner()
+        .check(
+            &program(src, "fuzz_main", vec![vec![SEED as u8, 9]]),
+            &options,
+        )
+        .expect("pinned program compiles and runs at both O0 and O2")
 }
 
 #[test]
@@ -75,7 +90,8 @@ fn o0_against_itself_reports_no_value_lies() {
     let options = CompileOptions::new(Personality::Gcc, OptLevel::O0);
     for p in dt_testsuite::real_world_suite() {
         let inputs: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
-        let s = check_compiled(p.source, p.harnesses[0], &inputs, &[], &options, 2_000_000)
+        let s = tuner()
+            .check(&program(p.source.into(), p.harnesses[0], inputs), &options)
             .unwrap_or_else(|e| panic!("{}: {e}", p.name))
             .summary;
         assert_eq!(

@@ -4,6 +4,14 @@
 use debugtuner::ProgramInput;
 use dt_passes::{compile_source, CompileOptions, OptLevel, PassGate, Personality};
 
+/// A one-thread tuner with the given step budget per input.
+fn serial_tuner(max_steps_per_input: u64) -> debugtuner::DebugTuner {
+    debugtuner::DebugTuner::new(debugtuner::TunerConfig {
+        max_steps_per_input,
+        threads: 1,
+    })
+}
+
 const PROGRAM: &str = "\
 int clamp(int v, int lo, int hi) {
     if (v < lo) { return lo; }
@@ -39,12 +47,11 @@ fn quality_degrades_with_optimization_and_recovers_with_tuning() {
     let p = program_input();
     let tuner = debugtuner::DebugTuner::default();
 
-    let e0_ref = debugtuner::eval::evaluate_config(
+    let e0_ref = serial_tuner(1_000_000).evaluate_config(
         &p,
         Personality::Gcc,
         OptLevel::O0,
         &PassGate::allow_all(),
-        1_000_000,
     );
     assert!(
         (e0_ref.product - 1.0).abs() < 1e-9,
@@ -61,7 +68,7 @@ fn quality_degrades_with_optimization_and_recovers_with_tuning() {
     let ranking = tuner.rank_passes(std::slice::from_ref(&p), Personality::Gcc, OptLevel::O3);
     let cfg = debugtuner::dy_config(Personality::Gcc, OptLevel::O3, &ranking, 3);
     let tuned =
-        debugtuner::eval::evaluate_config(&p, Personality::Gcc, OptLevel::O3, &cfg.gate, 1_000_000);
+        serial_tuner(1_000_000).evaluate_config(&p, Personality::Gcc, OptLevel::O3, &cfg.gate);
     assert!(
         tuned.product >= e3.reference.product,
         "O3-d3 ({}) must not be worse than O3 ({})",
@@ -133,7 +140,7 @@ fn suite_program_pipeline_smoke() {
     let suite = dt_testsuite::program("lighttpd").unwrap();
     let p = ProgramInput::from_suite(&suite, 400);
     assert!(!p.inputs.is_empty());
-    let eval = debugtuner::evaluate_program(&p, Personality::Clang, OptLevel::O2, 2_000_000);
+    let eval = serial_tuner(2_000_000).evaluate(&p, Personality::Clang, OptLevel::O2);
     assert!(eval.reference.product > 0.0 && eval.reference.product < 1.0);
     assert!(eval.stepped_lines_o0 > 10);
     assert!(eval.steppable_lines_o0 >= eval.stepped_lines_o0);
@@ -154,12 +161,12 @@ fn synthetic_programs_differ_from_real_world() {
             inputs: vec![vec![seed as u8, 1]],
             entry_args: vec![],
         };
-        let e = debugtuner::evaluate_program(&p, Personality::Gcc, OptLevel::O3, 2_000_000);
+        let e = serial_tuner(2_000_000).evaluate(&p, Personality::Gcc, OptLevel::O3);
         synth_lc.push(e.reference.line_coverage);
     }
     let real = dt_testsuite::program("zlib").unwrap();
     let p = ProgramInput::from_suite(&real, 400);
-    let e = debugtuner::evaluate_program(&p, Personality::Gcc, OptLevel::O3, 3_000_000);
+    let e = serial_tuner(3_000_000).evaluate(&p, Personality::Gcc, OptLevel::O3);
     let synth_avg = synth_lc.iter().sum::<f64>() / synth_lc.len() as f64;
     assert!(
         e.reference.line_coverage > synth_avg - 0.35,

@@ -1,30 +1,61 @@
 //! Property-based integration tests: random programs and inputs must
 //! behave identically across optimization levels, and the debug
-//! metrics must stay within their invariant bounds. One pinned,
-//! `#[ignore]`d sweep checks build determinism and session
-//! equivalence over every gate shape the tuner ships.
+//! metrics must stay within their invariant bounds. Two pinned,
+//! `#[ignore]`d sweeps check the same on every seed of four generator
+//! shapes, and build determinism and session equivalence over every
+//! gate shape the tuner ships.
 
 use dt_passes::{
     compile_source, pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate,
     Personality,
 };
+use dt_testsuite::synth::SynthConfig;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn run(obj: &dt_machine::Object, input: &[u8]) -> (i64, Vec<i64>) {
-    let r = dt_vm::Vm::run_to_completion(
-        obj,
-        "fuzz_main",
-        &[],
-        input,
-        dt_vm::VmConfig {
-            max_steps: 5_000_000,
-            ..Default::default()
-        },
-    )
-    .expect("runs");
-    (r.ret, r.output)
+/// Runs `fuzz_main` on `input`: its return value and output, or why
+/// the run did not finish.
+fn run(obj: &dt_machine::Object, input: &[u8], max_steps: u64) -> Result<(i64, Vec<i64>), String> {
+    let config = dt_vm::VmConfig {
+        max_steps,
+        ..Default::default()
+    };
+    let r = dt_vm::Vm::run_finished(obj, "fuzz_main", &[], input, config)?;
+    Ok((r.ret, r.output))
+}
+
+/// A one-thread tuner with the given step budget per input.
+fn serial_tuner(max_steps_per_input: u64) -> debugtuner::DebugTuner {
+    debugtuner::DebugTuner::new(debugtuner::TunerConfig {
+        max_steps_per_input,
+        threads: 1,
+    })
+}
+
+/// Maps `f` over `items` split round-robin over the machine's cores.
+/// Results come back grouped by worker, not in input order.
+fn on_all_cores<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    items
+                        .iter()
+                        .skip(w)
+                        .step_by(workers)
+                        .map(f)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    })
 }
 
 proptest! {
@@ -38,14 +69,14 @@ proptest! {
         let src = dt_testsuite::synth::generate(seed, &cfg);
         let input = [byte, byte ^ 0x5a];
         let o0 = compile_source(&src, &CompileOptions::new(Personality::Gcc, OptLevel::O0)).unwrap();
-        let expected = run(&o0, &input);
+        let expected = Ok(run(&o0, &input, 5_000_000).unwrap());
         for (personality, level) in [
             (Personality::Gcc, OptLevel::Og),
             (Personality::Gcc, OptLevel::O3),
             (Personality::Clang, OptLevel::O3),
         ] {
             let obj = compile_source(&src, &CompileOptions::new(personality, level)).unwrap();
-            let got = run(&obj, &input);
+            let got = run(&obj, &input, 5_000_000);
             prop_assert_eq!(
                 &got, &expected,
                 "seed {} {:?} {:?}\n{}", seed, personality, level, src
@@ -65,7 +96,7 @@ proptest! {
             inputs: vec![vec![seed as u8, 9]],
             entry_args: vec![],
         };
-        let e = debugtuner::evaluate_program(&p, Personality::Gcc, OptLevel::O2, 2_000_000);
+        let e = serial_tuner(2_000_000).evaluate(&p, Personality::Gcc, OptLevel::O2);
         let m = e.reference;
         prop_assert!((0.0..=1.0).contains(&m.availability));
         prop_assert!((0.0..=1.0).contains(&m.line_coverage));
@@ -108,7 +139,7 @@ proptest! {
             entry_args: vec![],
         };
         for personality in [Personality::Gcc, Personality::Clang] {
-            let e = debugtuner::evaluate_program(&p, personality, OptLevel::O2, 2_000_000);
+            let e = serial_tuner(2_000_000).evaluate(&p, personality, OptLevel::O2);
             let hybrid = e.methods.hybrid.product;
             let dynamic = e.methods.dynamic.product;
             let static_dbg = e.methods.static_dbg.product;
@@ -214,6 +245,114 @@ proptest! {
     }
 }
 
+/// One generator shape of [`swept_seeds_agree_with_o0_at_every_level`]:
+/// seeds `0..seeds`, the levels each seed is compiled at, the input
+/// bytes, and the step budget of each run.
+struct Sweep {
+    shape: SynthConfig,
+    seeds: u64,
+    levels: &'static [(Personality, OptLevel)],
+    bytes: &'static [u8],
+    max_steps: u64,
+}
+
+/// The differential sweep of the synthetic-program space. Every seed of
+/// the default generator shape and of three stress shapes (more
+/// functions, deeper expressions, or longer bodies, to reach pass
+/// interactions the default shape misses) is compiled at `O0` and at
+/// the sweep's levels and run on each input byte `b` as `[b, b ^ 0x5a]`.
+/// Every run must finish, and every level must return `O0`'s value and
+/// write `O0`'s output. About 30 s in release on two cores, so it is
+/// `#[ignore]`d; `scripts/ci.sh` runs it with `--include-ignored`.
+#[test]
+#[ignore]
+fn swept_seeds_agree_with_o0_at_every_level() {
+    const EVERY_LEVEL: [(Personality, OptLevel); 8] = [
+        (Personality::Gcc, OptLevel::Og),
+        (Personality::Gcc, OptLevel::O1),
+        (Personality::Gcc, OptLevel::O2),
+        (Personality::Gcc, OptLevel::O3),
+        (Personality::Clang, OptLevel::Og),
+        (Personality::Clang, OptLevel::O1),
+        (Personality::Clang, OptLevel::O2),
+        (Personality::Clang, OptLevel::O3),
+    ];
+    const STRESS_LEVELS: [(Personality, OptLevel); 5] = [
+        (Personality::Gcc, OptLevel::Og),
+        (Personality::Gcc, OptLevel::O2),
+        (Personality::Gcc, OptLevel::O3),
+        (Personality::Clang, OptLevel::O2),
+        (Personality::Clang, OptLevel::O3),
+    ];
+    let stress = |functions, vars_per_function, stmts_per_function, max_expr_depth| Sweep {
+        shape: SynthConfig {
+            functions,
+            vars_per_function,
+            stmts_per_function,
+            max_expr_depth,
+        },
+        seeds: 300,
+        levels: &STRESS_LEVELS,
+        bytes: &[0, 3, 55, 90, 177, 255],
+        max_steps: 20_000_000,
+    };
+    let sweeps = [
+        Sweep {
+            shape: SynthConfig::default(),
+            seeds: 500,
+            levels: &EVERY_LEVEL,
+            bytes: &[0, 1, 7, 11, 42, 90, 128, 200, 254, 255],
+            max_steps: 5_000_000,
+        },
+        stress(6, 14, 24, 6),
+        stress(2, 4, 40, 2),
+        stress(8, 10, 8, 8),
+    ];
+    let cases: Vec<(usize, u64)> = sweeps
+        .iter()
+        .enumerate()
+        .flat_map(|(i, sweep)| (0..sweep.seeds).map(move |seed| (i, seed)))
+        .collect();
+    let failures: Vec<String> = on_all_cores(&cases, |&(i, seed)| {
+        let sweep = &sweeps[i];
+        let src = dt_testsuite::synth::generate(seed, &sweep.shape);
+        let o0 = compile_source(&src, &CompileOptions::new(Personality::Gcc, OptLevel::O0))
+            .unwrap_or_else(|e| panic!("shape {i} seed {seed} O0: {e:?}"));
+        let inputs: Vec<[u8; 2]> = sweep.bytes.iter().map(|&b| [b, b ^ 0x5a]).collect();
+        let expected: Vec<_> = inputs
+            .iter()
+            .map(|input| run(&o0, input, sweep.max_steps))
+            .collect();
+        let mut failures = Vec::new();
+        for &(personality, level) in sweep.levels {
+            let obj = compile_source(&src, &CompileOptions::new(personality, level))
+                .unwrap_or_else(|e| {
+                    panic!("shape {i} seed {seed} {personality:?} {level:?}: {e:?}")
+                });
+            for (input, want) in inputs.iter().zip(&expected) {
+                let got = run(&obj, input, sweep.max_steps);
+                if got.is_err() || got != *want {
+                    failures.push(format!(
+                        "shape {i} seed {seed} {personality:?} {level:?} input {input:?}: \
+                         got {got:?}, O0 {want:?}"
+                    ));
+                    break;
+                }
+            }
+        }
+        failures
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(
+        failures.is_empty(),
+        "{} disagreements:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 /// The `y` of the nested `Ox-dy`-shaped gates in
 /// [`session_and_scratch_builds_are_deterministic_and_agree`].
 const DY_SIZES: [usize; 6] = [1, 3, 5, 7, 9, 11];
@@ -315,7 +454,7 @@ fn session_and_scratch_builds_are_deterministic_and_agree() {
         .iter()
         .map(|p| (p.name.to_string(), p.source.to_string()))
         .collect();
-    let shape = dt_testsuite::synth::SynthConfig {
+    let shape = SynthConfig {
         functions: 6,
         vars_per_function: 14,
         stmts_per_function: 24,
@@ -328,25 +467,7 @@ fn session_and_scratch_builds_are_deterministic_and_agree() {
         ));
     }
 
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let srcs = &srcs;
-    let served: Vec<[usize; 3]> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    srcs.iter()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(name, src)| sweep_source(name, src))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    });
+    let served = on_all_cores(&srcs, |(name, src)| sweep_source(name, src));
     let total = |path: usize| served.iter().map(|s| s[path]).sum::<usize>();
     let (reference, backend_only, resumed) = (total(0), total(1), total(2));
     assert!(

@@ -14,10 +14,10 @@
 //!   O2/O3).
 //!
 //! The last test pins the parallel variant-evaluation engine to the
-//! serial one: `evaluate_program_parallel` must produce bit-identical
-//! `ProgramEvaluation`s, field for field.
+//! serial one: a tuner with four threads must produce bit-identical
+//! `ProgramEvaluation`s to a one-thread tuner, field for field.
 
-use debugtuner::{evaluate_program, evaluate_program_parallel, ProgramInput};
+use debugtuner::{DebugTuner, ProgramInput, TunerConfig};
 use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
 use dt_testsuite::synth::SynthConfig;
 
@@ -84,6 +84,14 @@ fn sink_liveness_regression_seed_126_stress_shape() {
     assert_seed_agrees_everywhere(126, &shape, &[0, 3, 55, 90, 177, 255], 20_000_000);
 }
 
+/// A tuner with `threads` workers and a 2M-step budget per input.
+fn tuner(threads: usize) -> DebugTuner {
+    DebugTuner::new(TunerConfig {
+        max_steps_per_input: 2_000_000,
+        threads,
+    })
+}
+
 fn suite_input(name: &str) -> ProgramInput {
     let p = dt_testsuite::program(name).expect("suite program");
     ProgramInput::from_suite(&p, 200)
@@ -99,8 +107,8 @@ fn parallel_evaluation_is_bit_identical_to_serial() {
             (Personality::Gcc, OptLevel::O2),
             (Personality::Clang, OptLevel::O2),
         ] {
-            let serial = evaluate_program(&program, personality, level, 2_000_000);
-            let parallel = evaluate_program_parallel(&program, personality, level, 2_000_000, 4);
+            let serial = tuner(1).evaluate(&program, personality, level);
+            let parallel = tuner(4).evaluate(&program, personality, level);
 
             assert_eq!(parallel.program, serial.program);
             assert_eq!(parallel.reference, serial.reference, "{name} reference");

@@ -1,6 +1,6 @@
 //! Differential coverage of the two debug-session engines: the
 //! slow-step reference `trace()` and the fast-path
-//! `trace_fast`/`trace_with_plan` (in-VM breakpoint bitmap, early-exit
+//! `trace_with_plan` (in-VM breakpoint bitmap, early-exit
 //! inputs) must produce field-for-field identical `DebugTrace`s —
 //! lines, values, hits, hit_order, inputs_run — on every binary,
 //! including ground-truth (`track_dbg_bindings`) sessions.
@@ -11,7 +11,7 @@
 //! randomly generated programs with random inputs through random
 //! personality/level combinations.
 
-use dt_debugger::{trace, trace_fast, trace_with_plan, BreakPlan, SessionConfig};
+use dt_debugger::{trace, trace_with_plan, BreakPlan, SessionConfig};
 use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
 use proptest::prelude::*;
 
@@ -128,7 +128,7 @@ proptest! {
         let inputs = vec![vec![byte, byte ^ 0x5a], vec![], vec![byte.wrapping_mul(3); 4]];
         let scfg = session(ground_truth);
         let slow = trace(&obj, "fuzz_main", &inputs, &scfg).unwrap();
-        let fast = trace_fast(&obj, "fuzz_main", &inputs, &scfg).unwrap();
+        let fast = trace_with_plan(&obj, "fuzz_main", &inputs, &scfg, &BreakPlan::new(&obj)).unwrap();
         prop_assert_eq!(
             &slow, &fast,
             "seed {} {:?} {:?} ground_truth={}\n{}",
