@@ -32,7 +32,6 @@ use crate::fingerprint::Fnv;
 use crate::job::{Campaign, Ctx, JobSpec, Product, Value, ValueMap};
 use crate::journal::{Journal, JournalRecord};
 use crate::store::{write_atomic, Store};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -152,7 +151,7 @@ impl From<std::io::Error> for CampaignError {
 }
 
 /// Final state of one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Output restored from the content-addressed store.
     Hit,

@@ -52,11 +52,6 @@ impl Default for Fnv {
     }
 }
 
-/// One-shot hash of a string.
-pub fn fnv1a_str(s: &str) -> u64 {
-    Fnv::new().write_str(s).finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,11 +34,11 @@
 
 use dt_debugger::DebugTrace;
 use dt_minic::analysis::SourceAnalysis;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeSet, HashMap};
 
 /// The defect taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefectClass {
     WrongValue,
     StaleValue,
@@ -48,7 +48,7 @@ pub enum DefectClass {
 
 /// One classified divergence between an optimized trace and the O0
 /// ground truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Defect {
     pub class: DefectClass,
     /// Function the stop was attributed to.
@@ -64,7 +64,7 @@ pub struct Defect {
 
 /// Defect counts per class plus the comparison volume behind them.
 /// `Copy` so it can ride along in caches next to `Metrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DefectSummary {
     pub wrong: u32,
     pub stale: u32,
@@ -90,7 +90,7 @@ impl DefectSummary {
 }
 
 /// The oracle's verdict on one optimized trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckReport {
     /// Classified defects, ordered by line then variable.
     pub defects: Vec<Defect>,

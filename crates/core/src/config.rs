@@ -1,7 +1,7 @@
 //! `Ox-dy` configuration construction (Section V-B).
 
 use crate::rank::PassRanking;
-use dt_passes::{OptLevel, PassGate, Personality};
+use dt_passes::{OptLevel, PassGate};
 
 /// A derived debug-friendly configuration.
 #[derive(Debug, Clone)]
@@ -25,13 +25,7 @@ fn is_master_inline(pass: &str) -> bool {
 
 /// Builds the `Ox-dy` configuration: disable the top `y` ranked
 /// passes, skipping the master inliner switches.
-pub fn dy_config(
-    personality: Personality,
-    level: OptLevel,
-    ranking: &PassRanking,
-    y: usize,
-) -> DyConfig {
-    let _ = personality;
+pub fn dy_config(level: OptLevel, ranking: &PassRanking, y: usize) -> DyConfig {
     let disabled: Vec<String> = ranking
         .entries
         .iter()
@@ -48,14 +42,10 @@ pub fn dy_config(
 }
 
 /// The paper's standard `d3/d5/d7/d9` family for one level.
-pub fn dy_family(
-    personality: Personality,
-    level: OptLevel,
-    ranking: &PassRanking,
-) -> Vec<DyConfig> {
+pub fn dy_family(level: OptLevel, ranking: &PassRanking) -> Vec<DyConfig> {
     [3, 5, 7, 9]
         .into_iter()
-        .map(|y| dy_config(personality, level, ranking, y))
+        .map(|y| dy_config(level, ranking, y))
         .collect()
 }
 
@@ -87,7 +77,7 @@ mod tests {
     #[test]
     fn takes_top_y_passes() {
         let r = ranking(&["a", "b", "c", "d", "e"]);
-        let cfg = dy_config(Personality::Gcc, OptLevel::O2, &r, 3);
+        let cfg = dy_config(OptLevel::O2, &r, 3);
         assert_eq!(cfg.disabled, vec!["a", "b", "c"]);
         assert_eq!(cfg.name, "O2-d3");
         assert!(!cfg.gate.allows_name("b"));
@@ -97,14 +87,14 @@ mod tests {
     #[test]
     fn master_inline_is_skipped() {
         let r = ranking(&["inline", "schedule-insns2", "Inliner", "dce", "dse"]);
-        let cfg = dy_config(Personality::Gcc, OptLevel::O3, &r, 3);
+        let cfg = dy_config(OptLevel::O3, &r, 3);
         assert_eq!(cfg.disabled, vec!["schedule-insns2", "dce", "dse"]);
     }
 
     #[test]
     fn family_produces_nested_configs() {
         let r = ranking(&["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]);
-        let family = dy_family(Personality::Clang, OptLevel::O1, &r);
+        let family = dy_family(OptLevel::O1, &r);
         assert_eq!(family.len(), 4);
         assert_eq!(family[0].disabled.len(), 3);
         assert_eq!(family[3].disabled.len(), 9);

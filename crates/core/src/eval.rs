@@ -30,7 +30,6 @@ use dt_checker::DefectSummary;
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::Object;
 use dt_metrics::{MethodComparison, Metrics};
-use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
 use serde::Serialize;
 use std::sync::Arc;
@@ -164,21 +163,13 @@ impl DebugTuner {
         }
     }
 
-    /// The hybrid metrics of `obj` against a baseline trace, and `obj`'s
-    /// trace. Sessions take the fast path (in-VM breakpoint bitmap on a
-    /// per-object [`BreakPlan`], early-exit inputs) — bit-identical to
-    /// the slow-step reference engine by construction, so metrics and
-    /// rankings are unchanged.
-    fn metrics_for(
-        &self,
-        obj: &Object,
-        program: &ProgramInput,
-        base: &DebugTrace,
-        analysis: &SourceAnalysis,
-    ) -> (Metrics, DebugTrace) {
+    /// `obj`'s debug trace over the program's inputs. Sessions take the
+    /// fast path (in-VM breakpoint bitmap on a per-object [`BreakPlan`],
+    /// early-exit inputs) — bit-identical to the slow-step reference
+    /// engine by construction, so metrics and rankings are unchanged.
+    fn trace_for(&self, obj: &Object, program: &ProgramInput) -> DebugTrace {
         let session = self.session_config(&program.entry_args);
-        let trace = self
-            .store
+        self.store
             .trace(
                 obj,
                 &BreakPlan::new(obj),
@@ -186,8 +177,7 @@ impl DebugTuner {
                 &program.inputs,
                 &session,
             )
-            .expect("debug session runs");
-        (dt_metrics::hybrid(&trace, base, analysis), trace)
+            .expect("debug session runs")
     }
 
     /// The program's source artifacts and its ground-truth baseline
@@ -293,11 +283,12 @@ impl DebugTuner {
                 .timed(|| session.reference_object(), |s, ms, _| s.add_build(ms));
 
             // Stage 2+3: reference trace and metrics (source-refined by
-            // the hybrid metric itself).
-            let (reference, ref_trace) = self.metrics_for(&object, program, &base, &art.analysis);
+            // the hybrid metric itself, which is one of the methods).
+            let ref_trace = self.trace_for(&object, program);
+            let methods = dt_metrics::all_methods(&object.debug, &ref_trace, &base, &art.analysis);
             ReferenceEvaluation {
-                reference,
-                methods: dt_metrics::all_methods(&object.debug, &ref_trace, &base, &art.analysis),
+                reference: methods.hybrid,
+                methods,
                 reference_defects: dt_checker::check(&ref_trace, &base, &art.analysis).summary,
                 steppable_lines_o0: art.o0.debug.steppable_lines().len(),
                 stepped_lines_o0: base.stepped_lines().len(),
@@ -340,7 +331,8 @@ impl DebugTuner {
                 };
             }
             let (m, defects) = self.store.variant_trace(scope, variant.content_hash(), || {
-                let (m, variant_trace) = self.metrics_for(&variant, program, base_trace, analysis);
+                let variant_trace = self.trace_for(&variant, program);
+                let m = dt_metrics::hybrid(&variant_trace, base_trace, analysis);
                 let defects = dt_checker::check(&variant_trace, base_trace, analysis).summary;
                 (m, defects)
             });
@@ -389,7 +381,7 @@ impl DebugTuner {
         let (art, base) = self.program_artifacts(program);
         let session = self.store.session(&art, personality, level, None);
         let obj = self.store.build_variant(&session, gate).object;
-        self.metrics_for(&obj, program, &base, &art.analysis).0
+        dt_metrics::hybrid(&self.trace_for(&obj, program), &base, &art.analysis)
     }
 
     /// Steppable lines of the program's `O0` binary and the lines its

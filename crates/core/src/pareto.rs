@@ -1,9 +1,7 @@
 //! The debuggability/performance trade-off front (Figure 2).
 
-use serde::{Deserialize, Serialize};
-
 /// One configuration's position in the trade-off space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TradeoffPoint {
     /// Configuration name (`O2`, `O1-d5`, ...).
     pub name: String,

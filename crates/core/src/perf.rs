@@ -19,14 +19,14 @@ use dt_machine::Object;
 use dt_passes::{compile_source, CompileOptions, OptLevel, PassGate, Personality};
 use dt_testsuite::spec::{spec_suite, Benchmark, Workload};
 use dt_vm::{Vm, VmConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Step budget of every speed run.
 const SPEC_MAX_STEPS: u64 = 2_000_000_000;
 
 /// Per-benchmark and aggregate speedups of one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PerfReport {
     /// (benchmark name, speedup over O0).
     pub per_benchmark: Vec<(String, f64)>,

@@ -17,4 +17,4 @@ pub mod fuzzer;
 pub mod minimize;
 
 pub use fuzzer::{fuzz, fuzz_with_oracle, run_with_coverage, FuzzConfig, FuzzReport};
-pub use minimize::{cmin, trace_min, MinimizeStats};
+pub use minimize::{cmin, trace_min};

@@ -6,24 +6,6 @@ use dt_machine::Object;
 use dt_vm::CoverageMap;
 use std::collections::BTreeSet;
 
-/// Statistics from a minimization run (feeds the paper's Table III).
-#[derive(Debug, Clone)]
-pub struct MinimizeStats {
-    pub original: usize,
-    pub after_cmin: usize,
-    pub after_trace_min: usize,
-}
-
-impl MinimizeStats {
-    /// Percentage reduction from the original queue.
-    pub fn reduction_pct(&self) -> f64 {
-        if self.original == 0 {
-            return 0.0;
-        }
-        100.0 * (1.0 - self.after_trace_min as f64 / self.original as f64)
-    }
-}
-
 /// Coverage-preserving minimization: a greedy subset of `queue` that
 /// covers every edge the full queue covers, trying inputs with the
 /// largest coverage first (the afl-cmin strategy).
@@ -207,14 +189,9 @@ int process() {
         let report = fuzz(&obj, "process", &[vec![0, 0]], &cfg);
         let after_cmin = cmin(&obj, "process", &[], &report.queue, 100_000);
         let after_tmin = trace_min(&obj, "process", &[], &after_cmin, 200_000);
-        let stats = MinimizeStats {
-            original: report.queue.len(),
-            after_cmin: after_cmin.len(),
-            after_trace_min: after_tmin.len(),
-        };
-        assert!(stats.after_trace_min <= stats.after_cmin);
-        assert!(stats.after_cmin <= stats.original);
-        assert!(stats.after_trace_min >= 1);
+        assert!(after_tmin.len() <= after_cmin.len());
+        assert!(after_cmin.len() <= report.queue.len());
+        assert!(!after_tmin.is_empty());
         // Line coverage survives the whole pipeline.
         let session = dt_debugger::SessionConfig::default();
         let full = dt_debugger::trace(&obj, "process", &report.queue, &session)
@@ -224,21 +201,5 @@ int process() {
             .unwrap()
             .stepped_lines();
         assert_eq!(full, min);
-    }
-
-    #[test]
-    fn reduction_percentage() {
-        let s = MinimizeStats {
-            original: 200,
-            after_cmin: 20,
-            after_trace_min: 5,
-        };
-        assert!((s.reduction_pct() - 97.5).abs() < 1e-9);
-        let z = MinimizeStats {
-            original: 0,
-            after_cmin: 0,
-            after_trace_min: 0,
-        };
-        assert_eq!(z.reduction_pct(), 0.0);
     }
 }

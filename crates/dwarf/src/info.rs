@@ -1,14 +1,11 @@
 //! Variable and subprogram records plus the whole-binary `DebugInfo`.
 
-use crate::encode::{read_str, read_u32_leb, write_str, write_u32_leb, DecodeError};
 use crate::line::LineTable;
 use crate::loc::LocList;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A `DW_TAG_subprogram` analogue: one function's code extent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SubprogramRecord {
     pub name: String,
     /// First code address (inclusive).
@@ -21,7 +18,7 @@ pub struct SubprogramRecord {
 }
 
 /// A `DW_TAG_variable` / `DW_TAG_formal_parameter` analogue.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VarRecord {
     pub name: String,
     /// Index into [`DebugInfo::subprograms`] of the owning function.
@@ -32,7 +29,7 @@ pub struct VarRecord {
 }
 
 /// All debug information of one binary.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DebugInfo {
     pub subprograms: Vec<SubprogramRecord>,
     pub vars: Vec<VarRecord>,
@@ -68,81 +65,12 @@ impl DebugInfo {
     pub fn steppable_lines(&self) -> BTreeSet<u32> {
         self.line_table.steppable_lines()
     }
-
-    /// Encodes all debug sections into one byte blob.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        write_u32_leb(&mut buf, self.subprograms.len() as u32);
-        for s in &self.subprograms {
-            write_str(&mut buf, &s.name);
-            write_u32_leb(&mut buf, s.low_pc);
-            write_u32_leb(&mut buf, s.high_pc);
-            write_u32_leb(&mut buf, s.decl_line);
-            write_u32_leb(&mut buf, s.frame_size);
-        }
-        write_u32_leb(&mut buf, self.vars.len() as u32);
-        for v in &self.vars {
-            write_str(&mut buf, &v.name);
-            write_u32_leb(&mut buf, v.subprogram);
-            write_u32_leb(&mut buf, v.decl_line);
-            buf.put_u8(v.is_param as u8);
-            v.loclist.encode(&mut buf);
-        }
-        buf.extend_from_slice(&self.line_table.encode());
-        buf.freeze()
-    }
-
-    /// Decodes a blob produced by [`DebugInfo::encode`].
-    pub fn decode(bytes: &mut Bytes) -> Result<Self, DecodeError> {
-        let mut offset = 0usize;
-        let nsub = read_u32_leb(bytes, &mut offset)?;
-        let mut subprograms = Vec::with_capacity(nsub as usize);
-        for _ in 0..nsub {
-            subprograms.push(SubprogramRecord {
-                name: read_str(bytes, &mut offset)?,
-                low_pc: read_u32_leb(bytes, &mut offset)?,
-                high_pc: read_u32_leb(bytes, &mut offset)?,
-                decl_line: read_u32_leb(bytes, &mut offset)?,
-                frame_size: read_u32_leb(bytes, &mut offset)?,
-            });
-        }
-        let nvars = read_u32_leb(bytes, &mut offset)?;
-        let mut vars = Vec::with_capacity(nvars as usize);
-        for _ in 0..nvars {
-            let name = read_str(bytes, &mut offset)?;
-            let subprogram = read_u32_leb(bytes, &mut offset)?;
-            let decl_line = read_u32_leb(bytes, &mut offset)?;
-            if !bytes.has_remaining() {
-                return Err(DecodeError {
-                    offset,
-                    message: "truncated variable record".into(),
-                });
-            }
-            let is_param = bytes.get_u8() != 0;
-            offset += 1;
-            let loclist = LocList::decode(bytes, &mut offset)?;
-            vars.push(VarRecord {
-                name,
-                subprogram,
-                decl_line,
-                is_param,
-                loclist,
-            });
-        }
-        let line_table = LineTable::decode(bytes, &mut offset)?;
-        Ok(DebugInfo {
-            subprograms,
-            vars,
-            line_table,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::line::LineRow;
-    use crate::loc::Location;
 
     fn sample() -> DebugInfo {
         let mut line_table = LineTable::new();
@@ -178,7 +106,7 @@ mod tests {
                 subprogram: 0,
                 decl_line: 2,
                 is_param: false,
-                loclist: LocList::whole(0, 20, Location::FrameSlot(0)),
+                loclist: LocList::new(),
             }],
             line_table,
         }
@@ -200,23 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let d = sample();
-        let mut bytes = d.encode();
-        let d2 = DebugInfo::decode(&mut bytes).unwrap();
-        assert_eq!(d, d2);
-    }
-
-    #[test]
     fn steppable_lines_from_table() {
         let d = sample();
         let lines = d.steppable_lines();
         assert_eq!(lines.into_iter().collect::<Vec<_>>(), vec![2, 3]);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        let mut bytes = Bytes::from(vec![0xffu8, 0xff, 0xff, 0xff, 0xff, 0x0f]);
-        assert!(DebugInfo::decode(&mut bytes).is_err());
     }
 }

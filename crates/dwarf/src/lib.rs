@@ -2,7 +2,7 @@
 //!
 //! This crate models the three pieces of DWARF that matter for the
 //! paper's measurements, with the same semantics but a simpler
-//! encoding:
+//! representation:
 //!
 //! * the **line-number table** ([`LineTable`], cf. `.debug_line`):
 //!   monotone rows mapping code addresses to source lines, with an
@@ -14,16 +14,15 @@
 //!   [`SubprogramRecord`], cf. `DW_TAG_variable` / `DW_TAG_subprogram`
 //!   DIEs).
 //!
-//! Everything round-trips through a compact binary encoding
-//! (ULEB128-based, like real DWARF) so that "the debug sections of the
-//! object file" is a meaningful, byte-comparable artifact.
+//! The model is structured only: the debugger and the static metrics
+//! read these records directly, so there is no serialized byte form.
+//! The records derive `Hash`, which is how an object's content hash
+//! covers its debug sections.
 
-pub mod encode;
 pub mod info;
 pub mod line;
 pub mod loc;
 
-pub use encode::{read_i64_leb, read_u32_leb, write_i64_leb, write_u32_leb, DecodeError};
 pub use info::{DebugInfo, SubprogramRecord, VarRecord};
 pub use line::{LineRow, LineTable};
 pub use loc::{LocList, LocRange, Location};

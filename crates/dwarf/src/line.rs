@@ -1,13 +1,10 @@
 //! The line-number table (`.debug_line` analogue).
 
-use crate::encode::{read_u32_leb, write_u32_leb, DecodeError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One row of the line table: from `addr` (inclusive) until the next
 /// row's address, the code corresponds to source `line`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LineRow {
     pub addr: u32,
     /// 0 means "no source line" (compiler-generated or ambiguous code,
@@ -18,7 +15,7 @@ pub struct LineRow {
 }
 
 /// A program-wide line-number table, rows sorted by address.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct LineTable {
     rows: Vec<LineRow>,
 }
@@ -77,19 +74,6 @@ impl LineTable {
             .collect()
     }
 
-    /// For each steppable line, its lowest `is_stmt` address — where a
-    /// debugger plants the line's breakpoint.
-    pub fn breakpoint_addrs(&self) -> Vec<(u32, u32)> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for r in &self.rows {
-            if r.line != 0 && r.is_stmt && seen.insert(r.line) {
-                out.push((r.line, r.addr));
-            }
-        }
-        out
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -98,45 +82,6 @@ impl LineTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Encodes the table (delta-compressed, ULEB128).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        write_u32_leb(&mut buf, self.rows.len() as u32);
-        let mut prev_addr = 0u32;
-        for r in &self.rows {
-            write_u32_leb(&mut buf, r.addr - prev_addr);
-            prev_addr = r.addr;
-            write_u32_leb(&mut buf, r.line);
-            buf.put_u8(r.is_stmt as u8);
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a table encoded by [`LineTable::encode`].
-    pub fn decode(bytes: &mut Bytes, offset: &mut usize) -> Result<Self, DecodeError> {
-        let n = read_u32_leb(bytes, offset)?;
-        let mut rows = Vec::with_capacity(n as usize);
-        let mut addr = 0u32;
-        for _ in 0..n {
-            addr += read_u32_leb(bytes, offset)?;
-            let line = read_u32_leb(bytes, offset)?;
-            if !bytes.has_remaining() {
-                return Err(DecodeError {
-                    offset: *offset,
-                    message: "truncated line row".into(),
-                });
-            }
-            let is_stmt = bytes.get_u8() != 0;
-            *offset += 1;
-            rows.push(LineRow {
-                addr,
-                line,
-                is_stmt,
-            });
-        }
-        Ok(LineTable { rows })
     }
 }
 
@@ -182,13 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn breakpoint_addr_is_first_stmt_row_of_line() {
-        let t = table(&[(0, 10, true), (4, 11, true), (8, 10, true)]);
-        let bps = t.breakpoint_addrs();
-        assert_eq!(bps, vec![(10, 0), (11, 4)]);
-    }
-
-    #[test]
     fn same_address_replaces() {
         let mut t = table(&[(0, 10, true)]);
         t.push(LineRow {
@@ -215,30 +153,5 @@ mod tests {
             line: 1,
             is_stmt: true,
         });
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let t = table(&[(0, 5, true), (3, 0, false), (9, 6, true), (15, 7, false)]);
-        let mut bytes = t.encode();
-        let mut off = 0;
-        let t2 = LineTable::decode(&mut bytes, &mut off).unwrap();
-        assert_eq!(t, t2);
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn roundtrip_prop(deltas in proptest::collection::vec((1u32..50, 0u32..30, proptest::bool::ANY), 0..40)) {
-            let mut t = LineTable::new();
-            let mut addr = 0;
-            for (d, line, is_stmt) in deltas {
-                addr += d;
-                t.push(LineRow { addr, line, is_stmt });
-            }
-            let mut bytes = t.encode();
-            let mut off = 0;
-            let t2 = LineTable::decode(&mut bytes, &mut off).unwrap();
-            proptest::prop_assert_eq!(t, t2);
-        }
     }
 }

@@ -1,11 +1,7 @@
 //! Variable location lists (`.debug_loc` analogue).
 
-use crate::encode::{read_i64_leb, read_u32_leb, write_i64_leb, write_u32_leb, DecodeError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// Where a variable's value lives over some address range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Location {
     /// A physical register.
     Reg(u8),
@@ -18,7 +14,7 @@ pub enum Location {
 }
 
 /// A half-open address range `[lo, hi)` with a location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocRange {
     pub lo: u32,
     pub hi: u32,
@@ -27,7 +23,7 @@ pub struct LocRange {
 
 /// A variable's location list: disjoint ranges sorted by `lo`. Gaps
 /// mean the variable is unavailable there (the "holes" of the paper).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct LocList {
     ranges: Vec<LocRange>,
 }
@@ -36,13 +32,6 @@ impl LocList {
     /// An empty list (variable never available).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A list with a single covering range.
-    pub fn whole(lo: u32, hi: u32, loc: Location) -> Self {
-        let mut l = LocList::new();
-        l.push(LocRange { lo, hi, loc });
-        l
     }
 
     /// Appends a range. Ranges must be appended in address order and
@@ -88,79 +77,6 @@ impl LocList {
     /// Total number of addresses covered.
     pub fn covered_len(&self) -> u32 {
         self.ranges.iter().map(|r| r.hi - r.lo).sum()
-    }
-
-    /// Encodes the list.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        write_u32_leb(buf, self.ranges.len() as u32);
-        let mut prev = 0u32;
-        for r in &self.ranges {
-            write_u32_leb(buf, r.lo - prev);
-            write_u32_leb(buf, r.hi - r.lo);
-            prev = r.hi;
-            match r.loc {
-                Location::Reg(n) => {
-                    buf.put_u8(0);
-                    buf.put_u8(n);
-                }
-                Location::FrameSlot(s) => {
-                    buf.put_u8(1);
-                    write_u32_leb(buf, s);
-                }
-                Location::Global(g) => {
-                    buf.put_u8(2);
-                    write_u32_leb(buf, g);
-                }
-                Location::Const(c) => {
-                    buf.put_u8(3);
-                    write_i64_leb(buf, c);
-                }
-            }
-        }
-    }
-
-    /// Decodes a list encoded by [`LocList::encode`].
-    pub fn decode(bytes: &mut Bytes, offset: &mut usize) -> Result<Self, DecodeError> {
-        let n = read_u32_leb(bytes, offset)?;
-        let mut list = LocList::new();
-        let mut prev = 0u32;
-        for _ in 0..n {
-            let lo = prev + read_u32_leb(bytes, offset)?;
-            let hi = lo + read_u32_leb(bytes, offset)?;
-            prev = hi;
-            if !bytes.has_remaining() {
-                return Err(DecodeError {
-                    offset: *offset,
-                    message: "truncated location".into(),
-                });
-            }
-            let tag = bytes.get_u8();
-            *offset += 1;
-            let loc = match tag {
-                0 => {
-                    if !bytes.has_remaining() {
-                        return Err(DecodeError {
-                            offset: *offset,
-                            message: "truncated register location".into(),
-                        });
-                    }
-                    let r = bytes.get_u8();
-                    *offset += 1;
-                    Location::Reg(r)
-                }
-                1 => Location::FrameSlot(read_u32_leb(bytes, offset)?),
-                2 => Location::Global(read_u32_leb(bytes, offset)?),
-                3 => Location::Const(read_i64_leb(bytes, offset)?),
-                t => {
-                    return Err(DecodeError {
-                        offset: *offset,
-                        message: format!("unknown location tag {t}"),
-                    })
-                }
-            };
-            list.ranges.push(LocRange { lo, hi, loc });
-        }
-        Ok(list)
     }
 }
 
@@ -228,57 +144,7 @@ mod tests {
         });
     }
 
-    #[test]
-    fn encode_decode_roundtrip() {
-        let mut l = LocList::new();
-        l.push(LocRange {
-            lo: 2,
-            hi: 9,
-            loc: Location::Reg(5),
-        });
-        l.push(LocRange {
-            lo: 12,
-            hi: 40,
-            loc: Location::Const(-77),
-        });
-        l.push(LocRange {
-            lo: 41,
-            hi: 44,
-            loc: Location::Global(3),
-        });
-        let mut buf = BytesMut::new();
-        l.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        let mut off = 0;
-        let l2 = LocList::decode(&mut bytes, &mut off).unwrap();
-        assert_eq!(l, l2);
-    }
-
     proptest::proptest! {
-        #[test]
-        fn roundtrip_prop(parts in proptest::collection::vec((0u32..10, 1u32..20, 0u8..4, -100i64..100), 0..30)) {
-            let mut l = LocList::new();
-            let mut cursor = 0u32;
-            for (gap, len, tag, c) in parts {
-                let lo = cursor + gap;
-                let hi = lo + len;
-                cursor = hi;
-                let loc = match tag {
-                    0 => Location::Reg((c.unsigned_abs() % 16) as u8),
-                    1 => Location::FrameSlot(len),
-                    2 => Location::Global(gap),
-                    _ => Location::Const(c),
-                };
-                l.push(LocRange { lo, hi, loc });
-            }
-            let mut buf = BytesMut::new();
-            l.encode(&mut buf);
-            let mut bytes = buf.freeze();
-            let mut off = 0;
-            let l2 = LocList::decode(&mut bytes, &mut off).unwrap();
-            proptest::prop_assert_eq!(l, l2);
-        }
-
         #[test]
         fn at_agrees_with_linear_scan(parts in proptest::collection::vec((0u32..6, 1u32..10), 1..20), probe in 0u32..200) {
             let mut l = LocList::new();

@@ -13,11 +13,14 @@
 //! depends on:
 //!
 //! * the scale knobs it reads (`DT_SYNTH_N`, `DT_FUZZ_ITERS`,
-//!   `DT_WORKLOAD`);
+//!   `DT_WORKLOAD`) and the step budgets its tuners trace with;
 //! * the program-set hash ([`program_set_fingerprint`]: real-world
 //!   suite, benchmark suite, and self-compile sources);
 //! * the pass-library fingerprint ([`library_fingerprint`], applied as
-//!   the campaign salt), so pipeline changes invalidate the cache;
+//!   the campaign salt): the pass roster and order of every level, so
+//!   adding, removing or reordering a pass invalidates the cache. It
+//!   does not cover pass *bodies*: after editing a pass, run with
+//!   `--fresh`;
 //! * its dependencies' fingerprints (folded in by the engine).
 
 use crate::{
@@ -90,9 +93,11 @@ fn workload_name(w: Workload) -> &'static str {
 /// (`DT_SYNTH_N`, `DT_FUZZ_ITERS`, `DT_WORKLOAD` are read once, here).
 pub fn build_campaign() -> Campaign {
     // Knob contributions to job fingerprints.
-    let synth_key = Fnv::new()
+    let table01_key = Fnv::new()
         .write_str("synth")
         .write_usize(synth_n())
+        .write_str("table01-steps")
+        .write_u64(crate::TABLE01_MAX_STEPS)
         .finish();
     let corpus_key = Fnv::new()
         .write_str("corpus")
@@ -103,7 +108,10 @@ pub fn build_campaign() -> Campaign {
         .write_str("workload")
         .write_str(workload_name(workload()))
         .finish();
-    let tuner_key = Fnv::new().write_str("tuner-steps-3000000").finish();
+    let tuner_key = Fnv::new()
+        .write_str("tuner-steps")
+        .write_u64(crate::TUNER_MAX_STEPS)
+        .finish();
 
     let mut c = Campaign::new();
 
@@ -157,7 +165,9 @@ pub fn build_campaign() -> Campaign {
     };
 
     // ---- Reference-build and corpus tables -------------------------
-    c.output("table01_methods", &[], synth_key, |_| Ok(table01_methods()));
+    c.output("table01_methods", &[], table01_key, |_| {
+        Ok(table01_methods())
+    });
     c.output(
         "table02_libpng",
         &["tuner", "suite_inputs"],

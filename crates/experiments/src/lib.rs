@@ -132,7 +132,7 @@ pub fn table01_methods() -> String {
                 // A transient tuner per build: at most one compile
                 // session is alive at a time.
                 let tuner = DebugTuner::new(TunerConfig {
-                    max_steps_per_input: 2_000_000,
+                    max_steps_per_input: TABLE01_MAX_STEPS,
                     threads: 1,
                 });
                 let m = tuner.reference(p, personality, level).methods;
@@ -415,9 +415,6 @@ pub struct TradeoffData {
     pub configs: Vec<DyPoint>,
     /// Per-program names, aligned with the product vectors.
     pub program_names: Vec<String>,
-    /// Per level reference per-program products.
-    pub reference_products: Vec<(OptLevel, Vec<f64>)>,
-    pub rankings: Vec<(OptLevel, PassRanking)>,
 }
 
 pub struct DyPoint {
@@ -427,7 +424,6 @@ pub struct DyPoint {
     pub products: Vec<f64>,
     pub avg_product: f64,
     pub perf: PerfReport,
-    pub gate: PassGate,
 }
 
 /// The gates measured per level: the level itself, then its `Ox-dy`
@@ -449,21 +445,18 @@ pub fn tradeoff_data(
 ) -> Result<TradeoffData, String> {
     let workload = workload();
     let mut reference = Vec::new();
-    let mut reference_products = Vec::new();
     let mut configs = Vec::new();
-    let mut rankings = Vec::new();
     for &level in OptLevel::levels_for(personality) {
         let ranking = tuner.rank_passes(programs, personality, level);
         let evals = tuner.evaluate_all(programs, personality, level);
         let products: Vec<f64> = evals.iter().map(|e| e.reference.product).collect();
-        let family = dy_family(personality, level, &ranking);
+        let family = dy_family(level, &ranking);
         let gates = level_and_family_gates(&family);
         let mut perfs = tuner
             .speedups(personality, level, &gates, workload)?
             .into_iter();
         let perf = perfs.next().expect("one report per gate");
         reference.push((level, stats::mean(&products), perf));
-        reference_products.push((level, products));
         for (cfg, perf) in family.into_iter().zip(perfs) {
             let products: Vec<f64> = programs
                 .iter()
@@ -480,18 +473,14 @@ pub fn tradeoff_data(
                 avg_product: stats::mean(&products),
                 products,
                 perf,
-                gate: cfg.gate,
             });
         }
-        rankings.push((level, ranking));
     }
     Ok(TradeoffData {
         personality,
         reference,
         configs,
         program_names: programs.iter().map(|p| p.name.clone()).collect(),
-        reference_products,
-        rankings,
     })
 }
 
@@ -726,7 +715,7 @@ pub fn autofdo_spec(
     let personality = Personality::Clang;
     let level = OptLevel::O2;
     let ranking = tuner.rank_passes(programs, personality, level);
-    let gates = level_and_family_gates(&dy_family(personality, level, &ranking));
+    let gates = level_and_family_gates(&dy_family(level, &ranking));
     let workload = workload();
 
     let mut t15 = String::from(
@@ -814,7 +803,7 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Resul
         input: &input,
         max_steps: 2_000_000_000,
     };
-    let gates = level_and_family_gates(&dy_family(personality, level, &ranking));
+    let gates = level_and_family_gates(&dy_family(level, &ranking));
     let results = tuner.autofdo(cc.source, &call, personality, level, &gates)?;
     let (base, dys) = results.split_first().expect("one result per gate");
     let base_speedup = base.speedup();
@@ -912,10 +901,18 @@ pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> Str
     out
 }
 
+/// Step budget per traced input of the shared experiment tuner
+/// ([`make_tuner`]); part of the campaign's `tuner` job key.
+const TUNER_MAX_STEPS: u64 = 3_000_000;
+
+/// Step budget per traced input of Table I's transient tuners; part of
+/// the `table01_methods` job key.
+const TABLE01_MAX_STEPS: u64 = 2_000_000;
+
 /// Builds a shared tuner sized for the experiment binaries.
 pub fn make_tuner() -> DebugTuner {
     DebugTuner::new(TunerConfig {
-        max_steps_per_input: 3_000_000,
+        max_steps_per_input: TUNER_MAX_STEPS,
         ..Default::default()
     })
 }

@@ -42,11 +42,6 @@ impl FunctionBuilder {
         }
     }
 
-    /// The block currently being filled.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Whether the current block already has a terminator (further
     /// instructions would be unreachable).
     pub fn is_terminated(&self) -> bool {

@@ -9,9 +9,6 @@ pub struct DomTree {
     /// Immediate dominator of each block (`idom[entry] == entry`);
     /// `None` for unreachable or dead blocks.
     idom: Vec<Option<BlockId>>,
-    /// Reverse-postorder position of each reachable block (kept for
-    /// ordering queries by passes).
-    pub rpo_pos: Vec<usize>,
     rpo: Vec<BlockId>,
     entry: BlockId,
 }
@@ -53,7 +50,6 @@ impl DomTree {
 
         DomTree {
             idom,
-            rpo_pos,
             rpo,
             entry: f.entry,
         }

@@ -28,7 +28,6 @@ pub mod inst;
 pub mod liveness;
 pub mod loops;
 pub mod module;
-pub mod printer;
 pub mod profile;
 pub mod verify;
 

@@ -180,28 +180,16 @@ impl UseDef {
 pub struct Liveness {
     pub live_in: Vec<RegSet>,
     pub live_out: Vec<RegSet>,
-    /// Whether debug intrinsic operands were treated as uses.
-    pub debug_aware: bool,
 }
 
 impl Liveness {
     /// Computes liveness ignoring debug intrinsic uses (codegen view).
     pub fn compute(f: &Function) -> Self {
-        Self::compute_inner(f, false)
-    }
-
-    /// Computes liveness counting debug intrinsic operands as uses
-    /// (the view a debug-info-preserving allocator would take).
-    pub fn compute_debug_aware(f: &Function) -> Self {
-        Self::compute_inner(f, true)
-    }
-
-    fn compute_inner(f: &Function, debug_aware: bool) -> Self {
         let mut sets = UseDef::new(f.blocks.len(), f.vreg_count);
         for b in f.block_ids() {
             let (blk, bi) = (f.block(b), b.index());
             for inst in &blk.insts {
-                if inst.op.is_dbg() && !debug_aware {
+                if inst.op.is_dbg() {
                     continue;
                 }
                 inst.op.for_each_use(|v| {
@@ -223,11 +211,7 @@ impl Liveness {
         let order: Vec<usize> = postorder(f).iter().map(|b| b.index()).collect();
         let (live_in, live_out) =
             sets.solve(&order, |b| f.blocks[b].term.successors().map(|s| s.index()));
-        Liveness {
-            live_in,
-            live_out,
-            debug_aware,
-        }
+        Liveness { live_in, live_out }
     }
 
     /// Live-out set of block `b`.
@@ -308,12 +292,7 @@ mod tests {
         let lv = Liveness::compute(&f);
         assert!(
             !lv.r#in(BlockId(2)).contains(VReg(0)),
-            "plain liveness must not count debug uses"
-        );
-        let lv_dbg = Liveness::compute_debug_aware(&f);
-        assert!(
-            lv_dbg.r#in(BlockId(2)).contains(VReg(0)),
-            "debug-aware liveness counts them"
+            "liveness must not count debug uses"
         );
     }
 

@@ -12,8 +12,6 @@ pub struct Loop {
     pub header: BlockId,
     /// All blocks in the loop, including the header.
     pub blocks: HashSet<BlockId>,
-    /// Blocks inside the loop with a successor outside (exiting blocks).
-    pub exiting: Vec<BlockId>,
     /// The back-edge sources (latches).
     pub latches: Vec<BlockId>,
     /// Nesting depth (1 = outermost).
@@ -67,15 +65,9 @@ impl LoopForest {
                     }
                 }
             }
-            let exiting = blocks
-                .iter()
-                .copied()
-                .filter(|&b| f.block(b).term.successors().any(|s| !blocks.contains(&s)))
-                .collect();
             loops.push(Loop {
                 header,
                 blocks,
-                exiting,
                 latches,
                 depth: 1,
             });
@@ -106,16 +98,6 @@ impl LoopForest {
             .iter()
             .filter(|l| l.contains(b))
             .max_by_key(|l| l.depth)
-    }
-
-    /// The loop with header `h`, if any.
-    pub fn loop_with_header(&self, h: BlockId) -> Option<&Loop> {
-        self.loops.iter().find(|l| l.header == h)
-    }
-
-    /// The nesting depth of block `b` (0 = not in a loop).
-    pub fn depth_of(&self, b: BlockId) -> u32 {
-        self.innermost_containing(b).map_or(0, |l| l.depth)
     }
 }
 
@@ -167,7 +149,6 @@ mod tests {
         assert!(l.contains(BlockId(2)));
         assert!(!l.contains(BlockId(0)));
         assert_eq!(l.latches, vec![BlockId(2)]);
-        assert_eq!(l.exiting, vec![BlockId(1)]);
         assert_eq!(l.depth, 1);
     }
 
@@ -186,14 +167,25 @@ mod tests {
         let dom = DomTree::compute(&f);
         let forest = LoopForest::compute(&f, &dom);
         assert_eq!(forest.loops.len(), 2);
-        let outer = forest.loop_with_header(BlockId(1)).unwrap();
-        let inner = forest.loop_with_header(BlockId(2)).unwrap();
+        let with_header = |h| {
+            forest
+                .loops
+                .iter()
+                .find(|l| l.header == BlockId(h))
+                .unwrap()
+        };
+        let (outer, inner) = (with_header(1), with_header(2));
         assert_eq!(outer.depth, 1);
         assert_eq!(inner.depth, 2);
         assert!(outer.contains(BlockId(3)));
-        assert_eq!(forest.depth_of(BlockId(3)), 2);
-        assert_eq!(forest.depth_of(BlockId(4)), 1);
-        assert_eq!(forest.depth_of(BlockId(5)), 0);
+        let depth = |b| {
+            forest
+                .innermost_containing(BlockId(b))
+                .map_or(0, |l| l.depth)
+        };
+        assert_eq!(depth(3), 2);
+        assert_eq!(depth(4), 1);
+        assert_eq!(depth(5), 0);
     }
 
     #[test]

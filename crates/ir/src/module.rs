@@ -105,9 +105,6 @@ pub struct FuncAttrs {
     /// Set by `ipa-pure-const`: no side effects, no memory writes, no
     /// I/O; calls to the function can be CSE'd and dead-call-eliminated.
     pub pure_const: bool,
-    /// Number of call sites in the module (filled by the inliner's
-    /// scan; used by `inline-functions-called-once`).
-    pub call_sites: u32,
 }
 
 /// A function in IR form.
@@ -255,11 +252,6 @@ impl Module {
     /// Function lookup by id.
     pub fn func(&self, id: FuncId) -> &Function {
         &self.funcs[id.index()]
-    }
-
-    /// Mutable function lookup by id.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.index()]
     }
 
     /// Function lookup by name.

@@ -213,17 +213,6 @@ impl<R: Copy + Eq> MOpKind<R> {
                 | MOpKind::LdGIdx { .. }
         )
     }
-
-    /// Whether the op writes memory.
-    pub fn is_store(&self) -> bool {
-        matches!(
-            self,
-            MOpKind::StSlot { .. }
-                | MOpKind::StIdx { .. }
-                | MOpKind::StG { .. }
-                | MOpKind::StGIdx { .. }
-        )
-    }
 }
 
 /// A machine instruction with debug metadata.
@@ -411,8 +400,8 @@ mod tests {
     fn loads_and_stores_classified() {
         let ld: MOpKind<VR> = MOpKind::LdSlot { rd: 0, slot: 1 };
         let st: MOpKind<VR> = MOpKind::StG { addr: 0, rs: 1 };
-        assert!(ld.is_load() && !ld.is_store());
-        assert!(st.is_store() && st.has_side_effect());
+        assert!(ld.is_load() && !ld.has_side_effect());
+        assert!(!st.is_load() && st.has_side_effect());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use dt_dwarf::DebugInfo;
 use dt_ir::{BinOp, UnOp};
+use std::hash::{Hash, Hasher};
 
 /// Location payload of a final debug pseudo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -396,18 +397,21 @@ impl Object {
         self.text == other.text
     }
 
-    /// Stable content hash over everything that determines an object's
+    /// Content hash over everything that determines an object's
     /// observable behavior *and* its debug-session outcome: the encoded
-    /// `.text` section, the encoded debug sections, the global data
-    /// image, and the function table (names and frame metadata feed
-    /// both execution and trace observations). Two objects with equal
-    /// `content_hash` produce identical traces and metrics for the same
-    /// inputs, so the hash can key a shared trace/metric cache across
-    /// compilation variants. Sections are length-prefixed to keep the
-    /// hash unambiguous under concatenation.
+    /// `.text` section, the debug records (through their derived
+    /// `Hash`), the global data image, and the function table (names
+    /// and frame metadata feed both execution and trace observations).
+    /// Two objects with equal `content_hash` produce identical traces
+    /// and metrics for the same inputs, so the hash can key a shared
+    /// trace/metric cache across compilation variants. It is an
+    /// in-process key only: never persisted, so its value may change
+    /// between builds of this crate. Byte sections are length-prefixed
+    /// to keep the hash unambiguous under concatenation.
     pub fn content_hash(&self) -> u64 {
         let mut h = Fnv1a::new();
-        h.field(&self.text).field(&self.debug.encode());
+        h.field(&self.text);
+        self.debug.hash(&mut h);
         for &(base, size, init) in &self.globals {
             h.field(&base.to_le_bytes())
                 .field(&size.to_le_bytes())
@@ -460,6 +464,17 @@ impl Fnv1a {
     }
 
     pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Lets derived `Hash` impls fold into the same FNV-1a state.
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -612,5 +627,96 @@ mod tests {
         let mut c = a.clone();
         c.globals_size += 1;
         assert_ne!(a.content_hash(), c.content_hash());
+    }
+
+    /// Rebuilds a location list with its first range changed by `edit`.
+    fn edit_first_range(
+        list: &dt_dwarf::LocList,
+        edit: fn(&mut dt_dwarf::LocRange),
+    ) -> dt_dwarf::LocList {
+        let mut out = dt_dwarf::LocList::new();
+        for (i, r) in list.ranges().iter().enumerate() {
+            let mut r = *r;
+            if i == 0 {
+                edit(&mut r);
+            }
+            out.push(r);
+        }
+        out
+    }
+
+    /// Rebuilds a line table with its first line-bearing row changed by
+    /// `edit`.
+    fn edit_first_line_row(
+        table: &dt_dwarf::LineTable,
+        edit: fn(&mut dt_dwarf::LineRow),
+    ) -> dt_dwarf::LineTable {
+        let target = table.rows().iter().position(|r| r.line != 0).unwrap();
+        let mut out = dt_dwarf::LineTable::new();
+        for (i, r) in table.rows().iter().enumerate() {
+            let mut r = *r;
+            if i == target {
+                edit(&mut r);
+            }
+            out.push(r);
+        }
+        out
+    }
+
+    #[test]
+    fn content_hash_covers_every_kind_of_debug_field() {
+        let src = include_str!("../../testsuite/programs/zlib.mc");
+        let options =
+            dt_passes::CompileOptions::new(dt_passes::Personality::Gcc, dt_passes::OptLevel::O2);
+        let obj = dt_passes::compile_source(src, &options).unwrap();
+        let again = dt_passes::compile_source(src, &options).unwrap();
+        assert_eq!(
+            obj.content_hash(),
+            again.content_hash(),
+            "two compiles of one source"
+        );
+
+        let v = obj
+            .debug
+            .vars
+            .iter()
+            .position(|v| !v.loclist.is_empty())
+            .unwrap();
+        // Each edit gets the index of a variable with a location.
+        type Edit = fn(&mut DebugInfo, usize);
+        let edits: [(&str, Edit); 10] = [
+            ("subprogram name", |d, _| d.subprograms[0].name.push('_')),
+            ("subprogram low_pc", |d, _| d.subprograms[0].low_pc += 1),
+            ("subprogram frame_size", |d, _| {
+                d.subprograms[0].frame_size += 1
+            }),
+            ("variable name", |d, v| d.vars[v].name.push('_')),
+            ("variable decl_line", |d, v| d.vars[v].decl_line += 1),
+            ("variable is_param", |d, v| d.vars[v].is_param ^= true),
+            ("location range bound", |d, v| {
+                d.vars[v].loclist = edit_first_range(&d.vars[v].loclist, |r| r.hi -= 1)
+            }),
+            ("location", |d, v| {
+                d.vars[v].loclist = edit_first_range(&d.vars[v].loclist, |r| {
+                    r.loc = dt_dwarf::Location::Const(0x5eed)
+                })
+            }),
+            ("line row line", |d, _| {
+                d.line_table = edit_first_line_row(&d.line_table, |r| r.line += 1000)
+            }),
+            ("line row is_stmt", |d, _| {
+                d.line_table = edit_first_line_row(&d.line_table, |r| r.is_stmt ^= true)
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut changed = obj.clone();
+            edit(&mut changed.debug, v);
+            assert_ne!(
+                changed.debug, obj.debug,
+                "{what}: the edit must change the record"
+            );
+            assert_eq!(changed.text, obj.text);
+            assert_ne!(changed.content_hash(), obj.content_hash(), "{what}");
+        }
     }
 }

@@ -26,11 +26,11 @@ pub mod stats;
 use dt_debugger::DebugTrace;
 use dt_dwarf::{DebugInfo, LineTable, LocList};
 use dt_minic::analysis::SourceAnalysis;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// The three core metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Metrics {
     /// Average per-line ratio of variables visible with a value,
     /// optimized vs. baseline.
@@ -206,7 +206,7 @@ pub fn lines_covered(loclist: &LocList, table: &LineTable) -> BTreeSet<u32> {
 }
 
 /// All four methods computed at once, for the Table I comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MethodComparison {
     pub static_m: Metrics,
     pub static_dbg: Metrics,

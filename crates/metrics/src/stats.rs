@@ -1,5 +1,5 @@
-//! Aggregation statistics: geometric mean and geometric standard
-//! deviation, as used throughout the paper's tables.
+//! Aggregation statistics (geometric and arithmetic means), as used
+//! throughout the paper's tables.
 
 /// Floor applied to scores before taking logarithms, so that a single
 /// zero does not annihilate a geometric mean (matches the usual
@@ -15,38 +15,12 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (log_sum / xs.len() as f64).exp()
 }
 
-/// Geometric standard deviation of `xs` (1.0 = no variability).
-pub fn geo_stdev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 1.0;
-    }
-    let logs: Vec<f64> = xs.iter().map(|&x| x.max(GEO_EPSILON).ln()).collect();
-    let mean = logs.iter().sum::<f64>() / logs.len() as f64;
-    let var = logs.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / (logs.len() - 1) as f64;
-    var.sqrt().exp()
-}
-
 /// Arithmetic mean (used for per-benchmark speedup averages).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Median of `xs` (used for SPEC-style run-time reporting).
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in medians"));
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
 }
 
 #[cfg(test)]
@@ -64,20 +38,6 @@ mod tests {
     fn geomean_handles_zero() {
         let g = geomean(&[0.0, 1.0]);
         assert!(g > 0.0 && g < 1.0);
-    }
-
-    #[test]
-    fn geo_stdev_basics() {
-        assert_eq!(geo_stdev(&[5.0]), 1.0);
-        assert!((geo_stdev(&[3.0, 3.0, 3.0]) - 1.0).abs() < 1e-9);
-        assert!(geo_stdev(&[1.0, 4.0]) > 1.0);
-    }
-
-    #[test]
-    fn median_even_and_odd() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(median(&[]), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   parameters only.
 
 use crate::ast::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// The definition range of one local variable or parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,25 +72,16 @@ impl FuncAnalysis {
 #[derive(Debug, Clone, Default)]
 pub struct SourceAnalysis {
     funcs: HashMap<String, FuncAnalysis>,
-    /// Map from line to the function containing it (functions do not
-    /// overlap in a MiniC source file).
-    line_to_func: BTreeMap<u32, String>,
 }
 
 impl SourceAnalysis {
     /// Analyzes `program`.
     pub fn of(program: &Program) -> Self {
-        let mut funcs = HashMap::new();
-        let mut line_to_func = BTreeMap::new();
-        for f in program.functions() {
-            let fa = analyze_function(f);
-            line_to_func.insert(f.line, f.name.clone());
-            funcs.insert(f.name.clone(), fa);
-        }
-        SourceAnalysis {
-            funcs,
-            line_to_func,
-        }
+        let funcs = program
+            .functions()
+            .map(|f| (f.name.clone(), analyze_function(f)))
+            .collect();
+        SourceAnalysis { funcs }
     }
 
     /// Returns the analysis for function `name`.
@@ -103,24 +94,12 @@ impl SourceAnalysis {
         self.funcs.values()
     }
 
-    /// Returns the name of the function whose body spans `line`.
-    pub fn function_of_line(&self, line: u32) -> Option<&str> {
-        let (_, name) = self.line_to_func.range(..=line).next_back()?;
-        let fa = &self.funcs[name];
-        (line <= fa.end_line).then_some(name.as_str())
-    }
-
     /// Names of the variables defined and in scope at `line` of `func`.
     pub fn defined_at<'a>(&'a self, func: &str, line: u32) -> impl Iterator<Item = &'a str> + 'a {
         self.funcs
             .get(func)
             .into_iter()
             .flat_map(move |fa| fa.defined_at(line).map(|v| v.name.as_str()))
-    }
-
-    /// Total number of statement-carrying source lines across functions.
-    pub fn total_code_lines(&self) -> usize {
-        self.funcs.values().map(|f| f.code_lines.len()).sum()
     }
 }
 
@@ -357,14 +336,6 @@ int f(int n) {
         assert!(f.code_lines.contains(&5));
         assert!(f.code_lines.contains(&8));
         assert!(!f.code_lines.contains(&9)); // closing brace is not code
-    }
-
-    #[test]
-    fn function_of_line() {
-        let a = analyze("int f() {\nreturn 1;\n}\nint g() {\nreturn 2;\n}");
-        assert_eq!(a.function_of_line(2), Some("f"));
-        assert_eq!(a.function_of_line(5), Some("g"));
-        assert_eq!(a.function_of_line(99), None);
     }
 
     #[test]

@@ -4,11 +4,8 @@
 //! starts on; those lines are the currency of all debug-information
 //! metrics in this workspace.
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
 /// A full MiniC translation unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     pub items: Vec<Item>,
 }
@@ -37,14 +34,14 @@ impl Program {
 }
 
 /// A top-level item: a function definition or a global declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Item {
     Function(Function),
     Global(GlobalDecl),
 }
 
 /// A global variable: scalar (with optional constant initializer) or array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalDecl {
     pub name: String,
     /// `None` for scalars, `Some(len)` for arrays.
@@ -55,7 +52,7 @@ pub struct GlobalDecl {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     pub name: String,
     pub params: Vec<Param>,
@@ -67,21 +64,21 @@ pub struct Function {
 }
 
 /// A function parameter (always scalar `int`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     pub name: String,
     pub line: u32,
 }
 
 /// A statement with its source line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stmt {
     pub kind: StmtKind,
     pub line: u32,
 }
 
 /// Statement kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StmtKind {
     /// `int x;` or `int x = e;`
     Decl {
@@ -133,14 +130,14 @@ pub enum StmtKind {
 }
 
 /// An expression with its source line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Expr {
     pub kind: ExprKind,
     pub line: u32,
 }
 
 /// Expression kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExprKind {
     Int(i64),
     Var(String),
@@ -180,7 +177,7 @@ pub enum ExprKind {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     Neg,
     Not,
@@ -188,7 +185,7 @@ pub enum UnOp {
 }
 
 /// Binary (non-short-circuit) operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -252,28 +249,6 @@ impl BinOp {
             BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Eq | BinOp::Ne
         )
     }
-
-    /// The C spelling of the operator.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Rem => "%",
-            BinOp::And => "&",
-            BinOp::Or => "|",
-            BinOp::Xor => "^",
-            BinOp::Shl => "<<",
-            BinOp::Shr => ">>",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            BinOp::Eq => "==",
-            BinOp::Ne => "!=",
-        }
-    }
 }
 
 impl UnOp {
@@ -284,27 +259,6 @@ impl UnOp {
             UnOp::Not => (a == 0) as i64,
             UnOp::BitNot => !a,
         }
-    }
-
-    /// The C spelling of the operator.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            UnOp::Neg => "-",
-            UnOp::Not => "!",
-            UnOp::BitNot => "~",
-        }
-    }
-}
-
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.symbol())
-    }
-}
-
-impl fmt::Display for UnOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.symbol())
     }
 }
 
@@ -336,56 +290,6 @@ pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
             StmtKind::Block(body) => walk_stmts(body, f),
             _ => {}
         }
-    }
-}
-
-/// Walks all expressions under a statement body, depth-first.
-pub fn walk_exprs<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Expr)) {
-    walk_stmts(stmts, &mut |stmt| {
-        let mut visit = |e: &'a Expr| walk_expr(e, f);
-        match &stmt.kind {
-            StmtKind::Decl { init: Some(e), .. } => visit(e),
-            StmtKind::Assign { value, .. } => visit(value),
-            StmtKind::Store { index, value, .. } => {
-                visit(index);
-                visit(value);
-            }
-            StmtKind::If { cond, .. } => visit(cond),
-            StmtKind::While { cond, .. } | StmtKind::DoWhile { cond, .. } => visit(cond),
-            StmtKind::For { cond: Some(c), .. } => visit(c),
-            StmtKind::Return(Some(e)) => visit(e),
-            StmtKind::ExprStmt(e) => visit(e),
-            _ => {}
-        }
-    });
-}
-
-fn walk_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    f(expr);
-    match &expr.kind {
-        ExprKind::Index { index, .. } => walk_expr(index, f),
-        ExprKind::Unary { operand, .. } => walk_expr(operand, f),
-        ExprKind::Binary { lhs, rhs, .. }
-        | ExprKind::LogicalAnd { lhs, rhs }
-        | ExprKind::LogicalOr { lhs, rhs } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            walk_expr(cond, f);
-            walk_expr(then_val, f);
-            walk_expr(else_val, f);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::Int(_) | ExprKind::Var(_) => {}
     }
 }
 

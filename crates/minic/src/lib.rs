@@ -48,7 +48,6 @@ pub mod analysis;
 pub mod ast;
 pub mod lexer;
 pub mod parser;
-pub mod printer;
 pub mod token;
 pub mod validate;
 

@@ -74,12 +74,12 @@ fn use_def(
 }
 
 /// IR liveness the per-bit way, in postorder.
-fn ir_oracle(f: &Function, debug_aware: bool) -> (Vec<RegSet>, Vec<RegSet>) {
+fn ir_oracle(f: &Function) -> (Vec<RegSet>, Vec<RegSet>) {
     let regs = |v: dt_ir::Value, out: &mut Vec<VReg>| out.extend(v.as_reg());
     let blocks = f.block_ids().map(|b| {
         let blk = f.block(b);
         let mut steps = Vec::new();
-        for inst in blk.insts.iter().filter(|i| debug_aware || !i.op.is_dbg()) {
+        for inst in blk.insts.iter().filter(|i| !i.op.is_dbg()) {
             let mut reads = Vec::new();
             inst.op.for_each_use(|v| regs(v, &mut reads));
             steps.push((reads, inst.op.def()));
@@ -159,19 +159,13 @@ fn ir_liveness_and_cleanup_reachability_match_their_oracles_after_every_stage() 
     walk_suite(
         |at, m| {
             for f in &m.funcs {
-                for debug_aware in [false, true] {
-                    let lv = if debug_aware {
-                        Liveness::compute_debug_aware(f)
-                    } else {
-                        Liveness::compute(f)
-                    };
-                    let (live_in, live_out) = ir_oracle(f, debug_aware);
-                    assert!(
-                        lv.live_in == live_in && lv.live_out == live_out,
-                        "{at}: {} liveness (debug-aware: {debug_aware}) differs from the per-bit fixpoint",
-                        f.name
-                    );
-                }
+                let lv = Liveness::compute(f);
+                let (live_in, live_out) = ir_oracle(f);
+                assert!(
+                    lv.live_in == live_in && lv.live_out == live_out,
+                    "{at}: {} liveness differs from the per-bit fixpoint",
+                    f.name
+                );
                 let mask = dt_ir::reachable_mask(f);
                 let set = dt_ir::reachable_blocks(f);
                 assert!(

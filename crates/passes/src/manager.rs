@@ -129,11 +129,6 @@ impl PassGate {
         }
     }
 
-    /// Disables `name`.
-    pub fn disable(&mut self, name: &str) {
-        self.disabled.insert(name.to_owned());
-    }
-
     /// Whether the instance may run.
     pub fn allows(&self, inst: &PassInstance) -> bool {
         if !inst.gateable {

@@ -73,41 +73,6 @@ pub fn def_counts(f: &Function) -> Vec<u32> {
     counts
 }
 
-/// Replaces every use of `from` with `to` across the whole function
-/// (including debug uses, which remain valid since the values are
-/// equal).
-pub fn replace_all_uses(f: &mut Function, from: VReg, to: Value) {
-    for b in 0..f.blocks.len() {
-        if f.blocks[b].dead {
-            continue;
-        }
-        for inst in &mut f.blocks[b].insts {
-            inst.op.for_each_use_mut(|v| {
-                if *v == Value::Reg(from) {
-                    *v = to;
-                }
-            });
-        }
-        f.blocks[b].term.for_each_use_mut(|v| {
-            if *v == Value::Reg(from) {
-                *v = to;
-            }
-        });
-    }
-}
-
-/// Clones the body of `src_fn` (all blocks) into `dst_fn` with all ids
-/// remapped; returns (block id map, vreg base, var id map, slot map).
-/// Used by the inliner and by loop/jump duplication passes when they
-/// clone across functions — block-local cloning helpers live with the
-/// passes that need them.
-pub struct CloneMaps {
-    pub block_map: Vec<u32>,
-    pub vreg_base: u32,
-    pub var_map: Vec<u32>,
-    pub slot_map: Vec<u32>,
-}
-
 /// Remaps every register in `op` by adding `vreg_base` (clone-private
 /// register space).
 pub fn offset_regs(op: &mut Op, vreg_base: u32) {
@@ -441,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_replacement() {
+    fn use_and_def_counts() {
         let mut b = FunctionBuilder::new("f", 1, 1);
         let v = b.var(VarInfo {
             name: "x".into(),
@@ -453,27 +418,12 @@ mod tests {
         b.dbg_value(v, DbgLoc::Value(Value::Reg(t)), 2);
         let u = b.bin(BinOp::Mul, Value::Reg(t), Value::Const(2), 3);
         b.ret(Some(Value::Reg(u)), 4);
-        let mut f = b.finish(5);
+        let f = b.finish(5);
 
         let uses = use_counts(&f);
         assert_eq!(uses[VReg(0).index()], 2);
         assert_eq!(uses[t.index()], 1, "debug uses are not counted");
         let defs = def_counts(&f);
         assert_eq!(defs[t.index()], 1);
-
-        replace_all_uses(&mut f, t, Value::Const(7));
-        let uses = use_counts(&f);
-        assert_eq!(uses[t.index()], 0);
-        // The debug use followed the replacement too.
-        let dbg_const = f.blocks[0].insts.iter().any(|i| {
-            matches!(
-                i.op,
-                Op::DbgValue {
-                    loc: DbgLoc::Value(Value::Const(7)),
-                    ..
-                }
-            )
-        });
-        assert!(dbg_const);
     }
 }

@@ -22,7 +22,7 @@
 //! Correctness invariant (enforced by `tests/proptest_pipeline.rs`,
 //! whose `#[ignore]`d sweep covers every gate shape the tuner ships):
 //! for every gate,
-//! `session.compile_variant(&gate)` is bit-identical
+//! `session.build_variant(&gate).object` is bit-identical
 //! ([`Object::content_hash`]) to [`crate::compile_source`] from
 //! scratch with the same options. This holds because
 //!
@@ -137,26 +137,6 @@ impl CompileSession {
         }
     }
 
-    /// Parses, validates, and lowers MiniC source into a session.
-    pub fn from_source(
-        src: &str,
-        personality: Personality,
-        level: OptLevel,
-        profile: Option<Profile>,
-    ) -> Result<Self, String> {
-        Ok(Self::new(
-            dt_frontend::lower_source(src)?,
-            personality,
-            level,
-            profile,
-        ))
-    }
-
-    /// Mid-pipeline stage count.
-    pub fn stage_count(&self) -> usize {
-        self.pipeline.mid.len()
-    }
-
     /// Module snapshots the session retains.
     pub fn snapshot_count(&self) -> usize {
         self.snapshots.len()
@@ -217,11 +197,6 @@ impl CompileSession {
             reused_reference,
         }
     }
-
-    /// [`Self::build_variant`], returning just the object.
-    pub fn compile_variant(&self, gate: &PassGate) -> Object {
-        self.build_variant(gate).object
-    }
 }
 
 #[cfg(test)]
@@ -250,8 +225,12 @@ int f(int n) {
     fn resumed_variants_match_from_scratch_for_every_gate() {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
-                let session =
-                    CompileSession::from_source(PROGRAM, personality, level, None).unwrap();
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(PROGRAM).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
                 let mut opts = CompileOptions::new(personality, level);
                 assert_eq!(
                     session.reference_object().content_hash(),
@@ -261,7 +240,7 @@ int f(int n) {
                 for pass in pipeline_pass_names(personality, level) {
                     opts.gate = PassGate::disabling([pass]);
                     let scratch = compile_source(PROGRAM, &opts).unwrap();
-                    let resumed = session.compile_variant(&opts.gate);
+                    let resumed = session.build_variant(&opts.gate).object;
                     assert_eq!(
                         resumed.content_hash(),
                         scratch.content_hash(),
@@ -274,8 +253,12 @@ int f(int n) {
 
     #[test]
     fn multi_name_gates_resume_correctly() {
-        let session =
-            CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O2, None).unwrap();
+        let session = CompileSession::new(
+            dt_frontend::lower_source(PROGRAM).unwrap(),
+            Personality::Gcc,
+            OptLevel::O2,
+            None,
+        );
         let names = pipeline_pass_names(Personality::Gcc, OptLevel::O2);
         // A gate mixing an early and a late pass, plus one mixing a
         // middle-end and a backend pass.
@@ -288,7 +271,7 @@ int f(int n) {
             let mut opts = CompileOptions::new(Personality::Gcc, OptLevel::O2);
             opts.gate = gate.clone();
             assert_eq!(
-                session.compile_variant(&gate).content_hash(),
+                session.build_variant(&gate).object.content_hash(),
                 compile_source(PROGRAM, &opts).unwrap().content_hash(),
                 "gate {disabled:?}"
             );
@@ -297,14 +280,18 @@ int f(int n) {
 
     #[test]
     fn backend_only_gates_reuse_the_optimized_module() {
-        let session =
-            CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O2, None).unwrap();
+        let session = CompileSession::new(
+            dt_frontend::lower_source(PROGRAM).unwrap(),
+            Personality::Gcc,
+            OptLevel::O2,
+            None,
+        );
         let vb = session.build_variant(&PassGate::disabling(["schedule-insns2"]));
         assert!(
             vb.reused_optimized,
             "backend-only gate must skip the middle end"
         );
-        assert_eq!(vb.prefix_skipped, session.stage_count());
+        assert_eq!(vb.prefix_skipped, session.pipeline.mid.len());
         let mut opts = CompileOptions::new(Personality::Gcc, OptLevel::O2);
         opts.gate = PassGate::disabling(["schedule-insns2"]);
         assert_eq!(
@@ -315,8 +302,12 @@ int f(int n) {
 
     #[test]
     fn middle_end_gates_skip_a_prefix() {
-        let session =
-            CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O2, None).unwrap();
+        let session = CompileSession::new(
+            dt_frontend::lower_source(PROGRAM).unwrap(),
+            Personality::Gcc,
+            OptLevel::O2,
+            None,
+        );
         // `tree-sink` sits deep in the gcc O2 pipeline: resuming must
         // skip every stage before its first occurrence.
         let vb = session.build_variant(&PassGate::disabling(["tree-sink"]));
@@ -331,12 +322,16 @@ int f(int n) {
         const LOOP_FREE: &str = "\
 int g(int x) { if (x > 2) { return x * 5; } return x + 1; }
 int f(int a, int b) { int s = g(a) + g(b); return s * 2; }";
-        let session =
-            CompileSession::from_source(LOOP_FREE, Personality::Gcc, OptLevel::O2, None).unwrap();
+        let session = CompileSession::new(
+            dt_frontend::lower_source(LOOP_FREE).unwrap(),
+            Personality::Gcc,
+            OptLevel::O2,
+            None,
+        );
         let gate = PassGate::disabling(["tree-ch"]);
         let vb = session.build_variant(&gate);
         assert!(vb.reused_optimized && vb.reused_reference);
-        assert_eq!(vb.prefix_skipped, session.stage_count());
+        assert_eq!(vb.prefix_skipped, session.pipeline.mid.len());
         let mut opts = CompileOptions::new(Personality::Gcc, OptLevel::O2);
         opts.gate = gate;
         let hash = vb.object.content_hash();
@@ -351,8 +346,12 @@ int f(int a, int b) { int s = g(a) + g(b); return s * 2; }";
     fn snapshots_never_exceed_first_gated_positions() {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
-                let session =
-                    CompileSession::from_source(PROGRAM, personality, level, None).unwrap();
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(PROGRAM).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
                 let pipeline = pipeline::build(personality, level);
                 let first_gated: HashSet<usize> = pipeline_pass_names(personality, level)
                     .into_iter()
@@ -373,9 +372,13 @@ int f(int a, int b) { int s = g(a) + g(b); return s * 2; }";
 
     #[test]
     fn o0_sessions_have_an_empty_pipeline() {
-        let session =
-            CompileSession::from_source(PROGRAM, Personality::Gcc, OptLevel::O0, None).unwrap();
-        assert_eq!(session.stage_count(), 0);
+        let session = CompileSession::new(
+            dt_frontend::lower_source(PROGRAM).unwrap(),
+            Personality::Gcc,
+            OptLevel::O0,
+            None,
+        );
+        assert_eq!(session.pipeline.mid.len(), 0);
         let vb = session.build_variant(&PassGate::disabling(["dce"]));
         assert!(vb.reused_optimized);
         assert_eq!(

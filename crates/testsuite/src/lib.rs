@@ -213,7 +213,7 @@ mod tests {
             let obj = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
             for h in p.harnesses {
                 for seed in p.seeds {
-                    let r = dt_vm::Vm::run_to_completion(
+                    dt_vm::Vm::run_finished(
                         &obj,
                         h,
                         &[],
@@ -223,13 +223,7 @@ mod tests {
                             ..Default::default()
                         },
                     )
-                    .unwrap_or_else(|e| panic!("{}::{h}: {e}", p.name));
-                    assert_eq!(
-                        r.halt,
-                        dt_vm::Halt::Finished,
-                        "{}::{h} must terminate on its seed",
-                        p.name
-                    );
+                    .unwrap_or_else(|e| panic!("{}::{h} must terminate on its seed: {e}", p.name));
                 }
             }
         }
@@ -255,8 +249,11 @@ mod tests {
                         max_steps: 3_000_000,
                         ..Default::default()
                     };
-                    let r0 = dt_vm::Vm::run_to_completion(&o0, h, &[], seed, cfg.clone()).unwrap();
-                    let r3 = dt_vm::Vm::run_to_completion(&o3, h, &[], seed, cfg).unwrap();
+                    let run = |obj, cfg| {
+                        dt_vm::Vm::run_finished(obj, h, &[], seed, cfg)
+                            .unwrap_or_else(|e| panic!("{}::{h}: {e}", p.name))
+                    };
+                    let (r0, r3) = (run(&o0, cfg.clone()), run(&o3, cfg));
                     assert_eq!(r0.ret, r3.ret, "{}::{h} O0 vs O3 return", p.name);
                     assert_eq!(r0.output, r3.output, "{}::{h} O0 vs O3 output", p.name);
                 }

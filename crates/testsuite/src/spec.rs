@@ -91,10 +91,11 @@ mod tests {
                 ..Default::default()
             };
             let iters = b.iterations(Workload::Test);
-            let r1 =
-                dt_vm::Vm::run_to_completion(&obj, b.entry, &[iters], &[], cfg.clone()).unwrap();
-            assert_eq!(r1.halt, dt_vm::Halt::Finished, "{}", b.name);
-            let r2 = dt_vm::Vm::run_to_completion(&obj, b.entry, &[iters], &[], cfg).unwrap();
+            let run = |cfg| {
+                dt_vm::Vm::run_finished(&obj, b.entry, &[iters], &[], cfg)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name))
+            };
+            let (r1, r2) = (run(cfg.clone()), run(cfg));
             assert_eq!(r1.ret, r2.ret, "{}", b.name);
             assert_eq!(r1.cycles, r2.cycles, "{}", b.name);
         }
@@ -119,9 +120,11 @@ mod tests {
                 ..Default::default()
             };
             let iters = b.iterations(Workload::Test);
-            let r0 =
-                dt_vm::Vm::run_to_completion(&o0, b.entry, &[iters], &[], cfg.clone()).unwrap();
-            let r2 = dt_vm::Vm::run_to_completion(&o2, b.entry, &[iters], &[], cfg).unwrap();
+            let run = |obj, cfg| {
+                dt_vm::Vm::run_finished(obj, b.entry, &[iters], &[], cfg)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name))
+            };
+            let (r0, r2) = (run(&o0, cfg.clone()), run(&o2, cfg));
             assert_eq!(r0.ret, r2.ret, "{}", b.name);
             assert_eq!(r0.output, r2.output, "{}", b.name);
             assert!(

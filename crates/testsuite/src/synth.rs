@@ -268,10 +268,11 @@ mod tests {
                 ..Default::default()
             };
             let input = [seed as u8, 3];
-            let r0 = dt_vm::Vm::run_to_completion(&o0, "fuzz_main", &[], &input, vm_cfg.clone())
-                .unwrap();
-            let r3 = dt_vm::Vm::run_to_completion(&o3, "fuzz_main", &[], &input, vm_cfg).unwrap();
-            assert_eq!(r0.halt, dt_vm::Halt::Finished, "seed {seed}");
+            let run = |obj, cfg| {
+                dt_vm::Vm::run_finished(obj, "fuzz_main", &[], &input, cfg)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"))
+            };
+            let (r0, r3) = (run(&o0, vm_cfg.clone()), run(&o3, vm_cfg));
             assert_eq!(r0.ret, r3.ret, "seed {seed} miscompiled:\n{src}");
             assert_eq!(r0.output, r3.output, "seed {seed}");
         }

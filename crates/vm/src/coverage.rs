@@ -63,11 +63,6 @@ impl CoverageMap {
                 .map(move |b| wi * 64 + b)
         })
     }
-
-    /// Total capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.nbits
-    }
 }
 
 #[cfg(test)]

@@ -720,25 +720,16 @@ fn binop_cost(op: dt_ir::BinOp) -> u64 {
     }
 }
 
-/// Compiles MiniC source straight to an object with the *unoptimized*
-/// backend, then runs `entry`. Test helper used across the workspace.
-pub fn run_source(
-    src: &str,
-    entry: &str,
-    args: &[i64],
-    input: &[u8],
-) -> Result<ExecResult, String> {
-    let module = dt_frontend::lower_source(src)?;
-    let obj = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
-    Vm::run_to_completion(&obj, entry, args, input, VmConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Compiles MiniC source with the unoptimized backend and runs
+    /// `entry` to completion.
     fn run(src: &str, entry: &str, args: &[i64], input: &[u8]) -> ExecResult {
-        run_source(src, entry, args, input).unwrap()
+        let module = dt_frontend::lower_source(src).unwrap();
+        let obj = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
+        Vm::run_to_completion(&obj, entry, args, input, VmConfig::default()).unwrap()
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn main() {
     }
 
     // Build O2-d3 and compare debuggability + performance.
-    let cfg = dy_config(personality, level, &ranking, 3);
+    let cfg = dy_config(level, &ranking, 3);
     println!("\n{} disables: {:?}", cfg.name, cfg.disabled);
 
     let reference: Vec<f64> = programs

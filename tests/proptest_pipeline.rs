@@ -187,9 +187,9 @@ proptest! {
         let mut opts = CompileOptions::new(personality, level);
         opts.gate = gate.clone();
 
-        let session = CompileSession::from_source(&src, personality, level, None).unwrap();
+        let session = CompileSession::new(dt_frontend::lower_source(&src).unwrap(), personality, level, None);
         let scratch = compile_source(&src, &opts).unwrap();
-        let resumed = session.compile_variant(&gate);
+        let resumed = session.build_variant(&gate).object;
         prop_assert_eq!(
             resumed.content_hash(),
             scratch.content_hash(),
@@ -234,10 +234,10 @@ proptest! {
         let mut opts = CompileOptions::new(personality, level);
         opts.gate = gate.clone();
 
-        let session = CompileSession::from_source(&src, personality, level, None).unwrap();
+        let session = CompileSession::new(dt_frontend::lower_source(&src).unwrap(), personality, level, None);
         let scratch = compile_source(&src, &opts).unwrap();
         prop_assert_eq!(
-            session.compile_variant(&gate).content_hash(),
+            session.build_variant(&gate).object.content_hash(),
             scratch.content_hash(),
             "seed {} {:?} {:?} gate {:?}",
             seed, personality, level, disabled
@@ -386,7 +386,12 @@ fn sweep_source(name: &str, src: &str) -> [usize; 3] {
     let mut served = [0usize; 3];
     for personality in [Personality::Gcc, Personality::Clang] {
         for &level in OptLevel::levels_for(personality) {
-            let session = CompileSession::from_source(src, personality, level, None).unwrap();
+            let session = CompileSession::new(
+                dt_frontend::lower_source(src).unwrap(),
+                personality,
+                level,
+                None,
+            );
             let names = pipeline_pass_names(personality, level);
             let mut gates: Vec<(String, PassGate)> = vec![("<all>".into(), PassGate::allow_all())];
             for &pass in &names {

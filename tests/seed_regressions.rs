@@ -21,8 +21,9 @@ use debugtuner::{DebugTuner, ProgramInput, TunerConfig};
 use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
 use dt_testsuite::synth::SynthConfig;
 
+/// The return value and output of a run that must finish.
 fn run(obj: &dt_machine::Object, input: &[u8], max_steps: u64) -> (i64, Vec<i64>) {
-    let r = dt_vm::Vm::run_to_completion(
+    let r = dt_vm::Vm::run_finished(
         obj,
         "fuzz_main",
         &[],
