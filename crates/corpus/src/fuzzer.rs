@@ -7,7 +7,7 @@
 //! flows from a caller-provided seed.
 
 use dt_machine::Object;
-use dt_vm::{CoverageMap, Vm, VmConfig};
+use dt_vm::{CoverageMap, RunPlan, Vm, VmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -54,9 +54,11 @@ pub struct FuzzReport {
     pub oracle_hits: Vec<Vec<u8>>,
 }
 
-/// Runs one execution with coverage.
+/// Runs one execution with coverage, on `plan` (built from `obj`).
+/// Coverage is architectural, so the cycle model stays off.
 pub fn run_with_coverage(
     obj: &Object,
+    plan: &RunPlan,
     entry: &str,
     input: &[u8],
     max_steps: u64,
@@ -65,10 +67,11 @@ pub fn run_with_coverage(
     let config = VmConfig {
         max_steps,
         collect_coverage: true,
+        model_cycles: false,
         ..VmConfig::default()
     };
-    let r = Vm::run_to_completion(obj, entry, entry_args, input, config).ok()?;
-    r.coverage
+    let vm = Vm::with_plan(obj, plan, entry, entry_args, input, config).ok()?;
+    vm.run_to_end().coverage
 }
 
 /// Runs a fuzzing campaign against `entry` of `obj`.
@@ -90,6 +93,7 @@ pub fn fuzz_with_oracle<F: FnMut(&[u8]) -> bool>(
     mut oracle: F,
 ) -> FuzzReport {
     let mut rng = SmallRng::seed_from_u64(config.seed);
+    let plan = RunPlan::new(obj);
     let mut global = CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
     // Discovery-order vectors plus set mirrors: membership tests run
     // once per execution, so `Vec::contains` would make the campaign
@@ -106,8 +110,14 @@ pub fn fuzz_with_oracle<F: FnMut(&[u8]) -> bool>(
                          hit_set: &mut HashSet<Vec<u8>>,
                          global: &mut CoverageMap|
      -> bool {
-        let Some(cov) = run_with_coverage(obj, entry, &input, config.max_steps, &config.entry_args)
-        else {
+        let Some(cov) = run_with_coverage(
+            obj,
+            &plan,
+            entry,
+            &input,
+            config.max_steps,
+            &config.entry_args,
+        ) else {
             return false;
         };
         let flagged = oracle(&input) && !hit_set.contains(&input);
@@ -302,9 +312,10 @@ int process() {
         let report = fuzz(&obj, "process", &[vec![0, 0, 0, 0]], &cfg);
         // Replaying the queue in order: every element adds coverage.
         let mut global = CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
+        let plan = RunPlan::new(&obj);
         let mut adds = 0;
         for input in &report.queue {
-            let cov = run_with_coverage(&obj, "process", input, 100_000, &[]).unwrap();
+            let cov = run_with_coverage(&obj, &plan, "process", input, 100_000, &[]).unwrap();
             if cov.adds_to(&global) {
                 adds += 1;
                 global.merge(&cov);

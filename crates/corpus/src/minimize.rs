@@ -3,7 +3,7 @@
 
 use crate::fuzzer::run_with_coverage;
 use dt_machine::Object;
-use dt_vm::CoverageMap;
+use dt_vm::{CoverageMap, RunPlan};
 use std::collections::BTreeSet;
 
 /// Coverage-preserving minimization: a greedy subset of `queue` that
@@ -16,11 +16,12 @@ pub fn cmin(
     queue: &[Vec<u8>],
     max_steps: u64,
 ) -> Vec<Vec<u8>> {
+    let plan = RunPlan::new(obj);
     let mut measured: Vec<(usize, CoverageMap)> = queue
         .iter()
         .enumerate()
         .filter_map(|(i, input)| {
-            run_with_coverage(obj, entry, input, max_steps, entry_args).map(|c| (i, c))
+            run_with_coverage(obj, &plan, entry, input, max_steps, entry_args).map(|c| (i, c))
         })
         .collect();
     // Largest coverage first; stable on index for determinism.
@@ -145,10 +146,12 @@ int process() {
         let minimized = cmin(&obj, "process", &[], &queue, 100_000);
         assert!(minimized.len() < queue.len());
         // Union coverage identical.
+        let plan = RunPlan::new(&obj);
         let total = |inputs: &[Vec<u8>]| {
             let mut g = dt_vm::CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
             for i in inputs {
-                let c = crate::fuzzer::run_with_coverage(&obj, "process", i, 100_000, &[]).unwrap();
+                let c = crate::fuzzer::run_with_coverage(&obj, &plan, "process", i, 100_000, &[])
+                    .unwrap();
                 g.merge(&c);
             }
             g.count()

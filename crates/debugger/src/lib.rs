@@ -23,8 +23,8 @@
 //!   last breakpoint is consumed. Both engines produce bit-identical
 //!   [`DebugTrace`]s by construction — pinned by differential tests.
 
-use dt_machine::{FOp, Object};
-use dt_vm::{Vm, VmConfig};
+use dt_machine::Object;
+use dt_vm::{RunPlan, Vm, VmConfig};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What the debugger observed at one stepped line.
@@ -112,8 +112,9 @@ pub struct TraceStats {
 /// `is_stmt` line-table address resolved once to an instruction index
 /// in a dense bitmap over `obj.code`, plus the side tables a temporary-
 /// breakpoint session needs (line per armed index, per-line index
-/// groups for clearing) and the per-subprogram value keys `observe`
-/// would otherwise rebuild on every hit.
+/// groups for clearing), the per-subprogram value keys `observe`
+/// would otherwise rebuild on every hit, and the object's [`RunPlan`],
+/// which every input of every session runs on.
 ///
 /// Construction mirrors the classic address-keyed breakpoint table
 /// exactly: rows are inserted in line-table order with last-row-wins
@@ -143,12 +144,8 @@ pub struct BreakPlan {
     /// Per-subprogram value keys: the `#k` occurrence suffixes for
     /// shadowed names, hoisted out of the per-hit observation.
     sp_keys: Vec<Vec<String>>,
-    /// Pseudo hop table for [`Vm::run_until_break`]: `next_real[i]` is
-    /// the first non-pseudo instruction index at or after `i` (identity
-    /// for real instructions, `code.len()` maps to itself). Lets
-    /// non-ground-truth sessions step over `Dbg` pseudos without
-    /// dispatching them.
-    next_real: Vec<u32>,
+    /// The object decoded for the VM, shared by every run of a session.
+    run: RunPlan,
     /// Precomputed observation recipe per armed index: the containing
     /// subprogram and, for every variable whose location list covers
     /// the stop address, its name, value key, and resolved location.
@@ -212,16 +209,6 @@ impl BreakPlan {
         }
         let armed = bits.iter().map(|w| w.count_ones()).sum::<u32>();
         let unhittable = unhittable_addrs.len() as u32;
-
-        let n = obj.code.len();
-        let mut next_real = vec![n as u32; n + 1];
-        for i in (0..n).rev() {
-            next_real[i] = if matches!(obj.code[i].op, FOp::Dbg { .. }) {
-                next_real[i + 1]
-            } else {
-                i as u32
-            };
-        }
 
         // Group variable records by owning subprogram in one pass
         // (`vars_of` filters the whole table per call).
@@ -294,7 +281,7 @@ impl BreakPlan {
             armed,
             unhittable,
             sp_keys,
-            next_real,
+            run: RunPlan::new(obj),
             obs_of,
         }
     }
@@ -363,7 +350,14 @@ pub fn trace(
         if armed.is_empty() && plan.unhittable == 0 {
             break; // all temporary breakpoints already consumed
         }
-        let mut vm = Vm::new(obj, entry, &config.entry_args, input, vm_config_for(config))?;
+        let mut vm = Vm::with_plan(
+            obj,
+            &plan.run,
+            entry,
+            &config.entry_args,
+            input,
+            vm_config_for(config),
+        )?;
         while vm.halt_reason().is_none() {
             let idx = vm.pc_index();
             if let Some(line) = armed.get(&idx).copied() {
@@ -438,13 +432,12 @@ pub fn trace_with_plan_stats(
             model_cycles: false,
             ..vm_config_for(config)
         };
-        let mut vm = Vm::new(obj, entry, &config.entry_args, input, vm_config)?;
+        let mut vm = Vm::with_plan(obj, &plan.run, entry, &config.entry_args, input, vm_config)?;
         // Full speed between breakpoints: the VM tests one bit per
         // instruction and returns only at armed indices. Ground-truth
-        // sessions must dispatch `Dbg` pseudos (they update the shadow
-        // bindings); everyone else hops over them via the plan's table.
-        let skip = (!config.ground_truth).then_some(plan.next_real.as_slice());
-        while let Some(idx) = vm.run_until_break(&bits, skip) {
+        // sessions dispatch `Dbg` pseudos (they update the shadow
+        // bindings); everyone else hops over them.
+        while let Some(idx) = vm.run_until_break(&bits) {
             stats.break_stops += 1;
             let line = plan.line_of[idx];
             let obs = observe_planned(obj, plan, idx, &vm, config.ground_truth);

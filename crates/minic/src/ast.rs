@@ -209,6 +209,7 @@ impl BinOp {
     /// Evaluates the operator on constant operands, using the VM's
     /// wrapping/total semantics (division by zero yields 0, shifts are
     /// masked to 0..63).
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         match self {
             BinOp::Add => a.wrapping_add(b),
@@ -253,6 +254,7 @@ impl BinOp {
 
 impl UnOp {
     /// Evaluates the operator on a constant operand.
+    #[inline]
     pub fn eval(self, a: i64) -> i64 {
         match self {
             UnOp::Neg => a.wrapping_neg(),

@@ -31,9 +31,6 @@ pub mod opt;
 pub mod pipeline;
 pub mod session;
 
-#[cfg(test)]
-mod kernel_oracles;
-
 pub use manager::{PassConfig, PassGate, PassInstance};
 pub use pipeline::{backend_pass_names, pipeline_pass_names, Personality, Pipeline};
 pub use session::{CompileSession, VariantBuild};
@@ -120,3 +117,6 @@ pub fn compile_source(src: &str, options: &CompileOptions) -> Result<Object, Str
     let module = dt_frontend::lower_source(src)?;
     Ok(compile(&module, options))
 }
+
+#[cfg(test)]
+mod kernel_oracles;

@@ -82,27 +82,20 @@ impl Pipeline {
 
     /// All gateable pass names (middle-end + backend), deduplicated in
     /// pipeline order — the universe DebugTuner iterates over. Order
-    /// is first occurrence in the pipeline (middle end, then backend),
-    /// maintained with an order-preserving set so composition stays
-    /// linear in pipeline length.
+    /// is first occurrence in the pipeline (middle end, then backend).
+    /// A level has a few dozen names, so a linear `contains` is the
+    /// cheapest duplicate test.
     pub fn gateable_names(&self) -> Vec<&'static str> {
-        let mut seen: std::collections::HashSet<&'static str> = std::collections::HashSet::new();
+        let mid = self.mid.iter().flat_map(|inst| {
+            let own = inst.gateable.then_some(inst.name);
+            own.into_iter().chain(inst.also_gated_by.iter().copied())
+        });
+        let backend = self.backend.iter().map(|&(name, _)| name);
         let mut names: Vec<&'static str> = Vec::new();
-        let mut push = |names: &mut Vec<&'static str>, name: &'static str| {
-            if seen.insert(name) {
+        for name in mid.chain(backend) {
+            if !names.contains(&name) {
                 names.push(name);
             }
-        };
-        for inst in &self.mid {
-            if inst.gateable {
-                push(&mut names, inst.name);
-            }
-            for g in inst.also_gated_by {
-                push(&mut names, g);
-            }
-        }
-        for (name, _) in &self.backend {
-            push(&mut names, name);
         }
         names
     }
