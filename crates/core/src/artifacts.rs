@@ -43,8 +43,8 @@
 //! the counters do not depend on scheduling.
 //!
 //! The store also keeps the [`EvalStats`] its work is counted in, and
-//! it is the one place that work is done: every variant build
-//! (`build_variant`), debug trace (`trace`) and run
+//! it is the one place that work is done: every build (`compile`,
+//! `build_variant`), debug trace (`trace`) and run
 //! ([`ArtifactStore::run`]) goes through a method that counts it.
 
 use crate::eval::{ProgramEvaluation, ReferenceEvaluation};
@@ -54,7 +54,7 @@ use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::{Fnv1a, Object};
 use dt_metrics::Metrics;
 use dt_minic::analysis::SourceAnalysis;
-use dt_passes::{CompileSession, OptLevel, PassGate, Personality, VariantBuild};
+use dt_passes::{CompileOptions, CompileSession, OptLevel, PassGate, Personality, VariantBuild};
 use dt_vm::{ExecResult, Vm, VmConfig};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -363,6 +363,15 @@ impl ArtifactStore {
                 s.sessions += 1;
                 s.snapshots += session.snapshot_count() as u64;
             },
+        )
+    }
+
+    /// Compiles `src`'s module under `options` from scratch, counting
+    /// the build. For one-off builds that no compile session serves.
+    pub(crate) fn compile(&self, src: &SourceArtifacts, options: &CompileOptions) -> Object {
+        self.timed(
+            || dt_passes::compile(&src.module, options),
+            |s, ms, _| s.add_build(ms),
         )
     }
 

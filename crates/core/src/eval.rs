@@ -30,7 +30,7 @@ use dt_checker::DefectSummary;
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::Object;
 use dt_metrics::{MethodComparison, Metrics};
-use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
+use dt_passes::{pipeline_pass_names, CompileOptions, OptLevel, PassGate, Personality};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -284,8 +284,7 @@ impl DebugTuner {
 
             // Stage 2+3: reference trace and metrics (source-refined by
             // the hybrid metric itself, which is one of the methods).
-            let ref_trace = self.trace_for(&object, program);
-            let methods = dt_metrics::all_methods(&object.debug, &ref_trace, &base, &art.analysis);
+            let (ref_trace, methods) = self.trace_methods(&object, program, &art, &base);
             ReferenceEvaluation {
                 reference: methods.hybrid,
                 methods,
@@ -297,6 +296,41 @@ impl DebugTuner {
                 base,
             }
         })
+    }
+
+    /// The four measurement methods on the unmodified level alone
+    /// (Table I): [`Self::reference`]'s `methods`, from a plain
+    /// [`dt_passes::compile`] instead of a compile session. It shares
+    /// the program's `O0` object and baseline with every other level
+    /// and call, but builds no session, runs no checker, and memoizes
+    /// nothing of its own. Equal to the session path because a
+    /// session's reference object is bit-identical to `compile` with
+    /// an all-allowing gate.
+    pub fn methods(
+        &self,
+        program: &ProgramInput,
+        personality: Personality,
+        level: OptLevel,
+    ) -> MethodComparison {
+        let (art, base) = self.program_artifacts(program);
+        let object = self
+            .store
+            .compile(&art, &CompileOptions::new(personality, level));
+        self.trace_methods(&object, program, &art, &base).1
+    }
+
+    /// `obj`'s trace over the program's inputs and the four methods
+    /// measured on it against the ground-truth baseline `base`.
+    fn trace_methods(
+        &self,
+        obj: &Object,
+        program: &ProgramInput,
+        art: &SourceArtifacts,
+        base: &DebugTrace,
+    ) -> (DebugTrace, MethodComparison) {
+        let trace = self.trace_for(obj, program);
+        let methods = dt_metrics::all_methods(&obj.debug, &trace, base, &art.analysis);
+        (trace, methods)
     }
 
     fn evaluate_uncached(

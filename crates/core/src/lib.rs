@@ -140,8 +140,11 @@ impl Default for DebugTuner {
 
 /// Maps `f` over `items` on up to `threads` scoped workers and returns
 /// the results in input order, independent of scheduling. A worker's
-/// panic resumes on the caller with its original payload.
-pub(crate) fn par_map<T: Sync, R: Send>(
+/// panic resumes on the caller with its original payload. This is the
+/// one parallel map of the tuner and of the experiments built on it:
+/// folds over its result see the items in input order for any thread
+/// count.
+pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
@@ -263,10 +266,7 @@ int fuzz_main() {
             max_steps_per_input: 1_000_000,
             threads: 1,
         };
-        let levels: Vec<(Personality, OptLevel)> = [Personality::Gcc, Personality::Clang]
-            .into_iter()
-            .flat_map(|p| OptLevel::levels_for(p).iter().map(move |&l| (p, l)))
-            .collect();
+        let levels = all_levels();
         let staged = DebugTuner::new(config.clone());
         for &(personality, level) in &levels {
             staged.reference(&p, personality, level);
@@ -338,6 +338,79 @@ int fuzz_main() {
                 ..EvalStats::default()
             }
         );
+    }
+
+    /// Every (personality, level) pair the tuner measures.
+    fn all_levels() -> Vec<(Personality, OptLevel)> {
+        [Personality::Gcc, Personality::Clang]
+            .into_iter()
+            .flat_map(|p| OptLevel::levels_for(p).iter().map(move |&l| (p, l)))
+            .collect()
+    }
+
+    /// The bit patterns of all twelve numbers of `m`.
+    fn method_bits(m: &dt_metrics::MethodComparison) -> Vec<u64> {
+        [m.static_m, m.static_dbg, m.dynamic, m.hybrid]
+            .iter()
+            .flat_map(|x| [x.availability, x.line_coverage, x.product])
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// The reference-only path (`methods`: a plain `compile`, no
+    /// session, no checker) gives the session path's methods bit for
+    /// bit, on suite programs and on synthetic programs, at every
+    /// personality and level. It builds no session and traces each
+    /// program's baseline once across all its levels.
+    #[test]
+    fn reference_only_methods_equal_the_sessions() {
+        let config = TunerConfig {
+            max_steps_per_input: 2_000_000,
+            threads: 1,
+        };
+        let suite = dt_testsuite::real_world_suite();
+        let mut programs: Vec<ProgramInput> = ["bzip2", "libexif", "libpng"]
+            .into_iter()
+            .map(|name| {
+                let p = suite.iter().find(|p| p.name == name).unwrap();
+                ProgramInput {
+                    name: name.into(),
+                    source: p.source.into(),
+                    harness: p.harnesses[0].into(),
+                    inputs: p.seeds.iter().map(|s| s.to_vec()).collect(),
+                    entry_args: vec![],
+                }
+            })
+            .collect();
+        let synth = dt_testsuite::synth::SynthConfig::default();
+        programs.extend([15u64, 118, 126, 321].map(|seed| ProgramInput {
+            name: format!("synth{seed}"),
+            source: dt_testsuite::synth::generate(seed, &synth),
+            harness: "fuzz_main".into(),
+            inputs: vec![vec![seed as u8, 3]],
+            entry_args: vec![],
+        }));
+        let levels = all_levels();
+        for p in &programs {
+            let reference_only = DebugTuner::new(config.clone());
+            let staged = DebugTuner::new(config.clone());
+            for &(personality, level) in &levels {
+                let got = reference_only.methods(p, personality, level);
+                let want = staged.reference(p, personality, level).methods;
+                assert_eq!(
+                    method_bits(&got),
+                    method_bits(&want),
+                    "{} {personality} {level}",
+                    p.name
+                );
+            }
+            // One `O0` build and baseline trace, then one build and
+            // one trace per level; no session.
+            let n = levels.len() as u64;
+            let s = reference_only.stats();
+            assert_eq!((s.builds, s.traces, s.sessions), (1 + n, 1 + n, 0), "{s:?}");
+            assert_eq!(s.artifact_hits, n - 1, "{s:?}");
+        }
     }
 
     /// Single-flight: `work` done by two threads at once gives the

@@ -245,10 +245,7 @@ impl DebugTuner {
                 gate: PassGate::allow_all(),
                 profile: Some(profile.clone()),
             };
-            let obj = store.timed(
-                || dt_passes::compile(&src.module, &opts),
-                |s, ms, _| s.add_build(ms),
-            );
+            let obj = store.compile(&src, &opts);
             call.run_like(store, &o0, &obj, || {
                 what(format!("AutoFDO build from {} profile", gate_label(gate)))
             })

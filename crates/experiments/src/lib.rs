@@ -13,10 +13,10 @@
 //!   `test`; use `ref` for the measurement runs).
 
 use debugtuner::{
-    dy_family, pareto_front, suite_corpus, DebugTuner, DyConfig, PassRanking, PerfReport,
+    dy_family, par_map, pareto_front, suite_corpus, DebugTuner, DyConfig, PassRanking, PerfReport,
     ProgramInput, RunCall, TradeoffPoint, TunerConfig,
 };
-use dt_metrics::stats;
+use dt_metrics::{stats, MethodComparison};
 use dt_passes::{OptLevel, PassGate, Personality};
 use dt_testsuite::spec::{spec_suite, Workload};
 use std::fmt::Write as _;
@@ -91,13 +91,14 @@ pub struct SuiteInputs {
 /// `DT_FUZZ_ITERS`, so repeated runs rebuild identical corpora): the
 /// one input pipeline a campaign runs.
 pub fn suite_inputs() -> SuiteInputs {
-    let (programs, queue_lens) = dt_testsuite::real_world_suite()
-        .iter()
-        .map(|p| {
-            let corpus = suite_corpus(p, fuzz_iters());
-            (corpus.program, corpus.queue_len)
-        })
-        .unzip();
+    let iterations = fuzz_iters();
+    let suite = dt_testsuite::real_world_suite();
+    let (programs, queue_lens) = par_map(&suite, TunerConfig::default().threads, |p| {
+        let corpus = suite_corpus(p, iterations);
+        (corpus.program, corpus.queue_len)
+    })
+    .into_iter()
+    .unzip();
     SuiteInputs {
         programs,
         queue_lens,
@@ -125,48 +126,78 @@ pub fn table01_methods() -> String {
         "lc-stat", "lc-statdbg", "lc-dyn",
         "pr-stat", "pr-statdbg", "pr-dyn", "pr-hyb"
     );
-    for personality in [Personality::Gcc, Personality::Clang] {
-        for &level in OptLevel::levels_for(personality) {
-            let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 11];
-            for p in &programs {
-                // A transient tuner per build: at most one compile
-                // session is alive at a time.
-                let tuner = DebugTuner::new(TunerConfig {
-                    max_steps_per_input: TABLE01_MAX_STEPS,
-                    threads: 1,
-                });
-                let m = tuner.reference(p, personality, level).methods;
-                for (i, v) in [
-                    m.static_m.availability,
-                    m.static_dbg.availability,
-                    m.dynamic.availability,
-                    m.hybrid.availability,
-                    m.static_m.line_coverage,
-                    m.static_dbg.line_coverage,
-                    m.dynamic.line_coverage,
-                    m.static_m.product,
-                    m.static_dbg.product,
-                    m.dynamic.product,
-                    m.hybrid.product,
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    cols[i].push(v);
-                }
+    let levels = table01_levels(&programs, TunerConfig::default().threads);
+    for (personality, level, methods) in levels {
+        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 11];
+        for m in methods {
+            for (i, v) in [
+                m.static_m.availability,
+                m.static_dbg.availability,
+                m.dynamic.availability,
+                m.hybrid.availability,
+                m.static_m.line_coverage,
+                m.static_dbg.line_coverage,
+                m.dynamic.line_coverage,
+                m.static_m.product,
+                m.static_dbg.product,
+                m.dynamic.product,
+                m.hybrid.product,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                cols[i].push(v);
             }
-            let g = |i: usize| stats::geomean(&cols[i]);
-            let _ = writeln!(
-                out,
-                "{:<9} {:<5} | {:>8.4} {:>10.4} {:>8.4} {:>8.4} | {:>8.4} {:>10.4} {:>8.4} | {:>8.4} {:>10.4} {:>8.4} {:>8.4}",
-                personality.name(), level.name(),
-                g(0), g(1), g(2), g(3),
-                g(4), g(5), g(6),
-                g(7), g(8), g(9), g(10)
-            );
         }
+        let g = |i: usize| stats::geomean(&cols[i]);
+        let _ = writeln!(
+            out,
+            "{:<9} {:<5} | {:>8.4} {:>10.4} {:>8.4} {:>8.4} | {:>8.4} {:>10.4} {:>8.4} | {:>8.4} {:>10.4} {:>8.4} {:>8.4}",
+            personality.name(), level.name(),
+            g(0), g(1), g(2), g(3),
+            g(4), g(5), g(6),
+            g(7), g(8), g(9), g(10)
+        );
     }
     out
+}
+
+/// Table I's measurements: at every personality and level, each
+/// program's four methods ([`DebugTuner::methods`]) in program order.
+/// Programs run in parallel on `threads` workers, each on a tuner of
+/// its own: the program's `O0` object and baseline serve all its levels
+/// and are dropped with the tuner, so at most `threads` programs'
+/// artifacts are alive at a time.
+fn table01_levels(
+    programs: &[ProgramInput],
+    threads: usize,
+) -> Vec<(Personality, OptLevel, Vec<MethodComparison>)> {
+    let levels: Vec<(Personality, OptLevel)> = [Personality::Gcc, Personality::Clang]
+        .into_iter()
+        .flat_map(|personality| {
+            OptLevel::levels_for(personality)
+                .iter()
+                .map(move |&level| (personality, level))
+        })
+        .collect();
+    let per_program = par_map(programs, threads, |p| {
+        let tuner = DebugTuner::new(TunerConfig {
+            max_steps_per_input: TABLE01_MAX_STEPS,
+            threads: 1,
+        });
+        levels
+            .iter()
+            .map(|&(personality, level)| tuner.methods(p, personality, level))
+            .collect::<Vec<_>>()
+    });
+    levels
+        .iter()
+        .enumerate()
+        .map(|(i, &(personality, level))| {
+            let methods = per_program.iter().map(|m| m[i]).collect();
+            (personality, level, methods)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------- T2
@@ -457,15 +488,8 @@ pub fn tradeoff_data(
             .into_iter();
         let perf = perfs.next().expect("one report per gate");
         reference.push((level, stats::mean(&products), perf));
-        for (cfg, perf) in family.into_iter().zip(perfs) {
-            let products: Vec<f64> = programs
-                .iter()
-                .map(|p| {
-                    tuner
-                        .evaluate_config(p, personality, level, &cfg.gate)
-                        .product
-                })
-                .collect();
+        let products = dy_products(tuner, programs, personality, level, &family);
+        for ((cfg, perf), products) in family.into_iter().zip(perfs).zip(products) {
             configs.push(DyPoint {
                 name: cfg.name.clone(),
                 level,
@@ -482,6 +506,32 @@ pub fn tradeoff_data(
         configs,
         program_names: programs.iter().map(|p| p.name.clone()).collect(),
     })
+}
+
+/// Each `Ox-dy` config's hybrid product on every program, in program
+/// order. The (config, program) pairs run in parallel on the tuner's
+/// threads, one [`DebugTuner::evaluate_config`] each.
+fn dy_products(
+    tuner: &DebugTuner,
+    programs: &[ProgramInput],
+    personality: Personality,
+    level: OptLevel,
+    family: &[DyConfig],
+) -> Vec<Vec<f64>> {
+    let pairs: Vec<(&DyConfig, &ProgramInput)> = family
+        .iter()
+        .flat_map(|cfg| programs.iter().map(move |p| (cfg, p)))
+        .collect();
+    let mut products = par_map(&pairs, tuner.config.threads, |&(cfg, p)| {
+        tuner
+            .evaluate_config(p, personality, level, &cfg.gate)
+            .product
+    })
+    .into_iter();
+    family
+        .iter()
+        .map(|_| products.by_ref().take(programs.len()).collect())
+        .collect()
 }
 
 /// Table VIII: Δ debuggability and Δ speedup of `Ox-dy` vs `Ox`.
@@ -905,8 +955,8 @@ pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> Str
 /// ([`make_tuner`]); part of the campaign's `tuner` job key.
 const TUNER_MAX_STEPS: u64 = 3_000_000;
 
-/// Step budget per traced input of Table I's transient tuners; part of
-/// the `table01_methods` job key.
+/// Step budget per traced input of Table I's tuner; part of the
+/// `table01_methods` job key.
 const TABLE01_MAX_STEPS: u64 = 2_000_000;
 
 /// Builds a shared tuner sized for the experiment binaries.
@@ -915,4 +965,60 @@ pub fn make_tuner() -> DebugTuner {
         max_steps_per_input: TUNER_MAX_STEPS,
         ..Default::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tuner(threads: usize) -> DebugTuner {
+        DebugTuner::new(TunerConfig {
+            max_steps_per_input: TABLE01_MAX_STEPS,
+            threads,
+        })
+    }
+
+    fn method_bits(m: &MethodComparison) -> Vec<u64> {
+        [m.static_m, m.static_dbg, m.dynamic, m.hybrid]
+            .iter()
+            .flat_map(|x| [x.availability, x.line_coverage, x.product])
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// Table I's per-level method vectors and one level's `Ox-dy`
+    /// products are bit-identical on one thread and on two: the
+    /// parallel paths return every value in program order.
+    #[test]
+    fn table01_and_dy_products_do_not_depend_on_thread_count() {
+        let programs = synthetic_inputs(5);
+        let levels = |threads| -> Vec<_> {
+            table01_levels(&programs, threads)
+                .into_iter()
+                .map(|(personality, level, methods)| {
+                    let bits: Vec<_> = methods.iter().map(method_bits).collect();
+                    (personality, level, bits)
+                })
+                .collect()
+        };
+        let serial = levels(1);
+        assert_eq!(serial.len(), 7);
+        assert!(serial.iter().all(|(_, _, m)| m.len() == programs.len()));
+        assert_eq!(levels(2), serial);
+
+        let (personality, level) = (Personality::Clang, OptLevel::O2);
+        let ranking = tuner(2).rank_passes(&programs, personality, level);
+        let family = dy_family(level, &ranking);
+        assert!(!family.is_empty());
+        let products = |threads| -> Vec<Vec<u64>> {
+            dy_products(&tuner(threads), &programs, personality, level, &family)
+                .iter()
+                .map(|ps| ps.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        let serial = products(1);
+        assert_eq!(serial.len(), family.len());
+        assert!(serial.iter().all(|ps| ps.len() == programs.len()));
+        assert_eq!(products(2), serial);
+    }
 }
