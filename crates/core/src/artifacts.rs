@@ -361,7 +361,7 @@ impl ArtifactStore {
             |s, ms, session| {
                 s.add_build(ms);
                 s.sessions += 1;
-                s.snapshots += session.snapshot_count() as u64;
+                s.trail_functions += session.trail_function_count() as u64;
             },
         )
     }
@@ -386,6 +386,8 @@ impl ArtifactStore {
                     s.resumed_variants += 1;
                     s.prefix_passes_skipped += built.prefix_skipped as u64;
                 }
+                s.functions_cut_off += built.functions_cut_off as u64;
+                s.backend_functions_reused += built.backend_functions_reused as u64;
             },
         )
     }
@@ -513,7 +515,7 @@ int fuzz_main() {
         assert_eq!(snap.artifact_hits, 1);
         assert_eq!(snap.traces, 1);
         assert_eq!(snap.sessions, 1);
-        assert!(snap.snapshots > 0);
+        assert!(snap.trail_functions > 0);
     }
 
     /// Keys describe content: another input set, step budget, or

@@ -240,7 +240,7 @@ int fuzz_main() {
         let eval = tuner.evaluate(&p, Personality::Gcc, OptLevel::O2);
         let stats = tuner.stats();
         assert!(stats.sessions >= 1, "no session built: {stats:?}");
-        assert!(stats.snapshots > 0);
+        assert!(stats.trail_functions > 0);
         assert!(stats.resumed_variants > 0);
         assert!(
             stats.prefix_passes_skipped > 0,
@@ -310,7 +310,7 @@ int fuzz_main() {
                 builds: 15,
                 traces: 8,
                 sessions: 7,
-                snapshots: 42,
+                trail_functions: 86,
                 artifact_hits: 6,
                 fast_steps: 146,
                 break_stops: 66,
@@ -328,9 +328,11 @@ int fuzz_main() {
                 trace_cache_hits: 1,
                 pruned_variants: 112,
                 sessions: 7,
-                snapshots: 42,
+                trail_functions: 86,
                 resumed_variants: 138,
                 prefix_passes_skipped: 2671,
+                functions_cut_off: 426,
+                backend_functions_reused: 26,
                 artifact_hits: 6,
                 fast_steps: 837,
                 break_stops: 284,

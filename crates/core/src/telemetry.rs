@@ -37,13 +37,20 @@ pub struct EvalStats {
     /// Checkpointed compile sessions constructed (one per
     /// program/personality/level actually built).
     pub sessions: u64,
-    /// Mid-pipeline module snapshots retained across all sessions.
-    pub snapshots: u64,
+    /// Function versions the sessions' reference trails retain (each
+    /// a function some middle-end stage of a reference build changed).
+    pub trail_functions: u64,
     /// Variant builds that resumed from a session checkpoint instead
     /// of recompiling from source.
     pub resumed_variants: u64,
     /// Total mid-pipeline pass instances skipped by checkpoint resume.
     pub prefix_passes_skipped: u64,
+    /// (stage, function) pairs of resumed variant builds taken from the
+    /// reference trail instead of computed (per-function cut-off).
+    pub functions_cut_off: u64,
+    /// Functions of variant builds whose machine code was taken from
+    /// the reference build instead of generated.
+    pub backend_functions_reused: u64,
     /// Source-artifact store hits (parsed analysis + lowered module +
     /// O0 object reused instead of rebuilt).
     pub artifact_hits: u64,
@@ -95,8 +102,8 @@ impl EvalStats {
         format!(
             "eval stats: {} program(s), {} build(s) ({:.0} ms), {} trace(s) ({:.0} ms), \
              {} trace-cache hit(s), {} eval-cache hit(s), {} pruned variant(s), \
-             {} session(s) ({} snapshot(s)), {} resumed variant(s) skipping {} prefix pass(es), \
-             {} artifact-store hit(s), {} fast step(s) / {} break stop(s) / \
+             {} session(s) ({} trail function(s)), {} resumed variant(s) skipping {} prefix pass(es), \
+             {} function(s) cut off, {} backend function(s) reused, {} artifact-store hit(s), {} fast step(s) / {} break stop(s) / \
              {} abandoned input(s), {} run(s) ({:.0} ms), {} run-memo hit(s), \
              {:.0} ms wall on {} thread(s)",
             self.programs,
@@ -108,9 +115,11 @@ impl EvalStats {
             self.eval_cache_hits,
             self.pruned_variants,
             self.sessions,
-            self.snapshots,
+            self.trail_functions,
             self.resumed_variants,
             self.prefix_passes_skipped,
+            self.functions_cut_off,
+            self.backend_functions_reused,
             self.artifact_hits,
             self.fast_steps,
             self.break_stops,
@@ -162,7 +171,10 @@ mod tests {
             threads: 4,
             builds: 1,
             sessions: 2,
+            trail_functions: 5,
             prefix_passes_skipped: 7,
+            functions_cut_off: 11,
+            backend_functions_reused: 3,
             fast_steps: 150,
             break_stops: 10,
             runs: 2,
@@ -172,8 +184,10 @@ mod tests {
         let summary = s.summary();
         for part in [
             "1 build(s)",
-            "2 session(s)",
+            "2 session(s) (5 trail function(s))",
             "skipping 7 prefix pass(es)",
+            "11 function(s) cut off",
+            "3 backend function(s) reused",
             "150 fast step(s)",
             "10 break stop(s)",
             "2 run(s)",
@@ -183,7 +197,13 @@ mod tests {
             assert!(summary.contains(part), "{part:?} missing from {summary}");
         }
         let json = s.to_json();
-        for part in [r#""sessions":2,"#, r#""prefix_passes_skipped":7,"#] {
+        for part in [
+            r#""sessions":2,"#,
+            r#""trail_functions":5,"#,
+            r#""prefix_passes_skipped":7,"#,
+            r#""functions_cut_off":11,"#,
+            r#""backend_functions_reused":3,"#,
+        ] {
             assert!(json.contains(part), "{part} missing from {json}");
         }
     }

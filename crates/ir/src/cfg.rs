@@ -49,15 +49,19 @@ pub fn reachable_mask(f: &Function) -> Vec<bool> {
     reach
 }
 
-/// Removes every live block that the entry cannot reach.
-pub fn remove_unreachable(f: &mut Function) {
+/// Removes every live block that the entry cannot reach; returns
+/// whether it removed any.
+pub fn remove_unreachable(f: &mut Function) -> bool {
     let reach = reachable_mask(f);
+    let mut changed = false;
     for (b, reachable) in reach.into_iter().enumerate() {
         let id = BlockId(b as u32);
         if !reachable && !f.blocks[b].dead && id != f.entry {
             f.remove_block(id);
+            changed = true;
         }
     }
+    changed
 }
 
 /// Postorder over reachable blocks.

@@ -2,6 +2,7 @@
 
 use crate::inst::{Inst, Terminator};
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
@@ -184,6 +185,18 @@ impl Function {
         blk.term = Terminator::Ret(None);
     }
 
+    /// Drops the spare capacity of every vector of the function (for a
+    /// copy that is kept for long).
+    pub fn shrink_to_fit(&mut self) {
+        self.params.shrink_to_fit();
+        self.blocks.shrink_to_fit();
+        for b in &mut self.blocks {
+            b.insts.shrink_to_fit();
+        }
+        self.vars.shrink_to_fit();
+        self.slots.shrink_to_fit();
+    }
+
     /// Total number of instructions in live blocks (excluding debug
     /// intrinsics), a cheap size proxy for inlining heuristics.
     pub fn code_size(&self) -> usize {
@@ -212,9 +225,14 @@ pub struct GlobalInfo {
 }
 
 /// A whole translation unit in IR form.
+///
+/// Functions are held behind [`Arc`]s, so cloning a module copies
+/// pointers, and modules built from a common ancestor share every
+/// function no pass has changed since. A pass that changes a function
+/// gets its own copy through [`Module::func_mut`] (copy on write).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
-    pub funcs: Vec<Function>,
+    pub funcs: Vec<Arc<Function>>,
     pub globals: Vec<GlobalInfo>,
     /// Emission order of functions into the object file. The
     /// `toplevel-reorder` pass permutes this; everything else preserves
@@ -237,7 +255,7 @@ impl Module {
     pub fn add_function(&mut self, mut f: Function) -> FuncId {
         let id = FuncId(self.funcs.len() as u32);
         f.id = id;
-        self.funcs.push(f);
+        self.funcs.push(Arc::new(f));
         self.order.push(id);
         id
     }
@@ -254,9 +272,15 @@ impl Module {
         &self.funcs[id.index()]
     }
 
+    /// Mutable function lookup by id: copies the function first if
+    /// another module still shares it.
+    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
+        Arc::make_mut(&mut self.funcs[id.index()])
+    }
+
     /// Function lookup by name.
     pub fn func_by_name(&self, name: &str) -> Option<&Function> {
-        self.funcs.iter().find(|f| f.name == name)
+        self.funcs.iter().find(|f| f.name == name).map(|f| &**f)
     }
 
     /// Total word size of the global data area.

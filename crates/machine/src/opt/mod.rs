@@ -12,26 +12,29 @@ pub mod msched;
 pub mod msink;
 pub mod shrinkwrap;
 
-use crate::mir::{MModule, VR};
+use crate::mir::{MFunction, VR};
 
 /// `toplevel-reorder`: permutes the emission order of functions
 /// (smallest first, as gcc clusters small functions for locality).
+/// `sizes` holds each function's [`function_size`].
 ///
 /// Performance model: the VM charges one extra cycle for "far" calls
 /// (caller and callee entry more than 4 KiB apart), so packing small,
 /// frequently-called helpers together pays off. Debug model: reordered
 /// emission drops the per-function entry line row (see
 /// [`crate::emit`]), costing one steppable line per function.
-pub fn reorder_functions(m: &mut MModule<VR>) {
-    let size = |fi: &u32| -> usize {
-        m.funcs[*fi as usize]
-            .blocks
-            .iter()
-            .filter(|b| !b.dead)
-            .map(|b| b.insts.iter().filter(|i| !i.op.is_dbg()).count() + 1)
-            .sum()
-    };
-    m.order.sort_by_key(|fi| (size(fi), *fi));
+pub fn reorder_functions(order: &mut [u32], sizes: &[usize]) {
+    order.sort_by_key(|&fi| (sizes[fi as usize], fi));
+}
+
+/// The size `toplevel-reorder` sorts by: non-debug instructions plus
+/// one terminator per live block.
+pub fn function_size(f: &MFunction<VR>) -> usize {
+    f.blocks
+        .iter()
+        .filter(|b| !b.dead)
+        .map(|b| b.insts.iter().filter(|i| !i.op.is_dbg()).count() + 1)
+        .sum()
 }
 
 #[cfg(test)]
@@ -47,7 +50,8 @@ mod tests {
         let m = dt_frontend::lower_source(src).unwrap();
         let mut mm = lower_module(&m);
         assert_eq!(mm.order, vec![0, 1]);
-        reorder_functions(&mut mm);
+        let sizes: Vec<usize> = mm.funcs.iter().map(function_size).collect();
+        reorder_functions(&mut mm.order, &sizes);
         assert_eq!(mm.order, vec![1, 0], "small function must come first");
     }
 }

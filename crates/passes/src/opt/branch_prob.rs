@@ -11,16 +11,12 @@
 //! measured metrics, exactly the indirect coupling the paper observes
 //! at gcc's Og.
 
-use crate::manager::PassConfig;
-use dt_ir::{DomTree, Function, LoopForest, Module, Profile, Terminator};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{DomTree, Function, LoopForest, Profile, Terminator};
 
 /// Annotates every branch of every function.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= annotate(f, config.profile.as_ref());
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, config: &PassConfig) -> bool {
+    annotate(f, config.profile.as_ref())
 }
 
 fn annotate(f: &mut Function, profile: Option<&Profile>) -> bool {
@@ -107,7 +103,9 @@ fn static_prob(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn annotated(src: &str, profile: Option<Profile>) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
@@ -115,8 +113,8 @@ mod tests {
             profile,
             ..Default::default()
         };
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         m
     }
 

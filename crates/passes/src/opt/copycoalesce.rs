@@ -14,25 +14,17 @@
 //!   range closes at the hoisted definition. That mechanical
 //!   consequence is the pass's measured debug cost at Og.
 
-use crate::manager::PassConfig;
-use dt_ir::{Function, Module, Op, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{Function, Op, Value};
 
 /// Conservative mode (`tree-ter`).
-pub fn run_ter(module: &mut Module, config: &PassConfig) -> bool {
-    run_inner(module, config, false)
+pub fn run_ter(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    coalesce_function(f, false)
 }
 
 /// Aggressive mode (`tree-coalesce-vars`).
-pub fn run_coalesce(module: &mut Module, config: &PassConfig) -> bool {
-    run_inner(module, config, true)
-}
-
-fn run_inner(module: &mut Module, _config: &PassConfig, aggressive: bool) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= coalesce_function(f, aggressive);
-    }
-    changed
+pub fn run_coalesce(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    coalesce_function(f, true)
 }
 
 fn coalesce_function(f: &mut Function, aggressive: bool) -> bool {
@@ -133,18 +125,20 @@ fn coalesce_function(f: &mut Function, aggressive: bool) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str, aggressive: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::dce::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
         if aggressive {
-            run_coalesce(&mut m, &cfg);
+            run_whole_module(&run_coalesce, &mut m, &cfg);
         } else {
-            run_ter(&mut m, &cfg);
+            run_whole_module(&run_ter, &mut m, &cfg);
         }
         dt_ir::verify_module(&m).unwrap();
         m
@@ -240,7 +234,7 @@ mod tests {
         let mut m2 = build();
         // Patch the dbg to reference the copy destination (%2).
         for m in [&mut m1, &mut m2] {
-            for blk in &mut m.funcs[0].blocks {
+            for blk in &mut m.func_mut(dt_ir::FuncId(0)).blocks {
                 for inst in &mut blk.insts {
                     if let Op::DbgValue { loc, .. } = &mut inst.op {
                         *loc = DbgLoc::Value(Value::Reg(VReg(2)));
@@ -248,8 +242,8 @@ mod tests {
                 }
             }
         }
-        run_ter(&mut m1, &PassConfig::default());
-        run_coalesce(&mut m2, &PassConfig::default());
+        run_whole_module(&run_ter, &mut m1, &PassConfig::default());
+        run_whole_module(&run_coalesce, &mut m2, &PassConfig::default());
         let copies1 = m1.funcs[0].blocks[0]
             .insts
             .iter()

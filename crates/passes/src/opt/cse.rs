@@ -7,8 +7,8 @@
 //! DCE'd, at which point the duplicated expression's line disappears —
 //! the two-step dance real compilers perform.
 
-use crate::manager::PassConfig;
-use dt_ir::{Function, MemEffect, Module, Op, UnOp, VReg, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{Function, MemEffect, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
 /// Hashable key for a pure expression or a memory read.
@@ -65,13 +65,8 @@ fn is_load_key(k: &ExprKey) -> bool {
 }
 
 /// Runs block-local CSE over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let pure_funcs: Vec<bool> = module.funcs.iter().map(|f| f.attrs.pure_const).collect();
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= cse_function(f, &pure_funcs);
-    }
-    changed
+pub fn run(f: &mut Function, facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    cse_function(f, &facts.pure_const)
 }
 
 fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
@@ -162,17 +157,19 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
         crate::opt::ipa_pure_const::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::dce::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }

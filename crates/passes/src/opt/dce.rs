@@ -9,18 +9,15 @@
 //! like LLVM's salvaging), while a binding of a removed computed value
 //! becomes undef ([`fixup_dbg_after_removal`]).
 
-use crate::manager::PassConfig;
+use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::fixup_dbg_after_removal;
-use dt_ir::{Function, Liveness, Module, Op};
+use dt_ir::{Function, Liveness, Op};
 
 /// Runs DCE over every function until nothing more dies.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let pure_funcs: Vec<bool> = module.funcs.iter().map(|f| f.attrs.pure_const).collect();
+pub fn run(f: &mut Function, facts: &ModuleFacts, _config: &PassConfig) -> bool {
     let mut changed = false;
-    for f in &mut module.funcs {
-        while dce_function(f, &pure_funcs) {
-            changed = true;
-        }
+    while dce_function(f, &facts.pure_const) {
+        changed = true;
     }
     changed
 }
@@ -83,7 +80,9 @@ fn dce_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
     use dt_ir::{DbgLoc, Value};
 
     fn pipeline(src: &str, salvage: bool) -> Module {
@@ -92,9 +91,9 @@ mod tests {
             salvage,
             ..Default::default()
         };
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }
@@ -204,9 +203,9 @@ mod tests {
         let src = "int sq(int x) { return x * x; }\nint f(int a) { sq(a); return a; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
         crate::opt::ipa_pure_const::run(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         let calls = m.funcs[1]
             .blocks
             .iter()

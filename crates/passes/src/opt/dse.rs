@@ -14,48 +14,23 @@
 //! variables (commits f33b9c4/ec8ac26, cited by the paper); the
 //! `preserve_var_stores` knob reproduces that behaviour.
 
-use crate::manager::PassConfig;
-use dt_ir::{Function, MemEffect, Module, Op};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{Function, MemEffect, Op};
 use std::collections::HashSet;
 
 /// DSE with the Og-style protection for named variables' homes.
-pub fn run_preserving(module: &mut Module, config: &PassConfig) -> bool {
-    run_inner(module, config, true)
+pub fn run_preserving(f: &mut Function, facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    dse_function(f, &facts.loaded_globals, true)
 }
 
 /// Full DSE (O1 and above).
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    run_inner(module, config, false)
+pub fn run(f: &mut Function, facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    dse_function(f, &facts.loaded_globals, false)
 }
 
-fn run_inner(module: &mut Module, _config: &PassConfig, preserve_var_stores: bool) -> bool {
-    // Globals loaded anywhere in the module.
-    let mut loaded_globals: HashSet<u32> = HashSet::new();
-    for f in &module.funcs {
-        for b in f.block_ids() {
-            for inst in &f.block(b).insts {
-                match inst.op {
-                    Op::LoadGlobal { global, .. } | Op::LoadGIdx { global, .. } => {
-                        loaded_globals.insert(global.0);
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= dse_function(f, &loaded_globals, preserve_var_stores);
-    }
-    changed
-}
-
-fn dse_function(
-    f: &mut Function,
-    loaded_globals: &HashSet<u32>,
-    preserve_var_stores: bool,
-) -> bool {
+/// `loaded_globals[g]`: whether global `g` is loaded anywhere in the
+/// module.
+fn dse_function(f: &mut Function, loaded_globals: &[bool], preserve_var_stores: bool) -> bool {
     // Slots loaded anywhere in this function.
     let mut loaded_slots: HashSet<u32> = HashSet::new();
     for b in f.block_ids() {
@@ -90,7 +65,7 @@ fn dse_function(
                     // Globals escape the function: only remove when the
                     // whole module never reads them (and they are not
                     // observable output in our model).
-                    !loaded_globals.contains(&global.0) && !preserve_var_stores
+                    !loaded_globals[global.index()] && !preserve_var_stores
                 }
                 _ => false,
             }
@@ -160,7 +135,9 @@ fn dse_function(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn stores(m: &Module, func: &str) -> usize {
         m.func_by_name(func)
@@ -184,7 +161,7 @@ mod tests {
     fn write_only_variable_stores_die_at_o1() {
         let src = "int f(int a) { int dead; dead = a * 3; dead = a * 4; return a; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         assert_eq!(stores(&m, "f"), 1, "only the param home store remains");
     }
 
@@ -193,7 +170,7 @@ mod tests {
         let src = "int f(int a) { int dead; dead = a * 3; return a; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
         let before = stores(&m, "f");
-        run_preserving(&mut m, &PassConfig::default());
+        run_whole_module(&run_preserving, &mut m, &PassConfig::default());
         assert_eq!(
             stores(&m, "f"),
             before,
@@ -205,7 +182,7 @@ mod tests {
     fn overwritten_store_in_block_dies() {
         let src = "int g = 0;\nint f(int a) { g = a; g = a + 1; return g; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         let global_stores = m.funcs[0]
             .blocks
             .iter()
@@ -225,7 +202,7 @@ mod tests {
         let src = "int f(int a) { int x = a; int y = x + 1; return y; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
         let before = stores(&m, "f");
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         assert_eq!(stores(&m, "f"), before);
     }
 
@@ -234,7 +211,7 @@ mod tests {
         let src = "int g = 0;\nint peek() { return g; }\n\
                    int f(int a) { g = a; int t = peek(); g = a + 1; return t; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         let obj = dt_machine::run_backend(&m, &dt_machine::BackendConfig::default());
         let r =
             dt_vm::Vm::run_to_completion(&obj, "f", &[7], &[], dt_vm::VmConfig::default()).unwrap();
@@ -245,7 +222,7 @@ mod tests {
     fn indexed_stores_are_not_removed_as_overwrites() {
         let src = "int f() { int a[4]; a[0] = 1; a[1] = 2; return a[0] + a[1]; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         let obj = dt_machine::run_backend(&m, &dt_machine::BackendConfig::default());
         let r =
             dt_vm::Vm::run_to_completion(&obj, "f", &[], &[], dt_vm::VmConfig::default()).unwrap();

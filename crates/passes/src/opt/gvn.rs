@@ -8,9 +8,9 @@
 //! function (exactly the compiler-generated temporaries that carry
 //! most redundancy after promotion).
 
-use crate::manager::PassConfig;
+use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::def_counts;
-use dt_ir::{BinOp, DomTree, Function, Module, Op, UnOp, VReg, Value};
+use dt_ir::{BinOp, DomTree, Function, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,12 +20,8 @@ enum Key {
 }
 
 /// Runs GVN over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= gvn_function(f);
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    gvn_function(f)
 }
 
 fn gvn_function(f: &mut Function) -> bool {
@@ -141,16 +137,18 @@ fn value_rank(v: Value) -> (u8, i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::dce::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }

@@ -22,7 +22,7 @@
 
 use crate::manager::PassConfig;
 use crate::opt::util::offset_regs;
-use dt_ir::{Block, BlockId, FuncId, Function, Inst, Module, Op, Terminator, Value};
+use dt_ir::{Block, BlockId, FuncId, Inst, Module, Op, Terminator, Value};
 
 /// Tuning knobs distinguishing the inliner instances.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +86,7 @@ pub fn run_with(module: &mut Module, config: &PassConfig, params: InlineParams) 
     // instance anywhere in the module.
     let mut seen_callees: std::collections::HashSet<FuncId> = Default::default();
     for _round in 0..3 {
-        let sizes: Vec<usize> = module.funcs.iter().map(Function::code_size).collect();
+        let sizes: Vec<usize> = module.funcs.iter().map(|f| f.code_size()).collect();
         let mut call_counts = vec![0u32; module.funcs.len()];
         for f in &module.funcs {
             for b in f.block_ids() {
@@ -176,7 +176,7 @@ fn inline_at(
     first_instance: bool,
 ) {
     let callee = module.funcs[callee_id.index()].clone();
-    let caller = &mut module.funcs[caller_id.index()];
+    let caller = module.func_mut(caller_id);
 
     let Op::Call { dst, args, .. } = caller.block(block).insts[inst_idx].op.clone() else {
         panic!("inline_at must point at a call");
@@ -319,7 +319,7 @@ mod tests {
     fn inlined(src: &str, params: InlineParams) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         run_with(&mut m, &PassConfig::default(), params);
-        crate::manager::cleanup(&mut m);
+        crate::manager::cleanup_module(&mut m);
         dt_ir::verify_module(&m).unwrap();
         m
     }

@@ -8,20 +8,15 @@
 //! leftovers; that indirection matches how these passes interact in
 //! real compilers.
 
-use crate::manager::PassConfig;
-use dt_ir::{BinOp, Function, Module, Op, UnOp, VReg, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{BinOp, Function, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
 /// Runs combining over every function to a local fixpoint.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        // Two rounds: copy-prop feeds folding and vice versa.
-        for _ in 0..2 {
-            changed |= combine_function(f);
-        }
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    // Two rounds: copy-prop feeds folding and vice versa.
+    let first = combine_function(f);
+    combine_function(f) | first
 }
 
 fn combine_function(f: &mut Function) -> bool {
@@ -162,12 +157,14 @@ fn simplify_bin(dst: VReg, op: BinOp, lhs: Value, rhs: Value) -> Option<Op> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
+    use dt_ir::Module;
     use dt_ir::Terminator;
 
     fn optimized(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
-        crate::opt::mem2reg::run(&mut m, &PassConfig::default());
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         dt_ir::verify_module(&m).unwrap();
         m
     }
@@ -270,11 +267,11 @@ mod tests {
     fn no_change_reports_false() {
         let src = "int f(int a, int b) { return a ^ b; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
-        crate::opt::mem2reg::run(&mut m, &PassConfig::default());
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         // A second run over already-canonical code changes nothing.
         let before = m.clone();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         assert_eq!(before, m);
     }
 }

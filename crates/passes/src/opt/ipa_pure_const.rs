@@ -53,9 +53,9 @@ pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
     }
 
     let mut changed = false;
-    for (i, f) in module.funcs.iter_mut().enumerate() {
-        if f.attrs.pure_const != pure[i] {
-            f.attrs.pure_const = pure[i];
+    for (f, pure) in module.funcs.iter_mut().zip(pure) {
+        if f.attrs.pure_const != pure {
+            std::sync::Arc::make_mut(f).attrs.pure_const = pure;
             changed = true;
         }
     }

@@ -10,19 +10,15 @@
 //! code that belongs to one source location but now exists twice, so
 //! the clones carry **line 0** and their debug pseudos are dropped.
 
-use crate::manager::PassConfig;
-use dt_ir::{BlockId, Function, Inst, Module, Op, Terminator, VReg, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{BlockId, Function, Inst, Op, Terminator, VReg, Value};
 
 /// Maximum real instructions in a threadable block.
 const MAX_THREADED_SIZE: usize = 6;
 
 /// Runs jump threading over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= thread_function(f);
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    thread_function(f)
 }
 
 fn thread_function(f: &mut Function) -> bool {
@@ -223,15 +219,17 @@ fn thread_edge(f: &mut Function, p: BlockId, b: BlockId, target: BlockId, edge: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        run(&mut m, &cfg);
-        crate::manager::cleanup(&mut m);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
+        crate::manager::cleanup_module(&mut m);
         dt_ir::verify_module(&m).unwrap();
         m
     }

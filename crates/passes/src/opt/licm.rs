@@ -7,18 +7,14 @@
 //! stepped (once, in the preheader), so LICM is comparatively gentle
 //! on debug info, as the paper's mid-table ranking reflects.
 
-use crate::manager::PassConfig;
+use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::{def_counts, ensure_preheader};
-use dt_ir::{DomTree, Function, LoopForest, MemEffect, Module, Op, Value};
+use dt_ir::{DomTree, Function, LoopForest, MemEffect, Op, Value};
 use std::collections::HashSet;
 
 /// Runs LICM over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= licm_function(f);
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    licm_function(f)
 }
 
 fn licm_function(f: &mut Function) -> bool {
@@ -149,14 +145,16 @@ fn hoist_from_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }
@@ -179,8 +177,8 @@ mod tests {
         let m0 = dt_frontend::lower_source(HOISTABLE).unwrap();
         let cfg = PassConfig::default();
         let mut m_base = m0.clone();
-        crate::opt::mem2reg::run(&mut m_base, &cfg);
-        crate::opt::instcombine::run(&mut m_base, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m_base, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m_base, &cfg);
         let base_cycles = check(&m_base, &[3, 4, 50], 50 * 12 + 49 * 50 / 2);
 
         let m_licm = pipeline(HOISTABLE);

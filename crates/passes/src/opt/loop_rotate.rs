@@ -11,20 +11,18 @@
 //! the clone are dropped — LLVM does exactly this when it clones
 //! header code.
 
-use crate::manager::PassConfig;
-use dt_ir::{DomTree, Function, LoopForest, Module, Terminator};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{DomTree, Function, LoopForest, Terminator};
 
 /// Rotates every eligible loop.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    // One rotation round (re-running on rotated loops is a no-op:
+    // their headers are no longer branch-terminated).
+    let dom = DomTree::compute(f);
+    let forest = LoopForest::compute(f, &dom);
     let mut changed = false;
-    for f in &mut module.funcs {
-        // One rotation round (re-running on rotated loops is a no-op:
-        // their headers are no longer branch-terminated).
-        let dom = DomTree::compute(f);
-        let forest = LoopForest::compute(f, &dom);
-        for l in &forest.loops {
-            changed |= rotate(f, l);
-        }
+    for l in &forest.loops {
+        changed |= rotate(f, l);
     }
     changed
 }
@@ -100,17 +98,19 @@ fn rotate(f: &mut Function, l: &dt_ir::Loop) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str, rotate: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
         if rotate {
-            run(&mut m, &cfg);
+            run_whole_module(&run, &mut m, &cfg);
         }
-        crate::opt::branch_prob::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::branch_prob::run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }

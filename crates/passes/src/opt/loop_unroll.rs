@@ -13,9 +13,9 @@
 //! way, and it is why the paper measures a small but consistent loss
 //! for `LoopUnroll`.
 
-use crate::manager::PassConfig;
+use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::find_inductions;
-use dt_ir::{BinOp, BlockId, DomTree, Function, Inst, LoopForest, Module, Op, Terminator, Value};
+use dt_ir::{BinOp, BlockId, DomTree, Function, Inst, LoopForest, Op, Terminator, Value};
 
 /// Maximum trip count eligible for full unrolling.
 const MAX_TRIP: i64 = 8;
@@ -25,16 +25,14 @@ const MAX_BODY: usize = 24;
 const HOT_MULTIPLIER: usize = 3;
 
 /// Runs full unrolling over every function.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
+pub fn run(f: &mut Function, _facts: &ModuleFacts, config: &PassConfig) -> bool {
     let mut changed = false;
-    for f in &mut module.funcs {
-        // Unrolling invalidates loop info; handle one loop per round.
-        for _ in 0..4 {
-            if !unroll_one(f, config) {
-                break;
-            }
-            changed = true;
+    // Unrolling invalidates loop info; handle one loop per round.
+    for _ in 0..4 {
+        if !unroll_one(f, config) {
+            break;
         }
+        changed = true;
     }
     changed
 }
@@ -259,18 +257,20 @@ fn apply_unroll(f: &mut Function, header: BlockId, chain: &[BlockId], exit: Bloc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str, unroll: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::copycoalesce::run_coalesce(&mut m, &cfg);
-        crate::opt::simplifycfg::run_cleanup(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::copycoalesce::run_coalesce, &mut m, &cfg);
+        run_whole_module(&crate::opt::simplifycfg::run_cleanup, &mut m, &cfg);
         if unroll {
-            run(&mut m, &cfg);
-            crate::manager::cleanup(&mut m);
+            run_whole_module(&run, &mut m, &cfg);
+            crate::manager::cleanup_module(&mut m);
         }
         dt_ir::verify_module(&m).unwrap();
         m

@@ -11,17 +11,13 @@
 //! "cannot print i inside the loop" symptom the paper measures for
 //! this pass. clang salvages them.
 
-use crate::manager::PassConfig;
+use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::{ensure_preheader, find_inductions};
-use dt_ir::{BinOp, DbgLoc, DomTree, Function, Inst, LoopForest, Module, Op, Value};
+use dt_ir::{BinOp, DbgLoc, DomTree, Function, Inst, LoopForest, Op, Value};
 
 /// Runs strength reduction over every function.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= lsr_function(f, config.salvage);
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, config: &PassConfig) -> bool {
+    lsr_function(f, config.salvage)
 }
 
 fn lsr_function(f: &mut Function, salvage: bool) -> bool {
@@ -164,7 +160,9 @@ fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str, salvage: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
@@ -172,10 +170,10 @@ mod tests {
             salvage,
             ..Default::default()
         };
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::copycoalesce::run_coalesce(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::copycoalesce::run_coalesce, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }
@@ -215,9 +213,9 @@ mod tests {
         let src = SRC;
         let mut base = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut base, &cfg);
-        crate::opt::instcombine::run(&mut base, &cfg);
-        crate::opt::copycoalesce::run_coalesce(&mut base, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut base, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut base, &cfg);
+        run_whole_module(&crate::opt::copycoalesce::run_coalesce, &mut base, &cfg);
         let base_cycles = check(&base, &[50], 12 * 49 * 50 / 2);
         let reduced = pipeline(src, false);
         let red_cycles = check(&reduced, &[50], 12 * 49 * 50 / 2);

@@ -11,16 +11,12 @@
 //! memory regime to the fragile register regime that the rest of the
 //! pipeline degrades.
 
-use crate::manager::PassConfig;
-use dt_ir::{DbgLoc, Function, Inst, Module, Op, SlotId, VReg, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{DbgLoc, Function, Inst, Op, SlotId, VReg, Value};
 
 /// Runs promotion over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= promote_function(f);
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    promote_function(f)
 }
 
 fn promote_function(f: &mut Function) -> bool {
@@ -121,11 +117,13 @@ fn promote_function(f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn promote(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         dt_ir::verify_module(&m).unwrap();
         m
     }
@@ -174,7 +172,7 @@ mod tests {
     fn promoted_code_still_computes_correctly() {
         let src = "int f(int n) { int s = 0; for (int i = 0; i <= n; i++) { s += i; } return s; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
-        run(&mut m, &PassConfig::default());
+        run_whole_module(&run, &mut m, &PassConfig::default());
         let obj = dt_machine::run_backend(&m, &dt_machine::BackendConfig::default());
         let r = dt_vm::Vm::run_to_completion(&obj, "f", &[10], &[], dt_vm::VmConfig::default())
             .unwrap();

@@ -14,34 +14,22 @@
 //!   for two source locations at once — while the hoisted arm code
 //!   keeps its lines but now executes unconditionally.
 
-use crate::manager::PassConfig;
-use dt_ir::{BlockId, DbgLoc, Function, Inst, Module, Op, Terminator, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{BlockId, DbgLoc, Function, Inst, Op, Terminator, Value};
 
 /// Full SimplifyCFG: cleanup plus select formation (clang).
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= simplify(f, true, config.salvage);
-    }
-    changed
+pub fn run(f: &mut Function, _facts: &ModuleFacts, config: &PassConfig) -> bool {
+    simplify(f, true, config.salvage)
 }
 
 /// Cleanup only (used inside other gcc-level pipeline points).
-pub fn run_cleanup(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= simplify(f, false, config.salvage);
-    }
-    changed
+pub fn run_cleanup(f: &mut Function, _facts: &ModuleFacts, config: &PassConfig) -> bool {
+    simplify(f, false, config.salvage)
 }
 
 /// Select formation only (gcc's `if-conversion`).
-pub fn run_if_convert(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut module.funcs {
-        changed |= form_selects(f);
-    }
-    changed
+pub fn run_if_convert(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
+    form_selects(f)
 }
 
 fn simplify(f: &mut Function, selects: bool, salvage: bool) -> bool {
@@ -338,17 +326,19 @@ fn form_selects(f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str, selects: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
         for f in &mut m.funcs {
-            simplify(f, selects, false);
+            simplify(std::sync::Arc::make_mut(f), selects, false);
         }
-        crate::opt::dce::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }

@@ -9,21 +9,19 @@
 //! instruction and a `dbg.value undef` marks the original point, so
 //! the variable is unavailable on the path that no longer computes it.
 
-use crate::manager::PassConfig;
-use dt_ir::{DbgLoc, Function, Inst, Liveness, Module, Op, Terminator, Value};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{DbgLoc, Function, Inst, Liveness, Op, Terminator, Value};
 
 /// Runs sinking over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
     let mut changed = false;
-    for f in &mut module.funcs {
-        // Fixpoint: sinking one instruction can unblock its operands
-        // (their last use just moved out of the block).
-        for _ in 0..8 {
-            if !sink_function(f) {
-                break;
-            }
-            changed = true;
+    // Fixpoint: sinking one instruction can unblock its operands
+    // (their last use just moved out of the block).
+    for _ in 0..8 {
+        if !sink_function(f) {
+            break;
         }
+        changed = true;
     }
     changed
 }
@@ -155,16 +153,18 @@ fn sink_function(f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::copycoalesce::run_coalesce(&mut m, &cfg);
-        crate::opt::dce::run(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::copycoalesce::run_coalesce, &mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         m
     }
@@ -243,9 +243,9 @@ mod tests {
             return 0;\n}";
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::copycoalesce::run_coalesce(&mut m, &cfg);
-        run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::copycoalesce::run_coalesce, &mut m, &cfg);
+        run_whole_module(&run, &mut m, &cfg);
         dt_ir::verify_module(&m).unwrap();
         check(&m, &[4, 1], 5);
         check(&m, &[4, 0], 0);

@@ -8,64 +8,62 @@
 //! (a vector instruction carries a single location), which is the loss
 //! the paper measures at gcc O3.
 
-use crate::manager::PassConfig;
-use dt_ir::{Module, Op};
+use crate::manager::{ModuleFacts, PassConfig};
+use dt_ir::{Function, Op};
 
 /// Runs pairwise fusion over every block.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
+pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
     let mut changed = false;
-    for f in &mut module.funcs {
-        for bi in 0..f.blocks.len() {
-            if f.blocks[bi].dead {
+    for bi in 0..f.blocks.len() {
+        if f.blocks[bi].dead {
+            continue;
+        }
+        let insts = &mut f.blocks[bi].insts;
+        let mut i = 0;
+        while i + 1 < insts.len() {
+            if insts[i].op.is_dbg() {
+                i += 1;
                 continue;
             }
-            let insts = &mut f.blocks[bi].insts;
-            let mut i = 0;
-            while i + 1 < insts.len() {
-                if insts[i].op.is_dbg() {
-                    i += 1;
-                    continue;
-                }
-                // The partner is the next real instruction (debug
-                // pseudos between them are transparent — the VM skips
-                // them without breaking the dual-issue pair).
-                let Some(j) = (i + 1..insts.len()).find(|&k| !insts[k].op.is_dbg()) else {
-                    break;
-                };
-                let fusible = {
-                    let a = &insts[i];
-                    let b = &insts[j];
-                    match (&a.op, &b.op) {
-                        (
-                            Op::Bin {
-                                op: op_a, dst: da, ..
-                            },
-                            Op::Bin {
-                                op: op_b,
-                                dst: db,
-                                lhs,
-                                rhs,
-                                ..
-                            },
-                        ) if op_a == op_b
-                            && !matches!(op_a, dt_ir::BinOp::Div | dt_ir::BinOp::Rem)
-                            && da != db =>
-                        {
-                            // b must not consume a's result.
-                            let uses_a = [lhs, rhs].iter().any(|v| v.as_reg() == Some(*da));
-                            !uses_a && !a.fused && !b.fused
-                        }
-                        _ => false,
+            // The partner is the next real instruction (debug
+            // pseudos between them are transparent — the VM skips
+            // them without breaking the dual-issue pair).
+            let Some(j) = (i + 1..insts.len()).find(|&k| !insts[k].op.is_dbg()) else {
+                break;
+            };
+            let fusible = {
+                let a = &insts[i];
+                let b = &insts[j];
+                match (&a.op, &b.op) {
+                    (
+                        Op::Bin {
+                            op: op_a, dst: da, ..
+                        },
+                        Op::Bin {
+                            op: op_b,
+                            dst: db,
+                            lhs,
+                            rhs,
+                            ..
+                        },
+                    ) if op_a == op_b
+                        && !matches!(op_a, dt_ir::BinOp::Div | dt_ir::BinOp::Rem)
+                        && da != db =>
+                    {
+                        // b must not consume a's result.
+                        let uses_a = [lhs, rhs].iter().any(|v| v.as_reg() == Some(*da));
+                        !uses_a && !a.fused && !b.fused
                     }
-                };
-                if fusible {
-                    insts[i].fused = true;
-                    insts[j].line = 0;
-                    changed = true;
-                    i = j + 1;
-                } else {
-                    i += 1;
+                    _ => false,
                 }
+            };
+            if fusible {
+                insts[i].fused = true;
+                insts[j].line = 0;
+                changed = true;
+                i = j + 1;
+            } else {
+                i += 1;
             }
         }
     }
@@ -75,18 +73,20 @@ pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::run_whole_module;
     use crate::manager::PassConfig;
+    use dt_ir::Module;
 
     fn pipeline(src: &str, slp: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
         let cfg = PassConfig::default();
-        crate::opt::mem2reg::run(&mut m, &cfg);
-        crate::opt::instcombine::run(&mut m, &cfg);
-        crate::opt::dce::run(&mut m, &cfg);
-        crate::opt::copycoalesce::run_coalesce(&mut m, &cfg);
-        crate::opt::dce::run(&mut m, &cfg);
+        run_whole_module(&crate::opt::mem2reg::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::instcombine::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
+        run_whole_module(&crate::opt::copycoalesce::run_coalesce, &mut m, &cfg);
+        run_whole_module(&crate::opt::dce::run, &mut m, &cfg);
         if slp {
-            run(&mut m, &cfg);
+            run_whole_module(&run, &mut m, &cfg);
         }
         dt_ir::verify_module(&m).unwrap();
         m

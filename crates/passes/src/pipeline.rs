@@ -8,7 +8,7 @@
 //! incremental. The clang personality enables debug-value salvaging in
 //! [`crate::manager::PassConfig`], which is set by [`crate::compile`].
 
-use crate::manager::{PassConfig, PassInstance};
+use crate::manager::{Pass, PassConfig, PassInstance};
 use crate::opt;
 use crate::opt::inline::InlineParams;
 use crate::OptLevel;
@@ -106,97 +106,102 @@ mod p {
     use super::*;
 
     pub fn mem2reg_infra() -> PassInstance {
-        PassInstance::infra("ssa-build", opt::mem2reg::run)
+        PassInstance::infra("ssa-build", Pass::function(opt::mem2reg::run))
     }
     pub fn sroa() -> PassInstance {
-        PassInstance::new("SROA", opt::mem2reg::run)
+        PassInstance::new("SROA", Pass::function(opt::mem2reg::run))
     }
     pub fn forwprop(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::instcombine::run)
+        PassInstance::new(name, Pass::function(opt::instcombine::run))
     }
     pub fn fre(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::cse::run)
+        PassInstance::new(name, Pass::function_reading_facts(opt::cse::run))
     }
     pub fn gvn(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::gvn::run)
+        PassInstance::new(name, Pass::function(opt::gvn::run))
     }
     pub fn gvn_grouped(name: &'static str, groups: &'static [&'static str]) -> PassInstance {
-        PassInstance::grouped(name, groups, opt::gvn::run)
+        PassInstance::grouped(name, groups, Pass::function(opt::gvn::run))
     }
     pub fn dce(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::dce::run)
+        PassInstance::new(name, Pass::function_reading_facts(opt::dce::run))
     }
     pub fn dse(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::dse::run)
+        PassInstance::new(name, Pass::function_reading_facts(opt::dse::run))
     }
     pub fn dse_preserving(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::dse::run_preserving)
+        PassInstance::new(name, Pass::function_reading_facts(opt::dse::run_preserving))
     }
     pub fn simplifycfg(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::simplifycfg::run)
+        PassInstance::new(name, Pass::function(opt::simplifycfg::run))
     }
     pub fn cfg_cleanup_infra() -> PassInstance {
-        PassInstance::infra("cfg-cleanup", opt::simplifycfg::run_cleanup)
+        PassInstance::infra("cfg-cleanup", Pass::function(opt::simplifycfg::run_cleanup))
     }
     pub fn if_convert(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::simplifycfg::run_if_convert)
+        PassInstance::new(name, Pass::function(opt::simplifycfg::run_if_convert))
     }
     pub fn jump_threading(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::jump_threading::run)
+        PassInstance::new(name, Pass::function(opt::jump_threading::run))
     }
     pub fn licm(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::licm::run)
+        PassInstance::new(name, Pass::function(opt::licm::run))
     }
     pub fn licm_grouped(name: &'static str, groups: &'static [&'static str]) -> PassInstance {
-        PassInstance::grouped(name, groups, opt::licm::run)
+        PassInstance::grouped(name, groups, Pass::function(opt::licm::run))
     }
     pub fn rotate(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::loop_rotate::run)
+        PassInstance::new(name, Pass::function(opt::loop_rotate::run))
     }
     pub fn unroll(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::loop_unroll::run)
+        PassInstance::new(name, Pass::function(opt::loop_unroll::run))
     }
     pub fn unroll_grouped(name: &'static str, groups: &'static [&'static str]) -> PassInstance {
-        PassInstance::grouped(name, groups, opt::loop_unroll::run)
+        PassInstance::grouped(name, groups, Pass::function(opt::loop_unroll::run))
     }
     pub fn lsr(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::lsr::run)
+        PassInstance::new(name, Pass::function(opt::lsr::run))
     }
     pub fn sink(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::sink::run)
+        PassInstance::new(name, Pass::function(opt::sink::run))
     }
     pub fn ter() -> PassInstance {
-        PassInstance::new("tree-ter", opt::copycoalesce::run_ter)
+        PassInstance::new("tree-ter", Pass::function(opt::copycoalesce::run_ter))
     }
     pub fn coalesce() -> PassInstance {
-        PassInstance::new("tree-coalesce-vars", opt::copycoalesce::run_coalesce)
+        PassInstance::new(
+            "tree-coalesce-vars",
+            Pass::function(opt::copycoalesce::run_coalesce),
+        )
     }
     pub fn coalesce_infra() -> PassInstance {
         // clang's equivalent happens inside instruction selection and
         // is not a flag; run it ungated so codegen quality matches.
-        PassInstance::infra("copy-coalesce", opt::copycoalesce::run_ter)
+        PassInstance::infra("copy-coalesce", Pass::function(opt::copycoalesce::run_ter))
     }
     pub fn pure_const(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::ipa_pure_const::run)
+        PassInstance::new(name, Pass::module(opt::ipa_pure_const::run))
     }
     pub fn branch_prob(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::branch_prob::run)
+        PassInstance::new(name, Pass::function(opt::branch_prob::run))
     }
     pub fn branch_prob_infra() -> PassInstance {
         // clang's BranchProbabilityInfo is an analysis, not a flag.
-        PassInstance::infra("branch-prob-analysis", opt::branch_prob::run)
+        PassInstance::infra(
+            "branch-prob-analysis",
+            Pass::function(opt::branch_prob::run),
+        )
     }
     pub fn slp(name: &'static str) -> PassInstance {
-        PassInstance::new(name, opt::slp::run)
+        PassInstance::new(name, Pass::function(opt::slp::run))
     }
     pub fn inline(
         name: &'static str,
         groups: &'static [&'static str],
         params: InlineParams,
     ) -> PassInstance {
-        PassInstance::grouped(name, groups, move |m: &mut Module, c: &PassConfig| {
-            opt::inline::run_with(m, c, params)
-        })
+        let pass = move |m: &mut Module, c: &PassConfig| opt::inline::run_with(m, c, params);
+        PassInstance::grouped(name, groups, Pass::module(pass))
     }
 }
 
@@ -399,7 +404,10 @@ fn build_clang(level: OptLevel) -> Pipeline {
     // Model that with an ungated late promotion point: disabling SROA
     // still costs debug info less than it gains (the paper's ~2%
     // effect), instead of reverting the build to O0 shape.
-    mid.push(PassInstance::infra("late-mem2reg", opt::mem2reg::run));
+    mid.push(PassInstance::infra(
+        "late-mem2reg",
+        Pass::function(opt::mem2reg::run),
+    ));
     mid.push(p::fre("EarlyCSE"));
     mid.push(p::simplifycfg("SimplifyCFG"));
     mid.push(p::forwprop("InstCombine"));

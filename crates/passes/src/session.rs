@@ -1,23 +1,25 @@
-//! Staged, checkpointed compilation sessions with exact early cutoff.
+//! Staged compilation sessions that share unchanged functions with
+//! the reference build and cut off per function.
 //!
 //! The paper's Section III-A workflow builds one binary per gateable
 //! pass per program per personality/level — by far the dominant cost
-//! of the reproduction. But a variant disabling pass *p* is
-//! bit-identical to the reference build up to *p*'s first occurrence
-//! in the pipeline: every instance before that point runs with the
-//! same module, the same [`PassConfig`], and the same (deterministic)
-//! pass implementations. A [`CompileSession`] exploits this by running
-//! the ungated pipeline exactly once as an explicit sequence of
-//! stages, recording for every stage whether it changed the module
-//! (`changed[i]`, decided by the exact, derived `Module: PartialEq`,
-//! so there is no hash collision to confirm) and keeping module
-//! snapshots keyed by pipeline position. Each variant is built by
-//! *resuming* from the snapshot before the first instance the gate
-//! disables *and* that changed the reference module. When there is no
-//! such instance the variant's module is the optimized module: the
-//! session pays only for code generation, or for nothing at all when
-//! the gate leaves the backend configuration as the reference has it,
-//! in which case the reference object is handed back.
+//! of the reproduction. A [`CompileSession`] runs the ungated pipeline
+//! once and keeps its **trail**: for every middle-end stage, the
+//! reference's functions entering it, as [`Arc`]s. A stage that leaves
+//! a function unchanged keeps its `Arc`, so the trail holds one copy of
+//! each function version, and a row of it is a module by pointer copy.
+//! The session also records, per stage, whether it changed the
+//! reference module (`changed[i]`, decided by exact function equality,
+//! so there is no hash collision to confirm) and the [`ModuleFacts`]
+//! the stage's pass read.
+//!
+//! A variant resumes at the first instance its gate disables among
+//! those that changed the reference module, from the trail's row
+//! there. When there is no such instance the variant's module is the
+//! optimized module: the session pays only for code generation, or
+//! for nothing at all when the gate leaves the backend configuration
+//! as the reference has it, in which case the reference object is
+//! handed back.
 //!
 //! Correctness invariant (enforced by `tests/proptest_pipeline.rs`,
 //! whose `#[ignore]`d sweep covers every gate shape the tuner ships):
@@ -26,32 +28,47 @@
 //! ([`Object::content_hash`]) to [`crate::compile_source`] from
 //! scratch with the same options. This holds because
 //!
-//! 1. passes are deterministic functions of `(module, PassConfig)`,
-//! 2. the gate only decides *whether* an instance runs, never *how*,
+//! 1. every per-function result is a deterministic function of its
+//!    inputs: a [`crate::manager::FunctionPass`] of (function,
+//!    [`ModuleFacts`], [`PassConfig`]), a module pass of (module,
+//!    config), the backend of a function of (function,
+//!    [`BackendConfig`], globals layout, function table);
+//! 2. the gate only decides *whether* an instance runs, never *how*;
 //! 3. the resume point is the first instance the gate disables among
 //!    those that changed the reference module, so the skipped prefix
 //!    is exactly what the from-scratch build would have executed, and
-//! 4. skipping an instance that left the reference module unchanged
-//!    leaves every later stage's input unchanged, so a disabled no-op
-//!    instance inside the skipped prefix does not make it differ.
-//!
-//! A session keeps one module clone per gateable name's *first
-//! changing instance* — the minimal set that can serve every gate:
-//! the resume point of a gate is a changing instance one of its names
-//! disables, and no earlier changing instance carries that name (it
-//! would be disabled too), so it is that name's first changing
-//! instance.
+//!    skipping an instance that left the reference module unchanged
+//!    leaves every later stage's input unchanged;
+//! 4. **cut-off**: in the resumed suffix, a function whose stage input
+//!    is the reference's own `Arc` for that stage takes the reference's
+//!    output without running the pass, provided the pass reads no
+//!    facts or the variant's facts equal the reference's (a module
+//!    pass is cut off only when every function is the reference's);
+//!    by 1 the pass would have computed an equal function;
+//! 5. **re-convergence**: after every stage, a variant function equal
+//!    to the reference's output is that `Arc`. A function that the
+//!    stage computed, or that the reference's stage changed, is
+//!    compared and swapped back when equal; any other function's
+//!    relation to the reference is as it was before the stage. So a
+//!    function that diverges and later equals the reference again is
+//!    cut off from then on;
+//! 6. **backend reuse**: the reference build keeps every function's
+//!    [`FunctionCode`]. A variant under the reference's backend
+//!    configuration, with the reference's globals and function names,
+//!    takes that code for every function that is the reference's
+//!    optimized `Arc`, and assembly concatenates the code in emission
+//!    order as a from-scratch build does.
 
-use crate::manager::{run_stage, PassConfig, PassGate};
+use crate::manager::ReferenceStage;
+use crate::manager::{converge, run_stage, shares_all, ModuleFacts, PassConfig, PassGate};
 use crate::pipeline::{self, Pipeline};
 use crate::{OptLevel, Personality};
-use dt_ir::{Module, Profile};
-use dt_machine::{BackendConfig, Object};
-use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use dt_ir::{Function, Module, Profile};
+use dt_machine::{BackendConfig, FunctionCode, Object};
+use std::sync::{Arc, OnceLock};
 
-/// One variant build: the object plus how much pipeline work the
-/// session avoided producing it.
+/// One variant build: the object plus how much work the session
+/// avoided producing it.
 pub struct VariantBuild {
     pub object: Object,
     /// Mid-pipeline instances not re-executed thanks to checkpoint
@@ -61,37 +78,53 @@ pub struct VariantBuild {
     /// Whether the fully optimized module was reused outright (the
     /// gate disables no instance that changed the reference module).
     pub reused_optimized: bool,
-    /// Whether the reference object itself was handed back: the
-    /// optimized module was reused and the gate leaves the backend
-    /// configuration unchanged, so no code generation ran.
+    /// Whether the reference object itself was handed back: every
+    /// optimized function is the reference's and the gate leaves the
+    /// backend configuration unchanged, so no code generation ran.
     pub reused_reference: bool,
+    /// (stage, function) pairs of the resumed suffix taken from the
+    /// trail instead of computed.
+    pub functions_cut_off: usize,
+    /// Functions whose machine code was taken from the reference build
+    /// instead of generated.
+    pub backend_functions_reused: usize,
 }
 
-/// A staged, checkpointed compilation pipeline for one
-/// program/personality/level, shareable across threads (variant
-/// builders take `&self`).
+/// A staged compilation pipeline for one program/personality/level,
+/// shareable across threads (variant builders take `&self`).
 pub struct CompileSession {
     config: PassConfig,
     pipeline: Pipeline,
+    /// `trail[i]`: the reference's functions entering mid instance
+    /// `i`; the last row is the optimized functions.
+    trail: Vec<Vec<Arc<Function>>>,
+    /// The facts each mid instance read in the reference build.
+    facts: Vec<Option<ModuleFacts>>,
     /// The module after the full ungated middle end.
     optimized: Module,
     /// Whether each mid instance changed the reference module
     /// (always `false` for non-gateable instances, which no gate
     /// disables).
     changed: Vec<bool>,
-    /// The module before each gateable name's first changing
-    /// instance, by position.
-    snapshots: HashMap<usize, Module>,
     /// The backend configuration of the ungated build.
     reference_backend: BackendConfig,
-    /// The reference object, built on first use.
-    reference: OnceLock<Object>,
+    /// The reference object and its functions' code, built on first
+    /// use.
+    reference: OnceLock<ReferenceBuild>,
+}
+
+struct ReferenceBuild {
+    /// The object holds every function's code
+    /// ([`FunctionCode::from_object`]).
+    object: Object,
+    /// Every function's `toplevel-reorder` size, by function id.
+    sizes: Vec<usize>,
 }
 
 impl CompileSession {
-    /// Builds a session, running the full ungated pipeline once,
-    /// recording which stages changed the module, and snapshotting the
-    /// module before every gateable name's first changing instance.
+    /// Builds a session, running the full ungated pipeline once and
+    /// keeping its trail, the facts each stage read, and which stages
+    /// changed the module.
     pub fn new(
         module: Module,
         personality: Personality,
@@ -105,97 +138,183 @@ impl CompileSession {
             level,
         };
 
-        let mut seen: HashSet<&str> = HashSet::new();
-        let mut snapshots = HashMap::new();
-        let mut changed = Vec::with_capacity(pipeline.mid.len());
+        let n = pipeline.mid.len();
+        let mut trail = Vec::with_capacity(n + 1);
+        let mut facts = Vec::with_capacity(n);
+        let mut changed = Vec::with_capacity(n);
         let mut m = module;
-        for (i, inst) in pipeline.mid.iter().enumerate() {
-            if !inst.gateable {
-                run_stage(&mut m, inst, &config);
-                changed.push(false);
-                continue;
-            }
-            let before = m.clone();
-            run_stage(&mut m, inst, &config);
-            let did_change = before != m;
-            changed.push(did_change);
-            let names = std::iter::once(inst.name).chain(inst.also_gated_by.iter().copied());
-            // `|`, not `||`: every name of the instance is marked seen.
-            if did_change && names.fold(false, |first, name| seen.insert(name) | first) {
-                snapshots.insert(i, before);
+        for inst in &pipeline.mid {
+            // The trail shares every function with `m`, so the stage
+            // copies a function before changing it and keeps the
+            // `Arc` of one it leaves equal.
+            trail.push(m.funcs.clone());
+            facts.push(run_stage(&mut m, inst, &config, None).facts);
+            let input = &trail[trail.len() - 1];
+            changed.push(inst.gateable && !shares_all(&m.funcs, input));
+            // A new version stays in the trail: keep it compact.
+            for (f, old) in m.funcs.iter_mut().zip(input) {
+                if !Arc::ptr_eq(f, old) {
+                    Arc::get_mut(f)
+                        .expect("a new version is unshared")
+                        .shrink_to_fit();
+                }
             }
         }
+        trail.push(m.funcs.clone());
 
         CompileSession {
             config,
             reference_backend: pipeline.backend_config(&PassGate::allow_all()),
             pipeline,
+            trail,
+            facts,
             optimized: m,
             changed,
-            snapshots,
             reference: OnceLock::new(),
         }
     }
 
-    /// Module snapshots the session retains.
-    pub fn snapshot_count(&self) -> usize {
-        self.snapshots.len()
+    /// Function versions the reference's stages produced and the trail
+    /// retains (the input module's functions are not counted).
+    pub fn trail_function_count(&self) -> usize {
+        self.trail
+            .windows(2)
+            .map(|w| {
+                w[0].iter()
+                    .zip(&w[1])
+                    .filter(|(a, b)| !Arc::ptr_eq(a, b))
+                    .count()
+            })
+            .sum()
+    }
+
+    fn reference_build(&self) -> &ReferenceBuild {
+        self.reference.get_or_init(|| {
+            let code = dt_machine::backend_code(&self.optimized, &self.reference_backend);
+            let refs: Vec<&FunctionCode> = code.iter().collect();
+            let object =
+                dt_machine::assemble_module(&self.optimized, &refs, &self.reference_backend);
+            let sizes = code.iter().map(|c| c.size).collect();
+            ReferenceBuild { object, sizes }
+        })
     }
 
     /// The reference object: full ungated pipeline + backend, built
     /// once per session. Bit-identical to [`crate::compile`] with an
     /// all-allowing gate.
     pub fn reference_object(&self) -> Object {
-        self.reference
-            .get_or_init(|| dt_machine::run_backend(&self.optimized, &self.reference_backend))
-            .clone()
+        self.reference_build().object.clone()
     }
 
-    /// Builds one variant under `gate`, resuming from the latest
-    /// usable checkpoint. Bit-identical to a from-scratch
-    /// [`crate::compile`] of the session's module under the same
-    /// options.
+    /// Builds one variant under `gate`, resuming from the trail.
+    /// Bit-identical to a from-scratch [`crate::compile`] of the
+    /// session's module under the same options.
     pub fn build_variant(&self, gate: &PassGate) -> VariantBuild {
         let backend = self.pipeline.backend_config(gate);
-        let resume_at = self
-            .pipeline
-            .mid
-            .iter()
-            .zip(&self.changed)
-            .position(|(inst, &changed)| changed && !gate.allows(inst));
-        let (object, prefix_skipped, reused_optimized, reused_reference) = match resume_at {
-            // Every disabled instance left the reference module
-            // unchanged: the variant's module is the optimized module,
-            // and with the reference backend its object is the
-            // reference object.
-            None => {
-                let reused_reference = backend == self.reference_backend;
-                let object = if reused_reference {
-                    self.reference_object()
-                } else {
-                    dt_machine::run_backend(&self.optimized, &backend)
-                };
-                (object, self.pipeline.mid.len(), true, reused_reference)
-            }
+        let resume_at = self.resume_point(gate);
+        // Every disabled instance left the reference module unchanged:
+        // the variant's module is the optimized module.
+        let (resumed, functions_cut_off) = match resume_at {
+            None => (None, 0),
             Some(k) => {
-                // `k` is the first changing instance of one of the
-                // gate's names, so a snapshot was taken right before it.
-                let mut m = self.snapshots.get(&k).expect("snapshot at k").clone();
-                for inst in &self.pipeline.mid[k..] {
-                    if gate.allows(inst) {
-                        run_stage(&mut m, inst, &self.config);
-                    }
-                }
-                let object = dt_machine::run_backend(&m, &backend);
-                (object, k, false, false)
+                let (m, cut_off) = self.resume(k, gate);
+                (Some(m), cut_off)
             }
+        };
+        let module = resumed.as_ref().unwrap_or(&self.optimized);
+        let mut backend_functions_reused = 0;
+        let reused_reference =
+            backend == self.reference_backend && shares_all(&module.funcs, &self.optimized.funcs);
+        let object = if reused_reference {
+            self.reference_object()
+        } else if backend == self.reference_backend && self.same_layout(module) {
+            let reference = self.reference_build();
+            let (globals, _) = dt_machine::lower::global_layout(module);
+            let code: Vec<FunctionCode> = module
+                .funcs
+                .iter()
+                .zip(&self.optimized.funcs)
+                .enumerate()
+                .map(|(fi, (f, optimized))| {
+                    if Arc::ptr_eq(f, optimized) {
+                        backend_functions_reused += 1;
+                        FunctionCode::from_object(&reference.object, fi, reference.sizes[fi])
+                    } else {
+                        dt_machine::compile_function(f, module, &globals, &backend)
+                    }
+                })
+                .collect();
+            let code: Vec<&FunctionCode> = code.iter().collect();
+            dt_machine::assemble_module(module, &code, &backend)
+        } else {
+            dt_machine::run_backend(module, &backend)
         };
         VariantBuild {
             object,
-            prefix_skipped,
-            reused_optimized,
+            prefix_skipped: resume_at.unwrap_or(self.pipeline.mid.len()),
+            reused_optimized: resume_at.is_none(),
             reused_reference,
+            functions_cut_off,
+            backend_functions_reused,
         }
+    }
+
+    /// The first instance `gate` disables among those that changed the
+    /// reference module.
+    fn resume_point(&self, gate: &PassGate) -> Option<usize> {
+        self.pipeline
+            .mid
+            .iter()
+            .zip(&self.changed)
+            .position(|(inst, &changed)| changed && !gate.allows(inst))
+    }
+
+    /// Runs the middle end of `gate`'s variant from instance `k` (a
+    /// changing instance the gate disables) on, following the trail.
+    /// Returns the optimized module and the functions cut off.
+    fn resume(&self, k: usize, gate: &PassGate) -> (Module, usize) {
+        let mut m = Module {
+            funcs: self.trail[k].clone(),
+            globals: self.optimized.globals.clone(),
+            order: self.optimized.order.clone(),
+        };
+        let mut cut_off = 0;
+        for (i, inst) in self.pipeline.mid.iter().enumerate().skip(k) {
+            let reference = ReferenceStage {
+                input: &self.trail[i],
+                output: &self.trail[i + 1],
+                facts: self.facts[i].as_ref(),
+            };
+            if gate.allows(inst) {
+                cut_off += run_stage(&mut m, inst, &self.config, Some(reference)).cut_off;
+            } else {
+                // The variant's functions stay as they are; one the
+                // reference's stage changed into it converges.
+                for ((f, input), output) in m
+                    .funcs
+                    .iter_mut()
+                    .zip(reference.input)
+                    .zip(reference.output)
+                {
+                    if !Arc::ptr_eq(input, output) {
+                        converge(f, output);
+                    }
+                }
+            }
+        }
+        (m, cut_off)
+    }
+
+    /// Whether `module` has the optimized module's globals and
+    /// function names: what lowering reads besides the function.
+    fn same_layout(&self, module: &Module) -> bool {
+        module.globals == self.optimized.globals
+            && module.funcs.len() == self.optimized.funcs.len()
+            && module
+                .funcs
+                .iter()
+                .zip(&self.optimized.funcs)
+                .all(|(a, b)| a.name == b.name)
     }
 }
 
@@ -313,7 +432,7 @@ int f(int n) {
         let vb = session.build_variant(&PassGate::disabling(["tree-sink"]));
         assert!(!vb.reused_optimized);
         assert!(vb.prefix_skipped > 3, "skipped only {}", vb.prefix_skipped);
-        assert!(session.snapshot_count() > 0);
+        assert!(session.trail_function_count() > 0);
     }
 
     #[test]
@@ -342,32 +461,185 @@ int f(int a, int b) { int s = g(a) + g(b); return s * 2; }";
         );
     }
 
+    /// Four functions, one with a loop, one reading a global, two
+    /// straight-line: most single-pass gates change only some of them.
+    const MULTI: &str = "\
+int scale;
+int sq(int x) { return x * x + 1; }
+int pick(int a, int b) { if (a > b) { return a - b; } return b - a; }
+int sum(int n) {
+    int t = 0;
+    for (int i = 0; i < n; i++) { t += pick(i, 3) * scale; }
+    return t;
+}
+int top(int n) { int a = sq(n); int b = sum(n); out(a); return a + b; }";
+
+    /// The variant's optimized module (test access to the middle end
+    /// of [`CompileSession::build_variant`]).
+    fn variant_module(session: &CompileSession, gate: &PassGate) -> Module {
+        match session.resume_point(gate) {
+            None => session.optimized.clone(),
+            Some(k) => session.resume(k, gate).0,
+        }
+    }
+
+    /// Every trail row shares each function the stage left equal, and
+    /// `changed[i]` is exact module inequality.
     #[test]
-    fn snapshots_never_exceed_first_gated_positions() {
+    fn the_trail_keeps_one_arc_per_function_version() {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
                 let session = CompileSession::new(
-                    dt_frontend::lower_source(PROGRAM).unwrap(),
+                    dt_frontend::lower_source(MULTI).unwrap(),
                     personality,
                     level,
                     None,
                 );
-                let pipeline = pipeline::build(personality, level);
-                let first_gated: HashSet<usize> = pipeline_pass_names(personality, level)
-                    .into_iter()
-                    .filter_map(|name| {
-                        let gate = PassGate::disabling([name]);
-                        pipeline.mid.iter().position(|inst| !gate.allows(inst))
-                    })
-                    .collect();
-                assert!(
-                    session.snapshot_count() <= first_gated.len(),
-                    "{personality} {level}: {} snapshots, {} first-gated positions",
-                    session.snapshot_count(),
-                    first_gated.len()
-                );
+                for (i, w) in session.trail.windows(2).enumerate() {
+                    for (a, b) in w[0].iter().zip(&w[1]) {
+                        assert!(
+                            Arc::ptr_eq(a, b) || **a != **b,
+                            "{personality} {level} stage {i}: equal {} copied",
+                            a.name
+                        );
+                    }
+                    let differs = w[0].iter().zip(&w[1]).any(|(a, b)| **a != **b);
+                    assert_eq!(
+                        session.changed[i],
+                        session.pipeline.mid[i].gateable && differs,
+                        "{personality} {level} stage {i}"
+                    );
+                }
+                assert!(shares_all(
+                    session.trail.last().unwrap(),
+                    &session.optimized.funcs
+                ));
             }
         }
+    }
+
+    /// A gate that changes one function leaves every other final
+    /// function the reference's `Arc`, and any final function equal to
+    /// the reference's is its `Arc`; objects equal from-scratch builds.
+    #[test]
+    fn gates_changing_one_function_share_the_others() {
+        let mut one_changed = 0;
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for level in [OptLevel::O1, OptLevel::O2] {
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(MULTI).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
+                for pass in pipeline_pass_names(personality, level) {
+                    let gate = PassGate::disabling([pass]);
+                    let m = variant_module(&session, &gate);
+                    let mut differing = 0;
+                    for (f, r) in m.funcs.iter().zip(&session.optimized.funcs) {
+                        if **f == **r {
+                            assert!(
+                                Arc::ptr_eq(f, r),
+                                "{personality} {level} -{pass}: {} equal but not shared",
+                                f.name
+                            );
+                        } else {
+                            differing += 1;
+                        }
+                    }
+                    if differing == 1 {
+                        one_changed += 1;
+                    }
+                    let mut opts = CompileOptions::new(personality, level);
+                    opts.gate = gate.clone();
+                    assert_eq!(
+                        session.build_variant(&gate).object.content_hash(),
+                        compile_source(MULTI, &opts).unwrap().content_hash(),
+                        "{personality} {level} -{pass}"
+                    );
+                }
+            }
+        }
+        assert!(one_changed > 0, "no gate changed exactly one function");
+    }
+
+    /// A function the gate's resume stage made diverge (the reference
+    /// changed it there, the variant did not) and that a later stage
+    /// brings back to the reference's function ends as the reference's
+    /// `Arc`: only re-convergence can make it one again.
+    #[test]
+    fn diverged_functions_that_reconverge_get_the_reference_arc_back() {
+        let mut reconverged = 0;
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(MULTI).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
+                for pass in pipeline_pass_names(personality, level) {
+                    let gate = PassGate::disabling([pass]);
+                    let Some(k) = session.resume_point(&gate) else {
+                        continue;
+                    };
+                    let (m, _) = session.resume(k, &gate);
+                    let diverged = (0..m.funcs.len())
+                        .filter(|&j| !Arc::ptr_eq(&session.trail[k][j], &session.trail[k + 1][j]));
+                    let mut any = false;
+                    for j in diverged {
+                        if Arc::ptr_eq(&m.funcs[j], &session.optimized.funcs[j]) {
+                            reconverged += 1;
+                            any = true;
+                        }
+                    }
+                    if any {
+                        let mut opts = CompileOptions::new(personality, level);
+                        opts.gate = gate.clone();
+                        assert_eq!(
+                            session.build_variant(&gate).object.content_hash(),
+                            compile_source(MULTI, &opts).unwrap().content_hash(),
+                            "{personality} {level} -{pass}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(reconverged > 0, "no diverged function re-converged");
+    }
+
+    /// Per-function backend reuse matches from-scratch builds for every
+    /// single-pass gate and for nested `Ox-dy`-style gates (the first
+    /// `y` names disabled together), and it serves some functions.
+    #[test]
+    fn backend_reuse_matches_from_scratch_builds() {
+        let mut reused = 0;
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(MULTI).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
+                let names = pipeline_pass_names(personality, level);
+                let singles = names.iter().map(|&name| vec![name]);
+                let nested = (2..=names.len()).step_by(3).map(|y| names[..y].to_vec());
+                for disabled in singles.chain(nested) {
+                    let gate = PassGate::disabling(disabled.iter().copied());
+                    let mut opts = CompileOptions::new(personality, level);
+                    opts.gate = gate.clone();
+                    let built = session.build_variant(&gate);
+                    reused += built.backend_functions_reused;
+                    assert_eq!(
+                        built.object.content_hash(),
+                        compile_source(MULTI, &opts).unwrap().content_hash(),
+                        "{personality} {level} gate {disabled:?}"
+                    );
+                }
+            }
+        }
+        assert!(reused > 0, "no variant reused a function's code");
     }
 
     #[test]
