@@ -12,11 +12,11 @@
 //! values never depend on scheduling.
 //!
 //! Compilation itself is staged: all variant builds of one
-//! program/personality/level go through a single checkpointed
+//! program/personality/level go through a single
 //! [`dt_passes::CompileSession`], so a variant disabling pass *p*
-//! resumes from the snapshot before *p*'s first occurrence instead of
-//! recompiling from source (bit-identical by construction — see
-//! `dt_passes::session`). Every derived fact (analysis, `O0` object,
+//! resumes from the reference build's trail at *p*'s first occurrence
+//! and recomputes only the functions that differ from the reference's
+//! (bit-identical by construction — see `dt_passes::session`). Every derived fact (analysis, `O0` object,
 //! ground-truth baseline, sessions, reference halves, evaluations,
 //! variant traces) lives in one content-keyed
 //! [`crate::ArtifactStore`].
@@ -403,7 +403,7 @@ impl DebugTuner {
     /// The baseline trace, `O0` object, and checkpointed compile
     /// session are reused across calls (and with
     /// [`DebugTuner::evaluate`] runs of the same program), and the
-    /// gated build resumes from a mid-pipeline snapshot instead of
+    /// gated build resumes from the session's trail instead of
     /// recompiling from source.
     pub fn evaluate_config(
         &self,

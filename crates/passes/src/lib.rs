@@ -21,10 +21,11 @@
 //!
 //! [`compile`] runs the full pipeline (middle end, then the `dt-machine`
 //! backend with its own gated passes) and returns the assembled object.
-//! Both it and the checkpointed [`session::CompileSession`] (which
-//! amortizes variant matrices by resuming from mid-pipeline snapshots)
-//! execute stages through the same engine, so one-shot and
-//! session-resumed builds are bit-identical.
+//! Both it and the [`session::CompileSession`] (which amortizes
+//! variant matrices by resuming from the reference build's trail and
+//! reusing its unchanged functions) execute stages through the same
+//! per-function engine, so one-shot and session builds are
+//! bit-identical.
 
 pub mod manager;
 pub mod opt;
