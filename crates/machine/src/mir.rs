@@ -354,7 +354,9 @@ impl<R: Copy + Eq> MFunction<R> {
     }
 }
 
-/// A machine module.
+/// A machine module: every function lowered, for tests of the
+/// per-function backend stages.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MModule<R = VR> {
     pub funcs: Vec<MFunction<R>>,
