@@ -11,9 +11,11 @@
 //!   [`BreakPlan`], shared across personalities, levels, input sets,
 //!   and gated configurations (the `O0` pipeline is empty for both
 //!   personalities, so one `O0` build serves both);
-//! * **ground-truth baselines** — the `O0` object's
+//! * **ground-truth baselines** ([`Baseline`]) — the `O0` object's
 //!   `SessionConfig::ground_truth` trace over one input set, the single
-//!   baseline every evaluation and check diffs against. A failed `O0`
+//!   baseline every evaluation and check diffs against, with the
+//!   per-program halves of the metrics ([`MetricBaseline`]) and of the
+//!   checker ([`GroundTruth`]) prepared from it once. A failed `O0`
 //!   run is memoized as an error (the hunt treats such an input as
 //!   uninteresting);
 //! * **compile sessions** ([`CompileSession`]) — one checkpointed
@@ -49,10 +51,10 @@
 
 use crate::eval::{ProgramEvaluation, ReferenceEvaluation};
 use crate::telemetry::EvalStats;
-use dt_checker::DefectSummary;
+use dt_checker::{DefectSummary, GroundTruth};
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::{Fnv1a, Object};
-use dt_metrics::Metrics;
+use dt_metrics::{MetricBaseline, Metrics};
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{CompileOptions, CompileSession, OptLevel, PassGate, Personality, VariantBuild};
 use dt_vm::{ExecResult, Vm, VmConfig};
@@ -76,6 +78,15 @@ pub struct SourceArtifacts {
     /// Precomputed breakpoint plan of the `O0` object, shared by every
     /// ground-truth session of this source.
     pub o0_plan: BreakPlan,
+}
+
+/// The ground truth of one program over one input set: the `O0`
+/// object's ground-truth trace and what every variant's metrics and
+/// check read of it, prepared once.
+pub struct Baseline {
+    pub trace: DebugTrace,
+    pub metrics: MetricBaseline,
+    pub truth: GroundTruth,
 }
 
 /// A program's content under a step budget, scoped to one
@@ -134,7 +145,7 @@ type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 pub struct ArtifactStore {
     stats: Mutex<EvalStats>,
     sources: Memo<u64, Result<Arc<SourceArtifacts>, String>>,
-    baselines: Memo<u64, Result<Arc<DebugTrace>, String>>,
+    baselines: Memo<u64, Result<Arc<Baseline>, String>>,
     sessions: Memo<SessionKey, Arc<CompileSession>>,
     references: Memo<ScopeKey, Arc<ReferenceEvaluation>>,
     evaluations: Memo<ScopeKey, ProgramEvaluation>,
@@ -281,8 +292,8 @@ impl ArtifactStore {
         art
     }
 
-    /// The ground-truth baseline trace of `src`'s `O0` object over
-    /// `inputs`, traced on first use. An `Err` is the failed `O0`
+    /// The ground-truth baseline of `src`'s `O0` object over `inputs`,
+    /// traced and prepared on first use. An `Err` is the failed `O0`
     /// session, memoized like a trace.
     pub fn baseline(
         &self,
@@ -291,7 +302,7 @@ impl ArtifactStore {
         inputs: &[Vec<u8>],
         entry_args: &[i64],
         max_steps: u64,
-    ) -> Result<Arc<DebugTrace>, String> {
+    ) -> Result<Arc<Baseline>, String> {
         let key = program_key(src.key, harness, inputs, entry_args, max_steps);
         memo(&self.baselines, key, || {
             let session = SessionConfig {
@@ -300,7 +311,11 @@ impl ArtifactStore {
                 ground_truth: true,
             };
             let trace = self.trace(&src.o0, &src.o0_plan, harness, inputs, &session)?;
-            Ok(Arc::new(trace))
+            Ok(Arc::new(Baseline {
+                metrics: MetricBaseline::new(&trace, &src.analysis),
+                truth: GroundTruth::new(&trace, &src.analysis),
+                trace,
+            }))
         })
         .0
     }

@@ -2,7 +2,7 @@
 //! ground truth, read straight from the tuner's
 //! [`crate::ArtifactStore`].
 //!
-//! [`dt_checker::check`] classifies how one optimized trace diverges
+//! [`dt_checker::GroundTruth::check`] classifies how one optimized trace diverges
 //! from the ground-truth trace. The [`DebugTuner`] methods here produce
 //! both traces: [`DebugTuner::check`] checks one configuration over a
 //! program's input set, and [`DebugTuner::hunt`] fuzzes gated builds
@@ -14,7 +14,7 @@
 //! tuner's [`crate::EvalStats`].
 
 use crate::{DebugTuner, ProgramInput};
-use dt_checker::{check, CheckReport, DefectSummary};
+use dt_checker::{CheckReport, DefectSummary};
 use dt_corpus::{FuzzConfig, FuzzReport};
 use dt_debugger::BreakPlan;
 use dt_passes::{CompileOptions, PassGate};
@@ -30,7 +30,8 @@ pub struct HuntResult {
 
 impl DebugTuner {
     /// Compiles `program` with `options`, traces the build and the `O0`
-    /// ground truth over the program's inputs, and runs [`check`].
+    /// ground truth over the program's inputs, and runs the checker
+    /// against the store's prepared [`dt_checker::GroundTruth`].
     pub fn check(
         &self,
         program: &ProgramInput,
@@ -58,7 +59,7 @@ impl DebugTuner {
             &program.inputs,
             &self.session_config(&program.entry_args),
         )?;
-        Ok(check(&opt, &base, &src.analysis))
+        Ok(base.truth.check(&opt))
     }
 
     /// Fuzzes each gated variant of `source` (at `options`' personality,
@@ -114,7 +115,7 @@ impl DebugTuner {
                 else {
                     return false;
                 };
-                let summary = check(&opt, &base, &src.analysis).summary;
+                let summary = base.truth.check(&opt).summary;
                 if summary.total() > 0 {
                     defect_inputs.push((input.to_vec(), summary));
                     true

@@ -24,7 +24,7 @@
 //! that read only the unmodified level get without building any
 //! variant.
 
-use crate::artifacts::{program_key, source_key, ScopeKey, SourceArtifacts};
+use crate::artifacts::{program_key, source_key, Baseline, ScopeKey, SourceArtifacts};
 use crate::DebugTuner;
 use dt_checker::DefectSummary;
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
@@ -149,7 +149,7 @@ pub struct ReferenceEvaluation {
     /// The store's source artifacts and baseline it was measured
     /// against, so stage 4 reuses them without another lookup.
     art: Arc<SourceArtifacts>,
-    base: Arc<DebugTrace>,
+    base: Arc<Baseline>,
 }
 
 impl DebugTuner {
@@ -180,9 +180,8 @@ impl DebugTuner {
             .expect("debug session runs")
     }
 
-    /// The program's source artifacts and its ground-truth baseline
-    /// trace.
-    fn program_artifacts(&self, program: &ProgramInput) -> (Arc<SourceArtifacts>, Arc<DebugTrace>) {
+    /// The program's source artifacts and its ground-truth baseline.
+    fn program_artifacts(&self, program: &ProgramInput) -> (Arc<SourceArtifacts>, Arc<Baseline>) {
         let art = self
             .store
             .source(&program.source)
@@ -288,9 +287,9 @@ impl DebugTuner {
             ReferenceEvaluation {
                 reference: methods.hybrid,
                 methods,
-                reference_defects: dt_checker::check(&ref_trace, &base, &art.analysis).summary,
+                reference_defects: base.truth.check(&ref_trace).summary,
                 steppable_lines_o0: art.o0.debug.steppable_lines().len(),
-                stepped_lines_o0: base.stepped_lines().len(),
+                stepped_lines_o0: base.trace.lines.len(),
                 object,
                 art,
                 base,
@@ -326,10 +325,10 @@ impl DebugTuner {
         obj: &Object,
         program: &ProgramInput,
         art: &SourceArtifacts,
-        base: &DebugTrace,
+        base: &Baseline,
     ) -> (DebugTrace, MethodComparison) {
         let trace = self.trace_for(obj, program);
-        let methods = dt_metrics::all_methods(&obj.debug, &trace, base, &art.analysis);
+        let methods = base.metrics.methods(&obj.debug, &trace, &art.analysis);
         (trace, methods)
     }
 
@@ -341,7 +340,6 @@ impl DebugTuner {
     ) -> ProgramEvaluation {
         let (_, personality, level) = scope;
         let r = self.reference(program, personality, level);
-        let (analysis, base_trace) = (&r.art.analysis, &*r.base);
         let session = self.store.session(&r.art, personality, level, None);
 
         // Stage 4: one variant per gateable pass, with `.text` pruning
@@ -366,8 +364,8 @@ impl DebugTuner {
             }
             let (m, defects) = self.store.variant_trace(scope, variant.content_hash(), || {
                 let variant_trace = self.trace_for(&variant, program);
-                let m = dt_metrics::hybrid(&variant_trace, base_trace, analysis);
-                let defects = dt_checker::check(&variant_trace, base_trace, analysis).summary;
+                let m = r.base.metrics.score(&variant_trace).hybrid;
+                let defects = r.base.truth.check(&variant_trace).summary;
                 (m, defects)
             });
             let rel = if r.reference.product > 0.0 {
@@ -415,7 +413,7 @@ impl DebugTuner {
         let (art, base) = self.program_artifacts(program);
         let session = self.store.session(&art, personality, level, None);
         let obj = self.store.build_variant(&session, gate).object;
-        dt_metrics::hybrid(&self.trace_for(&obj, program), &base, &art.analysis)
+        base.metrics.score(&self.trace_for(&obj, program)).hybrid
     }
 
     /// Steppable lines of the program's `O0` binary and the lines its
@@ -423,10 +421,7 @@ impl DebugTuner {
     /// ground-truth baseline every evaluation of the program shares.
     pub fn o0_coverage(&self, program: &ProgramInput) -> (usize, usize) {
         let (art, base) = self.program_artifacts(program);
-        (
-            art.o0.debug.steppable_lines().len(),
-            base.stepped_lines().len(),
-        )
+        (art.o0.debug.steppable_lines().len(), base.trace.lines.len())
     }
 }
 

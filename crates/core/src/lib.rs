@@ -40,7 +40,7 @@ pub mod perf;
 pub mod rank;
 pub mod telemetry;
 
-pub use artifacts::{ArtifactStore, RunOutcome};
+pub use artifacts::{ArtifactStore, Baseline, RunOutcome};
 pub use check::HuntResult;
 pub use config::{dy_config, dy_family, DyConfig};
 pub use eval::{
@@ -332,7 +332,7 @@ int fuzz_main() {
                 resumed_variants: 138,
                 prefix_passes_skipped: 2671,
                 functions_cut_off: 426,
-                backend_functions_reused: 26,
+                backend_functions_reused: 35,
                 artifact_hits: 6,
                 fast_steps: 837,
                 break_stops: 284,

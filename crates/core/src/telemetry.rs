@@ -49,7 +49,11 @@ pub struct EvalStats {
     /// reference trail instead of computed (per-function cut-off).
     pub functions_cut_off: u64,
     /// Functions of variant builds whose machine code was taken from
-    /// the reference build instead of generated.
+    /// the reference build instead of generated: the function is the
+    /// reference's optimized function and the variant's backend
+    /// configuration differs from the reference's only in toggles that
+    /// the reference build found leave that function's code unchanged
+    /// (`dt_machine::BackendFacts`).
     pub backend_functions_reused: u64,
     /// Source-artifact store hits (parsed analysis + lowered module +
     /// O0 object reused instead of rebuilt).

@@ -22,6 +22,12 @@
 //!   abandons an input (and the rest of the input set) the moment the
 //!   last breakpoint is consumed. Both engines produce bit-identical
 //!   [`DebugTrace`]s by construction — pinned by differential tests.
+//!
+//! The plan holds only what every session reads. Most plans serve one
+//! session (the tuner traces each variant binary once) and a session
+//! stops at fewer than half of the armed indices, so what a stop
+//! observes is resolved at the stop from the plan's per-subprogram
+//! variable groups, not precomputed per armed index.
 
 use dt_machine::Object;
 use dt_vm::{RunPlan, Vm, VmConfig};
@@ -112,9 +118,15 @@ pub struct TraceStats {
 /// `is_stmt` line-table address resolved once to an instruction index
 /// in a dense bitmap over `obj.code`, plus the side tables a temporary-
 /// breakpoint session needs (line per armed index, per-line index
-/// groups for clearing), the per-subprogram value keys `observe`
-/// would otherwise rebuild on every hit, and the object's [`RunPlan`],
-/// which every input of every session runs on.
+/// groups for clearing), the per-subprogram variable groups and value
+/// keys `observe` would otherwise rebuild on every hit, and the
+/// object's [`RunPlan`], which every input of every session runs on.
+///
+/// The plan holds only what every session reads. What a stop observes
+/// (the containing subprogram and the variables whose location lists
+/// cover the address) is resolved at the stop, because a session stops
+/// at fewer than half of the armed indices and most plans serve one
+/// session.
 ///
 /// Construction mirrors the classic address-keyed breakpoint table
 /// exactly: rows are inserted in line-table order with last-row-wins
@@ -141,34 +153,15 @@ pub struct BreakPlan {
     /// the breakpoint set empty, exactly like stale entries in the
     /// address-keyed table).
     unhittable: u32,
+    /// Per-subprogram variable records (global record indices, in
+    /// record order), grouped in one pass (`vars_of` filters the whole
+    /// table per call).
+    vars_by_sp: Vec<Vec<u32>>,
     /// Per-subprogram value keys: the `#k` occurrence suffixes for
     /// shadowed names, hoisted out of the per-hit observation.
     sp_keys: Vec<Vec<String>>,
     /// The object decoded for the VM, shared by every run of a session.
     run: RunPlan,
-    /// Precomputed observation recipe per armed index: the containing
-    /// subprogram and, for every variable whose location list covers
-    /// the stop address, its name, value key, and resolved location.
-    /// Location lists are pure functions of the address, so only the
-    /// `read_location` probe against live machine state remains
-    /// per-stop work. Indices outside any subprogram have no entry
-    /// (their observation is empty, mirroring [`observe`]).
-    obs_of: HashMap<u32, ArmedObs>,
-}
-
-/// The address-dependent half of a [`LineObservation`], resolved at
-/// plan-build time for one armed instruction index. Holds only indices
-/// into the object's debug records (no owned strings), so plan
-/// construction allocates nothing per covered variable.
-#[derive(Debug, Clone)]
-struct ArmedObs {
-    /// Index into [`BreakPlan::sp_keys`] (and the object's subprogram
-    /// records) of the containing subprogram.
-    sp: u32,
-    /// `(global var-record index, subprogram-local var index, location)`
-    /// of each variable whose loclist covers the stop address, in
-    /// record order.
-    vars: Vec<(u32, u32, dt_dwarf::Location)>,
 }
 
 impl BreakPlan {
@@ -210,8 +203,6 @@ impl BreakPlan {
         let armed = bits.iter().map(|w| w.count_ones()).sum::<u32>();
         let unhittable = unhittable_addrs.len() as u32;
 
-        // Group variable records by owning subprogram in one pass
-        // (`vars_of` filters the whole table per call).
         let mut vars_by_sp: Vec<Vec<u32>> = vec![Vec::new(); obj.debug.subprograms.len()];
         for (i, var) in obj.debug.vars.iter().enumerate() {
             if let Some(group) = vars_by_sp.get_mut(var.subprogram as usize) {
@@ -245,44 +236,15 @@ impl BreakPlan {
             })
             .collect();
 
-        let mut obs_of: HashMap<u32, ArmedObs> = HashMap::new();
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let idx = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let addr = obj.addrs[idx];
-                if let Some((sp_idx, _)) = obj.debug.subprogram_at(addr) {
-                    let vars = vars_by_sp[sp_idx]
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &g)| {
-                            obj.debug.vars[g as usize]
-                                .loclist
-                                .at(addr)
-                                .map(|loc| (g, i as u32, loc))
-                        })
-                        .collect();
-                    obs_of.insert(
-                        idx as u32,
-                        ArmedObs {
-                            sp: sp_idx as u32,
-                            vars,
-                        },
-                    );
-                }
-            }
-        }
-
         BreakPlan {
             bits,
             line_of,
             indices_of_line,
             armed,
             unhittable,
+            vars_by_sp,
             sp_keys,
             run: RunPlan::new(obj),
-            obs_of,
         }
     }
 
@@ -468,10 +430,8 @@ pub fn trace_with_plan_stats(
     Ok((trace, stats))
 }
 
-/// [`observe`] against the plan's precomputed recipe: the containing
-/// subprogram and each variable's resolved location were computed at
-/// plan-build time, leaving only the live-state `read_location` probes
-/// (names and keys are cloned from the object's records at the stop).
+/// [`observe`] at armed index `idx`, over the plan's per-subprogram
+/// variable groups and value keys.
 fn observe_planned(
     obj: &Object,
     plan: &BreakPlan,
@@ -479,21 +439,23 @@ fn observe_planned(
     vm: &Vm<'_>,
     ground_truth: bool,
 ) -> LineObservation {
-    let Some(ao) = plan.obs_of.get(&(idx as u32)) else {
+    let addr = obj.addrs[idx];
+    let Some((sp_idx, sp)) = obj.debug.subprogram_at(addr) else {
         return LineObservation {
             func: String::new(),
             vars: BTreeSet::new(),
             values: BTreeMap::new(),
         };
     };
-    let keys = &plan.sp_keys[ao.sp as usize];
+    let keys = &plan.sp_keys[sp_idx];
     let mut vars = BTreeSet::new();
     let mut values = BTreeMap::new();
-    for &(g, local, loc) in &ao.vars {
-        if let Some(v) = vm.read_location(loc) {
-            vars.insert(obj.debug.vars[g as usize].name.clone());
+    for (local, &g) in plan.vars_by_sp[sp_idx].iter().enumerate() {
+        let var = &obj.debug.vars[g as usize];
+        if let Some(v) = var.loclist.at(addr).and_then(|loc| vm.read_location(loc)) {
+            vars.insert(var.name.clone());
             if !ground_truth {
-                values.insert(keys[local as usize].clone(), v);
+                values.insert(keys[local].clone(), v);
             }
         }
     }
@@ -505,7 +467,7 @@ fn observe_planned(
         }
     }
     LineObservation {
-        func: obj.debug.subprograms[ao.sp as usize].name.clone(),
+        func: sp.name.clone(),
         vars,
         values,
     }
@@ -718,15 +680,24 @@ int main() {
         }
     }
 
+    /// One plan serves sessions of both kinds, in any order, like a
+    /// fresh plan per session: the artifact store reuses each `O0`
+    /// plan across all of that source's ground-truth sessions.
     #[test]
     fn plan_reuse_matches_inline_plan() {
         let obj = object(PROGRAM);
         let plan = BreakPlan::new(&obj);
-        let cfg = SessionConfig::default();
-        for inputs in [vec![vec![50]], vec![vec![1], vec![60]], vec![]] {
-            let fast = trace_with_plan(&obj, "main", &inputs, &cfg, &BreakPlan::new(&obj)).unwrap();
-            let reused = trace_with_plan(&obj, "main", &inputs, &cfg, &plan).unwrap();
-            assert_eq!(fast, reused);
+        for ground_truth in [false, true] {
+            let cfg = SessionConfig {
+                ground_truth,
+                ..SessionConfig::default()
+            };
+            for inputs in [vec![vec![50]], vec![vec![1], vec![60]], vec![]] {
+                let fast =
+                    trace_with_plan(&obj, "main", &inputs, &cfg, &BreakPlan::new(&obj)).unwrap();
+                let reused = trace_with_plan(&obj, "main", &inputs, &cfg, &plan).unwrap();
+                assert_eq!(fast, reused, "ground_truth={ground_truth}");
+            }
         }
     }
 

@@ -110,23 +110,100 @@ pub fn compile_function(
     FunctionCode::allocate(&func, config.share_spill_slots)
 }
 
+/// The backend passes a [`BackendConfig`] toggle skips, in pipeline
+/// order: whether the configuration enables each, and the pass.
+type TogglePass = (fn(&BackendConfig) -> bool, fn(&mut MFunction<VR>));
+const TOGGLE_PASSES: [TogglePass; 5] = [
+    (|c| c.shrink_wrap, opt::shrinkwrap::run),
+    (|c| c.sink, opt::msink::run),
+    (|c| c.schedule, opt::msched::run),
+    (|c| c.cfg_cleanup, opt::cfopt::run),
+    (|c| c.crossjump, opt::crossjump::run),
+];
+
 /// Runs the enabled backend passes over one lowered function:
 /// everything the backend does to it before register allocation.
 pub fn optimize_function(func: &mut MFunction<VR>, config: &BackendConfig) {
-    if config.shrink_wrap {
-        opt::shrinkwrap::run(func);
-    }
-    if config.sink {
-        opt::msink::run(func);
-    }
-    if config.schedule {
-        opt::msched::run(func);
-    }
-    if config.cfg_cleanup {
-        opt::cfopt::run(func);
-    }
-    if config.crossjump {
-        opt::crossjump::run(func);
+    for (enabled, run) in TOGGLE_PASSES {
+        if enabled(config) {
+            run(func);
+        }
     }
     opt::layout::run(func, config.layout);
+}
+
+/// What one function's backend build under a reference configuration
+/// shows about the toggles that would not change its code, found by
+/// running the alternatives on a copy and comparing machine IR.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BackendFacts {
+    /// Bit `i`: the `i`-th toggled pass ran and left the machine IR
+    /// unchanged.
+    noop_passes: u8,
+    /// Block layout under the other `layout` flag gives the same
+    /// machine IR.
+    layout_invariant: bool,
+    /// Allocation spilled (the frame outgrew the user slots).
+    spilled: bool,
+}
+
+impl BackendFacts {
+    /// Whether [`compile_function`] under `variant` returns the code it
+    /// returned under `reference`, the configuration these facts were
+    /// recorded under. Holds when the two differ only in passes that
+    /// ran as no-ops (skipping them leaves every later pass's input
+    /// unchanged), a `layout` flag that gives the same machine IR,
+    /// `share_spill_slots` on a function that spilled nothing (which
+    /// intervals spill does not depend on it), and `toplevel_reorder`,
+    /// which only assembly reads.
+    pub fn same_code(&self, reference: &BackendConfig, variant: &BackendConfig) -> bool {
+        // Naming every field makes a new toggle a compile error here.
+        let BackendConfig {
+            schedule: _,
+            sink: _,
+            shrink_wrap: _,
+            cfg_cleanup: _,
+            crossjump: _,
+            layout,
+            share_spill_slots,
+            toplevel_reorder: _,
+        } = *variant;
+        let passes = TOGGLE_PASSES.iter().enumerate().all(|(i, (enabled, _))| {
+            enabled(reference) == enabled(variant)
+                || (!enabled(variant) && self.noop_passes & (1 << i) != 0)
+        });
+        passes
+            && (layout == reference.layout || self.layout_invariant)
+            && (share_spill_slots == reference.share_spill_slots || !self.spilled)
+    }
+}
+
+/// [`compile_function`] plus the function's [`BackendFacts`] under
+/// `config`. A compile session's reference build runs it once per
+/// function; plain builds call [`compile_function`], which compares
+/// nothing.
+pub fn compile_function_with_facts(
+    f: &dt_ir::Function,
+    module: &Module,
+    globals: &[(u32, u32, i64)],
+    config: &BackendConfig,
+) -> (FunctionCode, BackendFacts) {
+    let mut func = lower::lower_function(f, module, globals);
+    let mut facts = BackendFacts::default();
+    for (i, (enabled, run)) in TOGGLE_PASSES.iter().enumerate() {
+        if enabled(config) {
+            let before = func.clone();
+            run(&mut func);
+            if func == before {
+                facts.noop_passes |= 1 << i;
+            }
+        }
+    }
+    let mut flipped = func.clone();
+    opt::layout::run(&mut flipped, !config.layout);
+    opt::layout::run(&mut func, config.layout);
+    facts.layout_invariant = flipped == func;
+    let code = FunctionCode::allocate(&func, config.share_spill_slots);
+    facts.spilled = code.frame_size > func.slot_sizes.iter().sum::<u32>();
+    (code, facts)
 }

@@ -20,6 +20,13 @@
 //!
 //! All scores are in `[0, 1]`; aggregation across programs uses the
 //! geometric mean ([`stats`]).
+//!
+//! The dynamic and hybrid methods compare every variant of a program
+//! against the same baseline. [`MetricBaseline`] holds what the
+//! baseline and the source analysis decide (each base line's unrefined
+//! and refined denominators), built once per baseline; [`dynamic`],
+//! [`hybrid`] and [`all_methods`] build one and score a single trace
+//! with it.
 
 pub mod stats;
 
@@ -27,7 +34,8 @@ use dt_debugger::DebugTrace;
 use dt_dwarf::{DebugInfo, LineTable, LocList};
 use dt_minic::analysis::SourceAnalysis;
 use serde::Serialize;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// The three core metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -58,48 +66,152 @@ impl Metrics {
 
 /// The dynamic method of Assaiante et al. (baseline = O0 trace as-is).
 pub fn dynamic(opt: &DebugTrace, base: &DebugTrace) -> Metrics {
-    compare_traces(opt, base, None)
+    MetricBaseline::new(base, &SourceAnalysis::default())
+        .score(opt)
+        .dynamic
 }
 
 /// The paper's hybrid method: the baseline's per-line variable sets
 /// are intersected with the static definition ranges, removing the
 /// DWARF-at-O0 artifacts before comparing.
 pub fn hybrid(opt: &DebugTrace, base: &DebugTrace, analysis: &SourceAnalysis) -> Metrics {
-    compare_traces(opt, base, Some(analysis))
+    MetricBaseline::new(base, analysis).score(opt).hybrid
 }
 
-fn compare_traces(opt: &DebugTrace, base: &DebugTrace, refine: Option<&SourceAnalysis>) -> Metrics {
-    let base_lines = base.stepped_lines();
-    if base_lines.is_empty() {
-        return Metrics::perfect();
-    }
-    let opt_lines = opt.stepped_lines();
-    let common: Vec<u32> = base_lines.intersection(&opt_lines).copied().collect();
-    let line_coverage = common.len() as f64 / base_lines.len() as f64;
+/// The dynamic and hybrid scores of one trace against one baseline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceScores {
+    pub dynamic: Metrics,
+    pub hybrid: Metrics,
+}
 
-    let mut ratios = Vec::with_capacity(common.len());
-    for &line in &common {
-        let base_obs = &base.lines[&line];
-        let mut denom: BTreeSet<&str> = base_obs.vars.iter().map(String::as_str).collect();
-        if let Some(analysis) = refine {
-            let in_range: BTreeSet<&str> = analysis.defined_at(&base_obs.func, line).collect();
-            denom.retain(|v| in_range.contains(v));
-        }
-        if denom.is_empty() {
-            ratios.push(1.0);
-            continue;
-        }
-        let opt_vars = &opt.lines[&line].vars;
-        let num = denom.iter().filter(|v| opt_vars.contains(**v)).count();
-        ratios.push(num as f64 / denom.len() as f64);
+/// One stepped line of the baseline: its variables and which of them
+/// the source analysis keeps in the hybrid denominator.
+#[derive(Debug, Clone)]
+struct BaseLine {
+    line: u32,
+    /// The baseline's visible variables, in name order, each with
+    /// whether it is defined and in scope at the line. Names are
+    /// shared across lines.
+    vars: Vec<(Arc<str>, bool)>,
+    /// Variables of `vars` in the refined (hybrid) denominator.
+    refined: usize,
+}
+
+/// The per-program half of [`dynamic`] and [`hybrid`]: the baseline's
+/// stepped lines with their unrefined and refined denominators, built
+/// once from the `O0` trace and the source analysis. Every variant of
+/// the program is scored against it in one pass over the base lines,
+/// bit-identical to scoring it against the trace.
+#[derive(Debug, Clone)]
+pub struct MetricBaseline {
+    /// In ascending line order.
+    lines: Vec<BaseLine>,
+}
+
+impl MetricBaseline {
+    /// Prepares `base`, the `O0` trace, with `analysis`, the source's
+    /// scope analysis (which only the hybrid half reads).
+    pub fn new(base: &DebugTrace, analysis: &SourceAnalysis) -> Self {
+        let mut names: HashSet<Arc<str>> = HashSet::new();
+        let lines = base
+            .lines
+            .iter()
+            .map(|(&line, obs)| {
+                let in_range: Vec<&str> = analysis.defined_at(&obs.func, line).collect();
+                let vars: Vec<(Arc<str>, bool)> = obs
+                    .vars
+                    .iter()
+                    .map(|v| (intern(&mut names, v), in_range.contains(&v.as_str())))
+                    .collect();
+                let refined = vars.iter().filter(|(_, kept)| *kept).count();
+                BaseLine {
+                    line,
+                    vars,
+                    refined,
+                }
+            })
+            .collect();
+        MetricBaseline { lines }
     }
-    let availability = if ratios.is_empty() {
-        // Nothing steppable in common: no state can be inspected.
-        0.0
+
+    /// Scores `opt` under both the dynamic and the hybrid method.
+    pub fn score(&self, opt: &DebugTrace) -> TraceScores {
+        if self.lines.is_empty() {
+            return TraceScores {
+                dynamic: Metrics::perfect(),
+                hybrid: Metrics::perfect(),
+            };
+        }
+        // Per-line ratios, summed in ascending line order.
+        let (mut common, mut dynamic_sum, mut hybrid_sum) = (0usize, 0.0f64, 0.0f64);
+        for base in &self.lines {
+            let Some(obs) = opt.lines.get(&base.line) else {
+                continue;
+            };
+            common += 1;
+            let (mut all, mut refined) = (0usize, 0usize);
+            for (var, kept) in &base.vars {
+                if obs.vars.contains(&**var) {
+                    all += 1;
+                    refined += usize::from(*kept);
+                }
+            }
+            dynamic_sum += ratio(all, base.vars.len());
+            hybrid_sum += ratio(refined, base.refined);
+        }
+        let line_coverage = common as f64 / self.lines.len() as f64;
+        let availability = |sum: f64| {
+            if common == 0 {
+                // Nothing steppable in common: no state can be inspected.
+                0.0
+            } else {
+                sum / common as f64
+            }
+        };
+        TraceScores {
+            dynamic: Metrics::new(availability(dynamic_sum), line_coverage),
+            hybrid: Metrics::new(availability(hybrid_sum), line_coverage),
+        }
+    }
+
+    /// All four methods for `opt`, whose binary's debug info is
+    /// `opt_debug` (Table I).
+    pub fn methods(
+        &self,
+        opt_debug: &DebugInfo,
+        opt: &DebugTrace,
+        analysis: &SourceAnalysis,
+    ) -> MethodComparison {
+        let stepped: BTreeSet<u32> = self.lines.iter().map(|l| l.line).collect();
+        let scores = self.score(opt);
+        MethodComparison {
+            static_m: static_method(opt_debug, analysis),
+            static_dbg: static_dbg(opt_debug, analysis, &stepped),
+            dynamic: scores.dynamic,
+            hybrid: scores.hybrid,
+        }
+    }
+}
+
+/// `name`'s shared copy in `names`, added on first use.
+fn intern(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
+    if let Some(shared) = names.get(name) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(name);
+    names.insert(Arc::clone(&shared));
+    shared
+}
+
+/// A line's availability: the share of its denominator still visible,
+/// or 1 when the denominator is empty.
+fn ratio(num: usize, denom: usize) -> f64 {
+    if denom == 0 {
+        1.0
     } else {
-        ratios.iter().sum::<f64>() / ratios.len() as f64
-    };
-    Metrics::new(availability, line_coverage)
+        num as f64 / denom as f64
+    }
 }
 
 /// The purely static method of Stinnett & Kell: compares binary debug
@@ -109,10 +221,14 @@ pub fn static_method(debug: &DebugInfo, analysis: &SourceAnalysis) -> Metrics {
 }
 
 /// The `static-dbg` variant: the static method with its baseline
-/// restricted to lines stepped in the unoptimized binary, so that all
-/// four methods judge the same, debuggable code.
-pub fn static_dbg(debug: &DebugInfo, analysis: &SourceAnalysis, base: &DebugTrace) -> Metrics {
-    static_inner(debug, analysis, Some(&base.stepped_lines()))
+/// restricted to `base_lines`, the lines stepped in the unoptimized
+/// binary, so that all four methods judge the same, debuggable code.
+pub fn static_dbg(
+    debug: &DebugInfo,
+    analysis: &SourceAnalysis,
+    base_lines: &BTreeSet<u32>,
+) -> Metrics {
+    static_inner(debug, analysis, Some(base_lines))
 }
 
 fn static_inner(
@@ -221,18 +337,14 @@ pub fn all_methods(
     base_trace: &DebugTrace,
     analysis: &SourceAnalysis,
 ) -> MethodComparison {
-    MethodComparison {
-        static_m: static_method(opt_debug, analysis),
-        static_dbg: static_dbg(opt_debug, analysis, base_trace),
-        dynamic: dynamic(opt_trace, base_trace),
-        hybrid: hybrid(opt_trace, base_trace, analysis),
-    }
+    MetricBaseline::new(base_trace, analysis).methods(opt_debug, opt_trace, analysis)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dt_debugger::LineObservation;
+    use dt_passes::{pipeline_pass_names, CompileSession, OptLevel, PassGate, Personality};
     use std::collections::BTreeMap;
 
     fn obs(func: &str, vars: &[&str]) -> LineObservation {
@@ -413,6 +525,155 @@ int f(int n) {
         assert_eq!(cmp.hybrid.product, 1.0);
         assert!(cmp.static_dbg.availability > 0.5);
         assert!(cmp.static_m.line_coverage > 0.5);
+    }
+
+    /// The replaced trace-against-trace implementation of [`dynamic`]
+    /// (`refine` = `None`) and [`hybrid`], kept as the oracle of
+    /// [`MetricBaseline`].
+    fn compare_traces(
+        opt: &DebugTrace,
+        base: &DebugTrace,
+        refine: Option<&SourceAnalysis>,
+    ) -> Metrics {
+        let base_lines = base.stepped_lines();
+        if base_lines.is_empty() {
+            return Metrics::perfect();
+        }
+        let opt_lines = opt.stepped_lines();
+        let common: Vec<u32> = base_lines.intersection(&opt_lines).copied().collect();
+        let line_coverage = common.len() as f64 / base_lines.len() as f64;
+
+        let mut ratios = Vec::with_capacity(common.len());
+        for &line in &common {
+            let base_obs = &base.lines[&line];
+            let mut denom: BTreeSet<&str> = base_obs.vars.iter().map(String::as_str).collect();
+            if let Some(analysis) = refine {
+                let in_range: BTreeSet<&str> = analysis.defined_at(&base_obs.func, line).collect();
+                denom.retain(|v| in_range.contains(v));
+            }
+            if denom.is_empty() {
+                ratios.push(1.0);
+                continue;
+            }
+            let opt_vars = &opt.lines[&line].vars;
+            let num = denom.iter().filter(|v| opt_vars.contains(**v)).count();
+            ratios.push(num as f64 / denom.len() as f64);
+        }
+        let availability = if ratios.is_empty() {
+            0.0
+        } else {
+            ratios.iter().sum::<f64>() / ratios.len() as f64
+        };
+        Metrics::new(availability, line_coverage)
+    }
+
+    fn bits(m: Metrics) -> [u64; 3] {
+        [
+            m.availability.to_bits(),
+            m.line_coverage.to_bits(),
+            m.product.to_bits(),
+        ]
+    }
+
+    /// The prepared baseline scores `opt` bit for bit like the oracle.
+    fn assert_matches_oracle(
+        label: &str,
+        opt: &DebugTrace,
+        base: &DebugTrace,
+        analysis: &SourceAnalysis,
+    ) {
+        let scores = MetricBaseline::new(base, analysis).score(opt);
+        assert_eq!(
+            bits(scores.dynamic),
+            bits(compare_traces(opt, base, None)),
+            "{label}: dynamic"
+        );
+        assert_eq!(
+            bits(scores.hybrid),
+            bits(compare_traces(opt, base, Some(analysis))),
+            "{label}: hybrid"
+        );
+    }
+
+    /// Calls `visit` with each suite program's `O0` ground-truth trace
+    /// over its seeds and, at every given personality/level, the trace
+    /// of the reference build and of every distinct single-pass variant
+    /// (the traces the tuner scores).
+    fn for_each_suite_trace(
+        programs: &[dt_testsuite::TestProgram],
+        levels: &[(Personality, OptLevel)],
+        mut visit: impl FnMut(&str, &DebugTrace, &DebugTrace, &SourceAnalysis),
+    ) {
+        for p in programs {
+            let analysis = SourceAnalysis::of(&p.parse());
+            let module = dt_frontend::lower_source(p.source).unwrap();
+            let inputs: Vec<Vec<u8>> = p.seeds.iter().map(|s| s.to_vec()).collect();
+            let trace = |obj: &dt_machine::Object, ground_truth: bool| {
+                let config = dt_debugger::SessionConfig {
+                    max_steps_per_input: 3_000_000,
+                    ground_truth,
+                    ..Default::default()
+                };
+                let plan = dt_debugger::BreakPlan::new(obj);
+                dt_debugger::trace_with_plan(obj, p.harnesses[0], &inputs, &config, &plan).unwrap()
+            };
+            let o0 = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
+            let base = trace(&o0, true);
+            visit(&format!("{} O0", p.name), &base, &base, &analysis);
+            for &(personality, level) in levels {
+                let session = CompileSession::new(module.clone(), personality, level, None);
+                let gates = std::iter::once(("<reference>", PassGate::allow_all())).chain(
+                    pipeline_pass_names(personality, level)
+                        .into_iter()
+                        .map(|pass| (pass, PassGate::disabling([pass]))),
+                );
+                let mut seen = std::collections::HashSet::new();
+                for (gate_name, gate) in gates {
+                    let obj = session.build_variant(&gate).object;
+                    if seen.insert(obj.content_hash()) {
+                        let label = format!("{} {personality} {level} -{gate_name}", p.name);
+                        visit(&label, &trace(&obj, false), &base, &analysis);
+                    }
+                }
+            }
+        }
+    }
+
+    fn all_levels() -> Vec<(Personality, OptLevel)> {
+        [Personality::Gcc, Personality::Clang]
+            .into_iter()
+            .flat_map(|p| OptLevel::levels_for(p).iter().map(move |&l| (p, l)))
+            .collect()
+    }
+
+    /// The tier-1 subset of [`prepared_baselines_match_the_oracle_over_the_suite`].
+    #[test]
+    fn prepared_baselines_match_the_oracle_on_two_programs() {
+        let suite = dt_testsuite::real_world_suite();
+        for_each_suite_trace(
+            &suite[..2],
+            &[(Personality::Gcc, OptLevel::O2)],
+            assert_matches_oracle,
+        );
+    }
+
+    /// Every suite program at every personality and level: the `O0`
+    /// baseline against the reference trace and every single-pass
+    /// variant trace. Release mode, a few seconds; `scripts/ci.sh` runs
+    /// it with `--include-ignored`.
+    #[test]
+    #[ignore]
+    fn prepared_baselines_match_the_oracle_over_the_suite() {
+        let mut visited = 0;
+        for_each_suite_trace(
+            &dt_testsuite::real_world_suite(),
+            &all_levels(),
+            |label, opt, base, analysis| {
+                assert_matches_oracle(label, opt, base, analysis);
+                visited += 1;
+            },
+        );
+        assert!(visited > 13 * 7, "only {visited} traces compared");
     }
 
     proptest::proptest! {

@@ -16,9 +16,9 @@
 //! A variant resumes at the first instance its gate disables among
 //! those that changed the reference module, from the trail's row
 //! there. When there is no such instance the variant's module is the
-//! optimized module: the session pays only for code generation, or
-//! for nothing at all when the gate leaves the backend configuration
-//! as the reference has it, in which case the reference object is
+//! optimized module: the session pays only for code generation of
+//! the functions whose backend code the gate changes, or for nothing
+//! at all when it changes none, in which case the reference object is
 //! handed back.
 //!
 //! Correctness invariant (enforced by `tests/proptest_pipeline.rs`,
@@ -53,18 +53,26 @@
 //!    function that diverges and later equals the reference again is
 //!    cut off from then on;
 //! 6. **backend reuse**: the reference build keeps every function's
-//!    [`FunctionCode`]. A variant under the reference's backend
-//!    configuration, with the reference's globals and function names,
-//!    takes that code for every function that is the reference's
-//!    optimized `Arc`, and assembly concatenates the code in emission
-//!    order as a from-scratch build does.
+//!    [`FunctionCode`] and its [`BackendFacts`], found by running each
+//!    backend alternative on a copy of the machine IR and comparing.
+//!    A variant with the reference's globals and function names takes
+//!    the reference's code for every function that is the reference's
+//!    optimized `Arc` and whose facts say the variant's
+//!    [`BackendConfig`] gives the same code
+//!    ([`BackendFacts::same_code`]: the configurations differ only in
+//!    passes that were no-ops on the function, a `layout` flag that
+//!    gives the same machine IR, `share_spill_slots` on a function
+//!    that spilled nothing, and `toplevel_reorder`). Assembly
+//!    concatenates the code in emission order as a from-scratch build
+//!    does; when every function is reused and `toplevel_reorder` is
+//!    the reference's, the object is the reference's.
 
 use crate::manager::ReferenceStage;
 use crate::manager::{converge, run_stage, shares_all, ModuleFacts, PassConfig, PassGate};
 use crate::pipeline::{self, Pipeline};
 use crate::{OptLevel, Personality};
 use dt_ir::{Function, Module, Profile};
-use dt_machine::{BackendConfig, FunctionCode, Object};
+use dt_machine::{BackendConfig, BackendFacts, FunctionCode, Object};
 use std::sync::{Arc, OnceLock};
 
 /// One variant build: the object plus how much work the session
@@ -79,8 +87,10 @@ pub struct VariantBuild {
     /// gate disables no instance that changed the reference module).
     pub reused_optimized: bool,
     /// Whether the reference object itself was handed back: every
-    /// optimized function is the reference's and the gate leaves the
-    /// backend configuration unchanged, so no code generation ran.
+    /// optimized function is the reference's, the gate changes no
+    /// function's code in the backend (see
+    /// [`dt_machine::BackendFacts::same_code`]) and leaves
+    /// `toplevel_reorder` as it is, so no code generation ran.
     pub reused_reference: bool,
     /// (stage, function) pairs of the resumed suffix taken from the
     /// trail instead of computed.
@@ -119,6 +129,9 @@ struct ReferenceBuild {
     object: Object,
     /// Every function's `toplevel-reorder` size, by function id.
     sizes: Vec<usize>,
+    /// Every function's backend facts under the reference's backend
+    /// configuration, by function id.
+    facts: Vec<BackendFacts>,
 }
 
 impl CompileSession {
@@ -190,12 +203,29 @@ impl CompileSession {
 
     fn reference_build(&self) -> &ReferenceBuild {
         self.reference.get_or_init(|| {
-            let code = dt_machine::backend_code(&self.optimized, &self.reference_backend);
+            let (globals, _) = dt_machine::lower::global_layout(&self.optimized);
+            let (code, facts): (Vec<FunctionCode>, Vec<BackendFacts>) = self
+                .optimized
+                .funcs
+                .iter()
+                .map(|f| {
+                    dt_machine::compile_function_with_facts(
+                        f,
+                        &self.optimized,
+                        &globals,
+                        &self.reference_backend,
+                    )
+                })
+                .unzip();
             let refs: Vec<&FunctionCode> = code.iter().collect();
             let object =
                 dt_machine::assemble_module(&self.optimized, &refs, &self.reference_backend);
             let sizes = code.iter().map(|c| c.size).collect();
-            ReferenceBuild { object, sizes }
+            ReferenceBuild {
+                object,
+                sizes,
+                facts,
+            }
         })
     }
 
@@ -223,11 +253,18 @@ impl CompileSession {
         };
         let module = resumed.as_ref().unwrap_or(&self.optimized);
         let mut backend_functions_reused = 0;
-        let reused_reference =
-            backend == self.reference_backend && shares_all(&module.funcs, &self.optimized.funcs);
+        // Every function keeps the reference's code, and only assembly
+        // reads `toplevel_reorder`: the object is the reference's.
+        let reused_reference = shares_all(&module.funcs, &self.optimized.funcs)
+            && backend.toplevel_reorder == self.reference_backend.toplevel_reorder
+            && self
+                .reference_build()
+                .facts
+                .iter()
+                .all(|facts| facts.same_code(&self.reference_backend, &backend));
         let object = if reused_reference {
             self.reference_object()
-        } else if backend == self.reference_backend && self.same_layout(module) {
+        } else if self.same_layout(module) {
             let reference = self.reference_build();
             let (globals, _) = dt_machine::lower::global_layout(module);
             let code: Vec<FunctionCode> = module
@@ -236,7 +273,9 @@ impl CompileSession {
                 .zip(&self.optimized.funcs)
                 .enumerate()
                 .map(|(fi, (f, optimized))| {
-                    if Arc::ptr_eq(f, optimized) {
+                    if Arc::ptr_eq(f, optimized)
+                        && reference.facts[fi].same_code(&self.reference_backend, &backend)
+                    {
                         backend_functions_reused += 1;
                         FunctionCode::from_object(&reference.object, fi, reference.sizes[fi])
                     } else {
@@ -640,6 +679,148 @@ int top(int n) { int a = sq(n); int b = sum(n); out(a); return a + b; }";
             }
         }
         assert!(reused > 0, "no variant reused a function's code");
+    }
+
+    /// A backend-only gate whose pass is a no-op on some function but
+    /// not on all of them takes the reference's code for the no-op
+    /// ones, and every backend-only gate still builds what
+    /// `compile_source` builds.
+    #[test]
+    fn backend_only_gates_reuse_functions_their_pass_left_unchanged() {
+        let mut partly_reused = 0;
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(MULTI).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
+                let reference = session.reference_object();
+                for pass in pipeline_pass_names(personality, level) {
+                    let mut opts = CompileOptions::new(personality, level);
+                    opts.gate = PassGate::disabling([pass]);
+                    let built = session.build_variant(&opts.gate);
+                    if !built.reused_optimized || built.reused_reference {
+                        continue;
+                    }
+                    assert_eq!(
+                        built.object.content_hash(),
+                        compile_source(MULTI, &opts).unwrap().content_hash(),
+                        "{personality} {level} -{pass}"
+                    );
+                    if built.backend_functions_reused > 0 && !built.object.text_eq(&reference) {
+                        partly_reused += 1;
+                    }
+                }
+            }
+        }
+        assert!(partly_reused > 0, "no backend-only gate reused a function");
+    }
+
+    /// Every single flip of a backend toggle against `reference`.
+    fn toggle_flips(reference: &BackendConfig) -> Vec<(&'static str, BackendConfig)> {
+        let flip = |name, f: fn(&mut BackendConfig)| {
+            let mut c = reference.clone();
+            f(&mut c);
+            (name, c)
+        };
+        vec![
+            flip("schedule", |c| c.schedule ^= true),
+            flip("sink", |c| c.sink ^= true),
+            flip("shrink_wrap", |c| c.shrink_wrap ^= true),
+            flip("cfg_cleanup", |c| c.cfg_cleanup ^= true),
+            flip("crossjump", |c| c.crossjump ^= true),
+            flip("layout", |c| c.layout ^= true),
+            flip("share_spill_slots", |c| c.share_spill_slots ^= true),
+            flip("toplevel_reorder", |c| c.toplevel_reorder ^= true),
+        ]
+    }
+
+    /// Checks the reference build's backend facts of every function of
+    /// each program at each level: wherever they say a configuration
+    /// gives the reference's code, [`dt_machine::compile_function`]
+    /// under it does. The configurations are every single toggle flip
+    /// and the backend configurations of nested gates (the first and
+    /// the last `y` pass names disabled together, as `Ox-dy` nests
+    /// them). Returns per flipped toggle how often the facts said
+    /// "other code" and "same code".
+    fn check_backend_facts(
+        programs: &[dt_testsuite::TestProgram],
+        levels: &[(Personality, OptLevel)],
+    ) -> std::collections::BTreeMap<&'static str, [usize; 2]> {
+        let mut outcomes = std::collections::BTreeMap::new();
+        for p in programs {
+            for &(personality, level) in levels {
+                let session = CompileSession::new(
+                    dt_frontend::lower_source(p.source).unwrap(),
+                    personality,
+                    level,
+                    None,
+                );
+                let reference_config = &session.reference_backend;
+                let names = pipeline_pass_names(personality, level);
+                let nested = (1..=names.len()).flat_map(|y| {
+                    [
+                        PassGate::disabling(names[..y].iter().copied()),
+                        PassGate::disabling(names[names.len() - y..].iter().copied()),
+                    ]
+                });
+                let mut configs = toggle_flips(reference_config);
+                configs.extend(
+                    nested.map(|gate| ("<nested>", session.pipeline.backend_config(&gate))),
+                );
+                let module = &session.optimized;
+                let (globals, _) = dt_machine::lower::global_layout(module);
+                let reference = session.reference_build();
+                for (fi, f) in module.funcs.iter().enumerate() {
+                    let code =
+                        FunctionCode::from_object(&reference.object, fi, reference.sizes[fi]);
+                    for (toggle, config) in &configs {
+                        let same = reference.facts[fi].same_code(reference_config, config);
+                        if same {
+                            assert_eq!(
+                                dt_machine::compile_function(f, module, &globals, config),
+                                code,
+                                "{} {personality} {level} {}: {toggle} {config:?}",
+                                p.name,
+                                f.name
+                            );
+                        }
+                        outcomes.entry(*toggle).or_insert([0, 0])[usize::from(same)] += 1;
+                    }
+                }
+            }
+        }
+        outcomes
+    }
+
+    /// The tier-1 subset of [`backend_facts_are_sound_over_the_suite`].
+    #[test]
+    fn backend_facts_are_sound_on_two_programs() {
+        let suite = dt_testsuite::real_world_suite();
+        check_backend_facts(&suite[..2], &[(Personality::Gcc, OptLevel::O2)]);
+    }
+
+    /// Every suite function at every personality and level, and every
+    /// toggle that changes code sees both outcomes, so the facts are
+    /// neither vacuous nor all-or-nothing. Release mode, a few seconds;
+    /// `scripts/ci.sh` runs it with `--include-ignored`.
+    #[test]
+    #[ignore]
+    fn backend_facts_are_sound_over_the_suite() {
+        let levels: Vec<(Personality, OptLevel)> = [Personality::Gcc, Personality::Clang]
+            .into_iter()
+            .flat_map(|p| OptLevel::levels_for(p).iter().map(move |&l| (p, l)))
+            .collect();
+        let outcomes = check_backend_facts(&dt_testsuite::real_world_suite(), &levels);
+        for (toggle, [other, same]) in &outcomes {
+            assert!(*same > 0, "{toggle}: the facts never say same code");
+            if *toggle != "toplevel_reorder" {
+                assert!(*other > 0, "{toggle}: the facts always say same code");
+            }
+        }
+        assert_eq!(outcomes["toplevel_reorder"][0], 0, "only assembly reads it");
     }
 
     #[test]

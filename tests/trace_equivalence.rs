@@ -88,7 +88,7 @@ fn artifact_store_baseline_matches_slow_step() {
         .baseline(&art, &program.harness, &program.inputs, &[], 2_000_000)
         .unwrap();
     let slow = trace(&art.o0, &program.harness, &program.inputs, &session(true)).unwrap();
-    assert_eq!(slow, *base);
+    assert_eq!(slow, base.trace);
     let replay = trace_with_plan(
         &art.o0,
         &program.harness,
