@@ -33,7 +33,7 @@
 //! [`GroundTruth`]; [`check`] builds one and checks a single trace.
 //!
 //! This crate is the pure trace-diff classifier. Producing the traces
-//! (compiling, the `O0` ground truth, and the fuzzing `hunt` drivers)
+//! (compiling and the `O0` ground truth, behind `DebugTuner::check`)
 //! lives with the rest of the compile-and-cache state in `debugtuner`'s
 //! artifact store.
 

@@ -16,8 +16,7 @@
 //!   baseline every evaluation and check diffs against, with the
 //!   per-program halves of the metrics ([`MetricBaseline`]) and of the
 //!   checker ([`GroundTruth`]) prepared from it once. A failed `O0`
-//!   run is memoized as an error (the hunt treats such an input as
-//!   uninteresting);
+//!   run is memoized as an error;
 //! * **compile sessions** ([`CompileSession`]) — one checkpointed
 //!   pipeline per source/personality/level/profile, shared by the
 //!   per-pass variant fan-out and every gated build made afterwards;
@@ -115,7 +114,7 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// The outcome of a finished run ([`Vm::run_finished`]).
+    /// The outcome of a finished run ([`dt_vm::ExecResult::finished`]).
     pub(crate) fn of(r: &ExecResult) -> RunOutcome {
         RunOutcome {
             ret: r.ret,
@@ -430,13 +429,16 @@ impl ArtifactStore {
                 ..VmConfig::default()
             };
             let result = self.timed(
-                || Vm::run_finished(obj, entry, args, input, config),
-                |s, ms, _| {
+                || Vm::run_to_completion(obj, entry, args, input, config),
+                |s, ms, result| {
                     s.runs += 1;
                     s.run_ms += ms;
+                    if let Ok(r) = result {
+                        s.run_steps += r.steps;
+                    }
                 },
             );
-            Ok(Arc::new(RunOutcome::of(&result?)))
+            Ok(Arc::new(RunOutcome::of(&result?.finished(entry)?)))
         });
         if hit {
             self.count(|s| s.run_hits += 1);

@@ -41,7 +41,6 @@ pub mod rank;
 pub mod telemetry;
 
 pub use artifacts::{ArtifactStore, Baseline, RunOutcome};
-pub use check::HuntResult;
 pub use config::{dy_config, dy_family, DyConfig};
 pub use eval::{
     suite_corpus, PassEffect, ProgramEvaluation, ProgramInput, ReferenceEvaluation, SuiteCorpus,
@@ -75,7 +74,7 @@ impl Default for TunerConfig {
 }
 
 /// The DebugTuner framework instance and the one entry point of every
-/// experiment: evaluation ([`eval`]), checking and hunting ([`check`]),
+/// experiment: evaluation ([`eval`]), checking ([`check`]),
 /// and speed and AutoFDO measurement ([`perf`]) are its methods. It owns
 /// one [`ArtifactStore`], so evaluations, baselines, compile sessions,
 /// variant traces, and runs are shared across every table that uses the

@@ -369,9 +369,15 @@ mod tests {
             "{err}"
         );
         let before = tuner.stats();
+        assert_eq!(
+            (before.runs, before.run_steps),
+            (1, 1_000),
+            "a run its budget stopped counts its steps"
+        );
         assert_eq!(run().unwrap_err(), err);
         let after = tuner.stats();
         assert_eq!(after.runs, before.runs, "the failed run is not rerun");
+        assert_eq!(after.run_steps, before.run_steps);
         assert_eq!(after.run_hits, before.run_hits + 1);
     }
 }

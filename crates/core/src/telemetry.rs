@@ -71,6 +71,9 @@ pub struct EvalStats {
     pub runs: u64,
     /// Runs served from the run memo instead of executed.
     pub run_hits: u64,
+    /// VM steps executed by memoized runs (debug pseudos excluded), so
+    /// that `run_ms` reads as a VM throughput.
+    pub run_steps: u64,
     /// Wall-clock spent in memoized runs, summed across workers.
     pub run_ms: f64,
     /// Wall-clock spent compiling, summed across workers.
@@ -108,7 +111,7 @@ impl EvalStats {
              {} trace-cache hit(s), {} eval-cache hit(s), {} pruned variant(s), \
              {} session(s) ({} trail function(s)), {} resumed variant(s) skipping {} prefix pass(es), \
              {} function(s) cut off, {} backend function(s) reused, {} artifact-store hit(s), {} fast step(s) / {} break stop(s) / \
-             {} abandoned input(s), {} run(s) ({:.0} ms), {} run-memo hit(s), \
+             {} abandoned input(s), {} run(s) ({} step(s), {:.0} ms), {} run-memo hit(s), \
              {:.0} ms wall on {} thread(s)",
             self.programs,
             self.builds,
@@ -129,6 +132,7 @@ impl EvalStats {
             self.break_stops,
             self.inputs_abandoned,
             self.runs,
+            self.run_steps,
             self.run_ms,
             self.run_hits,
             self.wall_ms,
@@ -182,6 +186,7 @@ mod tests {
             fast_steps: 150,
             break_stops: 10,
             runs: 2,
+            run_steps: 900,
             run_hits: 1,
             ..EvalStats::default()
         };
@@ -194,7 +199,7 @@ mod tests {
             "3 backend function(s) reused",
             "150 fast step(s)",
             "10 break stop(s)",
-            "2 run(s)",
+            "2 run(s) (900 step(s),",
             "1 run-memo hit(s)",
             "on 4 thread(s)",
         ] {
@@ -207,6 +212,7 @@ mod tests {
             r#""prefix_passes_skipped":7,"#,
             r#""functions_cut_off":11,"#,
             r#""backend_functions_reused":3,"#,
+            r#""run_steps":900,"#,
         ] {
             assert!(json.contains(part), "{part} missing from {json}");
         }

@@ -10,7 +10,6 @@ use dt_machine::Object;
 use dt_vm::{CoverageMap, RunPlan, Vm, VmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Fuzzing campaign configuration.
 #[derive(Debug, Clone)]
@@ -42,16 +41,12 @@ impl Default for FuzzConfig {
 /// Campaign outcome.
 #[derive(Debug, Clone)]
 pub struct FuzzReport {
-    /// The queue: every input that added coverage (or that the oracle
-    /// flagged), in discovery order.
+    /// The queue: every input that added coverage, in discovery order.
     pub queue: Vec<Vec<u8>>,
     /// Total coverage points reached.
     pub coverage_points: usize,
     /// Executions performed.
     pub executions: u32,
-    /// Inputs the interestingness oracle flagged, in discovery order
-    /// (deduplicated). Empty for plain coverage-only campaigns.
-    pub oracle_hits: Vec<Vec<u8>>,
 }
 
 /// Runs one execution with coverage, on `plan` (built from `obj`).
@@ -76,40 +71,14 @@ pub fn run_with_coverage(
 
 /// Runs a fuzzing campaign against `entry` of `obj`.
 pub fn fuzz(obj: &Object, entry: &str, seeds: &[Vec<u8>], config: &FuzzConfig) -> FuzzReport {
-    fuzz_with_oracle(obj, entry, seeds, config, |_| false)
-}
-
-/// Runs a fuzzing campaign with an extra interestingness `oracle`:
-/// every executed input that completes is offered to the oracle, and
-/// flagged inputs join the queue as mutation parents even when they
-/// add no coverage (they are "interesting" for a reason coverage
-/// cannot see — e.g. they expose a debug-info defect). With a
-/// constant-`false` oracle this is exactly [`fuzz`].
-pub fn fuzz_with_oracle<F: FnMut(&[u8]) -> bool>(
-    obj: &Object,
-    entry: &str,
-    seeds: &[Vec<u8>],
-    config: &FuzzConfig,
-    mut oracle: F,
-) -> FuzzReport {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let plan = RunPlan::new(obj);
     let mut global = CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
-    // Discovery-order vectors plus set mirrors: membership tests run
-    // once per execution, so `Vec::contains` would make the campaign
-    // quadratic in queue length.
     let mut queue: Vec<Vec<u8>> = Vec::new();
-    let mut queue_set: HashSet<Vec<u8>> = HashSet::new();
-    let mut oracle_hits: Vec<Vec<u8>> = Vec::new();
-    let mut hit_set: HashSet<Vec<u8>> = HashSet::new();
 
-    let mut try_input = |input: Vec<u8>,
-                         queue: &mut Vec<Vec<u8>>,
-                         queue_set: &mut HashSet<Vec<u8>>,
-                         oracle_hits: &mut Vec<Vec<u8>>,
-                         hit_set: &mut HashSet<Vec<u8>>,
-                         global: &mut CoverageMap|
-     -> bool {
+    // Runs `input` and queues it when it reaches new coverage; says
+    // whether it did.
+    let mut try_input = |input: Vec<u8>, queue: &mut Vec<Vec<u8>>| -> bool {
         let Some(cov) = run_with_coverage(
             obj,
             &plan,
@@ -120,18 +89,8 @@ pub fn fuzz_with_oracle<F: FnMut(&[u8]) -> bool>(
         ) else {
             return false;
         };
-        let flagged = oracle(&input) && !hit_set.contains(&input);
-        if flagged {
-            oracle_hits.push(input.clone());
-            hit_set.insert(input.clone());
-        }
-        if cov.adds_to(global) {
+        if cov.adds_to(&global) {
             global.merge(&cov);
-            queue_set.insert(input.clone());
-            queue.push(input);
-            true
-        } else if flagged && !queue_set.contains(&input) {
-            queue_set.insert(input.clone());
             queue.push(input);
             true
         } else {
@@ -144,31 +103,15 @@ pub fn fuzz_with_oracle<F: FnMut(&[u8]) -> bool>(
     let mut executions = 0u32;
     for (i, s) in seeds.iter().enumerate() {
         executions += 1;
-        let added = try_input(
-            s.clone(),
-            &mut queue,
-            &mut queue_set,
-            &mut oracle_hits,
-            &mut hit_set,
-            &mut global,
-        );
+        let added = try_input(s.clone(), &mut queue);
         if i == 0 && !added && queue.is_empty() {
-            queue_set.insert(s.clone());
             queue.push(s.clone());
         }
     }
     if queue.is_empty() {
         executions += 1;
-        try_input(
-            vec![0u8; 4],
-            &mut queue,
-            &mut queue_set,
-            &mut oracle_hits,
-            &mut hit_set,
-            &mut global,
-        );
+        try_input(vec![0u8; 4], &mut queue);
         if queue.is_empty() {
-            queue_set.insert(vec![0u8; 4]);
             queue.push(vec![0u8; 4]);
         }
     }
@@ -177,21 +120,13 @@ pub fn fuzz_with_oracle<F: FnMut(&[u8]) -> bool>(
         executions += 1;
         let parent = &queue[rng.gen_range(0..queue.len())];
         let child = mutate(parent, &queue, config.max_len, &mut rng);
-        try_input(
-            child,
-            &mut queue,
-            &mut queue_set,
-            &mut oracle_hits,
-            &mut hit_set,
-            &mut global,
-        );
+        try_input(child, &mut queue);
     }
 
     FuzzReport {
         coverage_points: global.count(),
         executions,
         queue,
-        oracle_hits,
     }
 }
 
@@ -322,43 +257,6 @@ int process() {
             }
         }
         assert_eq!(adds, report.queue.len());
-    }
-
-    #[test]
-    fn oracle_hits_join_the_queue() {
-        let obj = object();
-        let cfg = FuzzConfig {
-            iterations: 1_500,
-            ..Default::default()
-        };
-        // Flag any input whose first byte is odd — coverage-blind.
-        let report = fuzz_with_oracle(&obj, "process", &[vec![0, 0, 0, 0]], &cfg, |i| {
-            i.first().is_some_and(|b| b % 2 == 1)
-        });
-        assert!(!report.oracle_hits.is_empty(), "oracle never fired");
-        for hit in &report.oracle_hits {
-            assert_eq!(hit[0] % 2, 1);
-            assert!(report.queue.contains(hit), "hits become mutation parents");
-        }
-        // Dedup: no input flagged twice.
-        let mut sorted = report.oracle_hits.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), report.oracle_hits.len());
-    }
-
-    #[test]
-    fn noop_oracle_matches_plain_fuzz() {
-        let obj = object();
-        let cfg = FuzzConfig {
-            iterations: 1_000,
-            ..Default::default()
-        };
-        let plain = fuzz(&obj, "process", &[vec![0, 0, 0, 0]], &cfg);
-        let orc = fuzz_with_oracle(&obj, "process", &[vec![0, 0, 0, 0]], &cfg, |_| false);
-        assert_eq!(plain.queue, orc.queue);
-        assert_eq!(plain.coverage_points, orc.coverage_points);
-        assert!(orc.oracle_hits.is_empty());
     }
 
     #[test]

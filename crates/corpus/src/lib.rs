@@ -16,5 +16,5 @@
 pub mod fuzzer;
 pub mod minimize;
 
-pub use fuzzer::{fuzz, fuzz_with_oracle, run_with_coverage, FuzzConfig, FuzzReport};
+pub use fuzzer::{fuzz, run_with_coverage, FuzzConfig, FuzzReport};
 pub use minimize::{cmin, trace_min};

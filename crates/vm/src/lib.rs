@@ -26,7 +26,13 @@
 //! object's code decoded once with each instruction's static cost and
 //! hazard masks, and keeps the hot machine state in locals. Plain runs,
 //! [`Vm::run_until_break`] and [`Vm::step`] are that loop with
-//! different stop conditions.
+//! different stop conditions. Plain runs that do not track `dbg.value`
+//! bindings also take each *straight-line run* (the real instructions
+//! up to the next call, return or jump) in one go, with one charge,
+//! whenever the step budget covers it and its charge crosses no sample
+//! point; everything else goes one instruction at a time. Both paths
+//! execute an op through the same definition, so the results are the
+//! same bit for bit.
 
 pub mod coverage;
 mod plan;
@@ -104,6 +110,20 @@ pub struct ExecResult {
     /// Edge coverage (when enabled).
     pub coverage: Option<CoverageMap>,
     pub halt: Halt,
+}
+
+impl ExecResult {
+    /// This result if the run finished, otherwise an error naming the
+    /// halt (`entry` is the function the run called).
+    pub fn finished(self, entry: &str) -> Result<ExecResult, String> {
+        if self.halt != Halt::Finished {
+            return Err(format!(
+                "`{entry}` halted with {:?} after {} steps",
+                self.halt, self.steps
+            ));
+        }
+        Ok(self)
+    }
 }
 
 /// One call frame.
@@ -285,14 +305,7 @@ impl<'a> Vm<'a> {
         input: &'a [u8],
         config: VmConfig,
     ) -> Result<ExecResult, String> {
-        let r = Self::run_to_completion(obj, entry, args, input, config)?;
-        if r.halt != Halt::Finished {
-            return Err(format!(
-                "`{entry}` halted with {:?} after {} steps",
-                r.halt, r.steps
-            ));
-        }
-        Ok(r)
+        Self::run_to_completion(obj, entry, args, input, config)?.finished(entry)
     }
 
     /// Runs until the VM halts and returns the [`ExecResult`].
@@ -429,7 +442,13 @@ impl<'a> Vm<'a> {
     /// break test, the step-limit test, the operation, then one charge
     /// of load-use stall (previous load mask AND this instruction's
     /// read mask) plus base cost (waived after a fused instruction),
-    /// then the PC samples the charge crossed.
+    /// then the PC samples the charge crossed. Without `BREAKS` and
+    /// binding updates, a straight-line run that the steps left cover
+    /// and whose charge stays below the next sample point runs back to
+    /// back instead and is charged once: the first instruction's charge
+    /// from the incoming hazard plus the plan's static tail. Nothing
+    /// inside such a run can halt, trap, branch or take a sample, so
+    /// the state after it equals the per-instruction path's.
     fn run<const MODEL: bool, const BREAKS: bool>(&mut self, breaks: &[u64], budget: u64) -> bool {
         if self.halted.is_some() {
             return false;
@@ -460,6 +479,18 @@ impl<'a> Vm<'a> {
             Exit::Halt(Halt::StepLimit)
         };
 
+        let mut mem = Mem {
+            stack: &mut self.stack,
+            globals: &mut self.globals,
+            args: &mut self.args,
+            input: self.input,
+            output: &mut self.output,
+        };
+        // Straight-line runs go in one charge only where nothing may stop
+        // the loop or act between their instructions: no break test and
+        // no binding updates.
+        let batch = !BREAKS && !track;
+
         let exit = loop {
             let Some(s) = plan.get(pc) else {
                 if left == 0 {
@@ -478,6 +509,30 @@ impl<'a> Vm<'a> {
                 bind(&mut self.frames, &obj.code[pc].op);
                 pc += 1;
                 continue;
+            }
+            // The whole straight-line run starting here, when the budget
+            // covers it and its charge crosses no sample point: its ops
+            // back to back, then one charge (the entry's, from the
+            // incoming hazard, plus the static tail).
+            let run = s.run;
+            if batch && run.len > 1 && run.len as u64 <= left {
+                let charge = if MODEL {
+                    s.charge_after(hazard) + run.tail as u64
+                } else {
+                    0
+                };
+                if !MODEL || cycles.saturating_add(charge) < next_sample {
+                    for t in &plan[pc..run.end as usize] {
+                        straight(t.op, &mut regs, frame_base, &mut mem);
+                    }
+                    pc = run.end as usize;
+                    left -= run.len as u64;
+                    if MODEL {
+                        cycles += charge;
+                        hazard = run.hazard;
+                    }
+                    continue;
+                }
             }
             if BREAKS {
                 if let Some(word) = breaks.get(pc >> 6) {
@@ -498,9 +553,8 @@ impl<'a> Vm<'a> {
             macro_rules! charge {
                 () => {
                     if MODEL {
-                        let stall = if hazard & s.reads as u16 != 0 { 2 } else { 0 };
-                        let cost = s.cost as u64 + dynamic_cost;
-                        cycles += stall + if hazard & FUSED != 0 { 0 } else { cost };
+                        cycles += s.charge_after(hazard)
+                            + if hazard & FUSED != 0 { 0 } else { dynamic_cost };
                         if cycles >= next_sample {
                             let addr = obj.addrs.get(pc).copied().unwrap_or(u32::MAX);
                             next_sample =
@@ -509,130 +563,68 @@ impl<'a> Vm<'a> {
                     }
                 };
             }
-            match s.op {
-                Op::Imm { rd, value } => regs[r(rd)] = value,
-                Op::Mov { rd, rs } => regs[r(rd)] = regs[r(rs)],
-                Op::Un { op, rd, rs } => regs[r(rd)] = op.eval(regs[r(rs)]),
-                Op::Bin { op, rd, ra, rb } => regs[r(rd)] = op.eval(regs[r(ra)], regs[r(rb)]),
-                Op::BinImm { op, rd, ra, imm } => regs[r(rd)] = op.eval(regs[r(ra)], imm),
-                Op::Select { rd, rc, ra, rb } => {
-                    regs[r(rd)] = if regs[r(rc)] != 0 {
-                        regs[r(ra)]
-                    } else {
-                        regs[r(rb)]
-                    }
-                }
-                Op::LdSlot { rd, off } => {
-                    regs[r(rd)] = self
-                        .stack
-                        .get(frame_base + off as usize)
-                        .copied()
-                        .unwrap_or(0)
-                }
-                Op::StSlot { off, rs } => {
-                    if let Some(w) = self.stack.get_mut(frame_base + off as usize) {
-                        *w = regs[r(rs)];
-                    }
-                }
-                Op::LdIdx { rd, off, ri, len } => {
-                    let idx = frame_base + off as usize + wrap_index(regs[r(ri)], len);
-                    regs[r(rd)] = self.stack.get(idx).copied().unwrap_or(0);
-                }
-                Op::StIdx { off, ri, rs, len } => {
-                    let idx = frame_base + off as usize + wrap_index(regs[r(ri)], len);
-                    if let Some(w) = self.stack.get_mut(idx) {
-                        *w = regs[r(rs)];
-                    }
-                }
-                Op::LdG { rd, addr } => {
-                    regs[r(rd)] = self.globals.get(addr as usize).copied().unwrap_or(0)
-                }
-                Op::StG { addr, rs } => {
-                    if let Some(w) = self.globals.get_mut(addr as usize) {
-                        *w = regs[r(rs)];
-                    }
-                }
-                Op::LdGIdx { rd, base, ri, len } => {
-                    let idx = base as usize + wrap_index(regs[r(ri)], len);
-                    regs[r(rd)] = self.globals.get(idx).copied().unwrap_or(0);
-                }
-                Op::StGIdx { base, ri, rs, len } => {
-                    let idx = base as usize + wrap_index(regs[r(ri)], len);
-                    if let Some(w) = self.globals.get_mut(idx) {
-                        *w = regs[r(rs)];
-                    }
-                }
-                Op::SetArg { k, rs } => self.args[r(k)] = regs[r(rs)],
-                Op::GetArg { rd, k } => regs[r(rd)] = self.args[r(k)],
-                Op::CallF { func } => {
-                    let info = &obj.funcs[func as usize];
-                    if self.frames.len() >= max_depth {
-                        break Exit::Halt(Halt::Trap(format!(
-                            "call-stack overflow calling `{}`",
-                            info.name
-                        )));
-                    }
-                    if let Some(cov) = &mut self.coverage {
-                        cov.set(obj.code.len() * 2 + func as usize);
-                    }
-                    let frame = Frame {
-                        ret_pc: next_pc,
-                        frame_base: self.stack.len(),
-                        saved_args: self.args,
-                        dbg_bindings: BTreeMap::new(),
-                    };
-                    frame_base = push_frame(&mut self.frames, &mut self.stack, frame, info);
-                    next_pc = info.start_index as usize;
-                }
-                Op::Ret => match pop_frame(&mut self.frames, &mut self.stack, &mut self.args) {
-                    Some((ret_pc, base)) => {
-                        frame_base = base;
-                        next_pc = ret_pc;
-                    }
-                    None => {
-                        frame_base = 0;
-                        charge!();
-                        pc = 0;
-                        break Exit::Halt(Halt::Finished);
-                    }
-                },
-                Op::Jmp { target } => next_pc = target as usize,
-                Op::JCond {
-                    rs,
-                    if_nonzero,
-                    target,
-                } => {
-                    let taken = (regs[r(rs)] != 0) == if_nonzero;
-                    if MODEL {
-                        // 2-bit predictor (cost-model state only; the
-                        // branch outcome never depends on it).
-                        let p = &mut self.predictor[pc];
-                        let mispredict = (*p >= 2) != taken;
-                        *p = if taken {
-                            (*p + 1).min(3)
-                        } else {
-                            p.saturating_sub(1)
+            if !straight(s.op, &mut regs, frame_base, &mut mem) {
+                match s.op {
+                    Op::CallF { func } => {
+                        let info = &obj.funcs[func as usize];
+                        if self.frames.len() >= max_depth {
+                            break Exit::Halt(Halt::Trap(format!(
+                                "call-stack overflow calling `{}`",
+                                info.name
+                            )));
+                        }
+                        if let Some(cov) = &mut self.coverage {
+                            cov.set(obj.code.len() * 2 + func as usize);
+                        }
+                        let frame = Frame {
+                            ret_pc: next_pc,
+                            frame_base: mem.stack.len(),
+                            saved_args: *mem.args,
+                            dbg_bindings: BTreeMap::new(),
                         };
-                        dynamic_cost = taken as u64 + if mispredict { 10 } else { 0 };
+                        frame_base = push_frame(&mut self.frames, mem.stack, frame, info);
+                        next_pc = info.start_index as usize;
                     }
-                    if let Some(cov) = &mut self.coverage {
-                        cov.set(pc * 2 + taken as usize);
+                    Op::Ret => match pop_frame(&mut self.frames, mem.stack, mem.args) {
+                        Some((ret_pc, base)) => {
+                            frame_base = base;
+                            next_pc = ret_pc;
+                        }
+                        None => {
+                            frame_base = 0;
+                            charge!();
+                            pc = 0;
+                            break Exit::Halt(Halt::Finished);
+                        }
+                    },
+                    Op::Jmp { target } => next_pc = target as usize,
+                    Op::JCond {
+                        rs,
+                        if_nonzero,
+                        target,
+                    } => {
+                        let taken = (regs[r(rs)] != 0) == if_nonzero;
+                        if MODEL {
+                            // 2-bit predictor (cost-model state only; the
+                            // branch outcome never depends on it).
+                            let p = &mut self.predictor[pc];
+                            let mispredict = (*p >= 2) != taken;
+                            *p = if taken {
+                                (*p + 1).min(3)
+                            } else {
+                                p.saturating_sub(1)
+                            };
+                            dynamic_cost = taken as u64 + if mispredict { 10 } else { 0 };
+                        }
+                        if let Some(cov) = &mut self.coverage {
+                            cov.set(pc * 2 + taken as usize);
+                        }
+                        if taken {
+                            next_pc = target as usize;
+                        }
                     }
-                    if taken {
-                        next_pc = target as usize;
-                    }
+                    _ => unreachable!("straight-line ops ran above, pseudos were hopped"),
                 }
-                Op::In { rd, ri } => {
-                    let i = regs[r(ri)];
-                    regs[r(rd)] = if i >= 0 && (i as usize) < self.input.len() {
-                        self.input[i as usize] as i64
-                    } else {
-                        -1
-                    };
-                }
-                Op::InLen { rd } => regs[r(rd)] = self.input.len() as i64,
-                Op::Out { rs } => self.output.push(regs[r(rs)]),
-                Op::Dbg { .. } => unreachable!("pseudos are handled above"),
             }
             charge!();
             if MODEL {
@@ -657,6 +649,88 @@ impl<'a> Vm<'a> {
             }
         }
     }
+}
+
+/// The machine state a straight-line op touches besides the register
+/// file, borrowed from the [`Vm`] for one call of the loop.
+struct Mem<'m> {
+    stack: &'m mut Vec<i64>,
+    globals: &'m mut [i64],
+    args: &'m mut [i64; 8],
+    input: &'m [u8],
+    output: &'m mut Vec<i64>,
+}
+
+/// Executes `op` when it is a straight-line op, one that cannot halt,
+/// trap or branch, and says whether it was; control ops and pseudos
+/// are left to the caller. The one definition of these ops: the
+/// loop's per-instruction path and its batched runs both call it.
+#[inline(always)]
+fn straight(op: Op, regs: &mut [i64; 8], frame_base: usize, m: &mut Mem) -> bool {
+    match op {
+        Op::Imm { rd, value } => regs[r(rd)] = value,
+        Op::Mov { rd, rs } => regs[r(rd)] = regs[r(rs)],
+        Op::Un { op, rd, rs } => regs[r(rd)] = op.eval(regs[r(rs)]),
+        Op::Bin { op, rd, ra, rb } => regs[r(rd)] = op.eval(regs[r(ra)], regs[r(rb)]),
+        Op::BinImm { op, rd, ra, imm } => regs[r(rd)] = op.eval(regs[r(ra)], imm),
+        Op::Select { rd, rc, ra, rb } => {
+            regs[r(rd)] = if regs[r(rc)] != 0 {
+                regs[r(ra)]
+            } else {
+                regs[r(rb)]
+            }
+        }
+        Op::LdSlot { rd, off } => {
+            regs[r(rd)] = m.stack.get(frame_base + off as usize).copied().unwrap_or(0)
+        }
+        Op::StSlot { off, rs } => {
+            if let Some(w) = m.stack.get_mut(frame_base + off as usize) {
+                *w = regs[r(rs)];
+            }
+        }
+        Op::LdIdx { rd, off, ri, len } => {
+            let idx = frame_base + off as usize + wrap_index(regs[r(ri)], len);
+            regs[r(rd)] = m.stack.get(idx).copied().unwrap_or(0);
+        }
+        Op::StIdx { off, ri, rs, len } => {
+            let idx = frame_base + off as usize + wrap_index(regs[r(ri)], len);
+            if let Some(w) = m.stack.get_mut(idx) {
+                *w = regs[r(rs)];
+            }
+        }
+        Op::LdG { rd, addr } => regs[r(rd)] = m.globals.get(addr as usize).copied().unwrap_or(0),
+        Op::StG { addr, rs } => {
+            if let Some(w) = m.globals.get_mut(addr as usize) {
+                *w = regs[r(rs)];
+            }
+        }
+        Op::LdGIdx { rd, base, ri, len } => {
+            let idx = base as usize + wrap_index(regs[r(ri)], len);
+            regs[r(rd)] = m.globals.get(idx).copied().unwrap_or(0);
+        }
+        Op::StGIdx { base, ri, rs, len } => {
+            let idx = base as usize + wrap_index(regs[r(ri)], len);
+            if let Some(w) = m.globals.get_mut(idx) {
+                *w = regs[r(rs)];
+            }
+        }
+        Op::SetArg { k, rs } => m.args[r(k)] = regs[r(rs)],
+        Op::GetArg { rd, k } => regs[r(rd)] = m.args[r(k)],
+        Op::In { rd, ri } => {
+            let i = regs[r(ri)];
+            regs[r(rd)] = if i >= 0 && (i as usize) < m.input.len() {
+                m.input[i as usize] as i64
+            } else {
+                -1
+            };
+        }
+        Op::InLen { rd } => regs[r(rd)] = m.input.len() as i64,
+        Op::Out { rs } => m.output.push(regs[r(rs)]),
+        Op::CallF { .. } | Op::Ret | Op::Jmp { .. } | Op::JCond { .. } | Op::Dbg { .. } => {
+            return false
+        }
+    }
+    true
 }
 
 // The loop's rare paths, kept out of line so that its hot state stays
@@ -750,6 +824,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oracle::{dbg, hand_object, imm};
 
     /// Compiles MiniC source with the unoptimized backend and runs
     /// `entry` to completion.
@@ -1182,59 +1257,6 @@ int f(int n) {
         assert_eq!(vm.read_location(Location::Const(9)), Some(9));
     }
 
-    /// A one-function object `f` of hand-written code (`(op, fused)`),
-    /// for the loop's exits that compiled programs rarely reach.
-    fn hand_object(code: Vec<(FOp, bool)>, frame_size: u32) -> Object {
-        let code: Vec<dt_machine::FInst> = code
-            .into_iter()
-            .map(|(op, fused)| dt_machine::FInst {
-                op,
-                line: 0,
-                stmt: false,
-                fused,
-            })
-            .collect();
-        let mut addrs = Vec::new();
-        let mut addr = 0;
-        for inst in &code {
-            addrs.push(addr);
-            addr += inst.encoded_size();
-        }
-        Object {
-            funcs: vec![dt_machine::FuncInfo {
-                name: "f".into(),
-                start_index: 0,
-                end_index: code.len() as u32,
-                low_pc: 0,
-                high_pc: addr,
-                frame_size,
-                nparams: 0,
-                shrink_wrapped: false,
-                decl_line: 0,
-            }],
-            code,
-            addrs,
-            text: Default::default(),
-            debug: Default::default(),
-            globals: Vec::new(),
-            globals_size: 0,
-        }
-    }
-
-    fn dbg(var: u32) -> (FOp, bool) {
-        (
-            FOp::Dbg {
-                var,
-                loc: FDbgLoc::Const(var as i64),
-            },
-            false,
-        )
-    }
-
-    fn imm(rd: u8, value: i64) -> (FOp, bool) {
-        (FOp::Imm { rd, value }, false)
-    }
-
     /// Runs `obj` to the end on both engines (the reference hops
     /// pseudos through a table unless bindings are tracked) and checks
     /// they agree; returns the engine's result.
@@ -1353,7 +1375,12 @@ int f(int n) {
 
     #[test]
     fn running_off_the_end_of_code_traps() {
-        for (code, pc) in [(vec![imm(0, 1)], 1), (vec![imm(0, 1), dbg(0), dbg(1)], 3)] {
+        for (code, pc, steps) in [
+            (vec![imm(0, 1)], 1, 1),
+            (vec![imm(0, 1), dbg(0), dbg(1)], 3, 1),
+            // A straight-line run of three, taken in one go untracked.
+            (vec![imm(0, 1), dbg(0), imm(1, 2), imm(2, 3), dbg(1)], 5, 3),
+        ] {
             let obj = hand_object(code, 0);
             for track in [false, true] {
                 let r = run_both(
@@ -1364,7 +1391,7 @@ int f(int n) {
                     },
                 );
                 assert_eq!(r.halt, Halt::Trap(format!("pc {pc} out of code")));
-                assert_eq!((r.steps, r.cycles), (1, 1));
+                assert_eq!((r.steps, r.cycles), (steps, steps));
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::{CoverageMap, ExecResult, Halt, VmConfig};
 use dt_dwarf::Location;
-use dt_machine::{FDbgLoc, FOp, Object};
+use dt_machine::{FDbgLoc, FInst, FOp, FuncInfo, Object};
 use std::collections::BTreeMap;
 
 /// One call frame.
@@ -659,6 +659,171 @@ struct Case {
     max_steps: u64,
 }
 
+/// A one-function object `f` of hand-written code (`(op, fused)`),
+/// for the loop's exits that compiled programs rarely reach.
+pub(crate) fn hand_object(code: Vec<(FOp, bool)>, frame_size: u32) -> Object {
+    let code: Vec<FInst> = code
+        .into_iter()
+        .map(|(op, fused)| FInst {
+            op,
+            line: 0,
+            stmt: false,
+            fused,
+        })
+        .collect();
+    let mut addrs = Vec::new();
+    let mut addr = 0;
+    for inst in &code {
+        addrs.push(addr);
+        addr += inst.encoded_size();
+    }
+    Object {
+        funcs: vec![FuncInfo {
+            name: "f".into(),
+            start_index: 0,
+            end_index: code.len() as u32,
+            low_pc: 0,
+            high_pc: addr,
+            frame_size,
+            nparams: 0,
+            shrink_wrapped: false,
+            decl_line: 0,
+        }],
+        code,
+        addrs,
+        text: Default::default(),
+        debug: Default::default(),
+        globals: Vec::new(),
+        globals_size: 0,
+    }
+}
+
+pub(crate) fn dbg(var: u32) -> (FOp, bool) {
+    (
+        FOp::Dbg {
+            var,
+            loc: FDbgLoc::Const(var as i64),
+        },
+        false,
+    )
+}
+
+pub(crate) fn imm(rd: u8, value: i64) -> (FOp, bool) {
+    (FOp::Imm { rd, value }, false)
+}
+
+/// Hand-built objects for the boundaries of straight-line runs that
+/// compiled code reaches only by chance.
+fn hand_cases() -> Vec<Case> {
+    use dt_ir::BinOp::{Add, Mul, Sub};
+    let bin = |op, rd, ra, rb| (FOp::Bin { op, rd, ra, rb }, false);
+    let sub1 = |r, fused| {
+        (
+            FOp::BinImm {
+                op: Sub,
+                rd: r,
+                ra: r,
+                imm: 1,
+            },
+            fused,
+        )
+    };
+    let again = |target| {
+        (
+            FOp::JCond {
+                rs: 0,
+                if_nonzero: true,
+                target,
+            },
+            false,
+        )
+    };
+    let ret = (FOp::Ret, false);
+    let case = |name: &str, code: Vec<(FOp, bool)>| Case {
+        name: format!("hand: {name}"),
+        obj: hand_object(code, 2),
+        entry: "f",
+        args: Vec::new(),
+        input: Vec::new(),
+        max_steps: 10_000,
+    };
+    vec![
+        // A loop whose run loads a slot and uses it at once: the stall
+        // is in the run's static tail, and a run entered after the
+        // load (a split by a budget, a sample point or single steps)
+        // pays it at its entry.
+        case(
+            "load-use stall",
+            vec![
+                imm(0, 9),
+                (FOp::LdSlot { rd: 2, off: 0 }, false),
+                bin(Add, 1, 2, 0),
+                (FOp::StSlot { off: 0, rs: 1 }, false),
+                sub1(0, false),
+                again(1),
+                (FOp::Mov { rd: 0, rs: 1 }, false),
+                ret.clone(),
+            ],
+        ),
+        // A fused `Jmp` and a fused `JCond` waive the entry cost of the
+        // run after them; a fused op inside a run waives its
+        // successor's in the tail, and a fused op right before the
+        // `JCond` waives the branch's whole cost, dynamic term included.
+        case(
+            "fused around runs",
+            vec![
+                imm(0, 7),
+                (FOp::Jmp { target: 2 }, true),
+                (FOp::Imm { rd: 1, value: 3 }, true),
+                bin(Mul, 2, 1, 0),
+                sub1(0, true),
+                (
+                    FOp::JCond {
+                        rs: 0,
+                        if_nonzero: true,
+                        target: 2,
+                    },
+                    true,
+                ),
+                (FOp::Mov { rd: 0, rs: 2 }, false),
+                ret.clone(),
+            ],
+        ),
+        // Pseudos at a run's start, inside it and before its
+        // terminator.
+        case(
+            "pseudos inside a run",
+            vec![
+                imm(0, 5),
+                dbg(0),
+                (FOp::LdSlot { rd: 1, off: 1 }, false),
+                dbg(1),
+                dbg(2),
+                bin(Add, 1, 1, 0),
+                dbg(3),
+                (FOp::StSlot { off: 1, rs: 1 }, false),
+                sub1(0, false),
+                dbg(4),
+                again(1),
+                (FOp::LdSlot { rd: 0, off: 1 }, false),
+                ret.clone(),
+            ],
+        ),
+        // A run that runs off the end of the code, through trailing
+        // pseudos: the trap comes at the run's exact steps and cycles.
+        case(
+            "run off the end",
+            vec![
+                imm(0, 1),
+                dbg(0),
+                (FOp::LdSlot { rd: 1, off: 0 }, true),
+                bin(Add, 2, 1, 0),
+                dbg(1),
+            ],
+        ),
+    ]
+}
+
 /// Every personality's `O0` and optimization levels.
 fn all_levels() -> Vec<(Personality, OptLevel)> {
     [Personality::Gcc, Personality::Clang]
@@ -788,10 +953,39 @@ fn configs(max_steps: u64) -> Vec<(&'static str, VmConfig)> {
             VmConfig {
                 track_dbg_bindings: true,
                 model_cycles: false,
+                ..base.clone()
+            },
+        ),
+        // Sample points inside straight-line runs.
+        (
+            "sampled every cycle",
+            VmConfig {
+                sample_interval: Some(1),
+                ..base.clone()
+            },
+        ),
+        (
+            "sampled every 3",
+            VmConfig {
+                sample_interval: Some(3),
+                ..base.clone()
+            },
+        ),
+        (
+            "sampled every 7, coverage",
+            VmConfig {
+                sample_interval: Some(7),
+                collect_coverage: true,
                 ..base
             },
         ),
     ]
+}
+
+/// Step budgets that end runs early, inside straight-line runs: every
+/// budget up to 40 and a few primes.
+fn starved_budgets() -> impl Iterator<Item = u64> {
+    (1..=40).chain([53, 97, 211, 1009])
 }
 
 fn assert_same(ctx: &str, old: &ExecResult, new: &ExecResult) {
@@ -840,23 +1034,46 @@ pub(crate) fn hop_table(obj: &Object) -> Vec<u32> {
 /// What a debugger sees at a stop.
 type Stop = (usize, u64, u64, usize, Vec<(u32, i64)>);
 
-fn check(case: &Case) {
+/// Runs both engines over `case` with a step budget of `max_steps`.
+fn check(case: &Case, max_steps: u64) {
     let Case {
         obj,
         entry,
         args,
         input,
-        max_steps,
         ..
     } = case;
     let plan = RunPlan::new(obj);
-    for (cname, cfg) in configs(*max_steps) {
+    for (cname, cfg) in configs(max_steps) {
         let ctx = format!("{} [{cname}]", case.name);
         let old = RefVm::run_to_completion(obj, entry, args, input, cfg.clone()).unwrap();
         let new = Vm::with_plan(obj, &plan, entry, args, input, cfg)
             .unwrap()
             .run_to_end();
         assert_same(&ctx, &old, &new);
+    }
+
+    // Resumed runs: `k` single steps, then the rest in one go, so the
+    // loop enters straight-line runs mid-way with whatever hazard the
+    // last step left (a load's register, a fused waiver).
+    for k in [1, 2, 3, 5, 8, 13] {
+        let ctx = format!("{} [resumed after {k} steps]", case.name);
+        let cfg = VmConfig {
+            max_steps,
+            ..VmConfig::default()
+        };
+        let mut old = RefVm::new(obj, entry, args, input, cfg.clone()).unwrap();
+        while old.halt_reason().is_none() && old.steps() < k {
+            old.step();
+        }
+        while old.halt_reason().is_none() {
+            old.step();
+        }
+        let mut new = Vm::with_plan(obj, &plan, entry, args, input, cfg).unwrap();
+        for _ in 0..k {
+            new.step();
+        }
+        assert_same(&ctx, &old.into_result(), &new.run_to_end());
     }
 
     // Temporary-breakpoint walks: stop at each armed index once. The
@@ -867,7 +1084,7 @@ fn check(case: &Case) {
     for (model, track) in [(true, false), (false, false), (true, true), (false, true)] {
         let ctx = format!("{} [break walk, model {model}, tracked {track}]", case.name);
         let cfg = VmConfig {
-            max_steps: *max_steps,
+            max_steps,
             model_cycles: model,
             track_dbg_bindings: track,
             collect_coverage: true,
@@ -908,7 +1125,7 @@ fn check(case: &Case) {
     // indices are visited in the same order with the same state. The
     // visits are folded into a digest, as there can be millions.
     let cfg = VmConfig {
-        max_steps: *max_steps,
+        max_steps,
         track_dbg_bindings: true,
         ..VmConfig::default()
     };
@@ -953,9 +1170,13 @@ fn engine_matches_reference_on_a_fast_subset() {
     let cases = suite_cases(&levels, &["libpng", "wasm3"])
         .into_iter()
         .chain(spec_cases(&levels[1..2], &["505.mcf"]))
-        .chain(synth_cases(&levels, 0..2));
+        .chain(synth_cases(&levels, 0..2))
+        .chain(hand_cases());
     for case in cases {
-        check(&case);
+        check(&case, case.max_steps);
+        for max_steps in starved_budgets() {
+            check(&case, max_steps);
+        }
     }
 }
 
@@ -968,6 +1189,6 @@ fn engine_matches_reference_everywhere() {
         .chain(spec_cases(&levels, &[]))
         .chain(synth_cases(&levels, 0..8));
     for case in cases {
-        check(&case);
+        check(&case, case.max_steps);
     }
 }

@@ -9,9 +9,21 @@
 //! pseudos records the index of the first real instruction after it,
 //! so runs that do not track `dbg.value` bindings hop the whole run at
 //! once.
+//!
+//! Each real instruction also records the *straight-line run* that
+//! starts at it: the real instructions up to the next control op
+//! (`CallF`, `Ret`, `Jmp`, `JCond`) or the end of the code, pseudos
+//! hopped. None of them can halt, trap or branch, and each one's
+//! predecessor inside the run is fixed, so the charge of every
+//! instruction after the first (load-use stalls and fused waivers
+//! included) is static: the plan stores it as the run's `tail`. Only
+//! the first instruction's charge depends on the hazard the loop
+//! brings into the run. The same backward sweep that finds each
+//! pseudo's `next_real` builds the runs, so decoding stays one linear
+//! pass.
 
 use dt_ir::{BinOp, UnOp};
-use dt_machine::{FOp, Object};
+use dt_machine::{FInst, FOp, Object};
 
 /// A decoded operation: [`FOp`]'s operands, with a debug pseudo's
 /// payload replaced by its hop target (the loop reads the payload from
@@ -140,10 +152,47 @@ pub(crate) struct Step {
     /// register it loads as a mask in the low byte (0 for non-loads),
     /// and [`FUSED`] when SLP fusion waives the next base cost.
     pub(crate) hazard: u16,
+    /// The straight-line run starting here.
+    pub(crate) run: Run,
 }
 
-// Entries stay compact: the loop streams through them.
-const _: () = assert!(std::mem::size_of::<Step>() == 24);
+/// The straight-line run that starts at a real instruction: what the
+/// loop needs to execute it in one go and charge it once.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Run {
+    /// Real instructions in the run. 0 for a control op or a pseudo,
+    /// and for a run whose length or tail would not fit 32 bits (the
+    /// loop never batches those).
+    pub(crate) len: u32,
+    /// The static charge of the run's instructions after the first.
+    pub(crate) tail: u32,
+    /// The index after the run's last real instruction, pseudos
+    /// skipped: its terminator, or `code.len()`.
+    pub(crate) end: u32,
+    /// The hazard word the run's last instruction leaves.
+    pub(crate) hazard: u16,
+}
+
+// Entries stay compact: the loop streams through them. The run fields
+// grow an entry from 24 to 40 bytes; a separate table would cost the
+// loop a second load at every real instruction it does not batch.
+const _: () = assert!(std::mem::size_of::<Step>() == 40);
+
+impl Step {
+    /// This instruction's charge after one that left `hazard`, less a
+    /// conditional branch's dynamic term: the load-use stall plus the
+    /// base cost unless the previous instruction was fused.
+    #[inline(always)]
+    pub(crate) fn charge_after(&self, hazard: u16) -> u64 {
+        let stall = if hazard & self.reads as u16 != 0 {
+            2
+        } else {
+            0
+        };
+        let base = if hazard & FUSED != 0 { 0 } else { self.cost };
+        stall + base as u64
+    }
+}
 
 /// The [`Step::hazard`] bit of a fused instruction.
 pub(crate) const FUSED: u16 = 1 << 8;
@@ -174,114 +223,146 @@ impl RunPlan {
         let n = obj.code.len();
         let mut steps = Vec::with_capacity(n);
         let mut next_real = n as u32;
-        // Backwards, so each pseudo sees the next real index.
+        // The real instruction at `next_real`, with the length and tail
+        // of the run starting there unbounded (length 0 when it is a
+        // control op).
+        let mut next: Option<(Step, u64, u64)> = None;
+        // Backwards, so each pseudo sees the next real index and each
+        // real instruction the run after it.
         for (i, inst) in obj.code.iter().enumerate().rev() {
-            let (op, cost, reads, load_def) = match inst.op {
-                FOp::Imm { rd, value } => (Op::Imm { rd: reg(rd), value }, 1, 0, 0),
-                FOp::Mov { rd, rs } => (Op::Mov { rd: reg(rd), rs }, 1, bit(rs), 0),
-                FOp::Un { op, rd, rs } => (
-                    Op::Un {
-                        op,
-                        rd: reg(rd),
-                        rs,
-                    },
-                    1,
-                    bit(rs),
-                    0,
-                ),
-                FOp::Bin { op, rd, ra, rb } => (
-                    Op::Bin {
-                        op,
-                        rd: reg(rd),
-                        ra,
-                        rb,
-                    },
-                    binop_cost(op),
-                    bit(ra) | bit(rb),
-                    0,
-                ),
-                FOp::BinImm { op, rd, ra, imm } => (
-                    Op::BinImm {
-                        op,
-                        rd: reg(rd),
-                        ra,
-                        imm,
-                    },
-                    binop_cost(op),
-                    bit(ra),
-                    0,
-                ),
-                FOp::Select { rd, rc, ra, rb } => (
-                    Op::Select {
-                        rd: reg(rd),
-                        rc,
-                        ra,
-                        rb,
-                    },
-                    2,
-                    bit(rc) | bit(ra) | bit(rb),
-                    0,
-                ),
-                FOp::LdSlot { rd, off } => (Op::LdSlot { rd, off }, 3, 0, bit(rd)),
-                FOp::StSlot { off, rs } => (Op::StSlot { off, rs }, 3, bit(rs), 0),
-                FOp::LdIdx { rd, off, ri, len } => {
-                    (Op::LdIdx { rd, off, ri, len }, 4, bit(ri), bit(rd))
-                }
-                FOp::StIdx { off, ri, rs, len } => {
-                    (Op::StIdx { off, ri, rs, len }, 4, bit(ri) | bit(rs), 0)
-                }
-                FOp::LdG { rd, addr } => (Op::LdG { rd, addr }, 3, 0, bit(rd)),
-                FOp::StG { addr, rs } => (Op::StG { addr, rs }, 3, bit(rs), 0),
-                FOp::LdGIdx { rd, base, ri, len } => {
-                    (Op::LdGIdx { rd, base, ri, len }, 4, bit(ri), bit(rd))
-                }
-                FOp::StGIdx { base, ri, rs, len } => {
-                    (Op::StGIdx { base, ri, rs, len }, 4, bit(ri) | bit(rs), 0)
-                }
-                FOp::SetArg { k, rs } => (Op::SetArg { k: reg(k), rs }, 1, bit(rs), 0),
-                FOp::GetArg { rd, k } => (
-                    Op::GetArg {
-                        rd: reg(rd),
-                        k: reg(k),
-                    },
-                    1,
-                    0,
-                    0,
-                ),
-                FOp::CallF { func } => (Op::CallF { func }, call_cost(obj, i, func), 0, 0),
-                FOp::Ret => (Op::Ret, 4, 0, 0),
-                FOp::Jmp { target } => (Op::Jmp { target }, 2, 0, 0),
-                FOp::JCond {
-                    rs,
-                    if_nonzero,
-                    target,
-                } => (
-                    Op::JCond {
-                        rs,
-                        if_nonzero,
-                        target,
-                    },
-                    1,
-                    bit(rs),
-                    0,
-                ),
-                FOp::In { rd, ri } => (Op::In { rd: reg(rd), ri }, 4, bit(ri), 0),
-                FOp::InLen { rd } => (Op::InLen { rd: reg(rd) }, 4, 0, 0),
-                FOp::Out { rs } => (Op::Out { rs }, 4, bit(rs), 0),
-                FOp::Dbg { .. } => (Op::Dbg { next_real }, 0, 0, 0),
-            };
-            if !matches!(op, Op::Dbg { .. }) {
-                next_real = i as u32;
-            }
-            steps.push(Step {
+            let (op, cost, reads, load_def) = decode(obj, i, inst, next_real);
+            let mut step = Step {
                 op,
                 cost,
                 reads,
                 hazard: load_def as u16 | if inst.fused { FUSED } else { 0 },
-            });
+                run: Run::default(),
+            };
+            if !matches!(op, Op::Dbg { .. }) {
+                let control = matches!(
+                    op,
+                    Op::CallF { .. } | Op::Ret | Op::Jmp { .. } | Op::JCond { .. }
+                );
+                let (len, tail) = match next {
+                    _ if control => (0, 0),
+                    Some((after, len, tail)) if len > 0 => {
+                        (step.run.end, step.run.hazard) = (after.run.end, after.run.hazard);
+                        (len + 1, tail + after.charge_after(step.hazard))
+                    }
+                    // The run's last instruction.
+                    _ => {
+                        (step.run.end, step.run.hazard) = (next_real, step.hazard);
+                        (1, 0)
+                    }
+                };
+                if let (Ok(len), Ok(tail)) = (u32::try_from(len), u32::try_from(tail)) {
+                    (step.run.len, step.run.tail) = (len, tail);
+                }
+                next = Some((step, len, tail));
+                next_real = i as u32;
+            }
+            steps.push(step);
         }
         steps.reverse();
         RunPlan { steps }
+    }
+}
+
+/// Decodes instruction `i` of `obj`: the op (a pseudo's hop target is
+/// `next_real`), its static cost, the mask of registers it reads, and
+/// the mask of the register it loads.
+fn decode(obj: &Object, i: usize, inst: &FInst, next_real: u32) -> (Op, u32, u8, u8) {
+    match inst.op {
+        FOp::Imm { rd, value } => (Op::Imm { rd: reg(rd), value }, 1, 0, 0),
+        FOp::Mov { rd, rs } => (Op::Mov { rd: reg(rd), rs }, 1, bit(rs), 0),
+        FOp::Un { op, rd, rs } => (
+            Op::Un {
+                op,
+                rd: reg(rd),
+                rs,
+            },
+            1,
+            bit(rs),
+            0,
+        ),
+        FOp::Bin { op, rd, ra, rb } => (
+            Op::Bin {
+                op,
+                rd: reg(rd),
+                ra,
+                rb,
+            },
+            binop_cost(op),
+            bit(ra) | bit(rb),
+            0,
+        ),
+        FOp::BinImm { op, rd, ra, imm } => (
+            Op::BinImm {
+                op,
+                rd: reg(rd),
+                ra,
+                imm,
+            },
+            binop_cost(op),
+            bit(ra),
+            0,
+        ),
+        FOp::Select { rd, rc, ra, rb } => (
+            Op::Select {
+                rd: reg(rd),
+                rc,
+                ra,
+                rb,
+            },
+            2,
+            bit(rc) | bit(ra) | bit(rb),
+            0,
+        ),
+        FOp::LdSlot { rd, off } => (Op::LdSlot { rd, off }, 3, 0, bit(rd)),
+        FOp::StSlot { off, rs } => (Op::StSlot { off, rs }, 3, bit(rs), 0),
+        FOp::LdIdx { rd, off, ri, len } => (Op::LdIdx { rd, off, ri, len }, 4, bit(ri), bit(rd)),
+        FOp::StIdx { off, ri, rs, len } => {
+            (Op::StIdx { off, ri, rs, len }, 4, bit(ri) | bit(rs), 0)
+        }
+        FOp::LdG { rd, addr } => (Op::LdG { rd, addr }, 3, 0, bit(rd)),
+        FOp::StG { addr, rs } => (Op::StG { addr, rs }, 3, bit(rs), 0),
+        FOp::LdGIdx { rd, base, ri, len } => {
+            (Op::LdGIdx { rd, base, ri, len }, 4, bit(ri), bit(rd))
+        }
+        FOp::StGIdx { base, ri, rs, len } => {
+            (Op::StGIdx { base, ri, rs, len }, 4, bit(ri) | bit(rs), 0)
+        }
+        FOp::SetArg { k, rs } => (Op::SetArg { k: reg(k), rs }, 1, bit(rs), 0),
+        FOp::GetArg { rd, k } => (
+            Op::GetArg {
+                rd: reg(rd),
+                k: reg(k),
+            },
+            1,
+            0,
+            0,
+        ),
+        FOp::CallF { func } => (Op::CallF { func }, call_cost(obj, i, func), 0, 0),
+        FOp::Ret => (Op::Ret, 4, 0, 0),
+        FOp::Jmp { target } => (Op::Jmp { target }, 2, 0, 0),
+        FOp::JCond {
+            rs,
+            if_nonzero,
+            target,
+        } => (
+            Op::JCond {
+                rs,
+                if_nonzero,
+                target,
+            },
+            1,
+            bit(rs),
+            0,
+        ),
+        FOp::In { rd, ri } => (Op::In { rd: reg(rd), ri }, 4, bit(ri), 0),
+        FOp::InLen { rd } => (Op::InLen { rd: reg(rd) }, 4, 0, 0),
+        FOp::Out { rs } => (Op::Out { rs }, 4, bit(rs), 0),
+        FOp::Dbg { .. } => (Op::Dbg { next_real }, 0, 0, 0),
     }
 }
 
