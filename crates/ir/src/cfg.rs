@@ -1,40 +1,84 @@
-//! CFG utilities: successor/predecessor maps and block orderings.
+//! CFG utilities: the predecessor map, reachability, block orderings
+//! and the block bitset of the loop analyses.
+//!
+//! Every kernel here is dense: indexed by block id, built in a few
+//! linear sweeps, and ordered by block id or by the depth-first search,
+//! never by a hasher.
 
+use crate::inst::Terminator;
+use crate::liveness::ones;
 use crate::module::{BlockId, Function};
-use std::collections::HashSet;
+use std::ops::Index;
 
-/// Predecessors of each block (indexed by block id).
-pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); f.blocks.len()];
-    for b in f.block_ids() {
-        for s in f.block(b).term.successors() {
-            preds[s.index()].push(b);
-        }
-    }
-    preds
+/// The predecessors of every block in compressed sparse row form: the
+/// predecessors of block `b` are `list[offsets[b]..offsets[b + 1]]`, in
+/// ascending block order. A block that branches to `b` on both edges
+/// appears twice. Index it by block index (`preds[b.index()]`).
+#[derive(Debug, Clone)]
+pub struct Preds {
+    offsets: Vec<u32>,
+    list: Vec<BlockId>,
 }
 
-/// The set of blocks reachable from the entry.
-pub fn reachable_blocks(f: &Function) -> HashSet<BlockId> {
-    let mut seen = HashSet::new();
-    let mut stack = vec![f.entry];
-    while let Some(b) = stack.pop() {
-        if !seen.insert(b) || f.block(b).dead {
-            continue;
-        }
-        for s in f.block(b).term.successors() {
-            if !seen.contains(&s) {
-                stack.push(s);
-            }
+impl Preds {
+    /// The number of blocks.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// One list per block, for a caller that edits them.
+    pub fn to_lists(&self) -> Vec<Vec<BlockId>> {
+        (0..self.len()).map(|b| self[b].to_vec()).collect()
+    }
+}
+
+impl Index<usize> for Preds {
+    type Output = [BlockId];
+
+    fn index(&self, b: usize) -> &[BlockId] {
+        &self.list[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+}
+
+/// Predecessors of each live block (dead blocks have none and are
+/// nobody's predecessor).
+pub fn predecessors(f: &Function) -> Preds {
+    let n = f.blocks.len();
+    // Count each block's predecessors, take inclusive prefix sums (so
+    // `offsets[b]` is the end of `b`'s range), then fill every range
+    // back to front: the blocks go in descending order, so each range
+    // ends up ascending and `offsets[b]` at its start.
+    let mut offsets = vec![0u32; n + 1];
+    for blk in f.blocks.iter().filter(|blk| !blk.dead) {
+        for s in blk.term.successors() {
+            offsets[s.index()] += 1;
         }
     }
-    seen.retain(|b| !f.block(*b).dead);
-    seen
+    let mut total = 0;
+    for o in &mut offsets {
+        total += *o;
+        *o = total;
+    }
+    let mut list = vec![BlockId(0); total as usize];
+    for (b, blk) in f.blocks.iter().enumerate().rev() {
+        if blk.dead {
+            continue;
+        }
+        for s in blk.term.successors() {
+            let at = &mut offsets[s.index()];
+            *at -= 1;
+            list[*at as usize] = BlockId(b as u32);
+        }
+    }
+    Preds { offsets, list }
 }
 
 /// Reachability from the entry as a mask indexed by block id; dead
-/// blocks are never reachable. The dense counterpart of
-/// [`reachable_blocks`].
+/// blocks are never reachable.
 pub fn reachable_mask(f: &Function) -> Vec<bool> {
     let mut reach = vec![false; f.blocks.len()];
     let mut stack = vec![f.entry];
@@ -64,23 +108,33 @@ pub fn remove_unreachable(f: &mut Function) -> bool {
     changed
 }
 
-/// Postorder over reachable blocks.
+/// The `i`-th successor of `term` (then before else).
+fn successor(term: &Terminator, i: u8) -> Option<BlockId> {
+    match (term, i) {
+        (Terminator::Jump(b), 0) => Some(*b),
+        (Terminator::Branch { then_bb, .. }, 0) => Some(*then_bb),
+        (Terminator::Branch { else_bb, .. }, 1) => Some(*else_bb),
+        _ => None,
+    }
+}
+
+/// Postorder over reachable blocks: a depth-first search from the
+/// entry that takes successors in order (then before else).
 pub fn postorder(f: &Function) -> Vec<BlockId> {
-    let mut order = Vec::new();
-    let mut state: Vec<u8> = vec![0; f.blocks.len()]; // 0 unseen, 1 open, 2 done
-                                                      // Iterative DFS with an explicit stack of (block, next-successor).
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
-    state[f.entry.index()] = 1;
-    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-        if let Some(s) = f.block(b).term.successors().nth(*next) {
+    let mut order = Vec::with_capacity(f.blocks.len());
+    let mut seen = vec![false; f.blocks.len()];
+    // Iterative DFS with an explicit stack of (block, next successor).
+    let mut stack: Vec<(BlockId, u8)> = vec![(f.entry, 0)];
+    seen[f.entry.index()] = true;
+    while let Some((b, next)) = stack.last_mut() {
+        if let Some(s) = successor(&f.blocks[b.index()].term, *next) {
             *next += 1;
-            if state[s.index()] == 0 && !f.block(s).dead {
-                state[s.index()] = 1;
+            if !seen[s.index()] && !f.blocks[s.index()].dead {
+                seen[s.index()] = true;
                 stack.push((s, 0));
             }
         } else {
-            state[b.index()] = 2;
-            order.push(b);
+            order.push(*b);
             stack.pop();
         }
     }
@@ -93,6 +147,63 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let mut po = postorder(f);
     po.reverse();
     po
+}
+
+/// A set of blocks as a bitset over block indices. It iterates in
+/// ascending block order, so a pass that walks a set (a loop body, say)
+/// emits the same code on every run. A block beyond the set's size is
+/// not a member; inserting one grows the set.
+#[derive(Debug, Clone, Default)]
+pub struct BlockSet {
+    words: Vec<u64>,
+}
+
+impl BlockSet {
+    /// An empty set sized for `nblocks` blocks.
+    pub fn new(nblocks: usize) -> Self {
+        BlockSet {
+            words: vec![0; nblocks.div_ceil(64)],
+        }
+    }
+
+    /// Inserts `b`, returning whether it was new.
+    pub fn insert(&mut self, b: BlockId) -> bool {
+        let (w, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let old = self.words[w];
+        self.words[w] = old | bit;
+        old & bit == 0
+    }
+
+    pub fn contains(&self, b: BlockId) -> bool {
+        let (w, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
+        self.words.get(w).is_some_and(|x| x & bit != 0)
+    }
+
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members in ascending block order.
+    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+        ones(&self.words).map(|b| BlockId(b as u32))
+    }
+}
+
+impl FromIterator<BlockId> for BlockSet {
+    fn from_iter<I: IntoIterator<Item = BlockId>>(iter: I) -> Self {
+        let mut set = BlockSet::default();
+        for b in iter {
+            set.insert(b);
+        }
+        set
+    }
 }
 
 #[cfg(test)]
@@ -137,8 +248,9 @@ mod tests {
             .successors()
             .eq([BlockId(1), BlockId(2)]));
         let preds = predecessors(&f);
-        assert_eq!(preds[3], vec![BlockId(1), BlockId(2)]);
+        assert_eq!(preds[3], [BlockId(1), BlockId(2)]);
         assert!(preds[0].is_empty());
+        assert_eq!(preds.to_lists()[1], [BlockId(0)]);
     }
 
     #[test]
@@ -155,9 +267,6 @@ mod tests {
         let mut f = diamond();
         // Orphan block.
         f.new_block(Terminator::Ret(None));
-        let reach = reachable_blocks(&f);
-        assert_eq!(reach.len(), 4);
-        assert!(!reach.contains(&BlockId(4)));
         assert_eq!(reachable_mask(&f), [true, true, true, true, false]);
         remove_unreachable(&mut f);
         assert!(f.blocks[4].dead && !f.blocks[3].dead);
@@ -175,8 +284,26 @@ mod tests {
             prob_then: None,
         };
         f.remove_block(BlockId(2));
-        let reach = reachable_blocks(&f);
-        assert!(!reach.contains(&BlockId(2)));
-        assert_eq!(reach.len(), 3);
+        assert_eq!(reachable_mask(&f), [true, true, false, true]);
+        assert_eq!(postorder(&f), [BlockId(3), BlockId(1), BlockId(0)]);
+        let preds = predecessors(&f);
+        assert_eq!(preds[1], [BlockId(0), BlockId(0)], "one entry per edge");
+        assert!(preds[2].is_empty());
+    }
+
+    #[test]
+    fn block_sets_iterate_ascending_and_grow() {
+        let members = [200u32, 3, 64, 0, 63, 130];
+        let mut s = BlockSet::new(10);
+        for &b in &members {
+            assert!(s.insert(BlockId(b)));
+        }
+        assert!(!s.insert(BlockId(64)), "double insert reports no change");
+        assert!(s.iter().map(|b| b.0).eq([0, 3, 63, 64, 130, 200]));
+        assert_eq!(s.len(), members.len());
+        assert!(s.contains(BlockId(200)) && !s.contains(BlockId(1000)));
+        let collected: BlockSet = [BlockId(5), BlockId(1)].into_iter().collect();
+        assert!(collected.iter().eq([BlockId(1), BlockId(5)]));
+        assert!(BlockSet::new(64).is_empty());
     }
 }

@@ -1,16 +1,28 @@
-//! Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm.
+//! Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm,
+//! over reverse-postorder positions.
 
-use crate::cfg::{predecessors, reverse_postorder};
+use crate::cfg::{predecessors, reverse_postorder, Preds};
 use crate::module::{BlockId, Function};
 
-/// The dominator tree of a function's reachable CFG.
+/// The position of a block outside the reverse postorder (unreachable
+/// or dead), and of a dominator not computed yet.
+const NONE: u32 = u32::MAX;
+
+/// The dominator tree of a function's reachable CFG. It keeps the
+/// predecessor map and the reverse postorder it was computed from, for
+/// the analyses built on it ([`crate::LoopForest`]).
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each block (`idom[entry] == entry`);
-    /// `None` for unreachable or dead blocks.
-    idom: Vec<Option<BlockId>>,
+    /// Reverse postorder of the reachable blocks; the entry is first.
     rpo: Vec<BlockId>,
-    entry: BlockId,
+    /// Each block's position in `rpo`, `NONE` for unreachable and dead
+    /// blocks.
+    pos: Vec<u32>,
+    /// The immediate dominator of each reachable block, both as `rpo`
+    /// positions (`idom[0] == 0`, the entry). A dominator precedes the
+    /// blocks it dominates in `rpo`, so `idom[i] < i` for `i > 0`.
+    idom: Vec<u32>,
+    preds: Preds,
 }
 
 impl DomTree {
@@ -18,92 +30,90 @@ impl DomTree {
     pub fn compute(f: &Function) -> Self {
         let rpo = reverse_postorder(f);
         let preds = predecessors(f);
-        let mut rpo_pos = vec![usize::MAX; f.blocks.len()];
+        let mut pos = vec![NONE; f.blocks.len()];
         for (i, b) in rpo.iter().enumerate() {
-            rpo_pos[b.index()] = i;
+            pos[b.index()] = i as u32;
         }
-        let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
-        idom[f.entry.index()] = Some(f.entry);
+        let mut idom = vec![NONE; rpo.len()];
+        idom[0] = 0;
 
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
+            for (i, &b) in rpo.iter().enumerate().skip(1) {
+                let mut new_idom = NONE;
                 for &p in &preds[b.index()] {
-                    if idom[p.index()].is_none() {
-                        continue; // not yet processed / unreachable
+                    let p = pos[p.index()];
+                    if p == NONE || idom[p as usize] == NONE {
+                        continue; // unreachable / not yet processed
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_pos, cur, p),
-                    });
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        intersect(&idom, new_idom, p)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && idom[i] != new_idom {
+                    idom[i] = new_idom;
+                    changed = true;
                 }
             }
         }
 
         DomTree {
-            idom,
             rpo,
-            entry: f.entry,
+            pos,
+            idom,
+            preds,
         }
     }
 
     /// The immediate dominator of `b` (`None` for the entry and for
     /// unreachable blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        if b == self.entry {
-            return None;
+        match self.pos[b.index()] {
+            NONE | 0 => None,
+            i => Some(self.rpo[self.idom[i as usize] as usize]),
         }
-        self.idom[b.index()]
     }
 
     /// Whether `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if self.idom[b.index()].is_none() || self.idom[a.index()].is_none() {
+        let (a, mut cur) = (self.pos[a.index()], self.pos[b.index()]);
+        if a == NONE || cur == NONE {
             return false; // unreachable blocks dominate nothing
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            cur = self.idom[cur.index()].expect("reachable chain");
+        // Dominators precede: climb while still below `a`.
+        while cur > a {
+            cur = self.idom[cur as usize];
         }
+        cur == a
     }
 
     /// Whether `b` is reachable from the entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.idom[b.index()].is_some()
+        self.pos[b.index()] != NONE
     }
 
     /// Reverse postorder used by the computation.
     pub fn rpo(&self) -> &[BlockId] {
         &self.rpo
     }
+
+    /// The predecessor map used by the computation.
+    pub fn preds(&self) -> &Preds {
+        &self.preds
+    }
 }
 
-fn intersect(
-    idom: &[Option<BlockId>],
-    rpo_pos: &[usize],
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
+/// The nearest common dominator of two processed `rpo` positions.
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_pos[a.index()] > rpo_pos[b.index()] {
-            a = idom[a.index()].expect("processed");
+        while a > b {
+            a = idom[a as usize];
         }
-        while rpo_pos[b.index()] > rpo_pos[a.index()] {
-            b = idom[b.index()].expect("processed");
+        while b > a {
+            b = idom[b as usize];
         }
     }
     a

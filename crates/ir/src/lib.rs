@@ -19,7 +19,13 @@
 //!
 //! Analyses provided: predecessor/successor maps, reverse postorder,
 //! dominator tree, natural-loop detection, per-block register liveness,
-//! and a structural verifier used in tests and between passes.
+//! and a structural verifier used in tests and between passes. The
+//! analyses are dense kernels over block and register indices (bitsets,
+//! flat matrices, a compressed predecessor map), and every set a pass
+//! may iterate does so in index order: no pass output depends on a
+//! hasher.
+
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod builder;
 pub mod cfg;
@@ -33,8 +39,7 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use cfg::{
-    postorder, predecessors, reachable_blocks, reachable_mask, remove_unreachable,
-    reverse_postorder,
+    postorder, predecessors, reachable_mask, remove_unreachable, reverse_postorder, BlockSet, Preds,
 };
 pub use dom::DomTree;
 pub use inst::{BinOp, DbgLoc, Inst, MemEffect, Op, Terminator, UnOp, Value};

@@ -8,7 +8,8 @@
 //! [`UseDef`] holds the one backward-liveness fixpoint of the compiler:
 //! IR [`Liveness`] and the backend's machine-IR liveness both fill its
 //! per-block use/def sets and call [`UseDef::solve`], which works a
-//! 64-register word at a time.
+//! 64-register word at a time and returns each direction as one flat
+//! word matrix ([`RegMatrix`]), a row per block.
 
 use crate::cfg::postorder;
 use crate::module::{BlockId, Function, VReg};
@@ -44,11 +45,6 @@ impl RegSet {
         self.words.get(w).is_some_and(|x| x & (1 << b) != 0)
     }
 
-    /// Removes every member.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Unions `other` into `self`, returning whether anything changed.
     pub fn union_with(&mut self, other: &RegSet) -> bool {
         let mut changed = false;
@@ -62,16 +58,7 @@ impl RegSet {
 
     /// Iterates over the registers in the set, in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    VReg((wi * 64 + b) as u32)
-                })
-            })
-        })
+        ones(&self.words).map(|r| VReg(r as u32))
     }
 
     pub fn len(&self) -> usize {
@@ -80,6 +67,65 @@ impl RegSet {
 
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// The indices of the set bits of `words`, in ascending order.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                wi * 64 + b
+            })
+        })
+    })
+}
+
+/// One register set per block, as a flat word matrix: row `b` is block
+/// `b`'s set.
+#[derive(Debug, Clone)]
+pub struct RegMatrix {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl RegMatrix {
+    fn new(nblocks: usize, words: usize) -> Self {
+        RegMatrix {
+            words,
+            bits: vec![0; nblocks * words],
+        }
+    }
+
+    /// Block `b`'s set.
+    pub fn row(&self, b: usize) -> RegRow<'_> {
+        RegRow(&self.bits[b * self.words..(b + 1) * self.words])
+    }
+}
+
+/// One row of a [`RegMatrix`]: a read-only register set.
+#[derive(Debug, Clone, Copy)]
+pub struct RegRow<'a>(&'a [u64]);
+
+impl RegRow<'_> {
+    pub fn contains(&self, r: VReg) -> bool {
+        let (w, b) = (r.index() / 64, r.index() % 64);
+        self.0.get(w).is_some_and(|x| x & (1 << b) != 0)
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
+        ones(self.0).map(|r| VReg(r as u32))
+    }
+
+    /// An owned copy, for a caller that edits it.
+    pub fn to_set(&self) -> RegSet {
+        RegSet {
+            words: self.0.to_vec(),
+        }
     }
 }
 
@@ -102,7 +148,6 @@ fn assign_transfer(dst: &mut [u64], uses: &[u64], out: &[u64], defs: &[u64]) -> 
 #[derive(Debug, Clone)]
 pub struct UseDef {
     nblocks: usize,
-    nregs: u32,
     words: usize,
     uses: Vec<u64>,
     defs: Vec<u64>,
@@ -114,7 +159,6 @@ impl UseDef {
         let words = (nregs as usize).div_ceil(64);
         UseDef {
             nblocks,
-            nregs,
             words,
             uses: vec![0; nblocks * words],
             defs: vec![0; nblocks * words],
@@ -150,23 +194,27 @@ impl UseDef {
         &self,
         order: &[usize],
         succs: impl Fn(usize) -> I,
-    ) -> (Vec<RegSet>, Vec<RegSet>) {
-        let mut live_in = vec![RegSet::new(self.nregs); self.nblocks];
+    ) -> (RegMatrix, RegMatrix) {
+        let words = self.words;
+        let mut live_in = RegMatrix::new(self.nblocks, words);
         let mut live_out = live_in.clone();
         let mut changed = true;
         while changed {
             changed = false;
             for &b in order {
-                let out = &mut live_out[b];
-                out.clear();
+                let r = b * words..(b + 1) * words;
+                let out = &mut live_out.bits[r.clone()];
+                out.fill(0);
                 for s in succs(b) {
-                    out.union_with(&live_in[s]);
+                    let succ_in = &live_in.bits[s * words..(s + 1) * words];
+                    for (o, &i) in out.iter_mut().zip(succ_in) {
+                        *o |= i;
+                    }
                 }
-                let r = b * self.words..(b + 1) * self.words;
                 changed |= assign_transfer(
-                    &mut live_in[b].words,
+                    &mut live_in.bits[r.clone()],
                     &self.uses[r.clone()],
-                    &out.words,
+                    out,
                     &self.defs[r],
                 );
             }
@@ -178,8 +226,8 @@ impl UseDef {
 /// Per-block live-in/live-out register sets.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    pub live_in: Vec<RegSet>,
-    pub live_out: Vec<RegSet>,
+    pub live_in: RegMatrix,
+    pub live_out: RegMatrix,
 }
 
 impl Liveness {
@@ -215,13 +263,13 @@ impl Liveness {
     }
 
     /// Live-out set of block `b`.
-    pub fn out(&self, b: BlockId) -> &RegSet {
-        &self.live_out[b.index()]
+    pub fn out(&self, b: BlockId) -> RegRow<'_> {
+        self.live_out.row(b.index())
     }
 
     /// Live-in set of block `b`.
-    pub fn r#in(&self, b: BlockId) -> &RegSet {
-        &self.live_in[b.index()]
+    pub fn r#in(&self, b: BlockId) -> RegRow<'_> {
+        self.live_in.row(b.index())
     }
 }
 
@@ -323,7 +371,9 @@ mod tests {
         let per_bit: Vec<u32> = (0..200).filter(|&r| s.contains(VReg(r))).collect();
         assert_eq!(got, per_bit);
         assert_eq!(s.len(), members.len());
-        s.clear();
+        for &r in &members {
+            s.remove(VReg(r));
+        }
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         let full = {

@@ -1,17 +1,17 @@
 //! Natural-loop detection from back edges in the dominator tree.
 
-use crate::cfg::predecessors;
+use crate::cfg::BlockSet;
 use crate::dom::DomTree;
 use crate::module::{BlockId, Function};
-use std::collections::HashSet;
 
 /// A natural loop: a header plus the set of blocks that reach the
 /// header's back edges without passing through the header.
 #[derive(Debug, Clone)]
 pub struct Loop {
     pub header: BlockId,
-    /// All blocks in the loop, including the header.
-    pub blocks: HashSet<BlockId>,
+    /// All blocks in the loop, including the header; iterates in
+    /// ascending block order.
+    pub blocks: BlockSet,
     /// The back-edge sources (latches).
     pub latches: Vec<BlockId>,
     /// Nesting depth (1 = outermost).
@@ -21,7 +21,7 @@ pub struct Loop {
 impl Loop {
     /// Whether the loop contains block `b`.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.blocks.contains(&b)
+        self.blocks.contains(b)
     }
 }
 
@@ -32,10 +32,10 @@ pub struct LoopForest {
 }
 
 impl LoopForest {
-    /// Detects loops in `f` using `dom`.
+    /// Detects loops in `f` using `dom` (and its predecessor map).
     pub fn compute(f: &Function, dom: &DomTree) -> Self {
-        let preds = predecessors(f);
-        // Find back edges: an edge (b -> h) where h dominates b.
+        // Find back edges: an edge (b -> h) where h dominates b. Headers
+        // keep the order of their first back edge by source block.
         let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for b in f.block_ids() {
             if !dom.is_reachable(b) {
@@ -51,18 +51,20 @@ impl LoopForest {
             }
         }
 
-        let mut loops = Vec::new();
+        let preds = dom.preds();
+        let mut stack: Vec<BlockId> = Vec::new();
+        let mut loops = Vec::with_capacity(headers.len());
         for (header, latches) in headers {
-            let mut blocks: HashSet<BlockId> = HashSet::new();
+            let mut blocks = BlockSet::new(f.blocks.len());
             blocks.insert(header);
-            let mut stack: Vec<BlockId> = latches.clone();
+            stack.extend_from_slice(&latches);
             while let Some(b) = stack.pop() {
                 if blocks.insert(b) {
-                    for &p in &preds[b.index()] {
-                        if dom.is_reachable(p) {
-                            stack.push(p);
-                        }
-                    }
+                    stack.extend(
+                        preds[b.index()]
+                            .iter()
+                            .filter(|&&p| dom.is_reachable(p) && !blocks.contains(p)),
+                    );
                 }
             }
             loops.push(Loop {
@@ -80,7 +82,7 @@ impl LoopForest {
             .map(|l| {
                 loops
                     .iter()
-                    .filter(|o| o.header != l.header && o.blocks.contains(&l.header))
+                    .filter(|o| o.header != l.header && o.contains(l.header))
                     .count() as u32
                     + 1
             })
@@ -148,6 +150,7 @@ mod tests {
         assert_eq!(l.header, BlockId(1));
         assert!(l.contains(BlockId(2)));
         assert!(!l.contains(BlockId(0)));
+        assert!(l.blocks.iter().eq([BlockId(1), BlockId(2)]));
         assert_eq!(l.latches, vec![BlockId(2)]);
         assert_eq!(l.depth, 1);
     }

@@ -27,6 +27,8 @@
 //! single-pass-disabled builds that did not change the code
 //! (Section III-A of the paper).
 
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod emit;
 pub mod lower;
 pub mod mir;

@@ -11,6 +11,7 @@
 
 use crate::mir::{MBlock, MFunction, MInst, MTerm, VR};
 use crate::opt::mliveness;
+use dt_ir::liveness::RegRow;
 use std::collections::HashMap;
 
 /// Minimum tail length (in real instructions) worth merging.
@@ -39,7 +40,7 @@ pub fn run(f: &mut MFunction<VR>) {
         if p1 == p2 {
             continue;
         }
-        let Some(tail_len) = common_tail(f, p1, p2, &live.live_in[j as usize]) else {
+        let Some(tail_len) = common_tail(f, p1, p2, live.live_in.row(j as usize)) else {
             continue;
         };
         if tail_len < MIN_TAIL {
@@ -53,12 +54,7 @@ pub fn run(f: &mut MFunction<VR>) {
 /// Length (in real instructions) of the maximal mergeable common tail
 /// of `p1` and `p2`, comparing operations with a register bijection.
 /// Registers that survive into the join must be literally equal.
-fn common_tail(
-    f: &MFunction<VR>,
-    p1: u32,
-    p2: u32,
-    join_live_in: &dt_ir::liveness::RegSet,
-) -> Option<usize> {
+fn common_tail(f: &MFunction<VR>, p1: u32, p2: u32, join_live_in: RegRow<'_>) -> Option<usize> {
     let a: Vec<&MInst<VR>> = f.blocks[p1 as usize]
         .insts
         .iter()
@@ -115,7 +111,7 @@ fn ops_match(
     rmap: &mut HashMap<VR, VR>,
     defined_a: &mut std::collections::HashSet<VR>,
     defined_b: &mut std::collections::HashSet<VR>,
-    join_live_in: &dt_ir::liveness::RegSet,
+    join_live_in: RegRow<'_>,
 ) -> bool {
     // Compare the op with registers masked out, then check the
     // register correspondence.

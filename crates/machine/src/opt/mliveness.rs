@@ -2,13 +2,13 @@
 //! passes (sinking, cross-jumping) and the register allocator.
 
 use crate::mir::{MFunction, VR};
-use dt_ir::liveness::{RegSet, UseDef};
+use dt_ir::liveness::{RegMatrix, UseDef};
 use dt_ir::VReg;
 
 /// Per-block live-in and live-out sets over machine virtual registers.
 pub struct MLiveness {
-    pub live_in: Vec<RegSet>,
-    pub live_out: Vec<RegSet>,
+    pub live_in: RegMatrix,
+    pub live_out: RegMatrix,
 }
 
 /// Computes machine-IR liveness over the live blocks with the shared
@@ -53,7 +53,7 @@ mod tests {
         let lv = compute(f);
         for b in f.live_blocks() {
             assert!(
-                lv.live_in[b as usize].is_empty(),
+                lv.live_in.row(b as usize).iter().next().is_none(),
                 "block {b} has unexpected live-in values at O0"
             );
         }
@@ -92,8 +92,8 @@ mod tests {
         };
         f.default_layout();
         let lv = compute(&f);
-        assert!(lv.live_out[0].contains(dt_ir::VReg(0)));
-        assert!(lv.live_in[1].contains(dt_ir::VReg(0)));
-        assert!(lv.live_in[0].is_empty());
+        assert!(lv.live_out.row(0).contains(dt_ir::VReg(0)));
+        assert!(lv.live_in.row(1).contains(dt_ir::VReg(0)));
+        assert!(lv.live_in.row(0).iter().next().is_none());
     }
 }

@@ -85,10 +85,12 @@ pub fn run(f: &mut MFunction<VR>) {
             // Which successor uses it?
             let ub = &use_blocks[d as usize];
             let target = if *ub == [then_bb]
-                && !live.live_in[else_bb as usize].contains(dt_ir::VReg(d))
+                && !live.live_in.row(else_bb as usize).contains(dt_ir::VReg(d))
             {
                 then_bb
-            } else if *ub == [else_bb] && !live.live_in[then_bb as usize].contains(dt_ir::VReg(d)) {
+            } else if *ub == [else_bb]
+                && !live.live_in.row(then_bb as usize).contains(dt_ir::VReg(d))
+            {
                 else_bb
             } else {
                 continue;

@@ -94,7 +94,7 @@ fn build_intervals(f: &MFunction<VR>) -> (Vec<(VR, u32, u32)>, Vec<u32>) {
     let mut pos = 0u32;
     for &b in &f.layout {
         let blk = &f.blocks[b as usize];
-        for r in live.live_in[b as usize].iter() {
+        for r in live.live_in.row(b as usize).iter() {
             extend(r.0, pos);
         }
         for inst in &blk.insts {
@@ -112,7 +112,7 @@ fn build_intervals(f: &MFunction<VR>) -> (Vec<(VR, u32, u32)>, Vec<u32>) {
         }
         blk.term.for_each_use(|r| extend(r, pos));
         pos += 1; // terminator position
-        for r in live.live_out[b as usize].iter() {
+        for r in live.live_out.row(b as usize).iter() {
             extend(r.0, pos);
         }
     }

@@ -27,6 +27,8 @@
 //! per-function engine, so one-shot and session builds are
 //! bit-identical.
 
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod manager;
 pub mod opt;
 pub mod pipeline;
@@ -106,7 +108,6 @@ pub fn compile(module: &Module, options: &CompileOptions) -> Object {
     let config = PassConfig {
         salvage: options.personality == Personality::Clang,
         profile: options.profile.clone(),
-        level: options.level,
     };
     manager::run_pipeline(&mut module, &pipeline, &options.gate, &config);
     let backend = pipeline.backend_config(&options.gate);

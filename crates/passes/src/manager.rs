@@ -8,31 +8,18 @@
 //! compile session resumes.
 
 use crate::pipeline::Pipeline;
-use crate::OptLevel;
 use dt_ir::{Function, Module, Op, Profile};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Shared, read-only configuration every pass receives.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PassConfig {
     /// Whether passes salvage debug values on code removal (clang)
     /// instead of dropping them (gcc).
     pub salvage: bool,
     /// AutoFDO profile, if compiling profile-guided.
     pub profile: Option<Profile>,
-    /// The optimization level being built (some passes self-tune).
-    pub level: OptLevel,
-}
-
-impl Default for PassConfig {
-    fn default() -> Self {
-        PassConfig {
-            salvage: false,
-            profile: None,
-            level: OptLevel::O2,
-        }
-    }
 }
 
 /// Module-wide facts a [`FunctionPass`] may read: everything a pass
@@ -515,7 +502,6 @@ mod tests {
                 let config = PassConfig {
                     salvage: personality == Personality::Clang,
                     profile: None,
-                    level,
                 };
                 for program in dt_testsuite::real_world_suite() {
                     let mut m = dt_frontend::lower_source(program.source).unwrap();
@@ -562,7 +548,6 @@ mod tests {
                         let config = PassConfig {
                             salvage: personality == Personality::Clang,
                             profile,
-                            level,
                         };
                         let mut m = dt_frontend::lower_source(program.source).unwrap();
                         for inst in &pipeline.mid {

@@ -30,7 +30,7 @@ fn dce_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
         if f.blocks[bi].dead {
             continue;
         }
-        let mut live = liveness.live_out[bi].clone();
+        let mut live = liveness.live_out.row(bi).to_set();
         // Also treat registers used by the terminator as live.
         f.blocks[bi].term.for_each_use(|v| {
             if let Some(r) = v.as_reg() {

@@ -28,7 +28,7 @@ fn gvn_function(f: &mut Function) -> bool {
     let defs = def_counts(f);
     let roots = crate::opt::util::copy_roots(f);
     let resolve = |v: Value| match v {
-        Value::Reg(r) => Value::Reg(roots.get(&r).copied().unwrap_or(r)),
+        Value::Reg(r) => Value::Reg(crate::opt::util::root_of(&roots, r)),
         c => c,
     };
     let nparams = f.params.len();

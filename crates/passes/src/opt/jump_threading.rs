@@ -11,7 +11,7 @@
 //! the clones carry **line 0** and their debug pseudos are dropped.
 
 use crate::manager::{ModuleFacts, PassConfig};
-use dt_ir::{BlockId, Function, Inst, Op, Terminator, VReg, Value};
+use dt_ir::{BlockId, BlockSet, Function, Inst, Op, Preds, Terminator, VReg, Value};
 
 /// Maximum real instructions in a threadable block.
 const MAX_THREADED_SIZE: usize = 6;
@@ -24,7 +24,7 @@ pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool
 fn thread_function(f: &mut Function) -> bool {
     let mut changed = false;
     let roots = crate::opt::util::copy_roots(f);
-    let root = |r: VReg| roots.get(&r).copied().unwrap_or(r);
+    let root = |r: VReg| crate::opt::util::root_of(&roots, r);
     // Snapshot candidates first; rewrites invalidate preds.
     let candidates: Vec<BlockId> = f
         .block_ids()
@@ -68,7 +68,7 @@ fn thread_function(f: &mut Function) -> bool {
             continue;
         }
 
-        for p in preds[b.index()].clone() {
+        for &p in &preds[b.index()] {
             if p == b || f.block(p).dead || f.block(b).dead {
                 continue;
             }
@@ -117,7 +117,7 @@ fn thread_function(f: &mut Function) -> bool {
 /// jump threading applies through empty/forwarding blocks.
 fn truthiness_from_preds(
     f: &Function,
-    preds: &[Vec<BlockId>],
+    preds: &Preds,
     p: BlockId,
     c: VReg,
     root: &dyn Fn(VReg) -> VReg,
@@ -193,8 +193,7 @@ fn thread_edge(f: &mut Function, p: BlockId, b: BlockId, target: BlockId, edge: 
             c
         })
         .collect();
-    let b_set: std::collections::HashSet<BlockId> = [b].into_iter().collect();
-    let keep = crate::opt::util::regs_escaping(f, &b_set);
+    let keep = crate::opt::util::regs_escaping(f, &BlockSet::from_iter([b]));
     crate::opt::util::rename_clone_defs(f, &mut cloned, &keep);
 
     let hop = f.new_block(Terminator::Jump(target));

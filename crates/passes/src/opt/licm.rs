@@ -9,8 +9,8 @@
 
 use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::{def_counts, ensure_preheader};
-use dt_ir::{DomTree, Function, LoopForest, MemEffect, Op, Value};
-use std::collections::HashSet;
+use dt_ir::liveness::RegSet;
+use dt_ir::{BlockSet, DomTree, Function, LoopForest, MemEffect, Op, Value};
 
 /// Runs LICM over every function.
 pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
@@ -43,21 +43,17 @@ fn hoist_from_loop(
     f: &mut Function,
     header: &dt_ir::BlockId,
     latches: &[dt_ir::BlockId],
-    blocks: &HashSet<dt_ir::BlockId>,
+    blocks: &BlockSet,
 ) -> bool {
     // Memory regions written (or possibly written) inside the loop.
-    let mut writes_slots: HashSet<u32> = HashSet::new();
-    let mut writes_globals: HashSet<u32> = HashSet::new();
+    let mut writes_slots = vec![false; f.slots.len()];
+    let mut writes_globals: Vec<u32> = Vec::new();
     let mut has_calls = false;
-    for &b in blocks {
+    for b in blocks.iter() {
         for inst in &f.block(b).insts {
             match inst.op.mem_effect() {
-                MemEffect::WriteSlot(s) => {
-                    writes_slots.insert(s.0);
-                }
-                MemEffect::WriteGlobal(g) => {
-                    writes_globals.insert(g.0);
-                }
+                MemEffect::WriteSlot(s) => writes_slots[s.index()] = true,
+                MemEffect::WriteGlobal(g) => writes_globals.push(g.0),
                 MemEffect::Call(_) => has_calls = true,
                 _ => {}
             }
@@ -66,38 +62,35 @@ fn hoist_from_loop(
 
     let defs = def_counts(f);
     // Defs inside the loop.
-    let mut loop_defs: HashSet<dt_ir::VReg> = HashSet::new();
-    for &b in blocks {
+    let mut loop_defs = RegSet::new(f.vreg_count);
+    for b in blocks.iter() {
         for inst in &f.block(b).insts {
             if let Some(d) = inst.op.def() {
                 loop_defs.insert(d);
             }
         }
     }
-    let invariant_value = |v: Value, hoisted: &HashSet<dt_ir::VReg>| match v {
+    let invariant_value = |v: Value, hoisted: &RegSet| match v {
         Value::Const(_) => true,
-        Value::Reg(r) => !loop_defs.contains(&r) || hoisted.contains(&r),
+        Value::Reg(r) => !loop_defs.contains(r) || hoisted.contains(r),
     };
 
     // Scan blocks in index order: the hoist order determines both the
     // preheader's instruction order and (through `hoisted`) which
-    // dependent instructions hoist this round, so iterating the
-    // `HashSet` directly would make codegen depend on hasher state.
-    let mut ordered: Vec<dt_ir::BlockId> = blocks.iter().copied().collect();
-    ordered.sort_by_key(|b| b.index());
-
-    let mut hoisted: HashSet<dt_ir::VReg> = HashSet::new();
+    // dependent instructions hoist this round.
+    let mut hoisted = RegSet::new(f.vreg_count);
     let mut to_hoist: Vec<dt_ir::Inst> = Vec::new();
-    for &b in &ordered {
+    for b in blocks.iter() {
         let mut i = 0;
         while i < f.block(b).insts.len() {
             let inst = &f.block(b).insts[i];
             let hoistable = match &inst.op {
                 op if op.is_pure() => true,
-                Op::LoadGlobal { global, .. } => !has_calls && !writes_globals.contains(&global.0),
-                Op::LoadGIdx { global, .. } => !has_calls && !writes_globals.contains(&global.0),
+                Op::LoadGlobal { global, .. } | Op::LoadGIdx { global, .. } => {
+                    !has_calls && !writes_globals.contains(&global.0)
+                }
                 Op::LoadSlot { slot, .. } | Op::LoadIdx { slot, .. } => {
-                    !has_calls && !writes_slots.contains(&slot.0)
+                    !has_calls && !writes_slots[slot.index()]
                 }
                 _ => false,
             };
@@ -196,7 +189,7 @@ mod tests {
         let dom = dt_ir::DomTree::compute(f);
         let forest = dt_ir::LoopForest::compute(f, &dom);
         let l = &forest.loops[0];
-        let mul_in_loop = l.blocks.iter().any(|&b| {
+        let mul_in_loop = l.blocks.iter().any(|b| {
             f.block(b).insts.iter().any(|i| {
                 matches!(
                     i.op,
@@ -220,7 +213,7 @@ mod tests {
         let dom = dt_ir::DomTree::compute(f);
         let forest = dt_ir::LoopForest::compute(f, &dom);
         let l = &forest.loops[0];
-        let mul_in_loop = l.blocks.iter().any(|&b| {
+        let mul_in_loop = l.blocks.iter().any(|b| {
             f.block(b).insts.iter().any(|i| {
                 matches!(
                     i.op,
@@ -252,7 +245,7 @@ mod tests {
         let dom = dt_ir::DomTree::compute(f);
         let forest = dt_ir::LoopForest::compute(f, &dom);
         let l = &forest.loops[0];
-        let load_in_loop = l.blocks.iter().any(|&b| {
+        let load_in_loop = l.blocks.iter().any(|b| {
             f.block(b)
                 .insts
                 .iter()

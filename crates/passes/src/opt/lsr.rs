@@ -39,7 +39,7 @@ fn lsr_function(f: &mut Function, salvage: bool) -> bool {
     for l in &forest.loops {
         let inductions = find_inductions(f, &l.blocks);
         for ind in &inductions {
-            for &b in &l.blocks {
+            for b in l.blocks.iter() {
                 for (ii, inst) in f.block(b).insts.iter().enumerate() {
                     let (dst, factor) = match inst.op {
                         Op::Bin {
@@ -65,7 +65,7 @@ fn lsr_function(f: &mut Function, salvage: bool) -> bool {
                         mul_at: (b, ii),
                         ind: *ind,
                         factor,
-                        blocks: l.blocks.iter().copied().collect(),
+                        blocks: l.blocks.iter().collect(),
                     });
                 }
             }
@@ -202,7 +202,7 @@ mod tests {
         let muls_in_loop = l
             .blocks
             .iter()
-            .flat_map(|&b| &f.block(b).insts)
+            .flat_map(|b| &f.block(b).insts)
             .filter(|i| matches!(i.op, Op::Bin { op: BinOp::Mul, .. }))
             .count();
         assert_eq!(muls_in_loop, 0, "the induction multiply must be reduced");

@@ -150,7 +150,7 @@ fn thread_empty_blocks(f: &mut Function, salvage: bool) -> bool {
 /// predecessor lists are kept up to date instead of recomputed.
 fn merge_chains(f: &mut Function) -> bool {
     let mut changed = false;
-    let mut preds = dt_ir::predecessors(f);
+    let mut preds = dt_ir::predecessors(f).to_lists();
     for bi in 0..f.blocks.len() {
         let b = BlockId(bi as u32);
         loop {

@@ -104,12 +104,12 @@ fn sink_function(f: &mut Function) -> bool {
             }
             let ub = &use_blocks[d.index()];
             let target = if *ub == [then_bb]
-                && !live.live_in[else_bb.index()].contains(d)
+                && !live.live_in.row(else_bb.index()).contains(d)
                 && preds[then_bb.index()] == [b]
             {
                 then_bb
             } else if *ub == [else_bb]
-                && !live.live_in[then_bb.index()].contains(d)
+                && !live.live_in.row(then_bb.index()).contains(d)
                 && preds[else_bb.index()] == [b]
             {
                 else_bb

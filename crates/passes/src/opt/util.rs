@@ -1,7 +1,9 @@
 //! Shared helpers for the middle-end passes, most importantly the
 //! debug-value maintenance machinery.
 
-use dt_ir::{DbgLoc, Function, Inst, Op, VReg, Value};
+use dt_ir::liveness::RegSet;
+use dt_ir::{BlockSet, DbgLoc, Function, Inst, Op, VReg, Value};
+use std::collections::HashMap;
 
 /// Fixes up debug values after the instruction formerly at `pos` in
 /// `block_insts` (which defined `dead` via `removed_op`) has been
@@ -132,22 +134,20 @@ pub struct Induction {
 
 /// Recognizes the canonical induction pattern for the registers of a
 /// loop: exactly one in-loop definition, of the form
-/// `i = i + <const>`.
-pub fn find_inductions(
-    f: &Function,
-    loop_blocks: &std::collections::HashSet<dt_ir::BlockId>,
-) -> Vec<Induction> {
+/// `i = i + <const>`. Candidates come in block order, then instruction
+/// order.
+pub fn find_inductions(f: &Function, loop_blocks: &BlockSet) -> Vec<Induction> {
     use dt_ir::BinOp;
     let mut candidates: Vec<Induction> = Vec::new();
-    let mut in_loop_defs: HashMap<VReg, u32> = HashMap::new();
-    for &b in loop_blocks {
+    let mut in_loop_defs = vec![0u32; f.vreg_count as usize];
+    for b in loop_blocks.iter() {
         for inst in &f.block(b).insts {
             if let Some(d) = inst.op.def() {
-                *in_loop_defs.entry(d).or_insert(0) += 1;
+                in_loop_defs[d.index()] += 1;
             }
         }
     }
-    for &b in loop_blocks {
+    for b in loop_blocks.iter() {
         for (ii, inst) in f.block(b).insts.iter().enumerate() {
             if let Op::Bin {
                 dst,
@@ -156,7 +156,7 @@ pub fn find_inductions(
                 rhs: Value::Const(step),
             } = inst.op
             {
-                if dst == src && in_loop_defs.get(&dst) == Some(&1) && step != 0 {
+                if dst == src && in_loop_defs[dst.index()] == 1 && step != 0 {
                     candidates.push(Induction {
                         reg: dst,
                         init: None,
@@ -171,7 +171,7 @@ pub fn find_inductions(
     for cand in &mut candidates {
         let mut init: Option<Option<i64>> = None; // None = unseen
         for b in f.block_ids() {
-            if loop_blocks.contains(&b) {
+            if loop_blocks.contains(b) {
                 continue;
             }
             for inst in &f.block(b).insts {
@@ -195,15 +195,15 @@ pub fn find_inductions(
     candidates
 }
 
-use std::collections::HashMap;
-
 /// Resolves single-def copy chains to their roots: for every register
 /// whose only definition is `Copy` of another *stable* register (a
 /// never-reassigned parameter or another single-def register), maps it
-/// to the transitive source. Two registers with the same root hold the
-/// same value at every point where both are defined — the lightweight
+/// to the transitive source; every other register maps to itself.
+/// Indexed by register; a register created afterwards has no entry
+/// (use [`root_of`]). Two registers with the same root hold the same
+/// value at every point where both are defined — the lightweight
 /// value-equivalence both GVN and jump threading need in a non-SSA IR.
-pub fn copy_roots(f: &Function) -> HashMap<VReg, VReg> {
+pub fn copy_roots(f: &Function) -> Vec<VReg> {
     let defs = def_counts(f);
     let nparams = f.params.len();
     let stable = |r: VReg| {
@@ -214,7 +214,7 @@ pub fn copy_roots(f: &Function) -> HashMap<VReg, VReg> {
         }
     };
     // Direct copy parents.
-    let mut parent: HashMap<VReg, VReg> = HashMap::new();
+    let mut parent: Vec<Option<VReg>> = vec![None; f.vreg_count as usize];
     for b in f.block_ids() {
         for inst in &f.block(b).insts {
             if let Op::Copy {
@@ -223,27 +223,33 @@ pub fn copy_roots(f: &Function) -> HashMap<VReg, VReg> {
             } = inst.op
             {
                 if stable(dst) && stable(s) {
-                    parent.insert(dst, s);
+                    parent[dst.index()] = Some(s);
                 }
             }
         }
     }
-    // Path-compress to roots.
-    let keys: Vec<VReg> = parent.keys().copied().collect();
-    let mut roots: HashMap<VReg, VReg> = HashMap::new();
-    for k in keys {
-        let mut cur = k;
-        let mut hops = 0;
-        while let Some(&p) = parent.get(&cur) {
-            cur = p;
-            hops += 1;
-            if hops > parent.len() {
-                break; // defensive: cycles cannot happen with stable regs
+    // Follow each chain to its root.
+    let copies = parent.iter().flatten().count();
+    (0..parent.len())
+        .map(|r| {
+            let mut cur = VReg(r as u32);
+            let mut hops = 0;
+            while let Some(p) = parent[cur.index()] {
+                cur = p;
+                hops += 1;
+                if hops > copies {
+                    break; // defensive: cycles cannot happen with stable regs
+                }
             }
-        }
-        roots.insert(k, cur);
-    }
-    roots
+            cur
+        })
+        .collect()
+}
+
+/// The root of `r` in `roots` ([`copy_roots`]); `r` itself for a
+/// register newer than the map.
+pub fn root_of(roots: &[VReg], r: VReg) -> VReg {
+    roots.get(r.index()).copied().unwrap_or(r)
 }
 
 /// Registers used (or defined) anywhere in `f` **outside** the given
@@ -252,13 +258,10 @@ pub fn copy_roots(f: &Function) -> HashMap<VReg, VReg> {
 /// clone-private and should be renamed to fresh registers (otherwise
 /// the clone artificially stretches live ranges across the region and
 /// causes spill storms).
-pub fn regs_escaping(
-    f: &Function,
-    blocks: &std::collections::HashSet<dt_ir::BlockId>,
-) -> std::collections::HashSet<VReg> {
-    let mut escaping = std::collections::HashSet::new();
+pub fn regs_escaping(f: &Function, blocks: &BlockSet) -> RegSet {
+    let mut escaping = RegSet::new(f.vreg_count);
     for b in f.block_ids() {
-        if blocks.contains(&b) {
+        if blocks.contains(b) {
             continue;
         }
         let blk = f.block(b);
@@ -288,7 +291,7 @@ pub fn regs_escaping(
 pub fn rename_clone_defs(
     f: &mut Function,
     insts: &mut [Inst],
-    keep: &std::collections::HashSet<VReg>,
+    keep: &RegSet,
 ) -> HashMap<VReg, VReg> {
     let mut map: HashMap<VReg, VReg> = HashMap::new();
     for inst in insts.iter_mut() {
@@ -300,7 +303,7 @@ pub fn rename_clone_defs(
             }
         });
         if let Some(d) = inst.op.def() {
-            if keep.contains(&d) {
+            if keep.contains(d) {
                 map.remove(&d);
             } else {
                 let fresh = f.new_vreg();

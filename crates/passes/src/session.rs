@@ -148,7 +148,6 @@ impl CompileSession {
         let config = PassConfig {
             salvage: personality == Personality::Clang,
             profile,
-            level,
         };
 
         let n = pipeline.mid.len();

@@ -13,12 +13,16 @@
 //!   successor block (observed as a wrong return value at Clang
 //!   O2/O3).
 //!
+//! A build-determinism test pins loops whose bodies hold several
+//! blocks: every build of one source in one process, and its session
+//! build, must give one object.
+//!
 //! The last test pins the parallel variant-evaluation engine to the
 //! serial one: a tuner with four threads must produce bit-identical
 //! `ProgramEvaluation`s to a one-thread tuner, field for field.
 
 use debugtuner::{DebugTuner, ProgramInput, TunerConfig};
-use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
+use dt_passes::{compile_source, CompileOptions, CompileSession, OptLevel, PassGate, Personality};
 use dt_testsuite::synth::SynthConfig;
 
 /// The return value and output of a run that must finish.
@@ -68,6 +72,43 @@ fn pinned_seed_15_agrees_across_all_levels() {
 #[test]
 fn pinned_seed_118_agrees_across_all_levels() {
     assert_seed_agrees_everywhere(118, &SynthConfig::default(), &[0, 42, 128, 255], 5_000_000);
+}
+
+/// Loops with a branch in the body. When loop bodies were hash sets,
+/// strength reduction and the induction finder walked them in hasher
+/// order, so repeated builds of these sources in one process gave
+/// different objects at gcc O2/O3 and clang O1/O2/O3.
+const BRANCHY_LOOPS: [&str; 2] = [
+    "int f(int n) { int s = 0; for (int i = 0; i < n; i++) { if (i % 2 == 0) { s += i * 4; } else { s += i * 8; } } return s; }",
+    "int g[64];\nint f(int n) { int s = 0; for (int i = 0; i < n; i++) { if (i > 3) { g[i % 64] = i * 7; } else { s += i * 9; } } return s; }",
+];
+
+#[test]
+fn loops_with_branchy_bodies_build_deterministically() {
+    for src in BRANCHY_LOOPS {
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let opts = CompileOptions::new(personality, level);
+                let hashes: std::collections::BTreeSet<u64> = (0..16)
+                    .map(|_| compile_source(src, &opts).unwrap().content_hash())
+                    .collect();
+                assert_eq!(
+                    hashes.len(),
+                    1,
+                    "{personality:?} {level:?}: 16 builds gave {} objects\n{src}",
+                    hashes.len()
+                );
+                let module = dt_frontend::lower_source(src).unwrap();
+                let session = CompileSession::new(module, personality, level, None);
+                let built = session.build_variant(&PassGate::allow_all());
+                assert_eq!(
+                    Some(&built.object.content_hash()),
+                    hashes.first(),
+                    "{personality:?} {level:?}: the session build differs\n{src}"
+                );
+            }
+        }
+    }
 }
 
 /// The code-sinking liveness regression: deep multi-function programs
