@@ -20,13 +20,13 @@
 //! ## Execution
 //!
 //! `workers` scoped threads drain a ready queue in dependency order.
-//! Each body runs under `catch_unwind`; a failure (error return or
-//! panic) is retried up to `retries` times, and a job that still fails
-//! **poisons** exactly its transitive dependents — the rest of the
-//! campaign completes, and the report carries the failure chain. Store
-//! and results writes are atomic (temp + rename), and every event is
-//! appended to the JSONL journal, so a killed campaign loses at most
-//! the jobs that were in flight; rerunning resumes from the store.
+//! Each body runs once, under `catch_unwind`. Jobs are deterministic,
+//! so a failure (error return or panic) is reported as it happened,
+//! never retried: the job **poisons** exactly its transitive
+//! dependents, the rest of the campaign completes, and the report
+//! carries the failure chain. Store and results writes are atomic
+//! (temp + rename) and every event is appended to the JSONL journal; a
+//! rerun hits every output the store already holds.
 
 use crate::fingerprint::Fnv;
 use crate::job::{Campaign, Ctx, JobSpec, Product, Value, ValueMap};
@@ -35,7 +35,6 @@ use crate::store::{write_atomic, Store};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -44,16 +43,11 @@ use std::time::Instant;
 pub struct CampaignConfig {
     /// Where output artifacts (`<id>.txt`) are written.
     pub results_dir: PathBuf,
-    /// Cache root (object store + journal). Default:
-    /// `<results_dir>/.cache`.
-    pub cache_dir: Option<PathBuf>,
     /// Worker threads; `0` means `DT_JOBS` or the available
     /// parallelism.
     pub workers: usize,
     /// Evict the cache (objects and journal) before planning.
     pub fresh: bool,
-    /// Extra attempts after a job's first failure.
-    pub retries: u32,
     /// Fingerprint salt folded into every job key; campaigns use it
     /// for the pass-library/code fingerprint so library changes
     /// invalidate the cache.
@@ -62,31 +56,23 @@ pub struct CampaignConfig {
     pub only: Vec<String>,
     /// Echo journal records to stderr as JSONL progress events.
     pub progress: bool,
-    /// Fault injection for crash-resume tests: stop dispatching new
-    /// jobs once this many bodies have finished, as if the process had
-    /// been killed; undispatched jobs report `Interrupted`.
-    pub stop_after_jobs: Option<usize>,
 }
 
 impl CampaignConfig {
     pub fn for_results_dir(dir: impl Into<PathBuf>) -> Self {
         CampaignConfig {
             results_dir: dir.into(),
-            cache_dir: None,
             workers: 0,
             fresh: false,
-            retries: 1,
             salt: 0,
             only: Vec::new(),
             progress: false,
-            stop_after_jobs: None,
         }
     }
 
+    /// Cache root (object store + journal): `<results_dir>/.cache`.
     pub fn cache_dir(&self) -> PathBuf {
-        self.cache_dir
-            .clone()
-            .unwrap_or_else(|| self.results_dir.join(".cache"))
+        self.results_dir.join(".cache")
     }
 
     fn worker_count(&self, jobs: usize) -> usize {
@@ -159,12 +145,10 @@ pub enum JobStatus {
     Ran,
     /// Not needed this run (unselected, or no executing dependent).
     Skipped,
-    /// Body failed after exhausting its retry budget.
+    /// Body returned an error or panicked.
     Failed,
     /// Not run because a transitive dependency failed.
     Poisoned,
-    /// Not dispatched before the run stopped (fault injection / kill).
-    Interrupted,
 }
 
 impl JobStatus {
@@ -175,7 +159,6 @@ impl JobStatus {
             JobStatus::Skipped => "skipped",
             JobStatus::Failed => "failed",
             JobStatus::Poisoned => "poisoned",
-            JobStatus::Interrupted => "interrupted",
         }
     }
 }
@@ -187,7 +170,6 @@ pub struct JobReport {
     pub fingerprint: u64,
     pub status: JobStatus,
     pub duration_ms: f64,
-    pub retries: u32,
     pub error: Option<String>,
     /// For poisoned jobs, the failed job at the root of the chain.
     pub poisoned_by: Option<String>,
@@ -203,38 +185,25 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    pub fn job(&self, id: &str) -> Option<&JobReport> {
-        self.jobs.iter().find(|j| j.id == id)
-    }
-
     pub fn count(&self, status: JobStatus) -> usize {
         self.jobs.iter().filter(|j| j.status == status).count()
     }
 
-    /// No failed, poisoned, or interrupted jobs.
+    /// No failed or poisoned jobs.
     pub fn success(&self) -> bool {
-        self.count(JobStatus::Failed) == 0
-            && self.count(JobStatus::Poisoned) == 0
-            && self.count(JobStatus::Interrupted) == 0
-    }
-
-    /// A fully warm run: every target restored from cache, zero job
-    /// bodies executed, nothing failed.
-    pub fn all_hits(&self) -> bool {
-        self.count(JobStatus::Hit) > 0 && self.count(JobStatus::Ran) == 0 && self.success()
+        self.count(JobStatus::Failed) == 0 && self.count(JobStatus::Poisoned) == 0
     }
 
     /// One-line machine-greppable summary.
     pub fn summary(&self) -> String {
         format!(
-            "campaign: jobs={} hit={} ran={} skipped={} failed={} poisoned={} interrupted={} workers={} wall={:.1}s",
+            "campaign: jobs={} hit={} ran={} skipped={} failed={} poisoned={} workers={} wall={:.1}s",
             self.jobs.len(),
             self.count(JobStatus::Hit),
             self.count(JobStatus::Ran),
             self.count(JobStatus::Skipped),
             self.count(JobStatus::Failed),
             self.count(JobStatus::Poisoned),
-            self.count(JobStatus::Interrupted),
             self.workers,
             self.wall_ms / 1000.0
         )
@@ -263,11 +232,6 @@ impl CampaignRun {
     pub fn value<T: std::any::Any + Send + Sync>(&self, id: &str) -> Option<Arc<T>> {
         self.values.get(id).cloned()?.downcast::<T>().ok()
     }
-
-    /// The text of an output job produced or restored this run.
-    pub fn text(&self, id: &str) -> Option<Arc<String>> {
-        self.value::<String>(id)
-    }
 }
 
 /// Scheduler node state shared by the worker pool.
@@ -285,15 +249,13 @@ struct Sched {
     ready: VecDeque<usize>,
     /// Executing-set jobs not yet done.
     pending: usize,
-    /// Fault-injection stop: no further dispatch.
-    stopped: bool,
+    /// Per-job report fields written by workers.
+    meta: Vec<JobMeta>,
 }
 
-/// Per-job mutable report fields written by workers.
 #[derive(Default, Clone)]
 struct JobMeta {
     duration_ms: f64,
-    retries: u32,
     error: Option<String>,
     poisoned_by: Option<String>,
 }
@@ -381,7 +343,7 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
     }
     std::fs::create_dir_all(&config.results_dir)?;
     let store = Store::new(cache_dir.join("objects"));
-    let journal = Journal::open(cache_dir.join("journal.jsonl"))?;
+    let journal = Journal::open(&cache_dir.join("journal.jsonl"))?;
 
     // Targets and the needed closure.
     let targets: Vec<usize> = if config.only.is_empty() {
@@ -467,10 +429,8 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
             progress(&JournalRecord::job_finish(
                 &jobs[i].id,
                 fingerprints[i],
-                JobStatus::Hit.name(),
-                true,
+                JobStatus::Hit,
                 0.0,
-                0,
                 "",
             ));
         }
@@ -500,19 +460,16 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
         deps_left,
         ready,
         pending,
-        // A zero-job stop budget means "killed before any work".
-        stopped: config.stop_after_jobs == Some(0),
+        meta: vec![JobMeta::default(); n],
     });
     let ready_cv = Condvar::new();
-    let meta = Mutex::new(vec![JobMeta::default(); n]);
-    let executed = AtomicUsize::new(0);
 
     let worker = || {
         loop {
             let i = {
                 let mut guard = sched.lock().unwrap();
                 loop {
-                    if guard.stopped || guard.pending == 0 {
+                    if guard.pending == 0 {
                         return;
                     }
                     if let Some(i) = guard.ready.pop_front() {
@@ -524,19 +481,8 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
             let job: &JobSpec = &jobs[i];
             progress(&JournalRecord::job_start(&job.id, fingerprints[i]));
             let started = Instant::now();
-            let mut retries_used = 0u32;
-            let body = loop {
-                let attempt = catch_unwind(AssertUnwindSafe(|| (job.run)(&Ctx::new(&values))));
-                let error = match attempt {
-                    Ok(Ok(product)) => break Ok(product),
-                    Ok(Err(e)) => e,
-                    Err(payload) => panic_message(payload),
-                };
-                if retries_used >= config.retries {
-                    break Err(error);
-                }
-                retries_used += 1;
-            };
+            let body = catch_unwind(AssertUnwindSafe(|| (job.run)(&Ctx::new(&values))))
+                .unwrap_or_else(|payload| Err(panic_message(payload)));
             // Persist successful outputs; a persistence failure is a
             // job failure (the cache must never hold a key whose
             // results file could not be written).
@@ -552,29 +498,26 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
                 Product::Value(v) => Ok(v),
             });
             let duration_ms = started.elapsed().as_secs_f64() * 1000.0;
-            let done = executed.fetch_add(1, Ordering::Relaxed) + 1;
-            let stop_now = config.stop_after_jobs.is_some_and(|limit| done >= limit);
+            let status = if outcome.is_ok() {
+                JobStatus::Ran
+            } else {
+                JobStatus::Failed
+            };
+            progress(&JournalRecord::job_finish(
+                &job.id,
+                fingerprints[i],
+                status,
+                duration_ms,
+                outcome.as_ref().err().map_or("", String::as_str),
+            ));
 
+            let mut guard = sched.lock().unwrap();
+            guard.slots[i] = Slot::Done(status);
+            guard.pending -= 1;
+            guard.meta[i].duration_ms = duration_ms;
             match outcome {
                 Ok(value) => {
                     values.lock().unwrap().insert(job.id.clone(), value);
-                    progress(&JournalRecord::job_finish(
-                        &job.id,
-                        fingerprints[i],
-                        JobStatus::Ran.name(),
-                        false,
-                        duration_ms,
-                        retries_used,
-                        "",
-                    ));
-                    {
-                        let mut m = meta.lock().unwrap();
-                        m[i].duration_ms = duration_ms;
-                        m[i].retries = retries_used;
-                    }
-                    let mut guard = sched.lock().unwrap();
-                    guard.slots[i] = Slot::Done(JobStatus::Ran);
-                    guard.pending -= 1;
                     for &j in &dependents[i] {
                         if matches!(guard.slots[j], Slot::Pending) {
                             guard.deps_left[j] -= 1;
@@ -583,55 +526,29 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
                             }
                         }
                     }
-                    if stop_now {
-                        guard.stopped = true;
-                    }
-                    ready_cv.notify_all();
                 }
                 Err(error) => {
-                    progress(&JournalRecord::job_finish(
-                        &job.id,
-                        fingerprints[i],
-                        JobStatus::Failed.name(),
-                        false,
-                        duration_ms,
-                        retries_used,
-                        &error,
-                    ));
-                    {
-                        let mut m = meta.lock().unwrap();
-                        m[i].duration_ms = duration_ms;
-                        m[i].retries = retries_used;
-                        m[i].error = Some(error.clone());
-                    }
-                    let mut guard = sched.lock().unwrap();
-                    guard.slots[i] = Slot::Done(JobStatus::Failed);
-                    guard.pending -= 1;
+                    guard.meta[i].error = Some(error);
                     // Poison the transitive dependents still pending.
                     let mut poison: Vec<usize> = dependents[i].clone();
                     while let Some(j) = poison.pop() {
                         if matches!(guard.slots[j], Slot::Pending) {
                             guard.slots[j] = Slot::Done(JobStatus::Poisoned);
                             guard.pending -= 1;
-                            meta.lock().unwrap()[j].poisoned_by = Some(job.id.clone());
+                            guard.meta[j].poisoned_by = Some(job.id.clone());
                             progress(&JournalRecord::job_finish(
                                 &jobs[j].id,
                                 fingerprints[j],
-                                JobStatus::Poisoned.name(),
-                                false,
+                                JobStatus::Poisoned,
                                 0.0,
-                                0,
                                 &format!("dependency `{}` failed", job.id),
                             ));
                             poison.extend_from_slice(&dependents[j]);
                         }
                     }
-                    if stop_now {
-                        guard.stopped = true;
-                    }
-                    ready_cv.notify_all();
                 }
             }
+            ready_cv.notify_all();
         }
     };
 
@@ -642,13 +559,12 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
     });
 
     // Assemble the report in declaration order.
-    let sched = sched.into_inner().unwrap();
-    let meta = meta.into_inner().unwrap();
+    let Sched { slots, meta, .. } = sched.into_inner().unwrap();
     let mut reports = Vec::with_capacity(n);
     for (i, job) in jobs.iter().enumerate() {
-        let status = match sched.slots[i] {
+        let status = match slots[i] {
             Slot::Done(s) => s,
-            Slot::Pending => JobStatus::Interrupted,
+            Slot::Pending => unreachable!("every executing job finishes or is poisoned"),
             Slot::Off => {
                 if hit[i] {
                     JobStatus::Hit
@@ -662,7 +578,6 @@ pub fn run(campaign: Campaign, config: &CampaignConfig) -> Result<CampaignRun, C
             fingerprint: fingerprints[i],
             status,
             duration_ms: meta[i].duration_ms,
-            retries: meta[i].retries,
             error: meta[i].error.clone(),
             poisoned_by: meta[i].poisoned_by.clone(),
         });

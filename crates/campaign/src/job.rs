@@ -22,7 +22,7 @@ pub type Value = Arc<dyn Any + Send + Sync>;
 pub(crate) type ValueMap = Mutex<HashMap<String, Value>>;
 
 /// What a job body returns.
-pub enum Product {
+pub(crate) enum Product {
     /// A persisted text artifact (output jobs).
     Text(String),
     /// An in-memory artifact (artifact jobs).
@@ -43,9 +43,9 @@ impl<'a> Ctx<'a> {
 
     /// The artifact produced by dependency `id`, downcast to `T`.
     ///
-    /// Panics (failing the job, subject to its retry budget) if the
-    /// job did not declare `id` as a dependency or the type does not
-    /// match the producer's — both are campaign-declaration bugs.
+    /// Panics (failing the job) if the job did not declare `id` as a
+    /// dependency or the type does not match the producer's — both are
+    /// campaign-declaration bugs.
     pub fn value<T: Any + Send + Sync>(&self, id: &str) -> Arc<T> {
         let value = {
             let values = self.values.lock().unwrap();
@@ -57,11 +57,6 @@ impl<'a> Ctx<'a> {
         value
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("artifact `{id}` has a different type than requested"))
-    }
-
-    /// The text of a dependency output job.
-    pub fn text(&self, id: &str) -> Arc<String> {
-        self.value::<String>(id)
     }
 }
 
@@ -105,14 +100,6 @@ impl Campaign {
     /// Whether `id` is a persisted output job.
     pub fn is_output(&self, id: &str) -> Option<bool> {
         self.jobs.iter().find(|j| j.id == id).map(|j| j.persisted)
-    }
-
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Declares an in-memory artifact job.
@@ -191,6 +178,5 @@ mod tests {
         assert_eq!(c.deps("report").unwrap(), ["base".to_string()]);
         assert_eq!(c.is_output("base"), Some(false));
         assert_eq!(c.is_output("report"), Some(true));
-        assert_eq!(c.len(), 2);
     }
 }

@@ -1,57 +1,45 @@
 //! The append-only campaign journal.
 //!
 //! One JSONL record per event — campaign start/finish and job
-//! start/finish — appended and flushed as it happens, so the journal
-//! survives a `kill` up to the last completed line. The same records
+//! start/finish — appended and flushed as it happens. The same records
 //! double as the structured progress stream (`CampaignConfig::
 //! progress` echoes them to stderr), giving external monitors the job
-//! id, input fingerprint, cache hit/miss, duration, and retry count
-//! without parsing human-oriented logs.
+//! id, input fingerprint, cache hit/miss and duration without parsing
+//! human-oriented logs.
 //!
-//! A truncated final line (the write the kill interrupted) is ignored
-//! by [`Journal::read`]; resume correctness never depends on the
-//! journal — the object store is the source of truth — the journal is
-//! the campaign's durable history.
+//! The journal is write-only: the engine never reads it back, and
+//! resume correctness never depends on it — the object store is the
+//! source of truth; the journal is the campaign's durable history.
 
-use serde::{Deserialize, Serialize};
+use crate::engine::JobStatus;
+use serde::Serialize;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
-/// One journal / progress event, flat so every record parses with the
-/// same shape. `kind` is one of `campaign_start`, `job_start`,
+/// One journal / progress event, flat so every record has the same
+/// shape. `kind` is one of `campaign_start`, `job_start`,
 /// `job_finish`, `campaign_finish`; fields irrelevant to a kind keep
 /// their defaults.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct JournalRecord {
-    #[serde(default)]
-    pub kind: String,
-    #[serde(default)]
-    pub job: String,
+#[derive(Default, Serialize)]
+pub(crate) struct JournalRecord {
+    kind: String,
+    job: String,
     /// Input fingerprint as zero-padded hex.
-    #[serde(default)]
-    pub fingerprint: String,
-    /// Job outcome (`hit`, `ran`, `failed`, `poisoned`, `skipped`,
-    /// `interrupted`) for `job_finish` records.
-    #[serde(default)]
-    pub status: String,
-    #[serde(default)]
-    pub cache_hit: bool,
-    #[serde(default)]
-    pub duration_ms: f64,
-    #[serde(default)]
-    pub retries: u32,
-    #[serde(default)]
-    pub error: String,
+    fingerprint: String,
+    /// Job outcome (`hit`, `ran`, `failed`, `poisoned`) for
+    /// `job_finish` records.
+    status: String,
+    cache_hit: bool,
+    duration_ms: f64,
+    error: String,
     /// Job count for campaign-level records.
-    #[serde(default)]
-    pub jobs: u64,
-    #[serde(default)]
-    pub workers: u64,
+    jobs: u64,
+    workers: u64,
 }
 
 impl JournalRecord {
-    pub fn campaign(kind: &str, jobs: u64, workers: u64) -> Self {
+    pub(crate) fn campaign(kind: &str, jobs: u64, workers: u64) -> Self {
         JournalRecord {
             kind: kind.to_string(),
             jobs,
@@ -60,7 +48,7 @@ impl JournalRecord {
         }
     }
 
-    pub fn job_start(job: &str, fingerprint: u64) -> Self {
+    pub(crate) fn job_start(job: &str, fingerprint: u64) -> Self {
         JournalRecord {
             kind: "job_start".to_string(),
             job: job.to_string(),
@@ -69,79 +57,58 @@ impl JournalRecord {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub fn job_finish(
+    pub(crate) fn job_finish(
         job: &str,
         fingerprint: u64,
-        status: &str,
-        cache_hit: bool,
+        status: JobStatus,
         duration_ms: f64,
-        retries: u32,
         error: &str,
     ) -> Self {
         JournalRecord {
             kind: "job_finish".to_string(),
             job: job.to_string(),
             fingerprint: format!("{fingerprint:016x}"),
-            status: status.to_string(),
-            cache_hit,
+            status: status.name().to_string(),
+            cache_hit: status == JobStatus::Hit,
             duration_ms,
-            retries,
             error: error.to_string(),
             ..Default::default()
         }
     }
 
     /// The record as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         serde_json::to_string(self).expect("journal record serializes")
     }
 }
 
 /// Append-only JSONL journal file, shared by the worker pool.
-pub struct Journal {
-    path: PathBuf,
+pub(crate) struct Journal {
     file: Mutex<std::fs::File>,
 }
 
 impl Journal {
     /// Opens (creating parents and the file as needed) in append mode.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let path = path.into();
+    pub(crate) fn open(path: &Path) -> io::Result<Self> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)?;
+            .open(path)?;
         Ok(Journal {
-            path,
             file: Mutex::new(file),
         })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one record and flushes it. Journal I/O is best-effort
     /// for the campaign (the store carries resume correctness), so
     /// callers may ignore the result, but errors are reported.
-    pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
+    pub(crate) fn append(&self, record: &JournalRecord) -> io::Result<()> {
         let mut file = self.file.lock().unwrap();
         writeln!(file, "{}", record.to_jsonl())?;
         file.flush()
-    }
-
-    /// Reads every parseable record; malformed lines (e.g. the
-    /// truncated last line of a killed run) are skipped.
-    pub fn read(path: impl AsRef<Path>) -> io::Result<Vec<JournalRecord>> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(text
-            .lines()
-            .filter_map(|line| serde_json::from_str(line).ok())
-            .collect())
     }
 }
 
@@ -150,38 +117,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn append_read_round_trip_skipping_truncated_tail() {
-        let path = std::env::temp_dir().join(format!(
-            "dt-journal-test-{}/journal.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::open(&path).unwrap();
-        journal
-            .append(&JournalRecord::campaign("campaign_start", 3, 2))
-            .unwrap();
-        journal
-            .append(&JournalRecord::job_finish(
-                "t1", 7, "ran", false, 1.5, 0, "",
-            ))
-            .unwrap();
-        drop(journal);
-        // Simulate a kill mid-write: a truncated trailing line.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            write!(f, "{{\"kind\":\"job_fin").unwrap();
-        }
-        let records = Journal::read(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].kind, "campaign_start");
-        assert_eq!(records[0].jobs, 3);
-        assert_eq!(records[1].job, "t1");
-        assert_eq!(records[1].fingerprint, format!("{:016x}", 7));
-        assert_eq!(records[1].status, "ran");
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    fn records_are_flat_json_lines_in_declaration_order() {
+        assert_eq!(
+            JournalRecord::campaign("campaign_start", 3, 2).to_jsonl(),
+            r#"{"kind":"campaign_start","job":"","fingerprint":"","status":"","cache_hit":false,"duration_ms":0.0,"error":"","jobs":3,"workers":2}"#
+        );
+        assert_eq!(
+            JournalRecord::job_finish("t1", 7, JobStatus::Failed, 1.5, "no \"luck\"").to_jsonl(),
+            r#"{"kind":"job_finish","job":"t1","fingerprint":"0000000000000007","status":"failed","cache_hit":false,"duration_ms":1.5,"error":"no \"luck\"","jobs":0,"workers":0}"#
+        );
+        assert!(JournalRecord::job_finish("t1", 7, JobStatus::Hit, 0.0, "")
+            .to_jsonl()
+            .contains(r#""status":"hit","cache_hit":true"#));
     }
 }

@@ -1,33 +1,31 @@
-//! CAMPAIGN ENGINE: persistent, resumable, parallel experiment
-//! orchestration.
+//! CAMPAIGN ENGINE: cached, parallel experiment orchestration.
 //!
-//! The paper's evidence is a large differential campaign — sixteen
-//! tables and three figures over thousands of
-//! program/personality/level/gate configurations — and that style of
-//! study only scales when the harness can run for days, survive
-//! crashes, and never redo finished work. This crate turns the
-//! experiment layer into a job-execution subsystem with the same shape
-//! as a training-stack scheduler over a persistent artifact cache:
+//! The paper's evidence is one differential campaign — sixteen tables
+//! and three figures over thousands of
+//! program/personality/level/gate configurations. This crate runs it
+//! as a job DAG over a persistent artifact cache:
 //!
 //! * **Declared jobs with explicit dependencies** ([`Campaign`]): an
 //!   *output* job produces a text artifact persisted under the results
 //!   directory; an *artifact* job produces an in-memory value (a
 //!   tuner, a program set, trade-off data) shared by its dependents.
-//! * **Content-addressed persistence** ([`store::Store`]): each output
-//!   job is keyed by an FNV-1a fingerprint of its inputs — scale
-//!   knobs, program-set hash, pass-library fingerprint, and the
-//!   fingerprints of its dependencies — so a warm rerun skips every
-//!   up-to-date job and an edit invalidates exactly the downstream
-//!   slice of the DAG.
+//! * **Content-addressed persistence**: each output job is keyed by an
+//!   FNV-1a fingerprint of its inputs — scale knobs, program-set hash,
+//!   pass-library fingerprint, and the fingerprints of its
+//!   dependencies — under `<results>/.cache/objects`, so a rerun hits
+//!   every output that was persisted, whether the earlier run finished
+//!   or not, and an edit invalidates exactly the downstream slice of
+//!   the DAG.
 //! * **A worker pool** ([`run`]): a dependency-respecting ready queue
 //!   drained by `std::thread::scope` workers (count from `DT_JOBS` or
 //!   the available parallelism).
-//! * **First-class robustness**: job bodies run under `catch_unwind`
-//!   with bounded retries; a job that still fails poisons only its
-//!   dependents while the rest of the campaign completes; every
-//!   start/finish/hash is appended to a JSONL [`journal`], and all
-//!   file writes are temp-file + rename, so a killed campaign resumes
-//!   exactly where it stopped.
+//! * **Loud failures**: each job body runs once, under `catch_unwind`.
+//!   Jobs are deterministic, so nothing is retried: a job that fails
+//!   or panics is reported `failed` with its message and poisons only
+//!   its dependents, while the rest of the campaign completes. Every
+//!   start/finish/fingerprint is appended to a write-only JSONL
+//!   journal (`<results>/.cache/journal.jsonl`), and all file writes
+//!   are temp-file + rename.
 //!
 //! ```no_run
 //! use dt_campaign::{run, Campaign, CampaignConfig};
@@ -45,13 +43,11 @@
 pub mod engine;
 pub mod fingerprint;
 pub mod job;
-pub mod journal;
-pub mod store;
+mod journal;
+mod store;
 
 pub use engine::{
     run, CampaignConfig, CampaignError, CampaignReport, CampaignRun, JobReport, JobStatus,
 };
 pub use fingerprint::Fnv;
-pub use job::{Campaign, Ctx, Product};
-pub use journal::{Journal, JournalRecord};
-pub use store::{write_atomic, Store};
+pub use job::{Campaign, Ctx};

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// temporary file in the same directory (same filesystem, so `rename`
 /// is atomic) and the temp file is renamed over the target. Parent
 /// directories are created as needed.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or(Path::new("."));
     std::fs::create_dir_all(dir)?;
@@ -48,31 +48,29 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 
 /// The on-disk object store, rooted at `<cache_dir>/objects`.
 #[derive(Debug, Clone)]
-pub struct Store {
+pub(crate) struct Store {
     dir: PathBuf,
 }
 
 impl Store {
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(dir: impl Into<PathBuf>) -> Self {
         Store { dir: dir.into() }
     }
 
     /// The object path for a job output under a given input key.
-    pub fn object_path(&self, id: &str, fingerprint: u64) -> PathBuf {
+    fn object_path(&self, id: &str, fingerprint: u64) -> PathBuf {
         self.dir.join(format!("{id}-{fingerprint:016x}.txt"))
     }
 
     /// Loads a cached artifact, or `None` on a miss. Unreadable
     /// objects count as misses (the job just reruns).
-    pub fn load(&self, id: &str, fingerprint: u64) -> Option<String> {
+    pub(crate) fn load(&self, id: &str, fingerprint: u64) -> Option<String> {
         std::fs::read_to_string(self.object_path(id, fingerprint)).ok()
     }
 
     /// Persists an artifact under its input key, atomically.
-    pub fn save(&self, id: &str, fingerprint: u64, body: &str) -> io::Result<PathBuf> {
-        let path = self.object_path(id, fingerprint);
-        write_atomic(&path, body)?;
-        Ok(path)
+    pub(crate) fn save(&self, id: &str, fingerprint: u64, body: &str) -> io::Result<()> {
+        write_atomic(&self.object_path(id, fingerprint), body)
     }
 }
 

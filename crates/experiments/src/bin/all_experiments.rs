@@ -1,12 +1,13 @@
-//! Runs the whole experiment suite as a persistent, resumable,
-//! parallel campaign (see `dt_campaign` and `experiments::campaign`).
+//! Runs the whole experiment suite as one cached, parallel campaign
+//! (see `dt_campaign` and `experiments::campaign`).
 //!
 //! Every table/figure is a declared job with explicit dependencies; a
-//! worker pool executes the DAG, caching each output under
-//! `results/.cache/` keyed by a fingerprint of its inputs. A warm
-//! rerun with unchanged knobs executes zero job bodies; a killed run
-//! resumes where it stopped; a failing job poisons only its
-//! dependents and the exit status reports the partial failure.
+//! worker pool executes the DAG once, caching each output under
+//! `results/.cache/` keyed by a fingerprint of its inputs. A rerun with
+//! unchanged knobs hits every output already persisted (a warm rerun of
+//! a finished campaign executes zero job bodies); a failing job fails
+//! on its one attempt, poisons only its dependents, and the exit status
+//! reports the partial failure.
 //!
 //! ```text
 //! all_experiments [--only JOB[,JOB...]] [--fresh] [--jobs N]
@@ -128,9 +129,6 @@ fn main() -> ExitCode {
             job.status.name(),
             job.duration_ms / 1000.0
         );
-        if job.retries > 0 {
-            line.push_str(&format!("  ({} retries)", job.retries));
-        }
         if let Some(by) = &job.poisoned_by {
             line.push_str(&format!("  <- {by}"));
         }

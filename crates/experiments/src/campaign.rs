@@ -6,8 +6,9 @@
 //! [`DebugTuner`] instance, the per-personality trade-off matrices,
 //! the Pareto triple, and the AutoFDO sweep — to first-class artifact
 //! jobs instead of local variables of one `main`. The engine then
-//! gives the whole suite parallel execution, persistent caching,
-//! crash resume, and partial-failure isolation for free.
+//! gives the whole suite parallel execution, persistent caching (a
+//! rerun hits every output already persisted), and partial-failure
+//! isolation for free.
 //!
 //! Each output job's cache fingerprint folds in exactly the inputs it
 //! depends on:
@@ -192,7 +193,7 @@ pub fn build_campaign() -> Campaign {
     c.output("table05_gcc_passes", &["tuner", "suite_inputs"], 0, |ctx| {
         let tuner = ctx.value::<DebugTuner>("tuner");
         let suite = ctx.value::<SuiteInputs>("suite_inputs");
-        Ok(table_top_passes(&tuner, &suite.programs, Personality::Gcc).0)
+        Ok(table_top_passes(&tuner, &suite.programs, Personality::Gcc))
     });
     c.output(
         "table06_clang_passes",
@@ -201,7 +202,11 @@ pub fn build_campaign() -> Campaign {
         |ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
             let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            Ok(table_top_passes(&tuner, &suite.programs, Personality::Clang).0)
+            Ok(table_top_passes(
+                &tuner,
+                &suite.programs,
+                Personality::Clang,
+            ))
         },
     );
     c.output(

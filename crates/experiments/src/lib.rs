@@ -13,8 +13,8 @@
 //!   `test`; use `ref` for the measurement runs).
 
 use debugtuner::{
-    dy_family, par_map, pareto_front, suite_corpus, DebugTuner, DyConfig, PassRanking, PerfReport,
-    ProgramInput, RunCall, TradeoffPoint, TunerConfig,
+    dy_family, par_map, pareto_front, suite_corpus, DebugTuner, DyConfig, PerfReport, ProgramInput,
+    RunCall, TradeoffPoint, TunerConfig,
 };
 use dt_metrics::{stats, MethodComparison};
 use dt_passes::{OptLevel, PassGate, Personality};
@@ -355,7 +355,7 @@ pub fn table_top_passes(
     tuner: &DebugTuner,
     programs: &[ProgramInput],
     personality: Personality,
-) -> (String, Vec<(OptLevel, PassRanking)>) {
+) -> String {
     let mut out = String::new();
     let which = if personality == Personality::Gcc {
         "V"
@@ -398,7 +398,7 @@ pub fn table_top_passes(
         out.find('\n').unwrap() + 1,
         &format!("   | {}\n", header.join("| ")),
     );
-    (out, rankings)
+    out
 }
 
 // ---------------------------------------------------------------- T7

@@ -32,15 +32,50 @@ SECOND_DIR="$(mktemp -d)"
 LOG_DIR="$(mktemp -d)"
 trap 'rm -rf "$CAMPAIGN_DIR" "$SECOND_DIR" "$LOG_DIR"' EXIT
 export DT_SYNTH_N=4 DT_FUZZ_ITERS=8
+JOURNAL="$CAMPAIGN_DIR/.cache/journal.jsonl"
+# Checks the journal records one run appended, from line $2 on: one
+# campaign_start, one campaign_finish, and one job_finish per job. A
+# cold run ($1 = cold) must run every job of the DAG once; a warm rerun
+# ($1 = warm) must hit exactly the outputs in the results directory.
+check_journal() {
+  tail -n "+$2" "$JOURNAL" | python3 -c '
+import json, os, sys
+mode, results = sys.argv[1], sys.argv[2]
+def fail(msg):
+    sys.exit("journal (%s): %s" % (mode, msg))
+records = [json.loads(line) for line in sys.stdin]
+starts, ends = (sum(r["kind"] == k for r in records) for k in ("campaign_start", "campaign_finish"))
+if (starts, ends) != (1, 1):
+    fail("%d campaign_start and %d campaign_finish records, expected one each" % (starts, ends))
+jobs = next(r["jobs"] for r in records if r["kind"] == "campaign_start")
+finishes = [r for r in records if r["kind"] == "job_finish"]
+finished = sorted(r["job"] for r in finishes)
+if len(finished) != len(set(finished)):
+    fail("a job finished more than once: %s" % finished)
+status = "ran" if mode == "cold" else "hit"
+wrong = [(r["job"], r["status"]) for r in finishes if r["status"] != status]
+if wrong:
+    fail("expected every job_finish to be %s, got %s" % (status, wrong))
+if mode == "cold" and len(finished) != jobs:
+    fail("%d job_finish records for %d jobs" % (len(finished), jobs))
+outputs = sorted(f[:-4] for f in os.listdir(results) if f.endswith(".txt"))
+if mode == "warm" and finished != outputs:
+    fail("hits %s are not the outputs %s" % (finished, outputs))
+print("journal (%s): %d of %d jobs %s" % (mode, len(finished), jobs, status))
+' "$1" "$CAMPAIGN_DIR"
+}
 cold_summary="$(cargo run --locked --release -p experiments --bin all_experiments -- \
   --results "$CAMPAIGN_DIR" --quiet --jobs 2 2>"$LOG_DIR/cold.err" | tail -n 1)"
 echo "cold: $cold_summary"
 grep -q " failed=0 " <<<"$cold_summary"
+check_journal cold 1
+cold_lines="$(wc -l <"$JOURNAL")"
 warm_summary="$(cargo run --locked --release -p experiments --bin all_experiments -- \
   --results "$CAMPAIGN_DIR" --quiet | tail -n 1)"
 echo "warm: $warm_summary"
 grep -q " ran=0 " <<<"$warm_summary"
 grep -q " failed=0 " <<<"$warm_summary"
+check_journal warm "$((cold_lines + 1))"
 # A second cold campaign, on one worker instead of two, must reproduce
 # every results/*.txt byte for byte: the run memo and the parallel
 # kernel map may not make results depend on scheduling.
