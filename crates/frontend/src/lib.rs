@@ -18,8 +18,6 @@
 //! per-assignment `dbg.value`s, switching the function to the optimized
 //! debug-info regime the rest of the pipeline degrades.
 
-#![warn(clippy::iter_over_hash_type)]
-
 mod lower;
 
 pub use lower::{lower_program, LowerError};

@@ -25,8 +25,6 @@
 //! may iterate does so in index order: no pass output depends on a
 //! hasher.
 
-#![warn(clippy::iter_over_hash_type)]
-
 pub mod builder;
 pub mod cfg;
 pub mod dom;

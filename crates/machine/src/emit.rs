@@ -18,7 +18,6 @@ use crate::mir::{MFunction, MVarInfo, VR};
 use crate::object::{FDbgLoc, FInst, FOp, FuncInfo, Object};
 use crate::regalloc::allocate;
 use crate::BackendConfig;
-use bytes::BytesMut;
 use dt_dwarf::{
     DebugInfo, LineRow, LineTable, LocList, LocRange, Location, SubprogramRecord, VarRecord,
 };
@@ -183,7 +182,7 @@ pub(crate) fn assemble(
     }
 
     // `.text` encoding.
-    let mut text = BytesMut::with_capacity(total as usize);
+    let mut text = Vec::with_capacity(total as usize);
     for inst in &code {
         let addrs_ref = &addrs;
         inst.encode(&mut text, &|idx: u32| addrs_ref[idx as usize]);
@@ -196,7 +195,7 @@ pub(crate) fn assemble(
         code,
         addrs,
         funcs: infos,
-        text: text.freeze(),
+        text: text.into(),
         debug,
         globals,
         globals_size,

@@ -23,11 +23,9 @@
 //! [`FunctionCode`] a compile session can reuse across builds); only
 //! step 4 sees the whole module.
 //!
-//! The `.text` bytes are the artifact DebugTuner compares to discard
-//! single-pass-disabled builds that did not change the code
-//! (Section III-A of the paper).
-
-#![warn(clippy::iter_over_hash_type)]
+//! The `.text` bytes ([`Object::text`]) are the artifact DebugTuner
+//! compares to discard single-pass-disabled builds that did not change
+//! the code (Section III-A of the paper).
 
 pub mod emit;
 pub mod lower;

@@ -6,12 +6,14 @@
 //! encodes `.text`, and attaches the debug sections. The VM executes
 //! the decoded [`FInst`] stream directly; the encoded bytes exist for
 //! byte-level comparison (pruning no-op pass-disabled builds) and for
-//! hashing.
+//! hashing. [`FInst::encode`] appends to a plain `Vec<u8>`, and the
+//! finished section is shared as an `Arc<[u8]>` so that cloning an
+//! [`Object`] does not copy it.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use dt_dwarf::DebugInfo;
 use dt_ir::{BinOp, UnOp};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Location payload of a final debug pseudo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +172,7 @@ impl FInst {
 
     /// Encodes the instruction; `addr_of` resolves a global instruction
     /// index to its byte address.
-    pub fn encode(&self, buf: &mut BytesMut, addr_of: &dyn Fn(u32) -> u32) {
+    pub fn encode(&self, buf: &mut Vec<u8>, addr_of: &dyn Fn(u32) -> u32) {
         use FOp::*;
         let mut opcode: u8 = match &self.op {
             Imm { .. } => 0x01,
@@ -201,98 +203,62 @@ impl FInst {
         if self.fused {
             opcode |= 0x80;
         }
-        buf.put_u8(opcode);
+        buf.push(opcode);
         match &self.op {
             Imm { rd, value } => {
-                buf.put_u8(*rd);
-                buf.put_i64_le(*value);
+                buf.push(*rd);
+                buf.extend_from_slice(&value.to_le_bytes());
             }
-            Mov { rd, rs } | Un { rd, rs, .. } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*rs);
-            }
-            Bin { rd, ra, rb, .. } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*ra);
-                buf.put_u8(*rb);
-            }
+            Mov { rd, rs } | Un { rd, rs, .. } => buf.extend_from_slice(&[*rd, *rs]),
+            Bin { rd, ra, rb, .. } => buf.extend_from_slice(&[*rd, *ra, *rb]),
             BinImm { rd, ra, imm, .. } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*ra);
-                buf.put_i64_le(*imm);
+                buf.extend_from_slice(&[*rd, *ra]);
+                buf.extend_from_slice(&imm.to_le_bytes());
             }
-            Select { rd, rc, ra, rb } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*rc);
-                buf.put_u8(*ra);
-                buf.put_u8(*rb);
+            Select { rd, rc, ra, rb } => buf.extend_from_slice(&[*rd, *rc, *ra, *rb]),
+            LdSlot { rd: r, off: w }
+            | StSlot { rs: r, off: w }
+            | LdG { rd: r, addr: w }
+            | StG { rs: r, addr: w } => {
+                buf.push(*r);
+                buf.extend_from_slice(&w.to_le_bytes());
             }
-            LdSlot { rd, off } => {
-                buf.put_u8(*rd);
-                buf.put_u32_le(*off);
-            }
-            StSlot { off, rs } => {
-                buf.put_u8(*rs);
-                buf.put_u32_le(*off);
-            }
-            LdIdx { rd, off, ri, len } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*ri);
-                buf.put_u32_le(*off);
-                buf.put_u32_le(*len);
+            LdIdx { rd, ri, off, len } => {
+                buf.extend_from_slice(&[*rd, *ri]);
+                buf.extend_from_slice(&off.to_le_bytes());
+                buf.extend_from_slice(&len.to_le_bytes());
             }
             StIdx { off, ri, rs, len } => {
-                buf.put_u8(*ri);
-                buf.put_u8(*rs);
-                buf.put_u32_le(*off);
-                buf.put_u32_le(*len);
-            }
-            LdG { rd, addr } => {
-                buf.put_u8(*rd);
-                buf.put_u32_le(*addr);
-            }
-            StG { addr, rs } => {
-                buf.put_u8(*rs);
-                buf.put_u32_le(*addr);
+                buf.extend_from_slice(&[*ri, *rs]);
+                buf.extend_from_slice(&off.to_le_bytes());
+                buf.extend_from_slice(&len.to_le_bytes());
             }
             LdGIdx { rd, base, ri, len } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*ri);
-                buf.put_u32_le(*base);
-                buf.put_u32_le(*len);
+                buf.extend_from_slice(&[*rd, *ri]);
+                buf.extend_from_slice(&base.to_le_bytes());
+                buf.extend_from_slice(&len.to_le_bytes());
             }
             StGIdx { base, ri, rs, len } => {
-                buf.put_u8(*ri);
-                buf.put_u8(*rs);
-                buf.put_u32_le(*base);
-                buf.put_u32_le(*len);
+                buf.extend_from_slice(&[*ri, *rs]);
+                buf.extend_from_slice(&base.to_le_bytes());
+                buf.extend_from_slice(&len.to_le_bytes());
             }
-            SetArg { k, rs } => {
-                buf.put_u8(*k);
-                buf.put_u8(*rs);
-            }
-            GetArg { rd, k } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*k);
-            }
-            CallF { func } => buf.put_u32_le(*func),
+            SetArg { k, rs } => buf.extend_from_slice(&[*k, *rs]),
+            GetArg { rd, k } => buf.extend_from_slice(&[*rd, *k]),
+            CallF { func } => buf.extend_from_slice(&func.to_le_bytes()),
             Ret => {}
-            Jmp { target } => buf.put_u32_le(addr_of(*target)),
+            Jmp { target } => buf.extend_from_slice(&addr_of(*target).to_le_bytes()),
             JCond {
                 rs,
                 if_nonzero,
                 target,
             } => {
-                buf.put_u8(*rs);
-                buf.put_u8(*if_nonzero as u8);
-                buf.put_u32_le(addr_of(*target));
+                buf.extend_from_slice(&[*rs, *if_nonzero as u8]);
+                buf.extend_from_slice(&addr_of(*target).to_le_bytes());
             }
-            In { rd, ri } => {
-                buf.put_u8(*rd);
-                buf.put_u8(*ri);
-            }
-            InLen { rd } => buf.put_u8(*rd),
-            Out { rs } => buf.put_u8(*rs),
+            In { rd, ri } => buf.extend_from_slice(&[*rd, *ri]),
+            InLen { rd } => buf.push(*rd),
+            Out { rs } => buf.push(*rs),
             Dbg { .. } => unreachable!(),
         }
     }
@@ -354,8 +320,9 @@ pub struct Object {
     pub addrs: Vec<u32>,
     /// Function table indexed by module function id.
     pub funcs: Vec<FuncInfo>,
-    /// Encoded `.text` section.
-    pub text: Bytes,
+    /// Encoded `.text` section: every non-pseudo instruction of `code`
+    /// in order, little-endian, shared between clones.
+    pub text: Arc<[u8]>,
     /// Debug sections.
     pub debug: DebugInfo,
     /// Global data area: (base, size, init-of-first-word) per global.
@@ -527,7 +494,7 @@ mod tests {
             inst(FOp::Out { rs: 0 }),
         ];
         for c in cases {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             c.encode(&mut buf, &|_| 0x1234);
             assert_eq!(
                 buf.len() as u32,
@@ -545,7 +512,7 @@ mod tests {
             loc: FDbgLoc::Undef,
         });
         assert_eq!(d.encoded_size(), 0);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         d.encode(&mut buf, &|_| 0);
         assert!(buf.is_empty());
     }
@@ -553,10 +520,10 @@ mod tests {
     #[test]
     fn fused_flag_changes_encoding() {
         let mut a = inst(FOp::Mov { rd: 0, rs: 1 });
-        let mut buf1 = BytesMut::new();
+        let mut buf1 = Vec::new();
         a.encode(&mut buf1, &|_| 0);
         a.fused = true;
-        let mut buf2 = BytesMut::new();
+        let mut buf2 = Vec::new();
         a.encode(&mut buf2, &|_| 0);
         assert_ne!(buf1, buf2);
         assert_eq!(buf1.len(), buf2.len());
@@ -584,7 +551,7 @@ mod tests {
             BinOp::Eq,
             BinOp::Ne,
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             inst(FOp::Bin {
                 op,
                 rd: 0,

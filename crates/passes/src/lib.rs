@@ -27,8 +27,6 @@
 //! per-function engine, so one-shot and session builds are
 //! bit-identical.
 
-#![warn(clippy::iter_over_hash_type)]
-
 pub mod manager;
 pub mod opt;
 pub mod pipeline;

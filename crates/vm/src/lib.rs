@@ -46,6 +46,9 @@ use plan::{Op, FUSED};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
+/// Maximum call depth: a call made with this many frames live traps.
+pub const MAX_DEPTH: usize = 512;
+
 /// Run-time limits and observation switches.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
@@ -55,8 +58,6 @@ pub struct VmConfig {
     pub sample_interval: Option<u64>,
     /// Record branch-outcome edge coverage.
     pub collect_coverage: bool,
-    /// Maximum call depth.
-    pub max_depth: usize,
     /// Track `dbg.value` bindings per frame so [`Vm::shadow_values`]
     /// can resolve source-variable values against live state. Used by
     /// the correctness checker's ground-truth sessions; off by default
@@ -79,7 +80,6 @@ impl Default for VmConfig {
             max_steps: 200_000_000,
             sample_interval: None,
             collect_coverage: false,
-            max_depth: 512,
             track_dbg_bindings: false,
             model_cycles: true,
         }
@@ -457,7 +457,6 @@ impl<'a> Vm<'a> {
         let plan = &self.plan.steps[..];
         let track = self.config.track_dbg_bindings;
         let max_steps = self.config.max_steps;
-        let max_depth = self.config.max_depth;
         let interval = self.config.sample_interval.unwrap_or(u64::MAX).max(1);
         let mut pc = self.pc;
         // Real instructions left before `limit`; `steps` is `limit - left`.
@@ -567,7 +566,7 @@ impl<'a> Vm<'a> {
                 match s.op {
                     Op::CallF { func } => {
                         let info = &obj.funcs[func as usize];
-                        if self.frames.len() >= max_depth {
+                        if self.frames.len() >= MAX_DEPTH {
                             break Exit::Halt(Halt::Trap(format!(
                                 "call-stack overflow calling `{}`",
                                 info.name
@@ -1348,29 +1347,14 @@ int f(int n) {
 
     #[test]
     fn call_depth_trap_charges_no_call_cost() {
-        // `f` calls itself at once; with a depth of one the first call
-        // traps: it counts as a step but charges nothing.
+        // `f` calls itself at once: `MAX_DEPTH - 1` calls are charged
+        // (8 + 64 / 8 cycles each), then the next call traps: it counts
+        // as a step but charges nothing.
         let obj = hand_object(vec![(FOp::CallF { func: 0 }, false), (FOp::Ret, false)], 64);
-        let r = run_both(
-            &obj,
-            VmConfig {
-                max_depth: 1,
-                ..VmConfig::default()
-            },
-        );
+        let r = run_both(&obj, VmConfig::default());
         assert_eq!(r.halt, Halt::Trap("call-stack overflow calling `f`".into()));
-        assert_eq!((r.steps, r.cycles, r.ret), (1, 0, 0));
-        // One level deeper: one call is charged (8 + 64 / 8), the
-        // second traps.
-        let r = run_both(
-            &obj,
-            VmConfig {
-                max_depth: 2,
-                ..VmConfig::default()
-            },
-        );
-        assert!(matches!(r.halt, Halt::Trap(_)));
-        assert_eq!((r.steps, r.cycles), (2, 16));
+        let calls = MAX_DEPTH as u64 - 1;
+        assert_eq!((r.steps, r.cycles, r.ret), (calls + 1, calls * 16, 0));
     }
 
     #[test]

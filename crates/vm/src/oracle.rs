@@ -14,7 +14,7 @@
 
 #![allow(dead_code)]
 
-use crate::{CoverageMap, ExecResult, Halt, VmConfig};
+use crate::{CoverageMap, ExecResult, Halt, VmConfig, MAX_DEPTH};
 use dt_dwarf::Location;
 use dt_machine::{FDbgLoc, FInst, FOp, FuncInfo, Object};
 use std::collections::BTreeMap;
@@ -532,7 +532,7 @@ impl<'a> RefVm<'a> {
             }
             FOp::CallF { func } => {
                 let info = &self.obj.funcs[*func as usize];
-                if self.frames.len() >= self.config.max_depth {
+                if self.frames.len() >= MAX_DEPTH {
                     self.trap(format!("call-stack overflow calling `{}`", info.name));
                     return;
                 }

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use dt_debugger::BreakPlan;
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
 
@@ -50,10 +51,16 @@ fn main() {
     );
 
     // 2. Run both under the debugger: temporary breakpoints on every
-    //    line, recording the variables visible at each stop.
+    //    line, recording the variables visible at each stop. A
+    //    `BreakPlan` precomputes an object's breakpoints once; reuse it
+    //    for every session of that object.
     let session = dt_debugger::SessionConfig::default();
-    let base = dt_debugger::trace(&o0, "fuzz_main", &inputs, &session).unwrap();
-    let opt = dt_debugger::trace(&o2, "fuzz_main", &inputs, &session).unwrap();
+    let debug = |obj| {
+        let plan = BreakPlan::new(obj);
+        dt_debugger::trace_with_plan(obj, "fuzz_main", &inputs, &session, &plan).unwrap()
+    };
+    let base = debug(&o0);
+    let opt = debug(&o2);
     println!(
         "stepped {} lines at O0, {} at O2",
         base.stepped_lines().len(),
