@@ -43,8 +43,7 @@ use std::time::Instant;
 pub struct CampaignConfig {
     /// Where output artifacts (`<id>.txt`) are written.
     pub results_dir: PathBuf,
-    /// Worker threads; `0` means `DT_JOBS` or the available
-    /// parallelism.
+    /// Worker threads; `0` means the available parallelism.
     pub workers: usize,
     /// Evict the cache (objects and journal) before planning.
     pub fresh: bool,
@@ -79,15 +78,9 @@ impl CampaignConfig {
         let n = if self.workers > 0 {
             self.workers
         } else {
-            std::env::var("DT_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(4)
-                })
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
         };
         n.clamp(1, jobs.max(1))
     }

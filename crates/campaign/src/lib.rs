@@ -17,8 +17,8 @@
 //!   or not, and an edit invalidates exactly the downstream slice of
 //!   the DAG.
 //! * **A worker pool** ([`run`]): a dependency-respecting ready queue
-//!   drained by `std::thread::scope` workers (count from `DT_JOBS` or
-//!   the available parallelism).
+//!   drained by `std::thread::scope` workers (count from
+//!   [`CampaignConfig::workers`], or the available parallelism).
 //! * **Loud failures**: each job body runs once, under `catch_unwind`.
 //!   Jobs are deterministic, so nothing is retried: a job that fails
 //!   or panics is reported `failed` with its message and poisons only

@@ -271,7 +271,7 @@ impl ArtifactStore {
         let (art, hit) = memo(&self.sources, key, || {
             let parsed = dt_minic::compile_check(source)?;
             let analysis = SourceAnalysis::of(&parsed);
-            let module = dt_frontend::lower_source(source)?;
+            let module = dt_frontend::lower_program(&parsed).map_err(|e| e.to_string())?;
             let o0 = self.timed(
                 || dt_machine::run_backend(&module, &dt_machine::BackendConfig::default()),
                 |s, ms, _| s.add_build(ms),

@@ -34,6 +34,18 @@ pub struct PerfReport {
     pub speedup: f64,
 }
 
+impl PerfReport {
+    /// The report of the per-benchmark speedups, geomean folded in
+    /// their order.
+    pub fn new(per_benchmark: Vec<(String, f64)>) -> PerfReport {
+        let log_sum = per_benchmark.iter().fold(0.0, |sum, (_, s)| sum + s.ln());
+        PerfReport {
+            speedup: (log_sum / per_benchmark.len() as f64).exp(),
+            per_benchmark,
+        }
+    }
+}
+
 fn run_kernel(obj: &Object, b: &Benchmark, workload: Workload) -> Result<RunOutcome, String> {
     let cfg = VmConfig {
         max_steps: SPEC_MAX_STEPS,
@@ -58,7 +70,6 @@ pub fn measure_speedup(
     workload: Workload,
 ) -> PerfReport {
     let mut per_benchmark = Vec::new();
-    let mut log_sum = 0.0;
     for b in spec_suite() {
         let o0 = compile_source(b.source, &CompileOptions::new(personality, OptLevel::O0))
             .expect("O0 build");
@@ -72,13 +83,9 @@ pub fn measure_speedup(
         out.agrees_with(&base)
             .unwrap_or_else(|e| panic!("{label} {e}"));
         let speedup = base.cycles as f64 / (out.cycles as f64).max(1.0);
-        log_sum += speedup.ln();
         per_benchmark.push((b.name.to_string(), speedup));
     }
-    PerfReport {
-        speedup: (log_sum / per_benchmark.len() as f64).exp(),
-        per_benchmark,
-    }
+    PerfReport::new(per_benchmark)
 }
 
 /// One call of a program's binaries: entry, arguments, input bytes,
@@ -169,19 +176,10 @@ impl DebugTuner {
         )
         .into_iter()
         .collect::<Result<Vec<_>, String>>()?;
-        // The geomean folds the kernels in `measure_speedup`'s order.
         Ok((0..gates.len())
             .map(|g| {
-                let mut per_benchmark = Vec::new();
-                let mut log_sum = 0.0;
-                for (b, speedups) in kernels.iter().zip(&per_kernel) {
-                    log_sum += speedups[g].ln();
-                    per_benchmark.push((b.name.to_string(), speedups[g]));
-                }
-                PerfReport {
-                    speedup: (log_sum / per_benchmark.len() as f64).exp(),
-                    per_benchmark,
-                }
+                let kernels = kernels.iter().zip(&per_kernel);
+                PerfReport::new(kernels.map(|(b, s)| (b.name.to_string(), s[g])).collect())
             })
             .collect())
     }

@@ -9,7 +9,6 @@
 
 use crate::eval::ProgramEvaluation;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// One row of the global ranking.
 #[derive(Debug, Clone, Serialize)]
@@ -70,92 +69,97 @@ impl PassRanking {
     }
 }
 
+/// One pass's sums and counts over the programs whose pipeline runs it.
+#[derive(Default)]
+struct Tally {
+    rank_sum: f64,
+    ratio_log_sum: f64,
+    programs: usize,
+    positive: usize,
+    negative: usize,
+    neutral: usize,
+    defect_delta_sum: f64,
+    defect_reducing: usize,
+}
+
 /// Aggregates per-program evaluations into the global ranking.
 pub fn rank_passes_across(evals: &[ProgramEvaluation]) -> PassRanking {
     assert!(!evals.is_empty(), "ranking needs at least one program");
-    // The union of pass names across all evaluations, in first-seen
-    // order: evaluations from different levels (or personalities) gate
-    // different pipelines, and a pass must not drop out of the table
-    // just because the first program's pipeline lacks it.
-    let mut pass_names: Vec<String> = Vec::new();
-    for eval in evals {
-        for e in &eval.effects {
-            if !pass_names.contains(&e.pass) {
-                pass_names.push(e.pass.clone());
-            }
-        }
-    }
-
-    // Per-program ranks.
-    let mut rank_sums: HashMap<&str, f64> = HashMap::new();
-    let mut ratio_logs: HashMap<&str, f64> = HashMap::new();
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    let mut pos: HashMap<&str, usize> = HashMap::new();
-    let mut neg: HashMap<&str, usize> = HashMap::new();
-    let mut neu: HashMap<&str, usize> = HashMap::new();
-    let mut defect_delta_sums: HashMap<&str, f64> = HashMap::new();
-    let mut defect_reducing: HashMap<&str, usize> = HashMap::new();
+    // One tally per name in the union of pass names across all
+    // evaluations, in first-seen order: evaluations from different
+    // levels (or personalities) gate different pipelines, and a pass
+    // must not drop out of the table just because the first program's
+    // pipeline lacks it.
+    let mut names: Vec<&str> = Vec::new();
+    let mut tallies: Vec<Tally> = Vec::new();
 
     for eval in evals {
-        for e in &eval.effects {
-            let p = e.pass.as_str();
-            *defect_delta_sums.entry(p).or_insert(0.0) += e.defect_delta;
+        let rows: Vec<usize> = eval
+            .effects
+            .iter()
+            .map(|e| {
+                names.iter().position(|&n| n == e.pass).unwrap_or_else(|| {
+                    names.push(&e.pass);
+                    tallies.push(Tally::default());
+                    names.len() - 1
+                })
+            })
+            .collect();
+        for (e, &row) in eval.effects.iter().zip(&rows) {
+            let t = &mut tallies[row];
+            t.defect_delta_sum += e.defect_delta;
             if e.defect_delta < -1e-12 {
-                *defect_reducing.entry(p).or_insert(0) += 1;
+                t.defect_reducing += 1;
             }
         }
         // Sort this program's effects: positive first by magnitude,
         // then neutral (shared rank), then negative.
-        let mut order: Vec<(&str, f64)> = eval
-            .effects
+        let mut order: Vec<(usize, f64)> = rows
             .iter()
-            .map(|e| (e.pass.as_str(), e.relative_increment))
+            .zip(&eval.effects)
+            .map(|(&row, e)| (row, e.relative_increment))
             .collect();
         order.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite increments"));
 
         let positives = order.iter().filter(|(_, r)| *r > 1e-9).count();
         let neutral_rank = positives as f64 + 1.0;
         let mut neg_seen = 0usize;
-        for (i, (pass, rel)) in order.iter().enumerate() {
-            let rank = if *rel > 1e-9 {
+        for (i, &(row, rel)) in order.iter().enumerate() {
+            let t = &mut tallies[row];
+            let rank = if rel > 1e-9 {
+                t.positive += 1;
                 (i + 1) as f64
-            } else if *rel < -1e-9 {
+            } else if rel < -1e-9 {
                 // Negatives rank below every neutral.
+                t.negative += 1;
                 neg_seen += 1;
                 eval.effects.len() as f64 + neg_seen as f64
             } else {
+                t.neutral += 1;
                 neutral_rank
             };
-            *rank_sums.entry(pass).or_insert(0.0) += rank;
-            *ratio_logs.entry(pass).or_insert(0.0) += (1.0 + rel).max(1e-4).ln();
-            *seen.entry(pass).or_insert(0) += 1;
-            let bucket = if *rel > 1e-9 {
-                &mut pos
-            } else if *rel < -1e-9 {
-                &mut neg
-            } else {
-                &mut neu
-            };
-            *bucket.entry(pass).or_insert(0) += 1;
+            t.rank_sum += rank;
+            t.ratio_log_sum += (1.0 + rel).max(1e-4).ln();
+            t.programs += 1;
         }
     }
 
-    let mut entries: Vec<RankEntry> = pass_names
+    // Averages run over the evaluations whose pipeline contains the
+    // pass; every name in the union appears at least once.
+    let mut entries: Vec<RankEntry> = names
         .iter()
-        .map(|p| {
-            let p = p.as_str();
-            // Average over the evaluations whose pipeline contains the
-            // pass; every name in the union appears at least once.
-            let n = seen.get(p).copied().unwrap_or(1).max(1) as f64;
+        .zip(&tallies)
+        .map(|(&pass, t)| {
+            let n = t.programs as f64;
             RankEntry {
-                pass: p.to_string(),
-                avg_rank: rank_sums.get(p).copied().unwrap_or(0.0) / n,
-                geomean_increment: (ratio_logs.get(p).copied().unwrap_or(0.0) / n).exp() - 1.0,
-                positive_programs: pos.get(p).copied().unwrap_or(0),
-                negative_programs: neg.get(p).copied().unwrap_or(0),
-                neutral_programs: neu.get(p).copied().unwrap_or(0),
-                mean_defect_delta: defect_delta_sums.get(p).copied().unwrap_or(0.0) / n,
-                defect_reducing_programs: defect_reducing.get(p).copied().unwrap_or(0),
+                pass: pass.to_string(),
+                avg_rank: t.rank_sum / n,
+                geomean_increment: (t.ratio_log_sum / n).exp() - 1.0,
+                positive_programs: t.positive,
+                negative_programs: t.negative,
+                neutral_programs: t.neutral,
+                mean_defect_delta: t.defect_delta_sum / n,
+                defect_reducing_programs: t.defect_reducing,
             }
         })
         .collect();
@@ -183,6 +187,13 @@ mod tests {
     use dt_metrics::Metrics;
 
     fn eval_with(effects: Vec<(&str, f64)>) -> ProgramEvaluation {
+        let effects: Vec<_> = effects.into_iter().map(|(p, rel)| (p, rel, 0.0)).collect();
+        eval_of(&effects)
+    }
+
+    /// One program's evaluation from `(pass, relative increment,
+    /// defect delta)` triples.
+    fn eval_of(effects: &[(&str, f64, f64)]) -> ProgramEvaluation {
         let reference = dt_metrics::hybrid(
             &dt_debugger::DebugTrace::default(),
             &dt_debugger::DebugTrace::default(),
@@ -198,8 +209,8 @@ mod tests {
                 hybrid: reference,
             },
             effects: effects
-                .into_iter()
-                .map(|(pass, rel)| PassEffect {
+                .iter()
+                .map(|&(pass, rel, defect_delta)| PassEffect {
                     pass: pass.into(),
                     metrics: (rel != 0.0).then_some(Metrics {
                         availability: 0.5,
@@ -208,7 +219,7 @@ mod tests {
                     }),
                     relative_increment: rel,
                     defects: None,
-                    defect_delta: 0.0,
+                    defect_delta,
                 })
                 .collect(),
             steppable_lines_o0: 0,
@@ -261,5 +272,86 @@ mod tests {
             ("d", 0.2),
         ])]);
         assert_eq!(ranking.breakdown(), (2, 1, 1));
+    }
+
+    #[test]
+    fn every_entry_field_is_pinned() {
+        // Three pipelines: `licm` is missing from the second program and
+        // `dse` runs only in the third, so both the union of names and
+        // the per-pass divisor matter. Increments are positive, neutral
+        // (including a tie) and negative; defect deltas fall on both
+        // sides of -1e-12.
+        let evals = [
+            eval_of(&[
+                ("cse", 0.12, -0.03),
+                ("licm", 0.0, 0.0),
+                ("sched", -0.04, 0.02),
+                ("inline", 0.30, -1e-13),
+            ]),
+            eval_of(&[
+                ("inline", 0.05, -2e-12),
+                ("cse", 0.0, 0.01),
+                ("sched", 0.07, -0.5),
+            ]),
+            eval_of(&[
+                ("sched", -0.2, 0.0),
+                ("dse", 0.12, -0.01),
+                ("cse", 0.12, 0.0),
+                ("licm", -0.01, 3e-12),
+                ("inline", 0.0, -1e-12),
+            ]),
+        ];
+        let ranking = rank_passes_across(&evals);
+        assert_eq!(ranking.programs, 3);
+        let got: Vec<(&str, [u64; 3], [usize; 4])> = ranking
+            .entries
+            .iter()
+            .map(|e| {
+                (
+                    e.pass.as_str(),
+                    [
+                        e.avg_rank.to_bits(),
+                        e.geomean_increment.to_bits(),
+                        e.mean_defect_delta.to_bits(),
+                    ],
+                    [
+                        e.positive_programs,
+                        e.neutral_programs,
+                        e.negative_programs,
+                        e.defect_reducing_programs,
+                    ],
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    "dse",
+                    [0x3ff0000000000000, 0x3fbeb851eb851ec0, 0xbf847ae147ae147b],
+                    [1, 0, 0, 1],
+                ),
+                (
+                    "inline",
+                    [0x4000000000000000, 0x3fbbfa4830f30b60, 0xbd722db838af71df],
+                    [2, 1, 0, 1],
+                ),
+                (
+                    "cse",
+                    [0x4002aaaaaaaaaaab, 0x3fb417408e02f3f0, 0xbf7b4e81b4e81b4d],
+                    [2, 1, 0, 1],
+                ),
+                (
+                    "sched",
+                    [0x4011555555555555, 0xbfb037180377e110, 0xbfc47ae147ae147b],
+                    [1, 0, 2, 1],
+                ),
+                (
+                    "licm",
+                    [0x4012000000000000, 0xbf74880d9b23ad80, 0x3d7a636641c4df1a],
+                    [0, 1, 1, 0],
+                ),
+            ]
+        );
     }
 }

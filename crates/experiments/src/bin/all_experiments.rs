@@ -17,7 +17,7 @@
 //! * `--only table05_gcc_passes` — run one job (and its dependency
 //!   closure); repeatable / comma-separable.
 //! * `--fresh` — evict the cache (objects + journal) first.
-//! * `--jobs N` — worker threads (default `DT_JOBS` or all cores).
+//! * `--jobs N` — worker threads (default all cores).
 //! * `--results DIR` — output directory (default `DT_RESULTS_DIR` or
 //!   `results/`).
 //! * `--list` — print the DAG (job, kind, dependencies) and exit.

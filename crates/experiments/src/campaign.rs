@@ -30,10 +30,11 @@ use crate::{
     table08_tradeoff, table16_correctness, table_per_program_dy, table_spec_speedups,
     table_top_passes, tradeoff_data, workload, SuiteInputs, TradeoffData,
 };
-use debugtuner::{DebugTuner, ProgramInput};
-use dt_campaign::{Campaign, Fnv};
+use debugtuner::DebugTuner;
+use dt_campaign::{Campaign, Ctx, Fnv};
 use dt_passes::{OptLevel, Personality};
 use dt_testsuite::spec::Workload;
+use std::sync::Arc;
 
 /// Bumped whenever the campaign's fingerprint semantics change, so
 /// stale cache objects from an older scheme can never be served.
@@ -121,182 +122,122 @@ pub fn build_campaign() -> Campaign {
         Ok::<_, String>(suite_inputs())
     });
     c.artifact("tuner", &[], tuner_key, |_| Ok::<_, String>(make_tuner()));
-    c.artifact(
-        "tradeoff_gcc",
-        &["tuner", "suite_inputs"],
-        workload_key,
-        |ctx| {
-            let tuner = ctx.value::<DebugTuner>("tuner");
-            let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            tradeoff_data(&tuner, &suite.programs, Personality::Gcc)
-        },
-    );
-    c.artifact(
-        "tradeoff_clang",
-        &["tuner", "suite_inputs"],
-        workload_key,
-        |ctx| {
-            let tuner = ctx.value::<DebugTuner>("tuner");
-            let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            tradeoff_data(&tuner, &suite.programs, Personality::Clang)
-        },
-    );
-    c.artifact("pareto", &["tradeoff_gcc", "tradeoff_clang"], 0, |ctx| {
-        let gcc = ctx.value::<TradeoffData>("tradeoff_gcc");
-        let clang = ctx.value::<TradeoffData>("tradeoff_clang");
-        Ok::<_, String>(pareto_tables(&gcc, &clang))
+    for (id, personality) in [
+        ("tradeoff_gcc", Personality::Gcc),
+        ("tradeoff_clang", Personality::Clang),
+    ] {
+        c.artifact(id, SUITE, workload_key, move |ctx| {
+            let (tuner, suite) = tuner_and_suite(ctx);
+            tradeoff_data(&tuner, &suite.programs, personality)
+        });
+    }
+    // Multi-output artifacts hold one text per output job.
+    c.artifact("pareto", TRADEOFFS, 0, |ctx| {
+        let (gcc, clang) = tradeoffs(ctx);
+        let (t13, t14, fig02) = pareto_tables(&gcc, &clang);
+        Ok::<_, String>(vec![t13, t14, fig02])
     });
-    c.artifact(
-        "autofdo_sweep",
-        &["tuner", "suite_inputs"],
-        workload_key,
-        |ctx| {
-            let tuner = ctx.value::<DebugTuner>("tuner");
-            let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            autofdo_spec(&tuner, &suite.programs)
-        },
-    );
+    c.artifact("autofdo_sweep", SUITE, workload_key, |ctx| {
+        let (tuner, suite) = tuner_and_suite(ctx);
+        let (t15, fig03) = autofdo_spec(&tuner, &suite.programs)?;
+        Ok(vec![t15, fig03])
+    });
 
-    let on_suite = |f: fn(&DebugTuner, &[ProgramInput]) -> String| {
-        move |ctx: &dt_campaign::Ctx| {
-            let tuner = ctx.value::<DebugTuner>("tuner");
-            let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            Ok(f(&tuner, &suite.programs))
-        }
-    };
-
-    // ---- Reference-build and corpus tables -------------------------
+    // ---- Reference-build, corpus and tuner-backed tables -----------
     c.output("table01_methods", &[], table01_key, |_| {
         Ok(table01_methods())
     });
-    c.output(
-        "table02_libpng",
-        &["tuner", "suite_inputs"],
-        0,
-        on_suite(table02_libpng),
-    );
-    c.output("table03_testsuite", &["tuner", "suite_inputs"], 0, |ctx| {
-        let tuner = ctx.value::<DebugTuner>("tuner");
-        Ok(table03_testsuite(
-            &tuner,
-            &ctx.value::<SuiteInputs>("suite_inputs"),
-        ))
-    });
-
-    // ---- Tuner-backed tables ---------------------------------------
-    c.output(
-        "table04_quality",
-        &["tuner", "suite_inputs"],
-        0,
-        on_suite(table04_quality),
-    );
-    c.output("table05_gcc_passes", &["tuner", "suite_inputs"], 0, |ctx| {
-        let tuner = ctx.value::<DebugTuner>("tuner");
-        let suite = ctx.value::<SuiteInputs>("suite_inputs");
-        Ok(table_top_passes(&tuner, &suite.programs, Personality::Gcc))
-    });
-    c.output(
-        "table06_clang_passes",
-        &["tuner", "suite_inputs"],
-        0,
-        |ctx| {
-            let tuner = ctx.value::<DebugTuner>("tuner");
-            let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            Ok(table_top_passes(
-                &tuner,
-                &suite.programs,
-                Personality::Clang,
-            ))
-        },
-    );
-    c.output(
-        "table07_breakdown",
-        &["tuner", "suite_inputs"],
-        0,
-        on_suite(table07_breakdown),
-    );
+    let suite_tables: [(&str, SuiteTable); 6] = [
+        ("table02_libpng", |t, s| table02_libpng(t, &s.programs)),
+        ("table03_testsuite", table03_testsuite),
+        ("table04_quality", |t, s| table04_quality(t, &s.programs)),
+        ("table05_gcc_passes", |t, s| {
+            table_top_passes(t, &s.programs, Personality::Gcc)
+        }),
+        ("table06_clang_passes", |t, s| {
+            table_top_passes(t, &s.programs, Personality::Clang)
+        }),
+        ("table07_breakdown", |t, s| {
+            table07_breakdown(t, &s.programs)
+        }),
+    ];
+    for (id, table) in suite_tables {
+        c.output(id, SUITE, 0, on_suite(table));
+    }
 
     // ---- Trade-off tables ------------------------------------------
-    c.output(
-        "table08_tradeoff",
-        &["tradeoff_gcc", "tradeoff_clang"],
-        0,
-        |ctx| {
-            let gcc = ctx.value::<TradeoffData>("tradeoff_gcc");
-            let clang = ctx.value::<TradeoffData>("tradeoff_clang");
-            Ok(table08_tradeoff(&gcc, &clang))
-        },
-    );
-    c.output("table09_gcc_dy", &["tradeoff_gcc"], 0, |ctx| {
-        Ok(table_per_program_dy(
-            &ctx.value::<TradeoffData>("tradeoff_gcc"),
-        ))
+    c.output("table08_tradeoff", TRADEOFFS, 0, |ctx| {
+        let (gcc, clang) = tradeoffs(ctx);
+        Ok(table08_tradeoff(&gcc, &clang))
     });
-    c.output("table10_clang_dy", &["tradeoff_clang"], 0, |ctx| {
-        Ok(table_per_program_dy(
-            &ctx.value::<TradeoffData>("tradeoff_clang"),
-        ))
-    });
-    c.output(
-        "table11_spec_speedup",
-        &["tradeoff_gcc", "tradeoff_clang"],
-        workload_key,
-        |ctx| {
-            let gcc = ctx.value::<TradeoffData>("tradeoff_gcc");
-            let clang = ctx.value::<TradeoffData>("tradeoff_clang");
-            Ok(table_spec_speedups(&gcc, &clang, false))
-        },
-    );
-    c.output(
-        "table12_spec_delta",
-        &["tradeoff_gcc", "tradeoff_clang"],
-        workload_key,
-        |ctx| {
-            let gcc = ctx.value::<TradeoffData>("tradeoff_gcc");
-            let clang = ctx.value::<TradeoffData>("tradeoff_clang");
-            Ok(table_spec_speedups(&gcc, &clang, true))
-        },
-    );
+    for (id, dep) in [
+        ("table09_gcc_dy", "tradeoff_gcc"),
+        ("table10_clang_dy", "tradeoff_clang"),
+    ] {
+        c.output(id, &[dep], 0, move |ctx| {
+            Ok(table_per_program_dy(&ctx.value::<TradeoffData>(dep)))
+        });
+    }
+    for (id, relative) in [
+        ("table11_spec_speedup", false),
+        ("table12_spec_delta", true),
+    ] {
+        c.output(id, TRADEOFFS, workload_key, move |ctx| {
+            let (gcc, clang) = tradeoffs(ctx);
+            Ok(table_spec_speedups(&gcc, &clang, relative))
+        });
+    }
 
-    // ---- Pareto triple ---------------------------------------------
-    type ParetoTriple = (String, String, String);
-    c.output("table13_pareto_dbg", &["pareto"], 0, |ctx| {
-        Ok(ctx.value::<ParetoTriple>("pareto").0.clone())
+    // ---- Pareto triple and AutoFDO ---------------------------------
+    for (id, dep, part) in [
+        ("table13_pareto_dbg", "pareto", 0),
+        ("table14_pareto_perf", "pareto", 1),
+        ("fig02_pareto", "pareto", 2),
+        ("table15_autofdo", "autofdo_sweep", 0),
+        ("fig03_autofdo_spec", "autofdo_sweep", 1),
+    ] {
+        c.output(id, &[dep], 0, move |ctx| {
+            Ok(ctx.value::<Vec<String>>(dep)[part].clone())
+        });
+    }
+    c.output("fig04_selfcompile", SUITE, workload_key, |ctx| {
+        let (tuner, suite) = tuner_and_suite(ctx);
+        fig04_selfcompile(&tuner, &suite.programs)
     });
-    c.output("table14_pareto_perf", &["pareto"], 0, |ctx| {
-        Ok(ctx.value::<ParetoTriple>("pareto").1.clone())
-    });
-    c.output("fig02_pareto", &["pareto"], 0, |ctx| {
-        Ok(ctx.value::<ParetoTriple>("pareto").2.clone())
-    });
-
-    // ---- AutoFDO ---------------------------------------------------
-    c.output("table15_autofdo", &["autofdo_sweep"], 0, |ctx| {
-        Ok(ctx.value::<(String, String)>("autofdo_sweep").0.clone())
-    });
-    c.output("fig03_autofdo_spec", &["autofdo_sweep"], 0, |ctx| {
-        Ok(ctx.value::<(String, String)>("autofdo_sweep").1.clone())
-    });
-    c.output(
-        "fig04_selfcompile",
-        &["tuner", "suite_inputs"],
-        workload_key,
-        |ctx| {
-            let tuner = ctx.value::<DebugTuner>("tuner");
-            let suite = ctx.value::<SuiteInputs>("suite_inputs");
-            fig04_selfcompile(&tuner, &suite.programs)
-        },
-    );
 
     // ---- Correctness -----------------------------------------------
     c.output(
         "table16_correctness",
-        &["tuner", "suite_inputs"],
+        SUITE,
         0,
-        on_suite(table16_correctness),
+        on_suite(|t, s| table16_correctness(t, &s.programs)),
     );
 
     c
+}
+
+/// Dependencies of a job that reads the tuner and the suite inputs.
+const SUITE: &[&str] = &["tuner", "suite_inputs"];
+/// Dependencies of a job that reads both trade-off matrices.
+const TRADEOFFS: &[&str] = &["tradeoff_gcc", "tradeoff_clang"];
+
+/// A table drawn from the tuner and the suite inputs alone.
+type SuiteTable = fn(&DebugTuner, &SuiteInputs) -> String;
+
+fn tuner_and_suite(ctx: &Ctx) -> (Arc<DebugTuner>, Arc<SuiteInputs>) {
+    (ctx.value("tuner"), ctx.value("suite_inputs"))
+}
+
+fn tradeoffs(ctx: &Ctx) -> (Arc<TradeoffData>, Arc<TradeoffData>) {
+    (ctx.value("tradeoff_gcc"), ctx.value("tradeoff_clang"))
+}
+
+/// The body of an output job that formats `table`.
+fn on_suite(table: SuiteTable) -> impl Fn(&Ctx) -> Result<String, String> + Send + Sync {
+    move |ctx| {
+        let (tuner, suite) = tuner_and_suite(ctx);
+        Ok(table(&tuner, &suite))
+    }
 }
 
 #[cfg(test)]
@@ -313,45 +254,48 @@ mod tests {
     #[test]
     fn campaign_declares_every_results_artifact() {
         let c = build_campaign();
-        // Every persisted job id matches one historical results file.
-        let outputs: Vec<&str> = c
-            .ids()
-            .iter()
-            .copied()
-            .filter(|id| c.is_output(id) == Some(true))
-            .collect();
-        assert_eq!(outputs.len(), 19, "16 tables + 3 figures");
-        for id in [
-            "table01_methods",
-            "table08_tradeoff",
-            "table16_correctness",
-            "fig02_pareto",
-            "fig04_selfcompile",
-        ] {
-            assert!(outputs.contains(&id), "missing output job {id}");
-        }
-        // Shared artifacts are first-class ephemeral jobs.
-        for id in [
-            "suite_inputs",
-            "tuner",
-            "tradeoff_gcc",
-            "tradeoff_clang",
-            "pareto",
-            "autofdo_sweep",
-        ] {
-            assert_eq!(c.is_output(id), Some(false), "artifact job {id}");
-        }
-        // Spot-check the dependency shape.
+        // The whole DAG in declaration order: id, whether it is a
+        // persisted output (one historical results file each) or a
+        // shared in-memory artifact, and its dependencies.
+        const SUITE: &[&str] = &["tuner", "suite_inputs"];
+        const TRADEOFFS: &[&str] = &["tradeoff_gcc", "tradeoff_clang"];
+        let expected: [(&str, bool, &[&str]); 25] = [
+            ("suite_inputs", false, &[]),
+            ("tuner", false, &[]),
+            ("tradeoff_gcc", false, SUITE),
+            ("tradeoff_clang", false, SUITE),
+            ("pareto", false, TRADEOFFS),
+            ("autofdo_sweep", false, SUITE),
+            ("table01_methods", true, &[]),
+            ("table02_libpng", true, SUITE),
+            ("table03_testsuite", true, SUITE),
+            ("table04_quality", true, SUITE),
+            ("table05_gcc_passes", true, SUITE),
+            ("table06_clang_passes", true, SUITE),
+            ("table07_breakdown", true, SUITE),
+            ("table08_tradeoff", true, TRADEOFFS),
+            ("table09_gcc_dy", true, &["tradeoff_gcc"]),
+            ("table10_clang_dy", true, &["tradeoff_clang"]),
+            ("table11_spec_speedup", true, TRADEOFFS),
+            ("table12_spec_delta", true, TRADEOFFS),
+            ("table13_pareto_dbg", true, &["pareto"]),
+            ("table14_pareto_perf", true, &["pareto"]),
+            ("fig02_pareto", true, &["pareto"]),
+            ("table15_autofdo", true, &["autofdo_sweep"]),
+            ("fig03_autofdo_spec", true, &["autofdo_sweep"]),
+            ("fig04_selfcompile", true, SUITE),
+            ("table16_correctness", true, SUITE),
+        ];
+        let ids = c.ids();
         assert_eq!(
-            c.deps("table08_tradeoff").unwrap(),
-            ["tradeoff_gcc".to_string(), "tradeoff_clang".to_string()]
+            ids,
+            expected.iter().map(|&(id, _, _)| id).collect::<Vec<_>>()
         );
-        for id in ["table02_libpng", "table03_testsuite", "table16_correctness"] {
-            assert_eq!(
-                c.deps(id).unwrap(),
-                ["tuner".to_string(), "suite_inputs".to_string()],
-                "{id}"
-            );
+        for (id, output, deps) in expected {
+            assert_eq!(c.is_output(id), Some(output), "{id} kind");
+            assert_eq!(c.deps(id).unwrap(), deps, "{id} dependencies");
         }
+        let outputs = expected.iter().filter(|&&(_, output, _)| output).count();
+        assert_eq!(outputs, 19, "16 tables + 3 figures");
     }
 }

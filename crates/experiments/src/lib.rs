@@ -64,6 +64,16 @@ fn clang_levels() -> &'static [OptLevel] {
     OptLevel::levels_for(Personality::Clang)
 }
 
+/// The change of `v` from `base`, in percent (0 for a non-positive
+/// base).
+fn pct_change(v: f64, base: f64) -> f64 {
+    if base > 0.0 {
+        100.0 * (v - base) / base
+    } else {
+        0.0
+    }
+}
+
 /// Synthetic programs as tuner inputs (closed programs; two input
 /// bytes of entropy).
 pub fn synthetic_inputs(n: usize) -> Vec<ProgramInput> {
@@ -323,27 +333,25 @@ pub fn table04_quality(tuner: &DebugTuner, programs: &[ProgramInput]) -> String 
         for (i, v) in row.iter().enumerate() {
             col_values[i].push(*v);
         }
-        let delta = |g: f64, c: f64| if c > 0.0 { 100.0 * (g - c) / c } else { 0.0 };
         let _ = writeln!(
             out,
             "{:<10} | {:>5.2} {:>5.2} {:>5.2} {:>5.2} | {:>5.2} {:>5.2} {:>5.2} | {:>7.2} {:>7.2} {:>7.2}",
             p.name,
             row[0], row[1], row[2], row[3], row[4], row[5], row[6],
-            delta(row[1], row[4]),
-            delta(row[2], row[5]),
-            delta(row[3], row[6]),
+            pct_change(row[1], row[4]),
+            pct_change(row[2], row[5]),
+            pct_change(row[3], row[6]),
         );
     }
     let avg: Vec<f64> = col_values.iter().map(|c| stats::mean(c)).collect();
-    let delta = |g: f64, c: f64| if c > 0.0 { 100.0 * (g - c) / c } else { 0.0 };
     let _ = writeln!(
         out,
         "{:<10} | {:>5.2} {:>5.2} {:>5.2} {:>5.2} | {:>5.2} {:>5.2} {:>5.2} | {:>7.2} {:>7.2} {:>7.2}",
         "average",
         avg[0], avg[1], avg[2], avg[3], avg[4], avg[5], avg[6],
-        delta(avg[1], avg[4]),
-        delta(avg[2], avg[5]),
-        delta(avg[3], avg[6]),
+        pct_change(avg[1], avg[4]),
+        pct_change(avg[2], avg[5]),
+        pct_change(avg[3], avg[6]),
     );
     out
 }
@@ -448,6 +456,13 @@ pub struct TradeoffData {
     pub program_names: Vec<String>,
 }
 
+impl TradeoffData {
+    /// The `Ox-dy` point of `level` with `y` disabled passes.
+    pub fn point(&self, level: OptLevel, y: usize) -> Option<&DyPoint> {
+        self.configs.iter().find(|c| c.level == level && c.y == y)
+    }
+}
+
 pub struct DyPoint {
     pub name: String,
     pub level: OptLevel,
@@ -541,47 +556,32 @@ pub fn table08_tradeoff(gcc: &TradeoffData, clang: &TradeoffData) -> String {
         out,
         "Table VIII — Ox-dy vs Ox: Δ debug availability (top) and Δ speedup (bottom), %"
     );
+    // Each Δ block reads one metric of a configuration: its mean
+    // product or its geomean speedup.
+    type Metric = fn(f64, &PerfReport) -> f64;
+    let blocks: [(&str, Metric); 2] = [
+        ("Δ debug availability (%)", |product, _| product),
+        ("Δ speedup (%)", |_, perf| perf.speedup),
+    ];
     for (label, data) in [("gcc", gcc), ("clang", clang)] {
-        let _ = writeln!(out, "[{label}] Δ debug availability (%)");
-        for y in [3, 5, 7, 9] {
-            let mut row = format!("  Ox-d{y}:");
-            for &(level, ref_prod, _) in &data.reference {
-                let point = data.configs.iter().find(|c| c.level == level && c.y == y);
-                match point {
-                    Some(p) if ref_prod > 0.0 => {
-                        let _ = write!(
-                            row,
-                            " {:>7.2}",
-                            100.0 * (p.avg_product - ref_prod) / ref_prod
-                        );
-                    }
-                    _ => {
-                        let _ = write!(row, " {:>7}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out, "{row}");
-        }
-        let _ = writeln!(out, "[{label}] Δ speedup (%)");
-        for y in [3, 5, 7, 9] {
-            let mut row = format!("  Ox-d{y}:");
-            for (level, _, ref_perf) in &data.reference {
-                let ref_speed = ref_perf.speedup;
-                let point = data.configs.iter().find(|c| c.level == *level && c.y == y);
-                match point {
-                    Some(p) if ref_speed > 0.0 => {
-                        let _ = write!(
-                            row,
-                            " {:>7.2}",
-                            100.0 * (p.perf.speedup - ref_speed) / ref_speed
-                        );
-                    }
-                    _ => {
-                        let _ = write!(row, " {:>7}", "-");
+        for (title, metric) in blocks {
+            let _ = writeln!(out, "[{label}] {title}");
+            for y in [3, 5, 7, 9] {
+                let mut row = format!("  Ox-d{y}:");
+                for (level, ref_product, ref_perf) in &data.reference {
+                    let base = metric(*ref_product, ref_perf);
+                    match data.point(*level, y) {
+                        Some(p) if base > 0.0 => {
+                            let v = metric(p.avg_product, &p.perf);
+                            let _ = write!(row, " {:>7.2}", pct_change(v, base));
+                        }
+                        _ => {
+                            let _ = write!(row, " {:>7}", "-");
+                        }
                     }
                 }
+                let _ = writeln!(out, "{row}");
             }
-            let _ = writeln!(out, "{row}");
         }
         let levels: Vec<&str> = data.reference.iter().map(|(l, _, _)| l.name()).collect();
         let _ = writeln!(out, "  (columns: {})", levels.join(", "));
@@ -612,22 +612,14 @@ pub fn table_per_program_dy(data: &TradeoffData) -> String {
         for (pi, pname) in data.program_names.iter().enumerate() {
             let mut row = format!("{pname:<10}");
             for &(level, _, _) in &data.reference {
-                let point = data
-                    .configs
-                    .iter()
-                    .find(|c| c.level == level && c.y == y)
-                    .expect("config exists");
+                let point = data.point(level, y).expect("config exists");
                 let _ = write!(row, " {:>7.4}", point.products[pi]);
             }
             let _ = writeln!(out, "{row}");
         }
         let mut row = format!("{:<10}", "average");
         for &(level, _, _) in &data.reference {
-            let point = data
-                .configs
-                .iter()
-                .find(|c| c.level == level && c.y == y)
-                .expect("config exists");
+            let point = data.point(level, y).expect("config exists");
             let _ = write!(row, " {:>7.4}", point.avg_product);
         }
         let _ = writeln!(out, "{row}");
@@ -661,14 +653,7 @@ pub fn table_spec_speedups(gcc: &TradeoffData, clang: &TradeoffData, relative: b
             let _ = writeln!(out, "{header}");
             let dy_perfs: Vec<&PerfReport> = [3usize, 5, 7, 9]
                 .into_iter()
-                .map(|y| {
-                    let cfg = data
-                        .configs
-                        .iter()
-                        .find(|c| c.level == *level && c.y == y)
-                        .expect("config");
-                    &cfg.perf
-                })
+                .map(|y| &data.point(*level, y).expect("config exists").perf)
                 .collect();
             for (bi, (bname, std_speed)) in std_perf.per_benchmark.iter().enumerate() {
                 let mut row = format!("    {:<16} {:>9.4}", bname, std_speed);
@@ -720,18 +705,7 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
                 .find(|(l, _, _)| p.name.starts_with(l.name()))
                 .map(|(_, prod, perf)| (*prod, perf.speedup));
             let (dq, ds) = base.map_or((0.0, 0.0), |(bp, bs)| {
-                (
-                    if bp > 0.0 {
-                        100.0 * (p.debug_quality - bp) / bp
-                    } else {
-                        0.0
-                    },
-                    if bs > 0.0 {
-                        100.0 * (p.speedup - bs) / bs
-                    } else {
-                        0.0
-                    },
-                )
+                (pct_change(p.debug_quality, bp), pct_change(p.speedup, bs))
             });
             let _ = writeln!(
                 t13,

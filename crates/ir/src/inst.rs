@@ -6,8 +6,10 @@ use crate::module::{FuncId, GlobalId, SlotId, VReg, VarId};
 /// the pipeline agrees exactly with source/VM semantics.
 pub use dt_minic::ast::{BinOp, UnOp};
 
-/// An operand: a virtual register or an immediate constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// An operand: a virtual register or an immediate constant. The
+/// derived order (registers by index, then constants by value) is the
+/// canonical operand order of commutative expressions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     Reg(VReg),
     Const(i64),

@@ -14,7 +14,7 @@
 //!   the next `dbg.value`. Holes in the resulting lists are precisely
 //!   the availability loss the paper measures.
 
-use crate::mir::{MFunction, MVarInfo, VR};
+use crate::mir::{MFunction, MVarInfo};
 use crate::object::{FDbgLoc, FInst, FOp, FuncInfo, Object};
 use crate::regalloc::allocate;
 use crate::BackendConfig;
@@ -63,7 +63,7 @@ pub struct FunctionCode {
 
 impl FunctionCode {
     /// Allocates registers for an optimized machine function.
-    pub fn allocate(f: &MFunction<VR>, share_spill_slots: bool) -> Self {
+    pub fn allocate(f: &MFunction, share_spill_slots: bool) -> Self {
         let res = allocate(f, share_spill_slots);
         FunctionCode {
             name: f.name.clone(),
@@ -357,7 +357,7 @@ mod tests {
     use crate::mir::MModule;
 
     /// Allocates every function of a lowered module and assembles it.
-    fn emit_module(mmod: &MModule<VR>, config: &BackendConfig) -> Object {
+    fn emit_module(mmod: &MModule, config: &BackendConfig) -> Object {
         let code: Vec<FunctionCode> = mmod
             .funcs
             .iter()

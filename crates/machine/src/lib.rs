@@ -112,7 +112,7 @@ pub fn compile_function(
 
 /// The backend passes a [`BackendConfig`] toggle skips, in pipeline
 /// order: whether the configuration enables each, and the pass.
-type TogglePass = (fn(&BackendConfig) -> bool, fn(&mut MFunction<VR>));
+type TogglePass = (fn(&BackendConfig) -> bool, fn(&mut MFunction));
 const TOGGLE_PASSES: [TogglePass; 5] = [
     (|c| c.shrink_wrap, opt::shrinkwrap::run),
     (|c| c.sink, opt::msink::run),
@@ -123,7 +123,7 @@ const TOGGLE_PASSES: [TogglePass; 5] = [
 
 /// Runs the enabled backend passes over one lowered function:
 /// everything the backend does to it before register allocation.
-pub fn optimize_function(func: &mut MFunction<VR>, config: &BackendConfig) {
+pub fn optimize_function(func: &mut MFunction, config: &BackendConfig) {
     for (enabled, run) in TOGGLE_PASSES {
         if enabled(config) {
             run(func);

@@ -11,7 +11,7 @@ use dt_ir::{DbgLoc, Function, Inst, Module, Op, Terminator, Value};
 /// Lowers a whole IR module (the backend itself lowers one function at
 /// a time, [`lower_function`]).
 #[cfg(test)]
-pub(crate) fn lower_module(module: &Module) -> crate::mir::MModule<VR> {
+pub(crate) fn lower_module(module: &Module) -> crate::mir::MModule {
     let (globals, globals_size) = global_layout(module);
     let funcs = module
         .funcs
@@ -44,7 +44,7 @@ struct Lowerer<'a> {
     globals: &'a [(u32, u32, i64)],
     module: &'a Module,
     next_vreg: VR,
-    out: Vec<MInst<VR>>,
+    out: Vec<MInst>,
 }
 
 impl Lowerer<'_> {
@@ -54,7 +54,7 @@ impl Lowerer<'_> {
         r
     }
 
-    fn push(&mut self, op: MOpKind<VR>, line: u32) {
+    fn push(&mut self, op: MOpKind, line: u32) {
         self.out.push(MInst::new(op, line));
     }
 
@@ -289,7 +289,7 @@ impl Lowerer<'_> {
 /// Lowers one function of `module`, whose globals are laid out as
 /// `globals` ([`global_layout`]). Of the rest of the module it reads
 /// only the callees' names.
-pub fn lower_function(f: &Function, module: &Module, globals: &[(u32, u32, i64)]) -> MFunction<VR> {
+pub fn lower_function(f: &Function, module: &Module, globals: &[(u32, u32, i64)]) -> MFunction {
     let mut blocks = Vec::with_capacity(f.blocks.len());
     let mut next_vreg = f.vreg_count;
 
@@ -390,12 +390,12 @@ mod tests {
     use super::*;
     use crate::mir::MModule;
 
-    fn lower(src: &str) -> MModule<VR> {
+    fn lower(src: &str) -> MModule {
         let m = dt_frontend::lower_source(src).unwrap();
         lower_module(&m)
     }
 
-    fn ops_of(m: &MModule<VR>, f: usize) -> Vec<&MOpKind<VR>> {
+    fn ops_of(m: &MModule, f: usize) -> Vec<&MOpKind> {
         m.funcs[f]
             .blocks
             .iter()

@@ -1,8 +1,9 @@
-//! Machine IR: VISA operations over a generic register type.
+//! Machine IR: VISA operations over virtual registers ([`VR`]).
 //!
-//! Before register allocation the register type is [`VR`] (a virtual
-//! register index); allocation rewrites everything onto
-//! [`crate::preg::PReg`] and linearizes the CFG.
+//! Every backend pass works on this form. Register allocation does not
+//! rewrite it onto physical registers: [`crate::regalloc`] assigns each
+//! register a physical register or a spill slot and emits the final
+//! linear code ([`crate::object::FInst`]) directly.
 
 use dt_ir::{BinOp, UnOp};
 
@@ -11,9 +12,9 @@ pub type VR = u32;
 
 /// Where a machine-level `dbg.value` pseudo says a variable lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MDbgLoc<R> {
+pub enum MDbgLoc {
     /// In a register.
-    Reg(R),
+    Reg(VR),
     /// In a frame slot (word index).
     Slot(u32),
     /// A known constant.
@@ -22,61 +23,61 @@ pub enum MDbgLoc<R> {
     Undef,
 }
 
-/// A VISA operation, parameterized over the register type `R`.
+/// A VISA operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MOpKind<R> {
+pub enum MOpKind {
     /// `rd = imm`
-    Imm { rd: R, value: i64 },
+    Imm { rd: VR, value: i64 },
     /// `rd = rs`
-    Mov { rd: R, rs: R },
+    Mov { rd: VR, rs: VR },
     /// `rd = op rs`
-    Un { op: UnOp, rd: R, rs: R },
+    Un { op: UnOp, rd: VR, rs: VR },
     /// `rd = ra op rb`
-    Bin { op: BinOp, rd: R, ra: R, rb: R },
+    Bin { op: BinOp, rd: VR, ra: VR, rb: VR },
     /// `rd = ra op imm`
-    BinImm { op: BinOp, rd: R, ra: R, imm: i64 },
+    BinImm { op: BinOp, rd: VR, ra: VR, imm: i64 },
     /// `rd = cond != 0 ? ra : rb` (branchless conditional move)
-    Select { rd: R, rc: R, ra: R, rb: R },
+    Select { rd: VR, rc: VR, ra: VR, rb: VR },
     /// `rd = frame[slot]`
-    LdSlot { rd: R, slot: u32 },
+    LdSlot { rd: VR, slot: u32 },
     /// `frame[slot] = rs`
-    StSlot { slot: u32, rs: R },
+    StSlot { slot: u32, rs: VR },
     /// `rd = frame[slot + wrap(ri, len)]`
-    LdIdx { rd: R, slot: u32, ri: R, len: u32 },
+    LdIdx { rd: VR, slot: u32, ri: VR, len: u32 },
     /// `frame[slot + wrap(ri, len)] = rs`
-    StIdx { slot: u32, ri: R, rs: R, len: u32 },
+    StIdx { slot: u32, ri: VR, rs: VR, len: u32 },
     /// `rd = globals[addr]`
-    LdG { rd: R, addr: u32 },
+    LdG { rd: VR, addr: u32 },
     /// `globals[addr] = rs`
-    StG { addr: u32, rs: R },
+    StG { addr: u32, rs: VR },
     /// `rd = globals[base + wrap(ri, len)]`
-    LdGIdx { rd: R, base: u32, ri: R, len: u32 },
+    LdGIdx { rd: VR, base: u32, ri: VR, len: u32 },
     /// `globals[base + wrap(ri, len)] = rs`
-    StGIdx { base: u32, ri: R, rs: R, len: u32 },
+    StGIdx { base: u32, ri: VR, rs: VR, len: u32 },
     /// `argbank[k] = rs` (before a call)
-    SetArg { k: u8, rs: R },
+    SetArg { k: u8, rs: VR },
     /// `rd = argbank[k]` (at function entry)
-    GetArg { rd: R, k: u8 },
+    GetArg { rd: VR, k: u8 },
     /// Call function `func` (module function index). Return value is
     /// left in `r0`; `CopyRet` moves it where the caller wants it.
     CallF { func: u32 },
     /// `rd = r0` immediately after a call.
-    CopyRet { rd: R },
+    CopyRet { rd: VR },
     /// `rd = in(ri)`
-    In { rd: R, ri: R },
+    In { rd: VR, ri: VR },
     /// `rd = in_len()`
-    InLen { rd: R },
+    InLen { rd: VR },
     /// `out(rs)`
-    Out { rs: R },
+    Out { rs: VR },
     /// Debug pseudo: variable `var` (function-local debug variable
     /// index) is described by `loc` from here on. Emits no code.
-    Dbg { var: u32, loc: MDbgLoc<R> },
+    Dbg { var: u32, loc: MDbgLoc },
 }
 
-impl<R: Copy + Eq> MOpKind<R> {
+impl MOpKind {
     /// The register defined, if any. `CallF` defines `r0` implicitly
     /// (handled by the allocator's clobber model, not here).
-    pub fn def(&self) -> Option<R> {
+    pub fn def(&self) -> Option<VR> {
         match self {
             MOpKind::Imm { rd, .. }
             | MOpKind::Mov { rd, .. }
@@ -98,7 +99,7 @@ impl<R: Copy + Eq> MOpKind<R> {
 
     /// Invokes `f` on each register use. Debug pseudo uses are *not*
     /// reported (they must not extend live ranges).
-    pub fn for_each_use(&self, mut f: impl FnMut(R)) {
+    pub fn for_each_use(&self, mut f: impl FnMut(VR)) {
         match self {
             MOpKind::Mov { rs, .. }
             | MOpKind::Un { rs, .. }
@@ -128,7 +129,7 @@ impl<R: Copy + Eq> MOpKind<R> {
     }
 
     /// Invokes `f` on each register use, mutably.
-    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut R)) {
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut VR)) {
         match self {
             MOpKind::Mov { rs, .. }
             | MOpKind::Un { rs, .. }
@@ -158,7 +159,7 @@ impl<R: Copy + Eq> MOpKind<R> {
     }
 
     /// Rewrites the defined register.
-    pub fn set_def(&mut self, new: R) {
+    pub fn set_def(&mut self, new: VR) {
         match self {
             MOpKind::Imm { rd, .. }
             | MOpKind::Mov { rd, .. }
@@ -217,8 +218,8 @@ impl<R: Copy + Eq> MOpKind<R> {
 
 /// A machine instruction with debug metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MInst<R> {
-    pub op: MOpKind<R>,
+pub struct MInst {
+    pub op: MOpKind,
     /// Source line (0 = none).
     pub line: u32,
     /// Whether a line-table row for this instruction is a recommended
@@ -228,8 +229,8 @@ pub struct MInst<R> {
     pub fused: bool,
 }
 
-impl<R> MInst<R> {
-    pub fn new(op: MOpKind<R>, line: u32) -> Self {
+impl MInst {
+    pub fn new(op: MOpKind, line: u32) -> Self {
         MInst {
             op,
             line,
@@ -241,20 +242,20 @@ impl<R> MInst<R> {
 
 /// A machine-block terminator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MTerm<R> {
+pub enum MTerm {
     Jmp(u32),
     /// Branch to `then_bb` if `rs != 0`, else `else_bb`.
     JCond {
-        rs: R,
+        rs: VR,
         then_bb: u32,
         else_bb: u32,
         /// Probability (per mille) of taking `then_bb`, if estimated.
         prob_then: Option<u16>,
     },
-    Ret(Option<R>),
+    Ret(Option<VR>),
 }
 
-impl<R: Copy> MTerm<R> {
+impl MTerm {
     /// Successor block indices, in order (then before else), without
     /// allocating.
     pub fn successors(&self) -> impl Iterator<Item = u32> + Clone {
@@ -269,7 +270,7 @@ impl<R: Copy> MTerm<R> {
     }
 
     /// Invokes `f` on the register the terminator reads, if any.
-    pub fn for_each_use(&self, mut f: impl FnMut(R)) {
+    pub fn for_each_use(&self, mut f: impl FnMut(VR)) {
         match self {
             MTerm::JCond { rs, .. } => f(*rs),
             MTerm::Ret(Some(r)) => f(*r),
@@ -280,9 +281,9 @@ impl<R: Copy> MTerm<R> {
 
 /// A machine basic block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MBlock<R> {
-    pub insts: Vec<MInst<R>>,
-    pub term: MTerm<R>,
+pub struct MBlock {
+    pub insts: Vec<MInst>,
+    pub term: MTerm,
     pub term_line: u32,
     pub dead: bool,
 }
@@ -295,11 +296,11 @@ pub struct MVarInfo {
     pub decl_line: u32,
 }
 
-/// A machine function (pre-allocation: `R = VR`).
+/// A machine function.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MFunction<R> {
+pub struct MFunction {
     pub name: String,
-    pub blocks: Vec<MBlock<R>>,
+    pub blocks: Vec<MBlock>,
     pub entry: u32,
     /// Block emission order; filled by the layout pass (defaults to
     /// creation order of live blocks).
@@ -316,7 +317,7 @@ pub struct MFunction<R> {
     pub shrink_wrapped: bool,
 }
 
-impl<R: Copy + Eq> MFunction<R> {
+impl MFunction {
     /// Iterates over live block indices in creation order.
     pub fn live_blocks(&self) -> impl Iterator<Item = u32> + '_ {
         self.blocks
@@ -358,8 +359,8 @@ impl<R: Copy + Eq> MFunction<R> {
 /// per-function backend stages.
 #[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MModule<R = VR> {
-    pub funcs: Vec<MFunction<R>>,
+pub struct MModule {
+    pub funcs: Vec<MFunction>,
     /// Function emission order into the object.
     pub order: Vec<u32>,
     /// Global data area: per-global (base word address, word size, init).
@@ -373,7 +374,7 @@ mod tests {
 
     #[test]
     fn def_use_queries() {
-        let op: MOpKind<VR> = MOpKind::Bin {
+        let op: MOpKind = MOpKind::Bin {
             op: BinOp::Add,
             rd: 2,
             ra: 0,
@@ -388,7 +389,7 @@ mod tests {
 
     #[test]
     fn dbg_pseudo_has_no_uses() {
-        let op: MOpKind<VR> = MOpKind::Dbg {
+        let op: MOpKind = MOpKind::Dbg {
             var: 0,
             loc: MDbgLoc::Reg(5),
         };
@@ -400,8 +401,8 @@ mod tests {
 
     #[test]
     fn loads_and_stores_classified() {
-        let ld: MOpKind<VR> = MOpKind::LdSlot { rd: 0, slot: 1 };
-        let st: MOpKind<VR> = MOpKind::StG { addr: 0, rs: 1 };
+        let ld: MOpKind = MOpKind::LdSlot { rd: 0, slot: 1 };
+        let st: MOpKind = MOpKind::StG { addr: 0, rs: 1 };
         assert!(ld.is_load() && !ld.has_side_effect());
         assert!(!st.is_load() && st.has_side_effect());
     }
@@ -409,7 +410,7 @@ mod tests {
     #[test]
     fn default_layout_skips_unreachable() {
         let blocks = vec![
-            MBlock::<VR> {
+            MBlock {
                 insts: vec![],
                 term: MTerm::Jmp(2),
                 term_line: 0,

@@ -11,10 +11,10 @@
 //! * single-predecessor/single-successor block pairs are merged (the
 //!   jump between them — and its line — disappears).
 
-use crate::mir::{MFunction, MTerm, VR};
+use crate::mir::{MFunction, MTerm};
 
 /// Runs the cleanup to a local fixpoint.
-pub fn run(f: &mut MFunction<VR>) {
+pub fn run(f: &mut MFunction) {
     let mut changed = true;
     while changed {
         changed = false;
@@ -26,7 +26,7 @@ pub fn run(f: &mut MFunction<VR>) {
 }
 
 /// `JCond` with identical arms → `Jmp`.
-fn fold_trivial_branches(f: &mut MFunction<VR>) -> bool {
+fn fold_trivial_branches(f: &mut MFunction) -> bool {
     let mut changed = false;
     for b in f.live_blocks().collect::<Vec<_>>() {
         if let MTerm::JCond {
@@ -43,7 +43,7 @@ fn fold_trivial_branches(f: &mut MFunction<VR>) -> bool {
 }
 
 /// Blocks containing nothing but `Jmp(t)` are bypassed.
-fn thread_empty_blocks(f: &mut MFunction<VR>) -> bool {
+fn thread_empty_blocks(f: &mut MFunction) -> bool {
     let mut changed = false;
     // forward[b] = t if b is an empty forwarding block to t.
     let forward: Vec<Option<u32>> = f
@@ -110,7 +110,7 @@ fn thread_empty_blocks(f: &mut MFunction<VR>) -> bool {
 }
 
 /// Merges `b -Jmp-> s` where `s` has `b` as its only predecessor.
-fn merge_block_chains(f: &mut MFunction<VR>) -> bool {
+fn merge_block_chains(f: &mut MFunction) -> bool {
     let mut changed = false;
     loop {
         let preds = f.preds();
@@ -145,7 +145,7 @@ fn merge_block_chains(f: &mut MFunction<VR>) -> bool {
     }
 }
 
-fn remove_unreachable(f: &mut MFunction<VR>) {
+fn remove_unreachable(f: &mut MFunction) {
     let mut reach = vec![false; f.blocks.len()];
     let mut stack = vec![f.entry];
     while let Some(b) = stack.pop() {
@@ -169,7 +169,7 @@ mod tests {
     use super::*;
     use crate::mir::{MBlock, MFunction, MInst, MOpKind};
 
-    fn func(blocks: Vec<MBlock<VR>>) -> MFunction<VR> {
+    fn func(blocks: Vec<MBlock>) -> MFunction {
         let mut f = MFunction {
             name: "t".into(),
             blocks,
@@ -187,7 +187,7 @@ mod tests {
         f
     }
 
-    fn block(insts: Vec<MInst<VR>>, term: MTerm<VR>, line: u32) -> MBlock<VR> {
+    fn block(insts: Vec<MInst>, term: MTerm, line: u32) -> MBlock {
         MBlock {
             insts,
             term,

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 const MIN_TAIL: usize = 2;
 
 /// Runs cross-jumping over all join blocks.
-pub fn run(f: &mut MFunction<VR>) {
+pub fn run(f: &mut MFunction) {
     let live = mliveness::compute(f);
     let preds = f.preds();
     let join_blocks: Vec<u32> = f
@@ -54,13 +54,13 @@ pub fn run(f: &mut MFunction<VR>) {
 /// Length (in real instructions) of the maximal mergeable common tail
 /// of `p1` and `p2`, comparing operations with a register bijection.
 /// Registers that survive into the join must be literally equal.
-fn common_tail(f: &MFunction<VR>, p1: u32, p2: u32, join_live_in: RegRow<'_>) -> Option<usize> {
-    let a: Vec<&MInst<VR>> = f.blocks[p1 as usize]
+fn common_tail(f: &MFunction, p1: u32, p2: u32, join_live_in: RegRow<'_>) -> Option<usize> {
+    let a: Vec<&MInst> = f.blocks[p1 as usize]
         .insts
         .iter()
         .filter(|i| !i.op.is_dbg())
         .collect();
-    let b: Vec<&MInst<VR>> = f.blocks[p2 as usize]
+    let b: Vec<&MInst> = f.blocks[p2 as usize]
         .insts
         .iter()
         .filter(|i| !i.op.is_dbg())
@@ -105,8 +105,8 @@ fn common_tail(f: &MFunction<VR>, p1: u32, p2: u32, join_live_in: RegRow<'_>) ->
 /// restricted to tail-internal definitions.
 #[allow(clippy::too_many_arguments)]
 fn ops_match(
-    a: &MInst<VR>,
-    b: &MInst<VR>,
+    a: &MInst,
+    b: &MInst,
     map: &mut HashMap<VR, VR>,
     rmap: &mut HashMap<VR, VR>,
     defined_a: &mut std::collections::HashSet<VR>,
@@ -182,10 +182,10 @@ fn ops_match(
     true
 }
 
-fn merge_tails(f: &mut MFunction<VR>, p1: u32, p2: u32, j: u32, tail_len: usize) {
+fn merge_tails(f: &mut MFunction, p1: u32, p2: u32, j: u32, tail_len: usize) {
     // Extract p1's tail (keeping its register names), drop its debug
     // pseudos, zero its lines.
-    let take_tail = |blk: &mut MBlock<VR>, n: usize| -> Vec<MInst<VR>> {
+    let take_tail = |blk: &mut MBlock, n: usize| -> Vec<MInst> {
         let mut real_seen = 0;
         let mut cut = blk.insts.len();
         for (i, inst) in blk.insts.iter().enumerate().rev() {
@@ -203,7 +203,7 @@ fn merge_tails(f: &mut MFunction<VR>, p1: u32, p2: u32, j: u32, tail_len: usize)
     let tail = take_tail(&mut f.blocks[p1 as usize], tail_len);
     let _ = take_tail(&mut f.blocks[p2 as usize], tail_len);
 
-    let merged: Vec<MInst<VR>> = tail
+    let merged: Vec<MInst> = tail
         .into_iter()
         .filter(|i| !i.op.is_dbg())
         .map(|mut i| {
@@ -232,11 +232,11 @@ mod tests {
     use crate::mir::{MOpKind, MVarInfo};
     use dt_ir::BinOp;
 
-    fn out_inst(rs: VR, line: u32) -> MInst<VR> {
+    fn out_inst(rs: VR, line: u32) -> MInst {
         MInst::new(MOpKind::Out { rs }, line)
     }
 
-    fn diamond_with_common_tails() -> MFunction<VR> {
+    fn diamond_with_common_tails() -> MFunction {
         // Both arms end with: r3 = r0 + 1; out(r3)
         let mk_arm = |line: u32, temp: VR| {
             vec![

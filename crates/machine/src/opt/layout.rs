@@ -14,10 +14,10 @@
 //! no longer correspond to one source branch), mirroring how gcc's
 //! reorder-blocks degrades branch-line stepping.
 
-use crate::mir::{MFunction, MTerm, VR};
+use crate::mir::{MFunction, MTerm};
 
 /// Computes the layout. `optimize == false` restores creation order.
-pub fn run(f: &mut MFunction<VR>, optimize: bool) {
+pub fn run(f: &mut MFunction, optimize: bool) {
     f.default_layout();
     if !optimize {
         return;
@@ -92,7 +92,7 @@ mod tests {
     use crate::lower::lower_module;
     use crate::mir::MModule;
 
-    fn machine(src: &str) -> MModule<VR> {
+    fn machine(src: &str) -> MModule {
         lower_module(&dt_frontend::lower_source(src).unwrap())
     }
 

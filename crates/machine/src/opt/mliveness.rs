@@ -1,7 +1,7 @@
 //! Block-level register liveness for machine IR, shared by the backend
 //! passes (sinking, cross-jumping) and the register allocator.
 
-use crate::mir::{MFunction, VR};
+use crate::mir::MFunction;
 use dt_ir::liveness::{RegMatrix, UseDef};
 use dt_ir::VReg;
 
@@ -14,7 +14,7 @@ pub struct MLiveness {
 /// Computes machine-IR liveness over the live blocks with the shared
 /// fixpoint ([`UseDef::solve`]). Debug pseudo operands are ignored
 /// (they never extend live ranges); dead blocks keep empty sets.
-pub fn compute(f: &MFunction<VR>) -> MLiveness {
+pub fn compute(f: &MFunction) -> MLiveness {
     let mut sets = UseDef::new(f.blocks.len(), f.nvregs);
     let mut order: Vec<usize> = Vec::new();
     for b in f.live_blocks() {

@@ -12,7 +12,7 @@ pub mod msched;
 pub mod msink;
 pub mod shrinkwrap;
 
-use crate::mir::{MFunction, VR};
+use crate::mir::MFunction;
 
 /// `toplevel-reorder`: permutes the emission order of functions
 /// (smallest first, as gcc clusters small functions for locality).
@@ -29,7 +29,7 @@ pub fn reorder_functions(order: &mut [u32], sizes: &[usize]) {
 
 /// The size `toplevel-reorder` sorts by: non-debug instructions plus
 /// one terminator per live block.
-pub fn function_size(f: &MFunction<VR>) -> usize {
+pub fn function_size(f: &MFunction) -> usize {
     f.blocks
         .iter()
         .filter(|b| !b.dead)

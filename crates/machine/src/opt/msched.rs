@@ -14,7 +14,7 @@
 use crate::mir::{MFunction, MInst, VR};
 
 /// Schedules every block of `f`.
-pub fn run(f: &mut MFunction<VR>) {
+pub fn run(f: &mut MFunction) {
     let block_ids: Vec<u32> = f.live_blocks().collect();
     let mut scratch = Scratch::new(f.nvregs);
     for b in block_ids {
@@ -88,7 +88,7 @@ struct Unit {
     is_barrier: bool,
 }
 
-fn schedule_block(insts: Vec<MInst<VR>>, sc: &mut Scratch) -> Vec<MInst<VR>> {
+fn schedule_block(insts: Vec<MInst>, sc: &mut Scratch) -> Vec<MInst> {
     // Group instructions into units (inst + trailing Dbg pseudos).
     let mut units: Vec<Unit> = Vec::new();
     for (k, inst) in insts.iter().enumerate() {
@@ -199,7 +199,7 @@ fn schedule_block(insts: Vec<MInst<VR>>, sc: &mut Scratch) -> Vec<MInst<VR>> {
     debug_assert_eq!(out_units.len(), n);
 
     // Re-attribute lines: anything stepping backwards becomes line 0.
-    let mut result: Vec<MInst<VR>> = Vec::with_capacity(insts.len());
+    let mut result: Vec<MInst> = Vec::with_capacity(insts.len());
     let mut max_line = 0u32;
     for &ui in &out_units {
         let Unit { start, end, .. } = units[ui];
@@ -226,11 +226,11 @@ mod tests {
     use crate::mir::MOpKind;
     use dt_ir::BinOp;
 
-    fn machine(src: &str) -> crate::mir::MModule<VR> {
+    fn machine(src: &str) -> crate::mir::MModule {
         lower_module(&dt_frontend::lower_source(src).unwrap())
     }
 
-    fn schedule(insts: Vec<MInst<VR>>) -> Vec<MInst<VR>> {
+    fn schedule(insts: Vec<MInst>) -> Vec<MInst> {
         schedule_block(insts, &mut Scratch::new(4))
     }
 

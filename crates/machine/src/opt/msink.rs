@@ -15,7 +15,7 @@ use crate::opt::mliveness;
 /// Runs sinking until fixpoint (one pass over blocks is performed;
 /// newly created opportunities are left for the next pipeline run, as
 /// in real backends).
-pub fn run(f: &mut MFunction<VR>) {
+pub fn run(f: &mut MFunction) {
     let preds = f.preds();
     let live = mliveness::compute(f);
 
@@ -105,7 +105,7 @@ pub fn run(f: &mut MFunction<VR>) {
 
             // Move the instruction (and its attached dbg.value) to the
             // head of the target; leave dbg.value undef behind.
-            let mut moved: Vec<MInst<VR>> = vec![f.blocks[b as usize].insts.remove(i)];
+            let mut moved: Vec<MInst> = vec![f.blocks[b as usize].insts.remove(i)];
             // An attached Dbg pseudo referencing d directly after it?
             while i < f.blocks[b as usize].insts.len() {
                 let next = &f.blocks[b as usize].insts[i];
@@ -143,14 +143,14 @@ mod tests {
     use crate::lower::lower_module;
     use crate::mir::MModule;
 
-    fn machine(src: &str) -> MModule<VR> {
+    fn machine(src: &str) -> MModule {
         lower_module(&dt_frontend::lower_source(src).unwrap())
     }
 
     /// Build a function where a computation is only used in one branch.
     /// (mem2reg would be needed for the O0 slot traffic not to block
     /// sinking, so construct the MIR shape by hand.)
-    fn sinkable() -> MFunction<VR> {
+    fn sinkable() -> MFunction {
         use crate::mir::{MBlock, MVarInfo};
         use dt_ir::BinOp;
         let entry_insts = vec![

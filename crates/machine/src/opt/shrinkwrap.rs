@@ -15,7 +15,7 @@ use crate::mir::{MDbgLoc, MFunction, MInst, MOpKind, MTerm, VR};
 use std::collections::HashSet;
 
 /// Applies shrink-wrapping when the entry matches the early-exit shape.
-pub fn run(f: &mut MFunction<VR>) {
+pub fn run(f: &mut MFunction) {
     let entry = f.entry as usize;
     let MTerm::JCond {
         then_bb, else_bb, ..
@@ -72,7 +72,7 @@ pub fn run(f: &mut MFunction<VR>) {
 
     // Nothing after the prefix (in the entry block, its terminator, or
     // the early block) may read the moved registers or slots.
-    let reads_moved = |inst: &MInst<VR>| {
+    let reads_moved = |inst: &MInst| {
         let mut bad = false;
         inst.op.for_each_use(|r| bad |= moved_regs.contains(&r));
         match &inst.op {
@@ -117,7 +117,7 @@ pub fn run(f: &mut MFunction<VR>) {
     }
 
     // Move the prefix to the head of the work block.
-    let prefix: Vec<MInst<VR>> = f.blocks[entry].insts.drain(..prefix_end).collect();
+    let prefix: Vec<MInst> = f.blocks[entry].insts.drain(..prefix_end).collect();
     for (k, inst) in prefix.into_iter().enumerate() {
         f.blocks[work as usize].insts.insert(k, inst);
     }
@@ -130,7 +130,7 @@ mod tests {
     use crate::mir::{MBlock, MVarInfo};
 
     /// entry: a0 -> %0, store home, dbg; branch on %1 (separate reg)
-    fn early_exit_function(early_uses_param: bool) -> MFunction<VR> {
+    fn early_exit_function(early_uses_param: bool) -> MFunction {
         let entry = MBlock {
             insts: vec![
                 MInst::new(MOpKind::GetArg { rd: 0, k: 0 }, 1),

@@ -36,7 +36,7 @@ enum Assignment {
 }
 
 /// Allocates registers for `f` and linearizes it along `f.layout`.
-pub fn allocate(f: &MFunction<VR>, share_spill_slots: bool) -> AllocResult {
+pub fn allocate(f: &MFunction, share_spill_slots: bool) -> AllocResult {
     assert!(
         !f.layout.is_empty(),
         "layout must be computed before regalloc"
@@ -81,7 +81,7 @@ fn slot_offsets(sizes: &[u32]) -> Vec<u32> {
 
 /// Live intervals `(vreg, start, end)` in linear-position space,
 /// sorted by start then vreg, plus the call positions (ascending).
-fn build_intervals(f: &MFunction<VR>) -> (Vec<(VR, u32, u32)>, Vec<u32>) {
+fn build_intervals(f: &MFunction) -> (Vec<(VR, u32, u32)>, Vec<u32>) {
     let live = mliveness::compute(f);
     // (start, end) per vreg; a start of `u32::MAX` means no interval.
     let mut range: Vec<(u32, u32)> = vec![(u32::MAX, 0); f.nvregs as usize];
@@ -217,11 +217,7 @@ fn run_linear_scan(
 }
 
 /// Rewrites the function onto physical registers and linearizes it.
-fn rewrite(
-    f: &MFunction<VR>,
-    assignment: &[Option<Assignment>],
-    slot_offsets: &[u32],
-) -> Vec<FInst> {
+fn rewrite(f: &MFunction, assignment: &[Option<Assignment>], slot_offsets: &[u32]) -> Vec<FInst> {
     let mut out: Vec<FInst> = Vec::new();
     // Output index of each laid-out block's first instruction.
     let mut block_start: Vec<u32> = vec![u32::MAX; f.blocks.len()];
@@ -376,7 +372,7 @@ fn use_reg(
 }
 
 fn rewrite_inst(
-    inst: &MInst<VR>,
+    inst: &MInst,
     assigned: &dyn Fn(VR) -> Assignment,
     slot_offsets: &[u32],
     out: &mut Vec<FInst>,

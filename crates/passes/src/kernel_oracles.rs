@@ -17,7 +17,7 @@ use crate::manager::{cleanup_module, PassConfig, PassGate};
 use crate::{pipeline, OptLevel, Personality};
 use dt_ir::liveness::{RegMatrix, RegSet};
 use dt_ir::{BlockId, DomTree, Function, Liveness, LoopForest, Module, VReg};
-use dt_machine::mir::{MFunction, VR};
+use dt_machine::mir::MFunction;
 use std::collections::HashSet;
 
 /// Whether `m` holds the sets `sets`, row by row.
@@ -352,7 +352,7 @@ fn ir_oracle(f: &Function) -> (Vec<RegSet>, Vec<RegSet>) {
 /// Machine-IR liveness the per-bit way over `blocks`, swept in reverse
 /// (`live_blocks()` was the backend passes' order, `layout` the
 /// register allocator's).
-fn mir_oracle(f: &MFunction<VR>, blocks: &[u32]) -> (Vec<RegSet>, Vec<RegSet>) {
+fn mir_oracle(f: &MFunction, blocks: &[u32]) -> (Vec<RegSet>, Vec<RegSet>) {
     let steps = blocks.iter().map(|&b| {
         let blk = &f.blocks[b as usize];
         let mut steps: Vec<_> = blk
@@ -381,7 +381,7 @@ fn mir_oracle(f: &MFunction<VR>, blocks: &[u32]) -> (Vec<RegSet>, Vec<RegSet>) {
 /// functions after the backend passes.
 fn walk_suite(
     mut stage: impl FnMut(&str, &Module),
-    mut backend: impl FnMut(&str, Personality, OptLevel, &[MFunction<VR>]),
+    mut backend: impl FnMut(&str, Personality, OptLevel, &[MFunction]),
 ) {
     for personality in [Personality::Gcc, Personality::Clang] {
         for &level in OptLevel::levels_for(personality) {
@@ -400,7 +400,7 @@ fn walk_suite(
                 }
                 let backend_config = pipeline.backend_config(&PassGate::default());
                 let (globals, _) = dt_machine::lower::global_layout(&m);
-                let mm: Vec<MFunction<VR>> = m
+                let mm: Vec<MFunction> = m
                     .funcs
                     .iter()
                     .map(|f| {

@@ -8,6 +8,7 @@
 //! the two-step dance real compilers perform.
 
 use crate::manager::{ModuleFacts, PassConfig};
+use crate::opt::util::key_operands;
 use dt_ir::{Function, MemEffect, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
@@ -25,16 +26,35 @@ enum ExprKey {
     PureCall(u32, Vec<Value>),
 }
 
+impl ExprKey {
+    /// Whether the expression reads register `r`.
+    fn reads(&self, r: VReg) -> bool {
+        let r = Value::Reg(r);
+        match self {
+            ExprKey::Un(_, a) | ExprKey::LoadIdx(_, a) | ExprKey::LoadGIdx(_, a) => *a == r,
+            ExprKey::Bin(_, a, b) => *a == r || *b == r,
+            ExprKey::Select(a, b, c) => *a == r || *b == r || *c == r,
+            ExprKey::PureCall(_, args) => args.contains(&r),
+            ExprKey::LoadSlot(_) | ExprKey::LoadGlobal(_) => false,
+        }
+    }
+
+    fn is_load(&self) -> bool {
+        matches!(
+            self,
+            ExprKey::LoadSlot(_)
+                | ExprKey::LoadIdx(..)
+                | ExprKey::LoadGlobal(_)
+                | ExprKey::LoadGIdx(..)
+        )
+    }
+}
+
 fn key_of(op: &Op, pure_funcs: &[bool]) -> Option<ExprKey> {
     Some(match op {
         Op::Un { op, src, .. } => ExprKey::Un(*op, *src),
         Op::Bin { op, lhs, rhs, .. } => {
-            // Canonicalize commutative operand order.
-            let (a, b) = if op.is_commutative() && format!("{rhs:?}") < format!("{lhs:?}") {
-                (*rhs, *lhs)
-            } else {
-                (*lhs, *rhs)
-            };
+            let (a, b) = key_operands(*op, *lhs, *rhs);
             ExprKey::Bin(*op, a, b)
         }
         Op::Select {
@@ -52,16 +72,6 @@ fn key_of(op: &Op, pure_funcs: &[bool]) -> Option<ExprKey> {
         }
         _ => return None,
     })
-}
-
-fn is_load_key(k: &ExprKey) -> bool {
-    matches!(
-        k,
-        ExprKey::LoadSlot(_)
-            | ExprKey::LoadIdx(..)
-            | ExprKey::LoadGlobal(_)
-            | ExprKey::LoadGIdx(..)
-    )
 }
 
 /// Runs block-local CSE over every function.
@@ -90,7 +100,7 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
                 }
                 MemEffect::Call(callee) => {
                     if pure_funcs.get(callee.index()) != Some(&true) {
-                        avail.retain(|k, _| !is_load_key(k) && !matches!(k, ExprKey::PureCall(..)));
+                        avail.retain(|k, _| !k.is_load() && !matches!(k, ExprKey::PureCall(..)));
                     }
                 }
                 MemEffect::Io
@@ -99,55 +109,26 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
                 | MemEffect::ReadGlobal(_) => {}
             }
 
-            let key = key_of(&inst.op, pure_funcs);
-            let def = inst.op.def();
-
-            if let (Some(key), Some(dst)) = (key.clone(), def) {
-                if let Some(&prior) = avail.get(&key) {
-                    if prior != dst {
-                        inst.op = Op::Copy {
-                            dst,
-                            src: Value::Reg(prior),
-                        };
-                        changed = true;
-                    }
+            let Some(dst) = inst.op.def() else {
+                continue;
+            };
+            let mut key = key_of(&inst.op, pure_funcs);
+            if let Some(&prior) = key.as_ref().and_then(|k| avail.get(k)) {
+                if prior != dst {
+                    inst.op = Op::Copy {
+                        dst,
+                        src: Value::Reg(prior),
+                    };
+                    changed = true;
+                    // A copy is no expression to record.
+                    key = None;
                 }
             }
-
             // A redefined register invalidates every entry mentioning it.
-            if let Some(d) = def {
-                avail.retain(|k, v| {
-                    if *v == d {
-                        return false;
-                    }
-                    let mut mentions = false;
-                    let probe = |val: &Value| {
-                        if *val == Value::Reg(d) {
-                            return true;
-                        }
-                        false
-                    };
-                    match k {
-                        ExprKey::Un(_, a) => mentions |= probe(a),
-                        ExprKey::Bin(_, a, b) => {
-                            mentions |= probe(a) || probe(b);
-                        }
-                        ExprKey::Select(a, b, c) => {
-                            mentions |= probe(a) || probe(b) || probe(c);
-                        }
-                        ExprKey::LoadIdx(_, a) | ExprKey::LoadGIdx(_, a) => mentions |= probe(a),
-                        ExprKey::PureCall(_, args) => {
-                            mentions |= args.iter().any(probe);
-                        }
-                        _ => {}
-                    }
-                    !mentions
-                });
-                // Record the new expression (after invalidation).
-                if let Some(key) = key_of(&inst.op, pure_funcs) {
-                    avail.insert(key, d);
-                }
-                let _ = d;
+            avail.retain(|k, v| *v != dst && !k.reads(dst));
+            // Record the new expression (after invalidation).
+            if let Some(key) = key {
+                avail.insert(key, dst);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! most redundancy after promotion).
 
 use crate::manager::{ModuleFacts, PassConfig};
-use crate::opt::util::def_counts;
+use crate::opt::util::{def_counts, key_operands};
 use dt_ir::{BinOp, DomTree, Function, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
@@ -77,13 +77,8 @@ fn gvn_function(f: &mut Function) -> bool {
                     Op::Bin { op, lhs, rhs, dst }
                         if single(lhs) && single(rhs) && defs[dst.index()] == 1 =>
                     {
-                        let (lhs, rhs) = (resolve(lhs), resolve(rhs));
-                        let (a, bb) = if op.is_commutative() && value_rank(rhs) < value_rank(lhs) {
-                            (rhs, lhs)
-                        } else {
-                            (lhs, rhs)
-                        };
-                        Some((Key::Bin(op, a, bb), dst))
+                        let (lhs, rhs) = key_operands(op, resolve(lhs), resolve(rhs));
+                        Some((Key::Bin(op, lhs, rhs), dst))
                     }
                     _ => None,
                 };
@@ -124,14 +119,6 @@ fn gvn_function(f: &mut Function) -> bool {
         }
     }
     changed
-}
-
-/// Deterministic operand ordering for commutative canonicalization.
-fn value_rank(v: Value) -> (u8, i64) {
-    match v {
-        Value::Const(c) => (0, c),
-        Value::Reg(r) => (1, r.0 as i64),
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! debug-value maintenance machinery.
 
 use dt_ir::liveness::RegSet;
-use dt_ir::{BlockSet, DbgLoc, Function, Inst, Op, VReg, Value};
+use dt_ir::{BinOp, BlockSet, DbgLoc, Function, Inst, Op, VReg, Value};
 use std::collections::HashMap;
 
 /// Fixes up debug values after the instruction formerly at `pos` in
@@ -60,6 +60,17 @@ pub fn use_counts(f: &Function) -> Vec<u32> {
         });
     }
     counts
+}
+
+/// A binary expression's operands as the value-numbering passes key
+/// them: a commutative operator's operands in [`Value`]'s order, so
+/// `a op b` and `b op a` get one key.
+pub fn key_operands(op: BinOp, lhs: Value, rhs: Value) -> (Value, Value) {
+    if op.is_commutative() && rhs < lhs {
+        (rhs, lhs)
+    } else {
+        (lhs, rhs)
+    }
 }
 
 /// Number of definitions of each register across the function.

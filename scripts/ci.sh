@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt =="
 cargo fmt --all --check
 
+# A dependency edge that no source, test, example or doc link of its
+# package names fails the gate (workspace packages outside vendor/).
+echo "== declared dependencies are used =="
+python3 scripts/unused_deps.py
+
 echo "== clippy (-D warnings) =="
 cargo clippy --locked --workspace --all-targets --release -- -D warnings
 
