@@ -46,7 +46,7 @@ pub use eval::{
     suite_corpus, PassEffect, ProgramEvaluation, ProgramInput, ReferenceEvaluation, SuiteCorpus,
 };
 pub use pareto::{pareto_front, TradeoffPoint};
-pub use perf::{measure_speedup, PerfReport, RunCall};
+pub use perf::{measure_speedup, PerfReport, RunCall, MEASURE_MAX_STEPS};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::EvalStats;
 

@@ -22,8 +22,9 @@ use dt_vm::{Vm, VmConfig};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Step budget of every speed run.
-const SPEC_MAX_STEPS: u64 = 2_000_000_000;
+/// Step budget of every cycle-model measurement run: the speed runs
+/// here and the campaign's AutoFDO studies.
+pub const MEASURE_MAX_STEPS: u64 = 2_000_000_000;
 
 /// Per-benchmark and aggregate speedups of one configuration.
 #[derive(Debug, Clone, Serialize)]
@@ -48,7 +49,7 @@ impl PerfReport {
 
 fn run_kernel(obj: &Object, b: &Benchmark, workload: Workload) -> Result<RunOutcome, String> {
     let cfg = VmConfig {
-        max_steps: SPEC_MAX_STEPS,
+        max_steps: MEASURE_MAX_STEPS,
         ..VmConfig::default()
     };
     let r = Vm::run_finished(obj, b.entry, &[b.iterations(workload)], &[], cfg)?;
@@ -154,7 +155,7 @@ impl DebugTuner {
                     entry: b.entry,
                     args: &args,
                     input: &[],
-                    max_steps: SPEC_MAX_STEPS,
+                    max_steps: MEASURE_MAX_STEPS,
                 };
                 let o0 = call
                     .run(store, &src.o0)
@@ -311,7 +312,7 @@ mod tests {
             entry: b.entry,
             args,
             input: &[],
-            max_steps: SPEC_MAX_STEPS,
+            max_steps: MEASURE_MAX_STEPS,
         }
     }
 

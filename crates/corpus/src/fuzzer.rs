@@ -6,8 +6,9 @@
 //! reaches a coverage point no earlier input reached. All randomness
 //! flows from a caller-provided seed.
 
+use dt_ir::BitSet;
 use dt_machine::Object;
-use dt_vm::{CoverageMap, RunPlan, Vm, VmConfig};
+use dt_vm::{RunPlan, Vm, VmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,7 +59,7 @@ pub fn run_with_coverage(
     input: &[u8],
     max_steps: u64,
     entry_args: &[i64],
-) -> Option<CoverageMap> {
+) -> Option<BitSet> {
     let config = VmConfig {
         max_steps,
         collect_coverage: true,
@@ -73,7 +74,7 @@ pub fn run_with_coverage(
 pub fn fuzz(obj: &Object, entry: &str, seeds: &[Vec<u8>], config: &FuzzConfig) -> FuzzReport {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let plan = RunPlan::new(obj);
-    let mut global = CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
+    let mut global = BitSet::new();
     let mut queue: Vec<Vec<u8>> = Vec::new();
 
     // Runs `input` and queues it when it reaches new coverage; says
@@ -89,8 +90,7 @@ pub fn fuzz(obj: &Object, entry: &str, seeds: &[Vec<u8>], config: &FuzzConfig) -
         ) else {
             return false;
         };
-        if cov.adds_to(&global) {
-            global.merge(&cov);
+        if global.union_with(&cov) > 0 {
             queue.push(input);
             true
         } else {
@@ -124,7 +124,7 @@ pub fn fuzz(obj: &Object, entry: &str, seeds: &[Vec<u8>], config: &FuzzConfig) -
     }
 
     FuzzReport {
-        coverage_points: global.count(),
+        coverage_points: global.len(),
         executions,
         queue,
     }
@@ -246,14 +246,13 @@ int process() {
         };
         let report = fuzz(&obj, "process", &[vec![0, 0, 0, 0]], &cfg);
         // Replaying the queue in order: every element adds coverage.
-        let mut global = CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
+        let mut global = BitSet::new();
         let plan = RunPlan::new(&obj);
         let mut adds = 0;
         for input in &report.queue {
             let cov = run_with_coverage(&obj, &plan, "process", input, 100_000, &[]).unwrap();
-            if cov.adds_to(&global) {
+            if global.union_with(&cov) > 0 {
                 adds += 1;
-                global.merge(&cov);
             }
         }
         assert_eq!(adds, report.queue.len());

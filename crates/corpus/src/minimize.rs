@@ -2,8 +2,9 @@
 //! stepped-line set cover (the paper's second pruning).
 
 use crate::fuzzer::run_with_coverage;
+use dt_ir::BitSet;
 use dt_machine::Object;
-use dt_vm::{CoverageMap, RunPlan};
+use dt_vm::RunPlan;
 use std::collections::BTreeSet;
 
 /// Coverage-preserving minimization: a greedy subset of `queue` that
@@ -17,7 +18,7 @@ pub fn cmin(
     max_steps: u64,
 ) -> Vec<Vec<u8>> {
     let plan = RunPlan::new(obj);
-    let mut measured: Vec<(usize, CoverageMap)> = queue
+    let mut measured: Vec<(usize, BitSet)> = queue
         .iter()
         .enumerate()
         .filter_map(|(i, input)| {
@@ -25,13 +26,12 @@ pub fn cmin(
         })
         .collect();
     // Largest coverage first; stable on index for determinism.
-    measured.sort_by_key(|(i, c)| (std::cmp::Reverse(c.count()), *i));
+    measured.sort_by_key(|(i, c)| (std::cmp::Reverse(c.len()), *i));
 
-    let mut global = CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
+    let mut global = BitSet::new();
     let mut kept_indices: Vec<usize> = Vec::new();
     for (i, cov) in measured {
-        if cov.adds_to(&global) {
-            global.merge(&cov);
+        if global.union_with(&cov) > 0 {
             kept_indices.push(i);
         }
     }
@@ -148,13 +148,13 @@ int process() {
         // Union coverage identical.
         let plan = RunPlan::new(&obj);
         let total = |inputs: &[Vec<u8>]| {
-            let mut g = dt_vm::CoverageMap::new(obj.code.len() * 2 + obj.funcs.len());
+            let mut g = BitSet::new();
             for i in inputs {
                 let c = crate::fuzzer::run_with_coverage(&obj, &plan, "process", i, 100_000, &[])
                     .unwrap();
-                g.merge(&c);
+                g.union_with(&c);
             }
-            g.count()
+            g.len()
         };
         assert_eq!(total(&queue), total(&minimized));
     }

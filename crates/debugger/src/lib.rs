@@ -16,7 +16,7 @@
 //!   differential baseline the fast path is tested against.
 //! * [`trace_with_plan`] — the production fast path:
 //!   breakpoint detection happens *inside* the VM
-//!   ([`Vm::run_until_break`]) against a dense bitmap over instruction
+//!   ([`Vm::run_until_break`]) against a [`BitSet`] of instruction
 //!   indices, precomputed once per object as a [`BreakPlan`]. Control
 //!   returns to the debugger only at armed indices, and a session
 //!   abandons an input (and the rest of the input set) the moment the
@@ -29,6 +29,7 @@
 //! observes is resolved at the stop from the plan's per-subprogram
 //! variable groups, not precomputed per armed index.
 
+use dt_ir::BitSet;
 use dt_machine::Object;
 use dt_vm::{RunPlan, Vm, VmConfig};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -116,7 +117,7 @@ pub struct TraceStats {
 
 /// A precomputed, reusable breakpoint plan for one [`Object`]: every
 /// `is_stmt` line-table address resolved once to an instruction index
-/// in a dense bitmap over `obj.code`, plus the side tables a temporary-
+/// in a [`BitSet`] over `obj.code`, plus the side tables a temporary-
 /// breakpoint session needs (line per armed index, per-line index
 /// groups for clearing), the per-subprogram variable groups and value
 /// keys `observe` would otherwise rebuild on every hit, and the
@@ -133,21 +134,18 @@ pub struct TraceStats {
 /// per address, then resolved through [`Object::index_of_addr`] — which
 /// skips zero-size debug pseudos, so armed indices are always real
 /// instructions. The plan itself is immutable; a session clones the
-/// bitmap and clears bits as lines are hit, so one plan serves any
+/// armed set and clears indices as lines are hit, so one plan serves any
 /// number of concurrent sessions of the same object.
 #[derive(Debug, Clone)]
 pub struct BreakPlan {
-    /// Pristine armed bitmap over instruction indices (bit `i` of
-    /// `bits[i / 64]`).
-    bits: Vec<u64>,
+    /// Pristine armed instruction indices.
+    bits: BitSet,
     /// Breakpoint line per instruction index (meaningful where armed).
     line_of: Vec<u32>,
     /// Armed instruction indices per line, for temporary-breakpoint
     /// clearing. Mirrors the per-line address groups: an index shared
     /// by two lines' groups is cleared by whichever line hits first.
     indices_of_line: HashMap<u32, Vec<u32>>,
-    /// Set bits in `bits`.
-    armed: u32,
     /// Breakpoint addresses that resolve to no real instruction (never
     /// hittable, never clearable — they keep a session from declaring
     /// the breakpoint set empty, exactly like stale entries in the
@@ -175,7 +173,7 @@ impl BreakPlan {
         // keep the classic last-row-wins line, and real instructions
         // have unique addresses so each armed address maps to exactly
         // one index (pseudos are skipped by `index_of_addr`).
-        let mut bits = vec![0u64; obj.code.len().div_ceil(64)];
+        let mut bits = BitSet::with_capacity(obj.code.len());
         let mut line_of = vec![0u32; obj.code.len()];
         let mut indices_of_line: HashMap<u32, Vec<u32>> = HashMap::new();
         let mut unhittable_addrs: BTreeSet<u32> = BTreeSet::new();
@@ -185,7 +183,7 @@ impl BreakPlan {
             }
             match obj.index_of_addr(row.addr) {
                 Some(idx) => {
-                    bits[idx >> 6] |= 1 << (idx & 63);
+                    bits.insert(idx);
                     line_of[idx] = row.line;
                     // Duplicate rows may repeat an index in a line's
                     // group; `clear_line` is idempotent, so that only
@@ -200,7 +198,6 @@ impl BreakPlan {
                 }
             }
         }
-        let armed = bits.iter().map(|w| w.count_ones()).sum::<u32>();
         let unhittable = unhittable_addrs.len() as u32;
 
         let mut vars_by_sp: Vec<Vec<u32>> = vec![Vec::new(); obj.debug.subprograms.len()];
@@ -240,7 +237,6 @@ impl BreakPlan {
             bits,
             line_of,
             indices_of_line,
-            armed,
             unhittable,
             vars_by_sp,
             sp_keys,
@@ -248,29 +244,13 @@ impl BreakPlan {
         }
     }
 
-    /// Whether instruction index `idx` carries an armed breakpoint.
-    pub fn is_armed(&self, idx: usize) -> bool {
-        self.bits
-            .get(idx >> 6)
-            .is_some_and(|w| w & (1 << (idx & 63)) != 0)
-    }
-
-    /// Clears `idx`'s line group in a working bitmap, returning how
-    /// many bits were actually cleared (idempotent, like removing
-    /// entries from an address-keyed table).
-    fn clear_line(&self, line: u32, bits: &mut [u64]) -> u32 {
-        let mut cleared = 0;
-        if let Some(idxs) = self.indices_of_line.get(&line) {
-            for &i in idxs {
-                let word = &mut bits[(i as usize) >> 6];
-                let mask = 1u64 << (i & 63);
-                if *word & mask != 0 {
-                    *word &= !mask;
-                    cleared += 1;
-                }
-            }
-        }
-        cleared
+    /// Clears `line`'s index group in a working set, returning how many
+    /// indices were actually cleared (idempotent, like removing entries
+    /// from an address-keyed table).
+    fn clear_line(&self, line: u32, bits: &mut BitSet) -> u32 {
+        self.indices_of_line.get(&line).map_or(0, |idxs| {
+            idxs.iter().filter(|&&i| bits.remove(i as usize)).count() as u32
+        })
     }
 }
 
@@ -299,10 +279,7 @@ pub fn trace(
     // Index-keyed breakpoint table: armed indices are never debug
     // pseudos (they share the next real instruction's address and
     // resolution skips them), so no per-step opcode re-match is needed.
-    let mut armed: HashMap<usize, u32> = (0..obj.code.len())
-        .filter(|&i| plan.is_armed(i))
-        .map(|i| (i, plan.line_of[i]))
-        .collect();
+    let mut armed: HashMap<usize, u32> = plan.bits.iter().map(|i| (i, plan.line_of[i])).collect();
 
     let mut trace = DebugTrace::default();
     let empty: Vec<Vec<u8>> = vec![Vec::new()];
@@ -376,7 +353,7 @@ pub fn trace_with_plan_stats(
     plan: &BreakPlan,
 ) -> Result<(DebugTrace, TraceStats), String> {
     let mut bits = plan.bits.clone();
-    let mut remaining = plan.armed;
+    let mut remaining = plan.bits.len() as u32;
     let mut stats = TraceStats::default();
 
     let mut trace = DebugTrace::default();
@@ -707,10 +684,10 @@ int main() {
         let plan = BreakPlan::new(&obj);
         for (i, inst) in obj.code.iter().enumerate() {
             if matches!(inst.op, dt_machine::FOp::Dbg { .. }) {
-                assert!(!plan.is_armed(i), "pseudo at index {i} is armed");
+                assert!(!plan.bits.contains(i), "pseudo at index {i} is armed");
             }
         }
-        assert!((0..obj.code.len()).any(|i| plan.is_armed(i)));
+        assert!(!plan.bits.is_empty());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   closure); repeatable / comma-separable.
 //! * `--fresh` — evict the cache (objects + journal) first.
 //! * `--jobs N` — worker threads (default all cores).
-//! * `--results DIR` — output directory (default `DT_RESULTS_DIR` or
-//!   `results/`).
+//! * `--results DIR` — output directory (default `results/`).
 //! * `--list` — print the DAG (job, kind, dependencies) and exit.
 //! * `--quiet` — suppress the per-job JSONL progress on stderr.
 
@@ -29,7 +28,7 @@ struct Cli {
     only: Vec<String>,
     fresh: bool,
     jobs: usize,
-    results: Option<String>,
+    results: String,
     list: bool,
     quiet: bool,
 }
@@ -39,7 +38,7 @@ fn parse_cli() -> Result<Cli, String> {
         only: Vec::new(),
         fresh: false,
         jobs: 0,
-        results: None,
+        results: "results".to_string(),
         list: false,
         quiet: false,
     };
@@ -59,7 +58,7 @@ fn parse_cli() -> Result<Cli, String> {
                     .parse()
                     .map_err(|_| "--jobs requires a positive integer".to_string())?
             }
-            "--results" => cli.results = Some(take("--results")?),
+            "--results" => cli.results = take("--results")?,
             "--list" => cli.list = true,
             "--quiet" => cli.quiet = true,
             "--help" | "-h" => {
@@ -97,11 +96,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut config = dt_campaign::CampaignConfig::for_results_dir(
-        cli.results
-            .map(Into::into)
-            .unwrap_or_else(experiments::results_dir),
-    );
+    let mut config = dt_campaign::CampaignConfig::for_results_dir(cli.results);
     config.only = cli.only;
     config.fresh = cli.fresh;
     config.workers = cli.jobs;

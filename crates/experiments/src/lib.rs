@@ -14,13 +14,12 @@
 
 use debugtuner::{
     dy_family, par_map, pareto_front, suite_corpus, DebugTuner, DyConfig, PerfReport, ProgramInput,
-    RunCall, TradeoffPoint, TunerConfig,
+    RunCall, TradeoffPoint, TunerConfig, MEASURE_MAX_STEPS,
 };
 use dt_metrics::{stats, MethodComparison};
 use dt_passes::{OptLevel, PassGate, Personality};
 use dt_testsuite::spec::{spec_suite, Workload};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 pub mod campaign;
 
@@ -46,14 +45,6 @@ pub fn workload() -> Workload {
         Ok("ref") => Workload::Ref,
         _ => Workload::Test,
     }
-}
-
-/// Where experiment artifacts are written (`DT_RESULTS_DIR`, default
-/// `results/`).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("DT_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
 }
 
 fn gcc_levels() -> &'static [OptLevel] {
@@ -760,7 +751,7 @@ pub fn autofdo_spec(
             entry: b.entry,
             args: &args,
             input: &[],
-            max_steps: 2_000_000_000,
+            max_steps: MEASURE_MAX_STEPS,
         };
         let results = tuner
             .autofdo(b.source, &call, personality, level, &gates)
@@ -825,7 +816,7 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Resul
         entry: "compile_unit",
         args: &[],
         input: &input,
-        max_steps: 2_000_000_000,
+        max_steps: MEASURE_MAX_STEPS,
     };
     let gates = level_and_family_gates(&dy_family(level, &ranking));
     let results = tuner.autofdo(cc.source, &call, personality, level, &gates)?;

@@ -1,12 +1,11 @@
-//! CFG utilities: the predecessor map, reachability, block orderings
-//! and the block bitset of the loop analyses.
+//! CFG utilities: the predecessor map, reachability and block
+//! orderings.
 //!
 //! Every kernel here is dense: indexed by block id, built in a few
 //! linear sweeps, and ordered by block id or by the depth-first search,
 //! never by a hasher.
 
 use crate::inst::Terminator;
-use crate::liveness::ones;
 use crate::module::{BlockId, Function};
 use std::ops::Index;
 
@@ -149,66 +148,10 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     po
 }
 
-/// A set of blocks as a bitset over block indices. It iterates in
-/// ascending block order, so a pass that walks a set (a loop body, say)
-/// emits the same code on every run. A block beyond the set's size is
-/// not a member; inserting one grows the set.
-#[derive(Debug, Clone, Default)]
-pub struct BlockSet {
-    words: Vec<u64>,
-}
-
-impl BlockSet {
-    /// An empty set sized for `nblocks` blocks.
-    pub fn new(nblocks: usize) -> Self {
-        BlockSet {
-            words: vec![0; nblocks.div_ceil(64)],
-        }
-    }
-
-    /// Inserts `b`, returning whether it was new.
-    pub fn insert(&mut self, b: BlockId) -> bool {
-        let (w, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let old = self.words[w];
-        self.words[w] = old | bit;
-        old & bit == 0
-    }
-
-    pub fn contains(&self, b: BlockId) -> bool {
-        let (w, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
-        self.words.get(w).is_some_and(|x| x & bit != 0)
-    }
-
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The members in ascending block order.
-    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        ones(&self.words).map(|b| BlockId(b as u32))
-    }
-}
-
-impl FromIterator<BlockId> for BlockSet {
-    fn from_iter<I: IntoIterator<Item = BlockId>>(iter: I) -> Self {
-        let mut set = BlockSet::default();
-        for b in iter {
-            set.insert(b);
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitSet;
     use crate::inst::{Terminator, Value};
     use crate::module::{Block, FuncAttrs, FuncId, Function, VReg};
 
@@ -294,7 +237,7 @@ mod tests {
     #[test]
     fn block_sets_iterate_ascending_and_grow() {
         let members = [200u32, 3, 64, 0, 63, 130];
-        let mut s = BlockSet::new(10);
+        let mut s = BitSet::with_capacity(10);
         for &b in &members {
             assert!(s.insert(BlockId(b)));
         }
@@ -302,8 +245,8 @@ mod tests {
         assert!(s.iter().map(|b| b.0).eq([0, 3, 63, 64, 130, 200]));
         assert_eq!(s.len(), members.len());
         assert!(s.contains(BlockId(200)) && !s.contains(BlockId(1000)));
-        let collected: BlockSet = [BlockId(5), BlockId(1)].into_iter().collect();
+        let collected: BitSet<BlockId> = [BlockId(5), BlockId(1)].into_iter().collect();
         assert!(collected.iter().eq([BlockId(1), BlockId(5)]));
-        assert!(BlockSet::new(64).is_empty());
+        assert!(BitSet::<BlockId>::with_capacity(64).is_empty());
     }
 }

@@ -20,11 +20,13 @@
 //! Analyses provided: predecessor/successor maps, reverse postorder,
 //! dominator tree, natural-loop detection, per-block register liveness,
 //! and a structural verifier used in tests and between passes. The
-//! analyses are dense kernels over block and register indices (bitsets,
-//! flat matrices, a compressed predecessor map), and every set a pass
-//! may iterate does so in index order: no pass output depends on a
-//! hasher.
+//! analyses are dense kernels over block and register indices (flat
+//! matrices, a compressed predecessor map, and [`BitSet`], the one
+//! dense index set of the workspace, also used for VM coverage and
+//! debugger breakpoints), and every set a pass may iterate does so in
+//! index order: no pass output depends on a hasher.
 
+pub mod bitset;
 pub mod builder;
 pub mod cfg;
 pub mod dom;
@@ -35,9 +37,10 @@ pub mod module;
 pub mod profile;
 pub mod verify;
 
+pub use bitset::{BitRow, BitSet, Idx};
 pub use builder::FunctionBuilder;
 pub use cfg::{
-    postorder, predecessors, reachable_mask, remove_unreachable, reverse_postorder, BlockSet, Preds,
+    postorder, predecessors, reachable_mask, remove_unreachable, reverse_postorder, Preds,
 };
 pub use dom::DomTree;
 pub use inst::{BinOp, DbgLoc, Inst, MemEffect, Op, Terminator, UnOp, Value};

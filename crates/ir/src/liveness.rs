@@ -9,80 +9,11 @@
 //! IR [`Liveness`] and the backend's machine-IR liveness both fill its
 //! per-block use/def sets and call [`UseDef::solve`], which works a
 //! 64-register word at a time and returns each direction as one flat
-//! word matrix ([`RegMatrix`]), a row per block.
+//! word matrix ([`RegMatrix`]) whose rows are [`BitRow`]s, one per block.
 
+use crate::bitset::{word_bit, words_for, BitRow};
 use crate::cfg::postorder;
 use crate::module::{BlockId, Function, VReg};
-
-/// A dense bitset over virtual registers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegSet {
-    words: Vec<u64>,
-}
-
-impl RegSet {
-    /// An empty set sized for `n` registers.
-    pub fn new(n: u32) -> Self {
-        RegSet {
-            words: vec![0; (n as usize).div_ceil(64)],
-        }
-    }
-
-    pub fn insert(&mut self, r: VReg) -> bool {
-        let (w, b) = (r.index() / 64, r.index() % 64);
-        let old = self.words[w];
-        self.words[w] |= 1 << b;
-        old & (1 << b) == 0
-    }
-
-    pub fn remove(&mut self, r: VReg) {
-        let (w, b) = (r.index() / 64, r.index() % 64);
-        self.words[w] &= !(1 << b);
-    }
-
-    pub fn contains(&self, r: VReg) -> bool {
-        let (w, b) = (r.index() / 64, r.index() % 64);
-        self.words.get(w).is_some_and(|x| x & (1 << b) != 0)
-    }
-
-    /// Unions `other` into `self`, returning whether anything changed.
-    pub fn union_with(&mut self, other: &RegSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | *b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
-    }
-
-    /// Iterates over the registers in the set, in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
-        ones(&self.words).map(|r| VReg(r as u32))
-    }
-
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
-
-/// The indices of the set bits of `words`, in ascending order.
-pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &w)| {
-        let mut bits = w;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                wi * 64 + b
-            })
-        })
-    })
-}
 
 /// One register set per block, as a flat word matrix: row `b` is block
 /// `b`'s set.
@@ -101,31 +32,8 @@ impl RegMatrix {
     }
 
     /// Block `b`'s set.
-    pub fn row(&self, b: usize) -> RegRow<'_> {
-        RegRow(&self.bits[b * self.words..(b + 1) * self.words])
-    }
-}
-
-/// One row of a [`RegMatrix`]: a read-only register set.
-#[derive(Debug, Clone, Copy)]
-pub struct RegRow<'a>(&'a [u64]);
-
-impl RegRow<'_> {
-    pub fn contains(&self, r: VReg) -> bool {
-        let (w, b) = (r.index() / 64, r.index() % 64);
-        self.0.get(w).is_some_and(|x| x & (1 << b) != 0)
-    }
-
-    /// The members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
-        ones(self.0).map(|r| VReg(r as u32))
-    }
-
-    /// An owned copy, for a caller that edits it.
-    pub fn to_set(&self) -> RegSet {
-        RegSet {
-            words: self.0.to_vec(),
-        }
+    pub fn row(&self, b: usize) -> BitRow<'_, VReg> {
+        BitRow::new(&self.bits[b * self.words..(b + 1) * self.words])
     }
 }
 
@@ -156,7 +64,7 @@ pub struct UseDef {
 impl UseDef {
     /// Empty sets for `nblocks` blocks over `nregs` registers.
     pub fn new(nblocks: usize, nregs: u32) -> Self {
-        let words = (nregs as usize).div_ceil(64);
+        let words = words_for(nregs as usize);
         UseDef {
             nblocks,
             words,
@@ -166,7 +74,8 @@ impl UseDef {
     }
 
     fn bit(&self, b: usize, r: VReg) -> (usize, u64) {
-        (b * self.words + r.index() / 64, 1 << (r.index() % 64))
+        let (w, bit) = word_bit(r.index());
+        (b * self.words + w, bit)
     }
 
     /// Records a read of `r` in block `b` (upward-exposed unless `b`
@@ -263,12 +172,12 @@ impl Liveness {
     }
 
     /// Live-out set of block `b`.
-    pub fn out(&self, b: BlockId) -> RegRow<'_> {
+    pub fn out(&self, b: BlockId) -> BitRow<'_, VReg> {
         self.live_out.row(b.index())
     }
 
     /// Live-in set of block `b`.
-    pub fn r#in(&self, b: BlockId) -> RegRow<'_> {
+    pub fn r#in(&self, b: BlockId) -> BitRow<'_, VReg> {
         self.live_in.row(b.index())
     }
 }
@@ -276,6 +185,7 @@ impl Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitSet;
     use crate::inst::{BinOp, DbgLoc, Inst, Op, Terminator, Value};
     use crate::module::{Block, FuncAttrs, FuncId, Function, VarId};
 
@@ -346,7 +256,7 @@ mod tests {
 
     #[test]
     fn regset_operations() {
-        let mut s = RegSet::new(130);
+        let mut s = BitSet::with_capacity(130);
         assert!(s.insert(VReg(0)));
         assert!(s.insert(VReg(129)));
         assert!(!s.insert(VReg(0)), "double insert reports no change");
@@ -361,7 +271,7 @@ mod tests {
     #[test]
     fn regset_iter_yields_members_ascending_across_words() {
         let members = [0u32, 1, 62, 63, 64, 65, 127, 128, 191, 199];
-        let mut s = RegSet::new(200);
+        let mut s = BitSet::with_capacity(200);
         // Insert out of order: iteration order must not depend on it.
         for &r in members.iter().rev() {
             s.insert(VReg(r));
@@ -377,7 +287,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         let full = {
-            let mut f = RegSet::new(128);
+            let mut f = BitSet::with_capacity(128);
             (0..128).for_each(|r| {
                 f.insert(VReg(r));
             });
@@ -388,18 +298,19 @@ mod tests {
 
     #[test]
     fn assign_transfer_reports_change_only_when_the_set_changed() {
+        // Rows of three words, as in a 130-register matrix.
         let set = |regs: &[u32]| {
-            let mut s = RegSet::new(130);
+            let mut row = vec![0u64; words_for(130)];
             for &r in regs {
-                s.insert(VReg(r));
+                let (w, bit) = word_bit(r as usize);
+                row[w] |= bit;
             }
-            s
+            row
         };
         let (uses, out, defs) = (set(&[1, 70]), set(&[2, 3, 70, 129]), set(&[3, 129]));
-        let mut live_in = RegSet::new(130);
-        let transfer = |live_in: &mut RegSet, out: &RegSet| {
-            assign_transfer(&mut live_in.words, &uses.words, &out.words, &defs.words)
-        };
+        let mut live_in = set(&[]);
+        let transfer =
+            |live_in: &mut Vec<u64>, out: &Vec<u64>| assign_transfer(live_in, &uses, out, &defs);
         assert!(transfer(&mut live_in, &out));
         assert_eq!(live_in, set(&[1, 2, 70]));
         assert!(
@@ -413,12 +324,12 @@ mod tests {
 
     #[test]
     fn regset_union() {
-        let mut a = RegSet::new(10);
-        let mut b = RegSet::new(10);
+        let mut a = BitSet::with_capacity(10);
+        let mut b = BitSet::with_capacity(10);
         a.insert(VReg(1));
         b.insert(VReg(2));
-        assert!(a.union_with(&b));
-        assert!(!a.union_with(&b), "second union is a no-op");
+        assert!(a.union_with(&b) > 0);
+        assert_eq!(a.union_with(&b), 0, "second union is a no-op");
         assert!(a.contains(VReg(1)) && a.contains(VReg(2)));
     }
 }

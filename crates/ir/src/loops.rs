@@ -1,6 +1,6 @@
 //! Natural-loop detection from back edges in the dominator tree.
 
-use crate::cfg::BlockSet;
+use crate::bitset::BitSet;
 use crate::dom::DomTree;
 use crate::module::{BlockId, Function};
 
@@ -11,7 +11,7 @@ pub struct Loop {
     pub header: BlockId,
     /// All blocks in the loop, including the header; iterates in
     /// ascending block order.
-    pub blocks: BlockSet,
+    pub blocks: BitSet<BlockId>,
     /// The back-edge sources (latches).
     pub latches: Vec<BlockId>,
     /// Nesting depth (1 = outermost).
@@ -55,7 +55,7 @@ impl LoopForest {
         let mut stack: Vec<BlockId> = Vec::new();
         let mut loops = Vec::with_capacity(headers.len());
         for (header, latches) in headers {
-            let mut blocks = BlockSet::new(f.blocks.len());
+            let mut blocks = BitSet::with_capacity(f.blocks.len());
             blocks.insert(header);
             stack.extend_from_slice(&latches);
             while let Some(b) = stack.pop() {

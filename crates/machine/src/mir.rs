@@ -5,7 +5,7 @@
 //! register a physical register or a spill slot and emits the final
 //! linear code ([`crate::object::FInst`]) directly.
 
-use dt_ir::{BinOp, UnOp};
+use dt_ir::{BinOp, BitSet, UnOp};
 
 /// A machine virtual register.
 pub type VR = u32;
@@ -338,20 +338,21 @@ impl MFunction {
         preds
     }
 
-    /// Recomputes `layout` as creation order of reachable blocks.
-    pub fn default_layout(&mut self) {
-        let mut reach = vec![false; self.blocks.len()];
+    /// The blocks the entry reaches; dead blocks are never reached.
+    pub fn reachable(&self) -> BitSet {
+        let mut reach = BitSet::with_capacity(self.blocks.len());
         let mut stack = vec![self.entry];
         while let Some(b) = stack.pop() {
-            if reach[b as usize] || self.blocks[b as usize].dead {
-                continue;
+            if !self.blocks[b as usize].dead && reach.insert(b as usize) {
+                stack.extend(self.blocks[b as usize].term.successors());
             }
-            reach[b as usize] = true;
-            stack.extend(self.blocks[b as usize].term.successors());
         }
-        self.layout = (0..self.blocks.len() as u32)
-            .filter(|&b| reach[b as usize])
-            .collect();
+        reach
+    }
+
+    /// Recomputes `layout` as creation order of reachable blocks.
+    pub fn default_layout(&mut self) {
+        self.layout = self.reachable().iter().map(|b| b as u32).collect();
     }
 }
 

@@ -146,17 +146,9 @@ fn merge_block_chains(f: &mut MFunction) -> bool {
 }
 
 fn remove_unreachable(f: &mut MFunction) {
-    let mut reach = vec![false; f.blocks.len()];
-    let mut stack = vec![f.entry];
-    while let Some(b) = stack.pop() {
-        if reach[b as usize] || f.blocks[b as usize].dead {
-            continue;
-        }
-        reach[b as usize] = true;
-        stack.extend(f.blocks[b as usize].term.successors());
-    }
+    let reach = f.reachable();
     for (i, blk) in f.blocks.iter_mut().enumerate() {
-        if !reach[i] && !blk.dead && i as u32 != f.entry {
+        if !reach.contains(i) && !blk.dead && i as u32 != f.entry {
             blk.dead = true;
             blk.insts.clear();
             blk.term = MTerm::Ret(None);

@@ -11,7 +11,7 @@
 
 use crate::mir::{MBlock, MFunction, MInst, MTerm, VR};
 use crate::opt::mliveness;
-use dt_ir::liveness::RegRow;
+use dt_ir::{BitRow, VReg};
 use std::collections::HashMap;
 
 /// Minimum tail length (in real instructions) worth merging.
@@ -54,7 +54,7 @@ pub fn run(f: &mut MFunction) {
 /// Length (in real instructions) of the maximal mergeable common tail
 /// of `p1` and `p2`, comparing operations with a register bijection.
 /// Registers that survive into the join must be literally equal.
-fn common_tail(f: &MFunction, p1: u32, p2: u32, join_live_in: RegRow<'_>) -> Option<usize> {
+fn common_tail(f: &MFunction, p1: u32, p2: u32, join_live_in: BitRow<'_, VReg>) -> Option<usize> {
     let a: Vec<&MInst> = f.blocks[p1 as usize]
         .insts
         .iter()
@@ -111,7 +111,7 @@ fn ops_match(
     rmap: &mut HashMap<VR, VR>,
     defined_a: &mut std::collections::HashSet<VR>,
     defined_b: &mut std::collections::HashSet<VR>,
-    join_live_in: RegRow<'_>,
+    join_live_in: BitRow<'_, VReg>,
 ) -> bool {
     // Compare the op with registers masked out, then check the
     // register correspondence.
@@ -168,8 +168,8 @@ fn ops_match(
     }
     for (&da, &db) in a_defs.iter().zip(&b_defs) {
         // Values observable at the join must be in the same register.
-        let a_live = join_live_in.contains(dt_ir::VReg(da));
-        let b_live = join_live_in.contains(dt_ir::VReg(db));
+        let a_live = join_live_in.contains(VReg(da));
+        let b_live = join_live_in.contains(VReg(db));
         if (a_live || b_live) && da != db {
             return false;
         }

@@ -15,13 +15,13 @@
 
 use crate::manager::{cleanup_module, PassConfig, PassGate};
 use crate::{pipeline, OptLevel, Personality};
-use dt_ir::liveness::{RegMatrix, RegSet};
-use dt_ir::{BlockId, DomTree, Function, Liveness, LoopForest, Module, VReg};
+use dt_ir::liveness::RegMatrix;
+use dt_ir::{BitSet, BlockId, DomTree, Function, Liveness, LoopForest, Module, VReg};
 use dt_machine::mir::MFunction;
 use std::collections::HashSet;
 
 /// Whether `m` holds the sets `sets`, row by row.
-fn rows_equal(m: &RegMatrix, sets: &[RegSet]) -> bool {
+fn rows_equal(m: &RegMatrix, sets: &[BitSet<VReg>]) -> bool {
     sets.iter()
         .enumerate()
         .all(|(b, s)| m.row(b).to_set() == *s)
@@ -275,16 +275,16 @@ fn per_bit_fixpoint(
     nregs: u32,
     order: &[usize],
     succs: &dyn Fn(usize) -> Vec<usize>,
-    uses: &[RegSet],
-    defs: &[RegSet],
-) -> (Vec<RegSet>, Vec<RegSet>) {
-    let mut live_in = vec![RegSet::new(nregs); uses.len()];
+    uses: &[BitSet<VReg>],
+    defs: &[BitSet<VReg>],
+) -> (Vec<BitSet<VReg>>, Vec<BitSet<VReg>>) {
+    let mut live_in = vec![BitSet::with_capacity(nregs as usize); uses.len()];
     let mut live_out = live_in.clone();
     let mut changed = true;
     while changed {
         changed = false;
         for &b in order {
-            let mut out = RegSet::new(nregs);
+            let mut out = BitSet::with_capacity(nregs as usize);
             for s in succs(b) {
                 out.union_with(&live_in[s]);
             }
@@ -309,8 +309,8 @@ fn use_def(
     nblocks: usize,
     nregs: u32,
     blocks: impl Iterator<Item = (usize, Vec<(Vec<VReg>, Option<VReg>)>)>,
-) -> (Vec<RegSet>, Vec<RegSet>) {
-    let mut uses = vec![RegSet::new(nregs); nblocks];
+) -> (Vec<BitSet<VReg>>, Vec<BitSet<VReg>>) {
+    let mut uses = vec![BitSet::with_capacity(nregs as usize); nblocks];
     let mut defs = uses.clone();
     for (b, steps) in blocks {
         for (reads, write) in steps {
@@ -328,7 +328,7 @@ fn use_def(
 }
 
 /// IR liveness the per-bit way, in postorder.
-fn ir_oracle(f: &Function) -> (Vec<RegSet>, Vec<RegSet>) {
+fn ir_oracle(f: &Function) -> (Vec<BitSet<VReg>>, Vec<BitSet<VReg>>) {
     let regs = |v: dt_ir::Value, out: &mut Vec<VReg>| out.extend(v.as_reg());
     let blocks = f.block_ids().map(|b| {
         let blk = f.block(b);
@@ -352,7 +352,7 @@ fn ir_oracle(f: &Function) -> (Vec<RegSet>, Vec<RegSet>) {
 /// Machine-IR liveness the per-bit way over `blocks`, swept in reverse
 /// (`live_blocks()` was the backend passes' order, `layout` the
 /// register allocator's).
-fn mir_oracle(f: &MFunction, blocks: &[u32]) -> (Vec<RegSet>, Vec<RegSet>) {
+fn mir_oracle(f: &MFunction, blocks: &[u32]) -> (Vec<BitSet<VReg>>, Vec<BitSet<VReg>>) {
     let steps = blocks.iter().map(|&b| {
         let blk = &f.blocks[b as usize];
         let mut steps: Vec<_> = blk

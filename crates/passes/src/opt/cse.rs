@@ -126,8 +126,10 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
             }
             // A redefined register invalidates every entry mentioning it.
             avail.retain(|k, v| *v != dst && !k.reads(dst));
-            // Record the new expression (after invalidation).
-            if let Some(key) = key {
+            // Record the new expression (after invalidation), unless it
+            // read the old `dst`: after `v = v + 1`, `v` no longer holds
+            // the value of `v + 1`.
+            if let Some(key) = key.filter(|k| !k.reads(dst)) {
                 avail.insert(key, dst);
             }
         }
@@ -251,6 +253,50 @@ mod tests {
             .filter(|i| matches!(i.op, Op::Call { .. }))
             .count();
         assert_eq!(calls, 1, "second call to a pure function is CSE'd");
+    }
+
+    #[test]
+    fn an_expression_reading_its_destination_is_not_recorded() {
+        use dt_ir::module::FuncAttrs;
+        use dt_ir::{BinOp, Block, BlockId, FuncId, Inst, Terminator};
+        let add_one = |dst: u32, src: u32| {
+            Inst::synth(Op::Bin {
+                dst: VReg(dst),
+                op: BinOp::Add,
+                lhs: Value::Reg(VReg(src)),
+                rhs: Value::Const(1),
+            })
+        };
+        // %0 = 3; %1 = %0; %1 = %1 + 1; %2 = %1 + 1; ret %2
+        let mut b0 = Block::new(Terminator::Ret(Some(Value::Reg(VReg(2)))));
+        b0.insts = vec![
+            Inst::synth(Op::Copy {
+                dst: VReg(0),
+                src: Value::Const(3),
+            }),
+            Inst::synth(Op::Copy {
+                dst: VReg(1),
+                src: Value::Reg(VReg(0)),
+            }),
+            add_one(1, 1),
+            add_one(2, 1),
+        ];
+        let mut f = Function {
+            name: "f".into(),
+            id: FuncId(0),
+            params: vec![],
+            blocks: vec![b0],
+            entry: BlockId(0),
+            vreg_count: 3,
+            vars: vec![],
+            slots: vec![],
+            line: 1,
+            end_line: 1,
+            attrs: FuncAttrs::default(),
+        };
+        let before = f.blocks[0].insts.clone();
+        assert!(!cse_function(&mut f, &[]), "nothing is redundant");
+        assert_eq!(f.blocks[0].insts, before, "`%2 = %1 + 1` is no copy of %1");
     }
 
     #[test]

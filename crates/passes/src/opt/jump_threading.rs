@@ -11,7 +11,7 @@
 //! the clones carry **line 0** and their debug pseudos are dropped.
 
 use crate::manager::{ModuleFacts, PassConfig};
-use dt_ir::{BlockId, BlockSet, Function, Inst, Op, Preds, Terminator, VReg, Value};
+use dt_ir::{BitSet, BlockId, Function, Inst, Op, Preds, Terminator, VReg, Value};
 
 /// Maximum real instructions in a threadable block.
 const MAX_THREADED_SIZE: usize = 6;
@@ -193,7 +193,7 @@ fn thread_edge(f: &mut Function, p: BlockId, b: BlockId, target: BlockId, edge: 
             c
         })
         .collect();
-    let keep = crate::opt::util::regs_escaping(f, &BlockSet::from_iter([b]));
+    let keep = crate::opt::util::regs_escaping(f, &BitSet::from_iter([b]));
     crate::opt::util::rename_clone_defs(f, &mut cloned, &keep);
 
     let hop = f.new_block(Terminator::Jump(target));

@@ -9,8 +9,7 @@
 
 use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::{def_counts, ensure_preheader};
-use dt_ir::liveness::RegSet;
-use dt_ir::{BlockSet, DomTree, Function, LoopForest, MemEffect, Op, Value};
+use dt_ir::{BitSet, BlockId, DomTree, Function, LoopForest, MemEffect, Op, VReg, Value};
 
 /// Runs LICM over every function.
 pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
@@ -43,7 +42,7 @@ fn hoist_from_loop(
     f: &mut Function,
     header: &dt_ir::BlockId,
     latches: &[dt_ir::BlockId],
-    blocks: &BlockSet,
+    blocks: &BitSet<BlockId>,
 ) -> bool {
     // Memory regions written (or possibly written) inside the loop.
     let mut writes_slots = vec![false; f.slots.len()];
@@ -62,7 +61,7 @@ fn hoist_from_loop(
 
     let defs = def_counts(f);
     // Defs inside the loop.
-    let mut loop_defs = RegSet::new(f.vreg_count);
+    let mut loop_defs = BitSet::with_capacity(f.vreg_count as usize);
     for b in blocks.iter() {
         for inst in &f.block(b).insts {
             if let Some(d) = inst.op.def() {
@@ -70,7 +69,7 @@ fn hoist_from_loop(
             }
         }
     }
-    let invariant_value = |v: Value, hoisted: &RegSet| match v {
+    let invariant_value = |v: Value, hoisted: &BitSet<VReg>| match v {
         Value::Const(_) => true,
         Value::Reg(r) => !loop_defs.contains(r) || hoisted.contains(r),
     };
@@ -78,7 +77,7 @@ fn hoist_from_loop(
     // Scan blocks in index order: the hoist order determines both the
     // preheader's instruction order and (through `hoisted`) which
     // dependent instructions hoist this round.
-    let mut hoisted = RegSet::new(f.vreg_count);
+    let mut hoisted = BitSet::with_capacity(f.vreg_count as usize);
     let mut to_hoist: Vec<dt_ir::Inst> = Vec::new();
     for b in blocks.iter() {
         let mut i = 0;

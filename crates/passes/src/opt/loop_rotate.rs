@@ -76,7 +76,7 @@ fn rotate(f: &mut Function, l: &dt_ir::Loop) -> bool {
         .filter(|i| !i.op.is_dbg())
         .cloned()
         .collect();
-    let keep = crate::opt::util::regs_escaping(f, &dt_ir::BlockSet::from_iter([header]));
+    let keep = crate::opt::util::regs_escaping(f, &dt_ir::BitSet::from_iter([header]));
     let map = crate::opt::util::rename_clone_defs(f, &mut cloned, &keep);
     let cond = match cond {
         dt_ir::Value::Reg(r) => dt_ir::Value::Reg(map.get(&r).copied().unwrap_or(r)),

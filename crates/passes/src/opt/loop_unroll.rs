@@ -15,8 +15,7 @@
 
 use crate::manager::{ModuleFacts, PassConfig};
 use crate::opt::util::find_inductions;
-use dt_ir::liveness::RegSet;
-use dt_ir::{BinOp, BlockId, BlockSet, DomTree, Function, Inst, LoopForest, Op, Terminator, Value};
+use dt_ir::{BinOp, BitSet, BlockId, DomTree, Function, Inst, LoopForest, Op, Terminator, Value};
 
 /// Maximum trip count eligible for full unrolling.
 const MAX_TRIP: i64 = 8;
@@ -120,13 +119,13 @@ fn unroll_one(f: &mut Function, config: &PassConfig) -> bool {
         // The body must not consume header-computed temporaries: each
         // copy re-evaluates the header *after* its body, so such a use
         // would read a stale clone-private value.
-        let mut header_defs = RegSet::new(f.vreg_count);
+        let mut header_defs = BitSet::with_capacity(f.vreg_count as usize);
         for inst in &f.block(header).insts {
             if let Some(d) = inst.op.def() {
                 header_defs.insert(d);
             }
         }
-        let loop_set: BlockSet = chain.iter().copied().chain([header]).collect();
+        let loop_set: BitSet<BlockId> = chain.iter().copied().chain([header]).collect();
         let escaping = crate::opt::util::regs_escaping(f, &loop_set);
         let mut body_uses_header_temp = false;
         for &b in &chain {
@@ -221,7 +220,7 @@ fn apply_unroll(f: &mut Function, header: BlockId, chain: &[BlockId], exit: Bloc
     // Values read outside the loop keep their registers (the copies
     // must thread the accumulators through); clone-private temporaries
     // are renamed per copy so live ranges stay short.
-    let loop_set: BlockSet = chain.iter().copied().chain([header]).collect();
+    let loop_set: BitSet<BlockId> = chain.iter().copied().chain([header]).collect();
     let keep = crate::opt::util::regs_escaping(f, &loop_set);
 
     let clone_of = |f: &mut Function, insts: &[Inst], first: bool| -> Vec<Inst> {

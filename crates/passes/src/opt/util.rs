@@ -1,8 +1,7 @@
 //! Shared helpers for the middle-end passes, most importantly the
 //! debug-value maintenance machinery.
 
-use dt_ir::liveness::RegSet;
-use dt_ir::{BinOp, BlockSet, DbgLoc, Function, Inst, Op, VReg, Value};
+use dt_ir::{BinOp, BitSet, BlockId, DbgLoc, Function, Inst, Op, VReg, Value};
 use std::collections::HashMap;
 
 /// Fixes up debug values after the instruction formerly at `pos` in
@@ -147,7 +146,7 @@ pub struct Induction {
 /// loop: exactly one in-loop definition, of the form
 /// `i = i + <const>`. Candidates come in block order, then instruction
 /// order.
-pub fn find_inductions(f: &Function, loop_blocks: &BlockSet) -> Vec<Induction> {
+pub fn find_inductions(f: &Function, loop_blocks: &BitSet<BlockId>) -> Vec<Induction> {
     use dt_ir::BinOp;
     let mut candidates: Vec<Induction> = Vec::new();
     let mut in_loop_defs = vec![0u32; f.vreg_count as usize];
@@ -269,8 +268,8 @@ pub fn root_of(roots: &[VReg], r: VReg) -> VReg {
 /// clone-private and should be renamed to fresh registers (otherwise
 /// the clone artificially stretches live ranges across the region and
 /// causes spill storms).
-pub fn regs_escaping(f: &Function, blocks: &BlockSet) -> RegSet {
-    let mut escaping = RegSet::new(f.vreg_count);
+pub fn regs_escaping(f: &Function, blocks: &BitSet<BlockId>) -> BitSet<VReg> {
+    let mut escaping = BitSet::with_capacity(f.vreg_count as usize);
     for b in f.block_ids() {
         if blocks.contains(b) {
             continue;
@@ -302,7 +301,7 @@ pub fn regs_escaping(f: &Function, blocks: &BlockSet) -> RegSet {
 pub fn rename_clone_defs(
     f: &mut Function,
     insts: &mut [Inst],
-    keep: &RegSet,
+    keep: &BitSet<VReg>,
 ) -> HashMap<VReg, VReg> {
     let mut map: HashMap<VReg, VReg> = HashMap::new();
     for inst in insts.iter_mut() {

@@ -18,9 +18,10 @@
 //! * SLP-fused pairs issue as one instruction.
 //!
 //! The VM also provides the observation hooks the rest of the
-//! framework needs: PC sampling (AutoFDO), edge coverage (fuzzing),
-//! and a single-step interface with register/frame/global state access
-//! (the debugger).
+//! framework needs: PC sampling (AutoFDO), edge coverage (fuzzing; a
+//! [`dt_ir::BitSet`] of coverage points), breakpoints (a `BitSet` of
+//! instruction indices) and a single-step interface with
+//! register/frame/global state access (the debugger).
 //!
 //! There is one interpreter loop. It executes a [`RunPlan`], the
 //! object's code decoded once with each instruction's static cost and
@@ -34,13 +35,13 @@
 //! execute an op through the same definition, so the results are the
 //! same bit for bit.
 
-pub mod coverage;
+mod coverage;
 mod plan;
 
-pub use coverage::CoverageMap;
 pub use plan::RunPlan;
 
 use dt_dwarf::Location;
+use dt_ir::{BitRow, BitSet};
 use dt_machine::{FDbgLoc, FOp, FuncInfo, Object};
 use plan::{Op, FUSED};
 use std::borrow::Cow;
@@ -107,8 +108,10 @@ pub struct ExecResult {
     pub output: Vec<i64>,
     /// Sampled PC addresses (when sampling was enabled).
     pub samples: Vec<u32>,
-    /// Edge coverage (when enabled).
-    pub coverage: Option<CoverageMap>,
+    /// Edge coverage (when enabled): two points per instruction index
+    /// for a branch's outcomes (not taken, taken), then one per function
+    /// invoked.
+    pub coverage: Option<BitSet>,
     pub halt: Halt,
 }
 
@@ -170,7 +173,7 @@ pub struct Vm<'a> {
     steps: u64,
     next_sample: u64,
     samples: Vec<u32>,
-    coverage: Option<CoverageMap>,
+    coverage: Option<BitSet>,
     predictor: Vec<u8>,
     /// Frame base of the current (innermost) frame.
     frame_base: usize,
@@ -241,9 +244,7 @@ impl<'a> Vm<'a> {
             globals[base as usize] = init;
         }
         let frame_size = info.frame_size as usize;
-        let coverage = config
-            .collect_coverage
-            .then(|| CoverageMap::new(obj.code.len() * 2 + obj.funcs.len()));
+        let coverage = config.collect_coverage.then(BitSet::new);
         let mut vm = Vm {
             obj,
             plan,
@@ -276,11 +277,11 @@ impl<'a> Vm<'a> {
             config,
         };
         if let Some(cov) = &mut vm.coverage {
-            cov.set(obj.code.len() * 2 + fid as usize);
+            cov.insert(coverage::call(obj, fid as usize));
         }
         // Settle on the entry's first real instruction (a budget of no
         // real instruction), so every stop the caller sees is real.
-        vm.run::<false, false>(&[], 0);
+        vm.run::<false, false>(BitRow::new(&[]), 0);
         Ok(vm)
     }
 
@@ -310,7 +311,7 @@ impl<'a> Vm<'a> {
 
     /// Runs until the VM halts and returns the [`ExecResult`].
     pub fn run_to_end(mut self) -> ExecResult {
-        self.dispatch::<false>(&[], u64::MAX);
+        self.dispatch::<false>(BitRow::new(&[]), u64::MAX);
         self.into_result()
     }
 
@@ -335,8 +336,8 @@ impl<'a> Vm<'a> {
     }
 
     /// Runs at full speed until the VM halts or reaches an instruction
-    /// whose index is set in `breaks`, a dense bitmap over
-    /// [`Object::code`] (bit `i` of `breaks[i / 64]`). The test happens
+    /// whose index is in `breaks`, a set of indices into
+    /// [`Object::code`]. The test happens
     /// *before* each real instruction executes — including the one the
     /// VM is currently poised at — so a caller that stops at an armed
     /// index must clear that bit (or step past it) before resuming,
@@ -349,15 +350,16 @@ impl<'a> Vm<'a> {
     /// instead of a per-step address probe, with [`Vm::step`]'s exact
     /// semantics (cycle model, step budget, coverage, `dbg` bindings)
     /// in between.
-    pub fn run_until_break(&mut self, breaks: &[u64]) -> Option<usize> {
-        self.dispatch::<true>(breaks, u64::MAX).then_some(self.pc)
+    pub fn run_until_break(&mut self, breaks: &BitSet) -> Option<usize> {
+        self.dispatch::<true>(breaks.row(), u64::MAX)
+            .then_some(self.pc)
     }
 
     /// Executes one real instruction, with the debug pseudos after it
     /// (so the VM rests on the next real instruction). Does nothing once
     /// halted.
     pub fn step(&mut self) {
-        self.dispatch::<false>(&[], 1);
+        self.dispatch::<false>(BitRow::new(&[]), 1);
     }
 
     /// Reads a debug-info location against live machine state, as a
@@ -422,7 +424,7 @@ impl<'a> Vm<'a> {
 
     /// [`Vm::run`] with the cycle model chosen by the configuration.
     /// Returns whether it stopped at an armed index.
-    fn dispatch<const BREAKS: bool>(&mut self, breaks: &[u64], budget: u64) -> bool {
+    fn dispatch<const BREAKS: bool>(&mut self, breaks: BitRow<'_>, budget: u64) -> bool {
         if self.config.model_cycles {
             self.run::<true, BREAKS>(breaks, budget)
         } else {
@@ -449,7 +451,11 @@ impl<'a> Vm<'a> {
     /// from the incoming hazard plus the plan's static tail. Nothing
     /// inside such a run can halt, trap, branch or take a sample, so
     /// the state after it equals the per-instruction path's.
-    fn run<const MODEL: bool, const BREAKS: bool>(&mut self, breaks: &[u64], budget: u64) -> bool {
+    fn run<const MODEL: bool, const BREAKS: bool>(
+        &mut self,
+        breaks: BitRow<'_>,
+        budget: u64,
+    ) -> bool {
         if self.halted.is_some() {
             return false;
         }
@@ -533,12 +539,8 @@ impl<'a> Vm<'a> {
                     continue;
                 }
             }
-            if BREAKS {
-                if let Some(word) = breaks.get(pc >> 6) {
-                    if word & (1u64 << (pc & 63)) != 0 {
-                        break Exit::Break;
-                    }
-                }
+            if BREAKS && breaks.contains(pc) {
+                break Exit::Break;
             }
             if left == 0 {
                 break at_limit;
@@ -573,7 +575,7 @@ impl<'a> Vm<'a> {
                             )));
                         }
                         if let Some(cov) = &mut self.coverage {
-                            cov.set(obj.code.len() * 2 + func as usize);
+                            cov.insert(coverage::call(obj, func as usize));
                         }
                         let frame = Frame {
                             ret_pc: next_pc,
@@ -616,7 +618,7 @@ impl<'a> Vm<'a> {
                             dynamic_cost = taken as u64 + if mispredict { 10 } else { 0 };
                         }
                         if let Some(cov) = &mut self.coverage {
-                            cov.set(pc * 2 + taken as usize);
+                            cov.insert(coverage::branch(pc, taken));
                         }
                         if taken {
                             next_pc = target as usize;
@@ -1084,18 +1086,16 @@ mod tests {
         assert!(in_f.contains(&11), "r=11 missing in f: {in_f:?}");
     }
 
-    /// Bitmap over instruction indices with every `is_stmt` line-table
-    /// address armed, resolved exactly like the debugger's fast path.
-    fn armed_bitmap(obj: &dt_machine::Object) -> Vec<u64> {
-        let mut bits = vec![0u64; obj.code.len().div_ceil(64)];
-        for row in obj.debug.line_table.rows() {
-            if row.line != 0 && row.is_stmt {
-                if let Some(idx) = obj.index_of_addr(row.addr) {
-                    bits[idx >> 6] |= 1 << (idx & 63);
-                }
-            }
-        }
-        bits
+    /// The instruction indices of every `is_stmt` line-table address,
+    /// resolved exactly like the debugger's fast path.
+    fn armed_bitmap(obj: &dt_machine::Object) -> BitSet {
+        obj.debug
+            .line_table
+            .rows()
+            .iter()
+            .filter(|row| row.line != 0 && row.is_stmt)
+            .filter_map(|row| obj.index_of_addr(row.addr))
+            .collect()
     }
 
     #[test]
@@ -1115,7 +1115,7 @@ mod tests {
             let bits = armed_bitmap(&obj);
             let mut armed = 0;
             for (i, inst) in obj.code.iter().enumerate() {
-                if bits[i >> 6] & (1 << (i & 63)) != 0 {
+                if bits.contains(i) {
                     armed += 1;
                     assert!(
                         !matches!(inst.op, FOp::Dbg { .. }),
@@ -1142,7 +1142,7 @@ mod tests {
         let mut slow_stops = Vec::new();
         while slow.halt_reason().is_none() {
             let pc = slow.pc_index();
-            if bits[pc >> 6] & (1 << (pc & 63)) != 0 {
+            if bits.contains(pc) {
                 slow_stops.push(pc);
             }
             slow.step();
@@ -1154,7 +1154,7 @@ mod tests {
         let mut fast_stops = Vec::new();
         while let Some(idx) = fast.run_until_break(&working) {
             fast_stops.push(idx);
-            working[idx >> 6] &= !(1 << (idx & 63));
+            working.remove(idx);
         }
         // Re-arming after stepping past reproduces every slow stop.
         let mut fast2 = Vm::new(&obj, "f", &[], &input, VmConfig::default()).unwrap();
@@ -1196,7 +1196,7 @@ mod tests {
         let obj = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
         let reference = Vm::run_to_completion(&obj, "f", &[40], &[], VmConfig::default()).unwrap();
         let mut vm = Vm::new(&obj, "f", &[40], &[], VmConfig::default()).unwrap();
-        let bits = vec![0u64; obj.code.len().div_ceil(64)];
+        let bits = BitSet::with_capacity(obj.code.len());
         assert_eq!(vm.run_until_break(&bits), None);
         let r = vm.into_result();
         assert_eq!(r.ret, reference.ret);
@@ -1263,7 +1263,10 @@ int f(int n) {
         let track = config.track_dbg_bindings;
         let mut old = oracle::RefVm::new(obj, "f", &[], &[], config.clone()).unwrap();
         let hop = oracle::hop_table(obj);
-        assert_eq!(old.run_until_break(&[], (!track).then_some(&hop)), None);
+        assert_eq!(
+            old.run_until_break(&BitSet::new(), (!track).then_some(&hop)),
+            None
+        );
         let old = old.into_result();
         let new = Vm::run_to_completion(obj, "f", &[], &[], config).unwrap();
         assert_eq!(
@@ -1315,7 +1318,7 @@ int f(int n) {
         // A breakpoint on the real instruction just past the limit, with
         // pseudos in between: hopped pseudos leave it reachable (one
         // stop, then the halt), dispatched ones hit the limit first.
-        let bits = [1u64 << 4];
+        let bits = BitSet::from_iter([4]);
         for (track, stops) in [(false, vec![4]), (true, vec![])] {
             let config = VmConfig {
                 max_steps: 1,

@@ -14,8 +14,9 @@
 
 #![allow(dead_code)]
 
-use crate::{CoverageMap, ExecResult, Halt, VmConfig, MAX_DEPTH};
+use crate::{ExecResult, Halt, VmConfig, MAX_DEPTH};
 use dt_dwarf::Location;
+use dt_ir::BitSet;
 use dt_machine::{FDbgLoc, FInst, FOp, FuncInfo, Object};
 use std::collections::BTreeMap;
 
@@ -49,7 +50,7 @@ pub(crate) struct RefVm<'a> {
     steps: u64,
     next_sample: u64,
     samples: Vec<u32>,
-    coverage: Option<CoverageMap>,
+    coverage: Option<BitSet>,
     predictor: Vec<u8>,
     /// Frame base of the current (innermost) frame, maintained on
     /// call/return so the per-instruction memory ops need no
@@ -85,9 +86,7 @@ impl<'a> RefVm<'a> {
             globals[base as usize] = init;
         }
         let frame_size = info.frame_size as usize;
-        let coverage = config
-            .collect_coverage
-            .then(|| CoverageMap::new(obj.code.len() * 2 + obj.funcs.len()));
+        let coverage = config.collect_coverage.then(BitSet::new);
         let mut vm = RefVm {
             obj,
             pc: info.start_index as usize,
@@ -122,7 +121,7 @@ impl<'a> RefVm<'a> {
             config,
         };
         if let Some(cov) = &mut vm.coverage {
-            cov.set(obj.code.len() * 2 + fid as usize);
+            cov.insert(obj.code.len() * 2 + fid as usize);
         }
         Ok(vm)
     }
@@ -183,8 +182,8 @@ impl<'a> RefVm<'a> {
     }
 
     /// Runs at full speed until the VM halts or reaches an instruction
-    /// whose index is set in `breaks`, a dense bitmap over
-    /// [`Object::code`] (bit `i` of `breaks[i / 64]`). The test happens
+    /// whose index is in `breaks`, a set of indices into
+    /// [`Object::code`]. The test happens
     /// *before* each instruction executes — including the instruction
     /// the VM is currently poised at — so a caller that stops at an
     /// armed index must clear that bit (or step past it) before
@@ -210,7 +209,7 @@ impl<'a> RefVm<'a> {
     /// update when pseudos actually execute.
     pub fn run_until_break(
         &mut self,
-        breaks: &[u64],
+        breaks: &BitSet,
         skip_pseudos: Option<&[u32]>,
     ) -> Option<usize> {
         if self.config.model_cycles {
@@ -222,7 +221,7 @@ impl<'a> RefVm<'a> {
 
     fn run_until_break_impl<const MODEL: bool>(
         &mut self,
-        breaks: &[u64],
+        breaks: &BitSet,
         skip_pseudos: Option<&[u32]>,
     ) -> Option<usize> {
         if let Some(hop) = skip_pseudos {
@@ -231,10 +230,8 @@ impl<'a> RefVm<'a> {
             }
             while self.halted.is_none() {
                 let pc = self.pc;
-                if let Some(word) = breaks.get(pc >> 6) {
-                    if word & (1u64 << (pc & 63)) != 0 {
-                        return Some(pc);
-                    }
+                if breaks.contains(pc) {
+                    return Some(pc);
                 }
                 self.step_body::<MODEL>();
                 if let Some(&j) = hop.get(self.pc) {
@@ -244,10 +241,8 @@ impl<'a> RefVm<'a> {
         } else {
             while self.halted.is_none() {
                 let pc = self.pc;
-                if let Some(word) = breaks.get(pc >> 6) {
-                    if word & (1u64 << (pc & 63)) != 0 {
-                        return Some(pc);
-                    }
+                if breaks.contains(pc) {
+                    return Some(pc);
                 }
                 self.step_body::<MODEL>();
             }
@@ -368,7 +363,7 @@ impl<'a> RefVm<'a> {
 
     fn record_branch(&mut self, inst_idx: usize, taken: bool) {
         if let Some(cov) = &mut self.coverage {
-            cov.set(inst_idx * 2 + taken as usize);
+            cov.insert(inst_idx * 2 + taken as usize);
         }
     }
 
@@ -545,7 +540,7 @@ impl<'a> RefVm<'a> {
                 }
                 self.charge::<MODEL>(cost);
                 if let Some(cov) = &mut self.coverage {
-                    cov.set(self.obj.code.len() * 2 + *func as usize);
+                    cov.insert(self.obj.code.len() * 2 + *func as usize);
                 }
                 let frame_base = self.stack.len();
                 self.stack.resize(frame_base + info.frame_size as usize, 0);
@@ -999,21 +994,15 @@ fn assert_same(ctx: &str, old: &ExecResult, new: &ExecResult) {
 }
 
 /// Every `is_stmt` line-table address resolved to its instruction
-/// index, as a bitmap (the debugger's breakpoint set).
-fn armed(obj: &Object) -> Vec<u64> {
-    let mut bits = vec![0u64; obj.code.len().div_ceil(64)];
-    for row in obj.debug.line_table.rows() {
-        if row.line != 0 && row.is_stmt {
-            if let Some(idx) = obj.index_of_addr(row.addr) {
-                bits[idx >> 6] |= 1 << (idx & 63);
-            }
-        }
-    }
-    bits
-}
-
-fn is_set(bits: &[u64], i: usize) -> bool {
-    bits.get(i >> 6).is_some_and(|w| w & (1 << (i & 63)) != 0)
+/// index (the debugger's breakpoint set).
+fn armed(obj: &Object) -> BitSet {
+    obj.debug
+        .line_table
+        .rows()
+        .iter()
+        .filter(|row| row.line != 0 && row.is_stmt)
+        .filter_map(|row| obj.index_of_addr(row.addr))
+        .collect()
 }
 
 /// The reference engine's pseudo hop table: first non-pseudo index at
@@ -1102,7 +1091,7 @@ fn check(case: &Case, max_steps: u64) {
                 old.output.len(),
                 old.shadow_values(),
             ));
-            work[i >> 6] &= !(1 << (i & 63));
+            work.remove(i);
         }
         let mut new = Vm::with_plan(obj, &plan, entry, args, input, cfg).unwrap();
         let mut work = bits.clone();
@@ -1115,7 +1104,7 @@ fn check(case: &Case, max_steps: u64) {
                 new.output.len(),
                 new.shadow_values(),
             ));
-            work[i >> 6] &= !(1 << (i & 63));
+            work.remove(i);
         }
         assert_eq!(old_stops, new_stops, "{ctx}: stops");
         assert_same(&ctx, &old.into_result(), &new.into_result());
@@ -1133,7 +1122,7 @@ fn check(case: &Case, max_steps: u64) {
     let mut old_visits = std::collections::hash_map::DefaultHasher::new();
     while old.halt_reason().is_none() {
         let i = old.pc_index();
-        if is_set(&bits, i) {
+        if bits.contains(i) {
             (i, old.steps(), old.cycles(), old.shadow_values()).hash(&mut old_visits);
         }
         old.step();
@@ -1142,7 +1131,7 @@ fn check(case: &Case, max_steps: u64) {
     let mut new_visits = std::collections::hash_map::DefaultHasher::new();
     while new.halt_reason().is_none() {
         let i = new.pc_index();
-        if is_set(&bits, i) {
+        if bits.contains(i) {
             (i, new.steps(), new.cycles, new.shadow_values()).hash(&mut new_visits);
         }
         new.step();

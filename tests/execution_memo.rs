@@ -8,7 +8,9 @@
 //! `measure_speedup` and `run_autofdo` report, for the standard levels
 //! and for the nested multi-pass gates that `Ox-dy` ships.
 
-use debugtuner::{measure_speedup, DebugTuner, PerfReport, RunCall, TunerConfig};
+use debugtuner::{
+    measure_speedup, DebugTuner, PerfReport, RunCall, TunerConfig, MEASURE_MAX_STEPS,
+};
 use dt_autofdo::{run_autofdo, AutoFdoConfig, AutoFdoResult};
 use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
 use dt_testsuite::spec::{self, Workload};
@@ -184,7 +186,7 @@ fn repeated_calls_add_only_memo_hits() {
         entry: b.entry,
         args: &args,
         input: &[],
-        max_steps: 2_000_000_000,
+        max_steps: MEASURE_MAX_STEPS,
     };
     measure(Personality::Clang, OptLevel::O2, &clang);
     let before = tuner.stats();
