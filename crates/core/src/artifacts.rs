@@ -19,7 +19,13 @@
 //!   run is memoized as an error;
 //! * **compile sessions** ([`CompileSession`]) — one checkpointed
 //!   pipeline per source/personality/level/profile, shared by the
-//!   per-pass variant fan-out and every gated build made afterwards;
+//!   per-pass variant fan-out and every gated build made while the
+//!   session is alive. The store shares a session but does not keep
+//!   it: a session lives while a caller's `Arc`, the reference half
+//!   waiting for its evaluation, or a hold on its personality/level
+//!   ([`crate::DebugTuner::hold_sessions`]) has it, and is freed when the
+//!   last of them lets go. A later lookup builds it again and counts
+//!   that build in [`EvalStats::sessions_rebuilt`];
 //! * **reference halves** ([`ReferenceEvaluation`]) — the unmodified
 //!   level's object, metrics, methods, and defects per program and
 //!   personality/level, which a full evaluation builds on;
@@ -57,9 +63,9 @@ use dt_metrics::{MetricBaseline, Metrics};
 use dt_minic::analysis::SourceAnalysis;
 use dt_passes::{CompileOptions, CompileSession, OptLevel, PassGate, Personality, VariantBuild};
 use dt_vm::{ExecResult, Vm, VmConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 /// Everything derivable from one source text alone.
@@ -95,6 +101,9 @@ pub(crate) type ScopeKey = (u64, Personality, OptLevel);
 
 /// A source's content, personality, level, and profile content.
 type SessionKey = (u64, Personality, OptLevel, Option<u64>);
+
+/// The sessions a hold keeps alive, per held personality/level.
+type Holds = HashMap<(Personality, OptLevel), Vec<Arc<CompileSession>>>;
 
 /// A memoized run: the outcome, or why the run did not finish.
 type RunResult = Result<Arc<RunOutcome>, String>;
@@ -145,7 +154,13 @@ pub struct ArtifactStore {
     stats: Mutex<EvalStats>,
     sources: Memo<u64, Result<Arc<SourceArtifacts>, String>>,
     baselines: Memo<u64, Result<Arc<Baseline>, String>>,
-    sessions: Memo<SessionKey, Arc<CompileSession>>,
+    /// The live sessions; a slot whose session was freed is a miss.
+    sessions: Memo<SessionKey, Weak<CompileSession>>,
+    /// Every session key built so far, to count rebuilds.
+    built_sessions: Mutex<HashSet<SessionKey>>,
+    /// The held personality/levels and the sessions built for them
+    /// while held.
+    held: Mutex<Holds>,
     references: Memo<ScopeKey, Arc<ReferenceEvaluation>>,
     evaluations: Memo<ScopeKey, ProgramEvaluation>,
     variant_traces: Memo<(ScopeKey, u64), (Metrics, DefectSummary)>,
@@ -168,7 +183,25 @@ fn memo<K: Hash + Eq, V: Clone>(
     key: K,
     compute: impl FnOnce() -> V,
 ) -> (V, bool) {
-    let slot = Arc::clone(map.lock().expect(POISONED).entry(key).or_default());
+    memo_live(map, key, |_| true, compute)
+}
+
+/// [`memo`] for values that can die in their slot: a filled slot whose
+/// value `live` rejects is a miss, and this caller refills it.
+fn memo_live<K: Hash + Eq, V: Clone>(
+    map: &Memo<K, V>,
+    key: K,
+    live: impl FnOnce(&V) -> bool,
+    compute: impl FnOnce() -> V,
+) -> (V, bool) {
+    let slot = {
+        let mut map = map.lock().expect(POISONED);
+        let slot = map.entry(key).or_default();
+        if slot.get().is_some_and(|v| !live(v)) {
+            *slot = Arc::default();
+        }
+        Arc::clone(slot)
+    };
     let mut computed = false;
     let value = slot.get_or_init(|| {
         computed = true;
@@ -342,9 +375,11 @@ impl ArtifactStore {
     }
 
     /// The checkpointed compile session for one
-    /// source/personality/level/profile, constructing (and counting)
-    /// it on first use. Construction runs the full ungated pipeline
-    /// once.
+    /// source/personality/level/profile: the live one, or a new one
+    /// (counted, and counted as rebuilt when this key was built
+    /// before). Construction runs the full ungated pipeline once. The
+    /// session is freed when its last holder drops it, unless a hold
+    /// on its personality/level keeps it.
     pub(crate) fn session(
         &self,
         src: &SourceArtifacts,
@@ -353,16 +388,77 @@ impl ArtifactStore {
         profile: Option<&dt_ir::Profile>,
     ) -> Arc<CompileSession> {
         let key = (src.key, personality, level, profile.map(profile_key));
-        memo(&self.sessions, key, || {
-            Arc::new(self.transient_session(src, personality, level, profile))
-        })
-        .0
+        loop {
+            let mut built = None;
+            let (session, _) = memo_live(
+                &self.sessions,
+                key,
+                |s| s.strong_count() > 0,
+                || {
+                    let session =
+                        Arc::new(self.transient_session(src, personality, level, profile));
+                    if !self.built_sessions.lock().expect(POISONED).insert(key) {
+                        self.count(|s| s.sessions_rebuilt += 1);
+                    }
+                    if let Some(kept) = self
+                        .held
+                        .lock()
+                        .expect(POISONED)
+                        .get_mut(&(personality, level))
+                    {
+                        kept.push(Arc::clone(&session));
+                    }
+                    let weak = Arc::downgrade(&session);
+                    built = Some(session);
+                    weak
+                },
+            );
+            // A hit can die between the lookup and this upgrade; the
+            // next lookup then refills its slot.
+            if let Some(session) = built.or_else(|| session.upgrade()) {
+                return session;
+            }
+        }
     }
 
-    /// A compile session built for one use and not retained, counted
-    /// like [`Self::session`]. Callers that need a source's session for
-    /// a handful of builds use it so that memory does not grow with
-    /// every source they measure.
+    /// Keeps every session of `personality`/`level` that the store
+    /// builds from now on alive until [`Self::release_sessions`] of the
+    /// same pair. Sessions alive when the hold is taken are not adopted,
+    /// and holds do not nest: one release ends the hold.
+    pub(crate) fn hold_sessions(&self, personality: Personality, level: OptLevel) {
+        self.held
+            .lock()
+            .expect(POISONED)
+            .entry((personality, level))
+            .or_default();
+    }
+
+    /// Ends the hold on `personality`/`level`, freeing each session it
+    /// kept that no other holder has. Releasing a pair that is not
+    /// held does nothing.
+    pub(crate) fn release_sessions(&self, personality: Personality, level: OptLevel) {
+        // Dropped outside the lock.
+        let kept = self
+            .held
+            .lock()
+            .expect(POISONED)
+            .remove(&(personality, level));
+        drop(kept);
+    }
+
+    /// How many sessions are alive.
+    #[cfg(test)]
+    pub(crate) fn live_sessions(&self) -> usize {
+        let map = self.sessions.lock().expect(POISONED);
+        map.values()
+            .filter(|slot| slot.get().is_some_and(|s| s.strong_count() > 0))
+            .count()
+    }
+
+    /// A compile session built for one use and not shared, counted like
+    /// [`Self::session`]. Callers that need a source's session for a
+    /// handful of builds use it so that memory does not grow with every
+    /// source they measure.
     pub(crate) fn transient_session(
         &self,
         src: &SourceArtifacts,

@@ -7,7 +7,8 @@
 //! traces and checks one configuration over a program's input set. The
 //! source analysis, the `O0` build, the baseline, and the level's
 //! compile session come from the store, so checking many gates of one
-//! program builds each of them once, and every variant build and trace
+//! program builds each of them once (the session under
+//! [`DebugTuner::hold_sessions`]), and every variant build and trace
 //! is counted in the tuner's [`crate::EvalStats`].
 
 use crate::{DebugTuner, ProgramInput};
@@ -95,11 +96,12 @@ int f() {
     }
 
     /// Checking two gates through one tuner equals checking each through
-    /// a fresh tuner, shares the session and the baseline, and counts
-    /// both variant builds and both optimized traces.
+    /// a fresh tuner, shares the held session and the baseline, and
+    /// counts both variant builds and both optimized traces.
     #[test]
     fn one_tuner_checks_gates_like_fresh_tuners_and_counts_them() {
         let shared = tuner(1_000_000);
+        shared.hold_sessions(Personality::Gcc, OptLevel::O2);
         for gate in [PassGate::allow_all(), PassGate::disabling(["dce"])] {
             let opts = CompileOptions {
                 gate: gate.clone(),
@@ -109,6 +111,7 @@ int f() {
             let checked = shared.check(&program(), &opts).unwrap();
             assert_eq!(checked, alone, "gate {:?}", gate.disabled_names());
         }
+        shared.release_sessions(Personality::Gcc, OptLevel::O2);
         // One session and one baseline trace served both gates. Builds:
         // the `O0` object, the session, and the two variants. Traces:
         // the baseline and the two variants.

@@ -30,9 +30,11 @@ use dt_checker::DefectSummary;
 use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
 use dt_machine::Object;
 use dt_metrics::{MethodComparison, Metrics};
-use dt_passes::{pipeline_pass_names, CompileOptions, OptLevel, PassGate, Personality};
+use dt_passes::{
+    pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate, Personality,
+};
 use serde::Serialize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A program plus the inputs driving its debug sessions.
 #[derive(Debug, Clone)]
@@ -150,6 +152,9 @@ pub struct ReferenceEvaluation {
     /// against, so stage 4 reuses them without another lookup.
     art: Arc<SourceArtifacts>,
     base: Arc<Baseline>,
+    /// The compile session the reference was built from, kept until
+    /// the evaluation of the same program and level takes it.
+    session: Mutex<Option<Arc<CompileSession>>>,
 }
 
 impl DebugTuner {
@@ -257,7 +262,8 @@ impl DebugTuner {
     /// The reference half of [`DebugTuner::evaluate`] (cached, stages
     /// 1–3): the unmodified level's metrics, methods, and defects, with
     /// no per-pass variant built. A later `evaluate` of the same
-    /// program and level reuses it instead of rebuilding the reference.
+    /// program and level reuses it instead of rebuilding the reference,
+    /// and takes the compile session it keeps until then.
     pub fn reference(
         &self,
         program: &ProgramInput,
@@ -293,6 +299,7 @@ impl DebugTuner {
                 object,
                 art,
                 base,
+                session: Mutex::new(Some(session)),
             }
         })
     }
@@ -340,7 +347,10 @@ impl DebugTuner {
     ) -> ProgramEvaluation {
         let (_, personality, level) = scope;
         let r = self.reference(program, personality, level);
-        let session = self.store.session(&r.art, personality, level, None);
+        // The session the reference was built from serves the variant
+        // fan-out too, and is freed with it unless someone else holds it.
+        let kept = r.session.lock().expect("reference session lock").take();
+        let session = kept.unwrap_or_else(|| self.store.session(&r.art, personality, level, None));
 
         // Stage 4: one variant per gateable pass, with `.text` pruning
         // and content-addressed sharing of trace/metric work. The
@@ -398,11 +408,12 @@ impl DebugTuner {
 
     /// Evaluates one explicit configuration (level + gate) of a program,
     /// returning the hybrid metrics (used for `Ox-dy` measurements).
-    /// The baseline trace, `O0` object, and checkpointed compile
-    /// session are reused across calls (and with
-    /// [`DebugTuner::evaluate`] runs of the same program), and the
-    /// gated build resumes from the session's trail instead of
-    /// recompiling from source.
+    /// The baseline trace and `O0` object are reused across calls, and
+    /// the gated build resumes from the level's checkpointed compile
+    /// session instead of recompiling from source. The session is
+    /// shared with every call that holds it at the same time; under
+    /// [`DebugTuner::hold_sessions`] it also outlives the calls, so a
+    /// level's evaluation and all its configurations build it once.
     pub fn evaluate_config(
         &self,
         program: &ProgramInput,

@@ -102,6 +102,24 @@ impl DebugTuner {
         }
     }
 
+    /// Keeps every compile session of `personality`/`level` that the
+    /// tuner builds from now on alive until
+    /// [`Self::release_sessions`]. Without a hold a session lives only
+    /// while an evaluation, a reference half waiting for its
+    /// evaluation, or a check uses it, so a caller that comes back to a
+    /// level (say, to build its `Ox-dy` configurations with
+    /// [`Self::evaluate_config`]) holds it to build each session once.
+    /// Holds do not nest.
+    pub fn hold_sessions(&self, personality: Personality, level: OptLevel) {
+        self.store.hold_sessions(personality, level);
+    }
+
+    /// Ends the hold of [`Self::hold_sessions`] on
+    /// `personality`/`level` and frees the sessions nothing else uses.
+    pub fn release_sessions(&self, personality: Personality, level: OptLevel) {
+        self.store.release_sessions(personality, level);
+    }
+
     /// Evaluates the whole suite in parallel and aggregates the pass
     /// ranking (Section III-B).
     pub fn rank_passes(
@@ -339,6 +357,68 @@ int fuzz_main() {
                 ..EvalStats::default()
             }
         );
+    }
+
+    /// Without a hold a session lives only inside the evaluation that
+    /// built it: after each of a shuffled sequence of evaluations no
+    /// session is alive, and no key is built twice.
+    #[test]
+    fn sessions_die_with_their_evaluation_without_a_hold() {
+        let mut other = tiny_program();
+        other.source = other.source.replace("v * 3", "v * 5");
+        let programs = [tiny_program(), other];
+        let mut order: Vec<_> = (0..programs.len())
+            .flat_map(|i| all_levels().into_iter().map(move |(p, l)| (i, p, l)))
+            .collect();
+        // A fixed shuffle (Fisher-Yates on a small LCG).
+        let mut state = 0x2545_f491_u64;
+        for i in (1..order.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let tuner = DebugTuner::new(TunerConfig {
+            max_steps_per_input: 1_000_000,
+            threads: 2,
+        });
+        for &(i, personality, level) in &order {
+            tuner.evaluate(&programs[i], personality, level);
+            assert_eq!(tuner.store.live_sessions(), 0, "{personality} {level}");
+        }
+        let s = tuner.stats();
+        assert_eq!((s.sessions, s.sessions_rebuilt), (order.len() as u64, 0));
+    }
+
+    /// A standalone reference half keeps its session for the evaluation
+    /// that follows; under a hold, `evaluate` then `evaluate_config` of
+    /// one level build one session, and the release frees it. Without
+    /// the hold the configuration rebuilds the session.
+    #[test]
+    fn a_hold_keeps_a_levels_session_until_its_release() {
+        let p = tiny_program();
+        let (personality, level) = (Personality::Gcc, OptLevel::O2);
+        let gate = PassGate::disabling(["dce"]);
+        let held = DebugTuner::default();
+        held.hold_sessions(personality, level);
+        held.reference(&p, personality, level);
+        assert_eq!(held.store.live_sessions(), 1);
+        held.evaluate(&p, personality, level);
+        held.evaluate_config(&p, personality, level, &gate);
+        assert_eq!(held.store.live_sessions(), 1);
+        let s = held.stats();
+        assert_eq!((s.sessions, s.sessions_rebuilt), (1, 0), "{s:?}");
+        held.release_sessions(personality, level);
+        assert_eq!(held.store.live_sessions(), 0);
+
+        let unheld = DebugTuner::default();
+        unheld.reference(&p, personality, level);
+        assert_eq!(unheld.store.live_sessions(), 1, "kept for the evaluation");
+        unheld.evaluate(&p, personality, level);
+        assert_eq!(unheld.store.live_sessions(), 0, "taken by the evaluation");
+        unheld.evaluate_config(&p, personality, level, &gate);
+        let s = unheld.stats();
+        assert_eq!((s.sessions, s.sessions_rebuilt), (2, 1), "{s:?}");
     }
 
     /// Every (personality, level) pair the tuner measures.

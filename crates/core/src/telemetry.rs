@@ -37,6 +37,9 @@ pub struct EvalStats {
     /// Checkpointed compile sessions constructed (one per
     /// program/personality/level actually built).
     pub sessions: u64,
+    /// Sessions built for a key this tuner had built before, after the
+    /// earlier session was freed (nothing held it any more).
+    pub sessions_rebuilt: u64,
     /// Function versions the sessions' reference trails retain (each
     /// a function some middle-end stage of a reference build changed).
     pub trail_functions: u64,
@@ -109,7 +112,7 @@ impl EvalStats {
         format!(
             "eval stats: {} program(s), {} build(s) ({:.0} ms), {} trace(s) ({:.0} ms), \
              {} trace-cache hit(s), {} eval-cache hit(s), {} pruned variant(s), \
-             {} session(s) ({} trail function(s)), {} resumed variant(s) skipping {} prefix pass(es), \
+             {} session(s) ({} trail function(s), {} rebuilt), {} resumed variant(s) skipping {} prefix pass(es), \
              {} function(s) cut off, {} backend function(s) reused, {} artifact-store hit(s), {} fast step(s) / {} break stop(s) / \
              {} abandoned input(s), {} run(s) ({} step(s), {:.0} ms), {} run-memo hit(s), \
              {:.0} ms wall on {} thread(s)",
@@ -123,6 +126,7 @@ impl EvalStats {
             self.pruned_variants,
             self.sessions,
             self.trail_functions,
+            self.sessions_rebuilt,
             self.resumed_variants,
             self.prefix_passes_skipped,
             self.functions_cut_off,
@@ -180,6 +184,7 @@ mod tests {
             builds: 1,
             sessions: 2,
             trail_functions: 5,
+            sessions_rebuilt: 1,
             prefix_passes_skipped: 7,
             functions_cut_off: 11,
             backend_functions_reused: 3,
@@ -193,7 +198,7 @@ mod tests {
         let summary = s.summary();
         for part in [
             "1 build(s)",
-            "2 session(s) (5 trail function(s))",
+            "2 session(s) (5 trail function(s), 1 rebuilt)",
             "skipping 7 prefix pass(es)",
             "11 function(s) cut off",
             "3 backend function(s) reused",
@@ -208,6 +213,7 @@ mod tests {
         let json = s.to_json();
         for part in [
             r#""sessions":2,"#,
+            r#""sessions_rebuilt":1,"#,
             r#""trail_functions":5,"#,
             r#""prefix_passes_skipped":7,"#,
             r#""functions_cut_off":11,"#,

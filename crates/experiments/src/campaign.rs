@@ -121,7 +121,19 @@ pub fn build_campaign() -> Campaign {
     c.artifact("suite_inputs", &[], corpus_key, |_| {
         Ok::<_, String>(suite_inputs())
     });
-    c.artifact("tuner", &[], tuner_key, |_| Ok::<_, String>(make_tuner()));
+    c.artifact("tuner", &[], tuner_key, |_| {
+        // Every level a trade-off job tunes is held from here, before
+        // any job evaluates, until that job has built the level's
+        // `Ox-dy` variants: the jobs that reach the level first and
+        // the trade-off job then share one session per program.
+        let tuner = make_tuner();
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                tuner.hold_sessions(personality, level);
+            }
+        }
+        Ok::<_, String>(tuner)
+    });
     for (id, personality) in [
         ("tradeoff_gcc", Personality::Gcc),
         ("tradeoff_clang", Personality::Clang),

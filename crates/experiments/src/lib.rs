@@ -473,8 +473,10 @@ fn level_and_family_gates(family: &[DyConfig]) -> Vec<PassGate> {
 
 /// Computes the full `Ox`/`Ox-dy` matrix for one personality: per
 /// level, the ranking, then the speedups of the level and its `Ox-dy`
-/// family in one [`DebugTuner::speedups`] call. Fails when a measured
-/// binary does not behave like `O0`.
+/// family in one [`DebugTuner::speedups`] call. Once a level's `Ox-dy`
+/// products are built it releases the tuner's hold on that level
+/// ([`DebugTuner::release_sessions`]): nothing builds from its sessions
+/// after that. Fails when a measured binary does not behave like `O0`.
 pub fn tradeoff_data(
     tuner: &DebugTuner,
     programs: &[ProgramInput],
@@ -495,6 +497,7 @@ pub fn tradeoff_data(
         let perf = perfs.next().expect("one report per gate");
         reference.push((level, stats::mean(&products), perf));
         let products = dy_products(tuner, programs, personality, level, &family);
+        tuner.release_sessions(personality, level);
         for ((cfg, perf), products) in family.into_iter().zip(perfs).zip(products) {
             configs.push(DyPoint {
                 name: cfg.name.clone(),

@@ -12,63 +12,93 @@ use crate::opt::util::key_operands;
 use dt_ir::{Function, MemEffect, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
-/// Hashable key for a pure expression or a memory read.
+/// A register operand read at one version: the register's number of
+/// definitions walked so far (constants are version 0). Redefining a
+/// register makes every key that read its old value unmatchable.
+type Operand = (Value, u32);
+
+/// The version of the memory a load reads: the stores to its slot or
+/// global walked so far, and the non-pure calls walked so far.
+type MemVersion = (u32, u32);
+
+/// Hashable key for a pure expression or a memory read, at the
+/// versions of what it reads.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum ExprKey {
-    Un(UnOp, Value),
-    Bin(dt_ir::BinOp, Value, Value),
-    Select(Value, Value, Value),
-    LoadSlot(u32),
-    LoadIdx(u32, Value),
-    LoadGlobal(u32),
-    LoadGIdx(u32, Value),
-    /// Call to a pure-const function.
-    PureCall(u32, Vec<Value>),
+    Un(UnOp, Operand),
+    Bin(dt_ir::BinOp, Operand, Operand),
+    Select(Operand, Operand, Operand),
+    LoadSlot(u32, MemVersion),
+    LoadIdx(u32, Operand, MemVersion),
+    LoadGlobal(u32, MemVersion),
+    LoadGIdx(u32, Operand, MemVersion),
+    /// Call to a pure-const function, at the non-pure-call count.
+    PureCall(u32, Vec<Operand>, u32),
 }
 
-impl ExprKey {
-    /// Whether the expression reads register `r`.
-    fn reads(&self, r: VReg) -> bool {
-        let r = Value::Reg(r);
-        match self {
-            ExprKey::Un(_, a) | ExprKey::LoadIdx(_, a) | ExprKey::LoadGIdx(_, a) => *a == r,
-            ExprKey::Bin(_, a, b) => *a == r || *b == r,
-            ExprKey::Select(a, b, c) => *a == r || *b == r || *c == r,
-            ExprKey::PureCall(_, args) => args.contains(&r),
-            ExprKey::LoadSlot(_) | ExprKey::LoadGlobal(_) => false,
+/// The running versions of one function walk. They only grow, so a
+/// key or entry recorded before a redefinition, store or call never
+/// matches again and nothing has to be removed.
+struct Versions {
+    defs: Vec<u32>,
+    slots: Vec<u32>,
+    globals: Vec<u32>,
+    calls: u32,
+}
+
+impl Versions {
+    fn operand(&self, v: Value) -> Operand {
+        match v {
+            Value::Reg(r) => (v, self.defs[r.index()]),
+            Value::Const(_) => (v, 0),
         }
     }
 
-    fn is_load(&self) -> bool {
-        matches!(
-            self,
-            ExprKey::LoadSlot(_)
-                | ExprKey::LoadIdx(..)
-                | ExprKey::LoadGlobal(_)
-                | ExprKey::LoadGIdx(..)
-        )
+    fn slot(&self, slot: u32) -> MemVersion {
+        (epoch(&self.slots, slot), self.calls)
+    }
+
+    fn global(&self, global: u32) -> MemVersion {
+        (epoch(&self.globals, global), self.calls)
     }
 }
 
-fn key_of(op: &Op, pure_funcs: &[bool]) -> Option<ExprKey> {
+fn epoch(epochs: &[u32], i: u32) -> u32 {
+    epochs.get(i as usize).copied().unwrap_or(0)
+}
+
+fn bump(epochs: &mut Vec<u32>, i: u32) {
+    let i = i as usize;
+    if i >= epochs.len() {
+        epochs.resize(i + 1, 0);
+    }
+    epochs[i] += 1;
+}
+
+fn key_of(op: &Op, pure_funcs: &[bool], v: &Versions) -> Option<ExprKey> {
     Some(match op {
-        Op::Un { op, src, .. } => ExprKey::Un(*op, *src),
+        Op::Un { op, src, .. } => ExprKey::Un(*op, v.operand(*src)),
         Op::Bin { op, lhs, rhs, .. } => {
             let (a, b) = key_operands(*op, *lhs, *rhs);
-            ExprKey::Bin(*op, a, b)
+            ExprKey::Bin(*op, v.operand(a), v.operand(b))
         }
         Op::Select {
             cond,
             on_true,
             on_false,
             ..
-        } => ExprKey::Select(*cond, *on_true, *on_false),
-        Op::LoadSlot { slot, .. } => ExprKey::LoadSlot(slot.0),
-        Op::LoadIdx { slot, index, .. } => ExprKey::LoadIdx(slot.0, *index),
-        Op::LoadGlobal { global, .. } => ExprKey::LoadGlobal(global.0),
-        Op::LoadGIdx { global, index, .. } => ExprKey::LoadGIdx(global.0, *index),
+        } => ExprKey::Select(v.operand(*cond), v.operand(*on_true), v.operand(*on_false)),
+        Op::LoadSlot { slot, .. } => ExprKey::LoadSlot(slot.0, v.slot(slot.0)),
+        Op::LoadIdx { slot, index, .. } => {
+            ExprKey::LoadIdx(slot.0, v.operand(*index), v.slot(slot.0))
+        }
+        Op::LoadGlobal { global, .. } => ExprKey::LoadGlobal(global.0, v.global(global.0)),
+        Op::LoadGIdx { global, index, .. } => {
+            ExprKey::LoadGIdx(global.0, v.operand(*index), v.global(global.0))
+        }
         Op::Call { callee, args, .. } if pure_funcs.get(callee.index()) == Some(&true) => {
-            ExprKey::PureCall(callee.0, args.clone())
+            let args = args.iter().map(|&a| v.operand(a)).collect();
+            ExprKey::PureCall(callee.0, args, v.calls)
         }
         _ => return None,
     })
@@ -81,26 +111,28 @@ pub fn run(f: &mut Function, facts: &ModuleFacts, _config: &PassConfig) -> bool 
 
 fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
     let mut changed = false;
-    for bi in 0..f.blocks.len() {
-        if f.blocks[bi].dead {
-            continue;
-        }
-        let mut avail: HashMap<ExprKey, VReg> = HashMap::new();
-        for inst in &mut f.blocks[bi].insts {
+    let mut v = Versions {
+        defs: vec![0; f.vreg_count as usize],
+        slots: Vec::new(),
+        globals: Vec::new(),
+        calls: 0,
+    };
+    // Each available expression's register, at the version that holds
+    // the expression's value.
+    let mut avail: HashMap<ExprKey, (VReg, u32)> = HashMap::new();
+    for block in f.blocks.iter_mut().filter(|b| !b.dead) {
+        avail.clear();
+        for inst in &mut block.insts {
             if inst.op.is_dbg() {
                 continue;
             }
-            // Kill memory-dependent entries on writes/calls/I-O.
+            // Writes and non-pure calls move the memory versions on.
             match inst.op.mem_effect() {
-                MemEffect::WriteSlot(s) => {
-                    avail.retain(|k, _| !matches!(k, ExprKey::LoadSlot(x) | ExprKey::LoadIdx(x, _) if *x == s.0));
-                }
-                MemEffect::WriteGlobal(g) => {
-                    avail.retain(|k, _| !matches!(k, ExprKey::LoadGlobal(x) | ExprKey::LoadGIdx(x, _) if *x == g.0));
-                }
+                MemEffect::WriteSlot(s) => bump(&mut v.slots, s.0),
+                MemEffect::WriteGlobal(g) => bump(&mut v.globals, g.0),
                 MemEffect::Call(callee) => {
                     if pure_funcs.get(callee.index()) != Some(&true) {
-                        avail.retain(|k, _| !k.is_load() && !matches!(k, ExprKey::PureCall(..)));
+                        v.calls += 1;
                     }
                 }
                 MemEffect::Io
@@ -112,9 +144,9 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
             let Some(dst) = inst.op.def() else {
                 continue;
             };
-            let mut key = key_of(&inst.op, pure_funcs);
-            if let Some(&prior) = key.as_ref().and_then(|k| avail.get(k)) {
-                if prior != dst {
+            let mut key = key_of(&inst.op, pure_funcs, &v);
+            if let Some(&(prior, version)) = key.as_ref().and_then(|k| avail.get(k)) {
+                if prior != dst && v.defs[prior.index()] == version {
                     inst.op = Op::Copy {
                         dst,
                         src: Value::Reg(prior),
@@ -124,13 +156,11 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
                     key = None;
                 }
             }
-            // A redefined register invalidates every entry mentioning it.
-            avail.retain(|k, v| *v != dst && !k.reads(dst));
-            // Record the new expression (after invalidation), unless it
-            // read the old `dst`: after `v = v + 1`, `v` no longer holds
-            // the value of `v + 1`.
-            if let Some(key) = key.filter(|k| !k.reads(dst)) {
-                avail.insert(key, dst);
+            v.defs[dst.index()] += 1;
+            // A key that read the old `dst` is recorded at its old
+            // version, so after `v = v + 1` no later `v + 1` matches it.
+            if let Some(key) = key {
+                avail.insert(key, (dst, v.defs[dst.index()]));
             }
         }
     }
@@ -253,6 +283,102 @@ mod tests {
             .filter(|i| matches!(i.op, Op::Call { .. }))
             .count();
         assert_eq!(calls, 1, "second call to a pure function is CSE'd");
+    }
+
+    /// A one-block function over `insts`, with parameters `%0` and
+    /// `%1` and two scalar slots.
+    fn one_block(insts: Vec<Op>, vreg_count: u32) -> Function {
+        use dt_ir::module::{FuncAttrs, SlotInfo};
+        use dt_ir::{Block, BlockId, FuncId, Inst, Terminator};
+        let mut b0 = Block::new(Terminator::Ret(None));
+        b0.insts = insts.into_iter().map(Inst::synth).collect();
+        Function {
+            name: "f".into(),
+            id: FuncId(0),
+            params: vec![VReg(0), VReg(1)],
+            blocks: vec![b0],
+            entry: BlockId(0),
+            vreg_count,
+            vars: vec![],
+            slots: vec![SlotInfo { size: 1, var: None }; 2],
+            line: 1,
+            end_line: 1,
+            attrs: FuncAttrs::default(),
+        }
+    }
+
+    /// The instructions of `f`'s block that `cse_function` turned into
+    /// copies, by index.
+    fn copied(insts: Vec<Op>, vreg_count: u32, pure_funcs: &[bool]) -> Vec<usize> {
+        let mut f = one_block(insts.clone(), vreg_count);
+        cse_function(&mut f, pure_funcs);
+        let after = f.blocks[0].insts.iter().map(|i| &i.op);
+        (after.zip(&insts).enumerate())
+            .filter(|(_, (a, b))| a != b)
+            .inspect(|(_, (a, _))| assert!(matches!(a, Op::Copy { .. }), "{a:?}"))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn add(dst: u32, lhs: u32, rhs: u32) -> Op {
+        Op::Bin {
+            dst: VReg(dst),
+            op: dt_ir::BinOp::Add,
+            lhs: Value::Reg(VReg(lhs)),
+            rhs: Value::Reg(VReg(rhs)),
+        }
+    }
+
+    fn load(dst: u32, slot: u32) -> Op {
+        Op::LoadSlot {
+            dst: VReg(dst),
+            slot: dt_ir::SlotId(slot),
+        }
+    }
+
+    fn call(dst: u32, callee: u32) -> Op {
+        Op::Call {
+            dst: VReg(dst),
+            callee: dt_ir::FuncId(callee),
+            args: vec![Value::Reg(VReg(0))],
+        }
+    }
+
+    #[test]
+    fn a_redefined_operand_blocks_a_match() {
+        // %2 = %0 + %1; %3 = %1 + %0 matches, but not once %0 is redefined.
+        assert_eq!(copied(vec![add(2, 0, 1), add(3, 1, 0)], 4, &[]), [1]);
+        let redefined = vec![add(2, 0, 1), add(0, 1, 1), add(3, 0, 1)];
+        assert_eq!(copied(redefined, 4, &[]), [] as [usize; 0]);
+        // Nor does an expression whose register was redefined: %2 no
+        // longer holds %0 + %1.
+        let clobbered = vec![add(2, 0, 1), add(2, 1, 1), add(3, 0, 1)];
+        assert_eq!(copied(clobbered, 4, &[]), [] as [usize; 0]);
+    }
+
+    #[test]
+    fn a_store_to_a_slot_kills_only_that_slots_loads() {
+        let store = Op::StoreSlot {
+            slot: dt_ir::SlotId(0),
+            src: Value::Const(5),
+        };
+        let insts = vec![load(2, 0), load(3, 1), store, load(4, 0), load(5, 1)];
+        assert_eq!(
+            copied(insts, 6, &[]),
+            [4],
+            "only slot 1's load is redundant"
+        );
+    }
+
+    #[test]
+    fn a_non_pure_call_kills_loads_and_pure_calls() {
+        // Function 1 is pure, function 0 is not.
+        let pure = [false, true];
+        let before = vec![load(2, 0), call(3, 1), load(4, 0), call(5, 1)];
+        assert_eq!(copied(before.clone(), 8, &pure), [2, 3]);
+        let mut killed = before;
+        killed.insert(2, call(6, 0));
+        assert_eq!(copied(killed, 8, &pure), [] as [usize; 0]);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::manager::{ModuleFacts, PassConfig};
 use dt_ir::{BinOp, Function, Op, UnOp, VReg, Value};
-use std::collections::HashMap;
 
 /// Runs combining over every function to a local fixpoint.
 pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool {
@@ -19,22 +18,37 @@ pub fn run(f: &mut Function, _facts: &ModuleFacts, _config: &PassConfig) -> bool
     combine_function(f) | first
 }
 
+/// A block-local fact: the register equals `value` while the walk is
+/// in `block` and, when `value` is a register, while that register has
+/// `version` definitions.
+#[derive(Clone, Copy)]
+struct Known {
+    block: usize,
+    value: Value,
+    version: u32,
+}
+
 fn combine_function(f: &mut Function) -> bool {
     let mut changed = false;
-    for bi in 0..f.blocks.len() {
-        if f.blocks[bi].dead {
+    let n = f.vreg_count as usize;
+    // Per register: its definitions walked so far, and what it is known
+    // to equal. A fact goes stale when its block ends or its source is
+    // redefined, so nothing is ever removed.
+    let mut defs = vec![0u32; n];
+    let mut known: Vec<Option<Known>> = vec![None; n];
+    for (bi, block) in f.blocks.iter_mut().enumerate() {
+        if block.dead {
             continue;
         }
-        // Block-local value map: vreg -> known equivalent value.
-        let mut known: HashMap<VReg, Value> = HashMap::new();
-        let invalidate = |known: &mut HashMap<VReg, Value>, d: VReg| {
-            known.remove(&d);
-            known.retain(|_, v| *v != Value::Reg(d));
+        let lookup = |known: &[Option<Known>], defs: &[u32], r: VReg| {
+            let k = known[r.index()].filter(|k| k.block == bi)?;
+            match k.value {
+                Value::Reg(src) if defs[src.index()] != k.version => None,
+                value => Some(value),
+            }
         };
 
-        let nb_insts = f.blocks[bi].insts.len();
-        for ii in 0..nb_insts {
-            let inst = &mut f.blocks[bi].insts[ii];
+        for inst in &mut block.insts {
             // Propagate known values into operands. Debug bindings are
             // only rewritten toward *constants*: redirecting a binding
             // from a variable's long-lived register to the short-lived
@@ -44,9 +58,9 @@ fn combine_function(f: &mut Function) -> bool {
             let is_dbg = inst.op.is_dbg();
             inst.op.for_each_use_mut(|v| {
                 if let Value::Reg(r) = v {
-                    if let Some(k) = known.get(r) {
+                    if let Some(k) = lookup(&known, &defs, *r) {
                         if !is_dbg || matches!(k, Value::Const(_)) {
-                            *v = *k;
+                            *v = k;
                             changed = true;
                         }
                     }
@@ -61,21 +75,23 @@ fn combine_function(f: &mut Function) -> bool {
 
             // Update the value map.
             if let Some(d) = inst.op.def() {
-                invalidate(&mut known, d);
-                if let Op::Copy { dst, src } = inst.op {
-                    if src != Value::Reg(dst) {
-                        known.insert(dst, src);
-                    }
-                }
+                defs[d.index()] += 1;
+                known[d.index()] = match inst.op {
+                    Op::Copy { src, .. } if src != Value::Reg(d) => Some(Known {
+                        block: bi,
+                        value: src,
+                        version: src.as_reg().map_or(0, |s| defs[s.index()]),
+                    }),
+                    _ => None,
+                };
             }
         }
 
         // Fold the terminator's condition if known.
-        let term = &mut f.blocks[bi].term;
-        term.for_each_use_mut(|v| {
+        block.term.for_each_use_mut(|v| {
             if let Value::Reg(r) = v {
-                if let Some(k) = known.get(r) {
-                    *v = *k;
+                if let Some(k) = lookup(&known, &defs, *r) {
+                    *v = k;
                     changed = true;
                 }
             }
@@ -160,6 +176,52 @@ mod tests {
     use crate::manager::run_whole_module;
     use dt_ir::Module;
     use dt_ir::Terminator;
+
+    /// A copy propagates into later uses until its source is
+    /// redefined: `%2 = %0` makes `%2 - %1` read `%0`, but after
+    /// `%0 = %1 * %1` a use of `%2` stays `%2`.
+    #[test]
+    fn a_copy_whose_source_is_redefined_stops_propagating() {
+        use dt_ir::module::FuncAttrs;
+        use dt_ir::{Block, BlockId, FuncId, Inst};
+        let reg = |r| Value::Reg(VReg(r));
+        let bin = |dst, op, lhs, rhs| Op::Bin {
+            dst: VReg(dst),
+            op,
+            lhs: reg(lhs),
+            rhs: reg(rhs),
+        };
+        let mut b0 = Block::new(Terminator::Ret(Some(reg(4))));
+        b0.insts = [
+            Op::Copy {
+                dst: VReg(2),
+                src: reg(0),
+            },
+            bin(3, BinOp::Sub, 2, 1),
+            bin(0, BinOp::Mul, 1, 1),
+            bin(4, BinOp::Add, 2, 1),
+        ]
+        .into_iter()
+        .map(Inst::synth)
+        .collect();
+        let mut f = Function {
+            name: "f".into(),
+            id: FuncId(0),
+            params: vec![VReg(0), VReg(1)],
+            blocks: vec![b0],
+            entry: BlockId(0),
+            vreg_count: 5,
+            vars: vec![],
+            slots: vec![],
+            line: 1,
+            end_line: 1,
+            attrs: FuncAttrs::default(),
+        };
+        assert!(combine_function(&mut f));
+        let ops: Vec<&Op> = f.blocks[0].insts.iter().map(|i| &i.op).collect();
+        assert_eq!(ops[1], &bin(3, BinOp::Sub, 0, 1), "propagated");
+        assert_eq!(ops[3], &bin(4, BinOp::Add, 2, 1), "not propagated");
+    }
 
     fn optimized(src: &str) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();

@@ -106,10 +106,14 @@ pub fn ensure_preheader(
     header: dt_ir::BlockId,
     latches: &[dt_ir::BlockId],
 ) -> dt_ir::BlockId {
-    let preds = dt_ir::predecessors(f);
-    let outside: Vec<dt_ir::BlockId> = preds[header.index()]
-        .iter()
-        .copied()
+    // The header's predecessors as `dt_ir::predecessors` lists them:
+    // ascending, once per edge.
+    let outside: Vec<dt_ir::BlockId> = f
+        .block_ids()
+        .flat_map(|p| {
+            let edges = f.block(p).term.successors().filter(|&s| s == header);
+            edges.map(move |_| p)
+        })
         .filter(|p| !latches.contains(p))
         .collect();
     if outside.len() == 1 {

@@ -107,6 +107,15 @@ if [ "$cold_counters" != "$second_counters" ]; then
   echo "  --jobs 1: $second_counters"
   exit 1
 fi
+# Each compile session is built once: the campaign holds every tuned
+# level until its trade-off job has built the level's Ox-dy variants.
+for run in "$cold_counters" "$second_counters"; do
+  rebuilt="$(python3 -c 'import json, sys; print(json.loads(sys.argv[1])["sessions_rebuilt"])' "$run")"
+  if [ "$rebuilt" != 0 ]; then
+    echo "a cold campaign rebuilt $rebuilt compile session(s): $run"
+    exit 1
+  fi
+done
 unset DT_SYNTH_N DT_FUZZ_ITERS
 
 echo "== benchmark determinism (tuner counters vs crate-by-crate re-drive) =="
